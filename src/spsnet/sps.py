@@ -19,7 +19,8 @@ diffusion protocols assemble them from partial information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,25 +29,6 @@ from .model import RegressorSample
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """Normal-equations matrix too ill-conditioned to solve."""
-
-
-@dataclass(frozen=True)
-class SpsConfig:
-    """Sign-perturbation parameters: m sums, q discarded ranks, sign seed."""
-
-    m: int
-    q: int
-    sign_seed: int = 0
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("m must be at least 2")
-        if not 1 <= self.q <= self.m - 1:
-            raise ValueError("q must satisfy 1 <= q <= m-1")
-
-    @property
-    def confidence(self) -> float:
-        return 1.0 - self.q / self.m
 
 
 @dataclass(eq=False)
@@ -237,10 +219,38 @@ def z_values(agg: AggregateSums, p) -> np.ndarray:
     return np.einsum("jk,jk->j", s, s)
 
 
-def _z_values_grid(agg: AggregateSums, points: np.ndarray) -> np.ndarray:
-    """Z values for many points at once; returns shape (m, n_points)."""
-    s = agg.vec[:, None, :] - np.einsum("jkl,cl->jck", agg.mat, points)
-    return np.einsum("jck,jck->jc", s, s)
+def _lane_sum(terms: list) -> np.ndarray:
+    """Even-indexed terms added in order, odd-indexed ones likewise, then the two sums."""
+    lanes = [functools.reduce(np.add, terms[r::2]) for r in range(min(2, len(terms)))]
+    return functools.reduce(np.add, lanes)
+
+
+def _z_values_grid(agg: AggregateSums, axes) -> np.ndarray:
+    """Z values at every point of the grid spanned by ``axes``; shape (m, *grid).
+
+    The grid is a Cartesian product, so mat_j p is built from per-axis terms
+    mat[:, :, l] x axes[l] broadcast over the grid. Both reductions add in
+    ``_lane_sum`` order, numpy's two-lane einsum order below 8 terms, so Z has
+    the exact bits of a per-point einsum: sign-flipped rows tie with row 0
+    exactly, the ties are broken at random for exact coverage, and another
+    rounding order would turn some of them into strict orderings and flip cells.
+    """
+    m, n_p = agg.vec.shape
+    lead = (n_p, m) + (1,) * n_p
+    mat = agg.mat.transpose(1, 0, 2)  # (k, j, l), so each s[k] below is contiguous
+    terms = [mat[:, :, l].reshape(lead) * axis.reshape((-1,) + (1,) * (n_p - 1 - l))
+             for l, axis in enumerate(axes)]
+    s = agg.vec.T.reshape(lead) - _lane_sum(terms)
+    return _lane_sum([sk * sk for sk in s])
+
+
+@functools.lru_cache(maxsize=32)
+def _cell_centres(box: tuple, shape: tuple) -> tuple:
+    """Cell-centre coordinates per grid axis; read-only, as the cache shares them."""
+    axes = tuple(lo + (np.arange(g) + 0.5) * (hi - lo) / g for (lo, hi), g in zip(box, shape))
+    for axis in axes:
+        axis.flags.writeable = False
+    return axes
 
 
 def uniform_order(values, rng: np.random.Generator) -> np.ndarray:
@@ -293,10 +303,6 @@ class RegionResult:
     q: int
     m: int
     tie_seed: int
-
-    @property
-    def cell_widths(self) -> np.ndarray:
-        return np.array([(hi - lo) / n for (lo, hi), n in zip(self.box, self.grid_shape)])
 
     @property
     def member_count(self) -> int:
@@ -388,10 +394,12 @@ def evaluate_region(
     """Evaluate region membership on a dense grid of cell centers.
 
     The box is a list of (lo, hi) per parameter dimension; ``grid_per_dim`` is
-    an int or per-dimension list of cell counts. Cell i's tie randomness is
-    derived deterministically from (tie_seed, flat cell index), so results are
-    bit-reproducible and cells are independent. Dimensions above 3 are
-    rejected unless ``allow_high_dim`` is set, because the grid size explodes.
+    an int or per-dimension list of cell counts. Ties are broken with one
+    (n_cells, m) block of uniforms from ``SeedSequence(tie_seed)``: row i is
+    the tie stream of cell i in C order. The block is drawn only when some
+    cell has Z_j == Z_0; cells without a tie never read it, so the result is
+    bit-reproducible either way. Dimensions above 3 are rejected unless
+    ``allow_high_dim`` is set, because the grid size explodes.
     """
     n_p = agg.n_p
     box = [(float(lo), float(hi)) for lo, hi in box]
@@ -413,20 +421,14 @@ def evaluate_region(
     if not 1 <= q <= agg.m - 1:
         raise ValueError("q must satisfy 1 <= q <= m-1")
 
-    axes = [
-        lo + (np.arange(g) + 0.5) * (hi - lo) / g for (lo, hi), g in zip(box, shape)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel(order="C") for m in mesh], axis=1)
-    n_cells = points.shape[0]
-
-    z = _z_values_grid(agg, points)
-    # row i of this matrix is cell i's tie stream
-    u = np.random.default_rng(np.random.SeedSequence(int(tie_seed))).uniform(
-        size=(n_cells, agg.m)
-    )
-    above = (z[1:] > z[0]) | ((z[1:] == z[0]) & (u[:, 1:].T > u[:, 0]))
-    member = (above.sum(axis=0) >= q).reshape(shape)
+    z = _z_values_grid(agg, _cell_centres(tuple(box), shape))
+    above = z[1:] > z[0]
+    tied = z[1:] == z[0]
+    if tied.any():
+        rng = np.random.default_rng(np.random.SeedSequence(int(tie_seed)))
+        u = rng.uniform(size=(z[0].size, agg.m)).T.reshape(z.shape)
+        above |= tied & (u[1:] > u[0])
+    member = above.sum(axis=0) >= q
 
     widths = [(hi - lo) / g for (lo, hi), g in zip(box, shape)]
     volume = float(member.sum()) * float(np.prod(widths))

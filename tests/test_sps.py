@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import grid_oracle
 from spsnet.model import FieldConfig, NoiseSpec, RegressorSample, generate_measurements
 from spsnet.rng import derive_seed, substream
 from spsnet.sps import (
@@ -22,7 +23,7 @@ from spsnet.sps import (
     uniform_order,
     z_values,
 )
-from spsnet.sps import _z_values_grid
+from spsnet.sps import _cell_centres, _z_values_grid
 
 
 def make_samples(seed, n_nodes, n_p=2, scale=0.1):
@@ -152,10 +153,12 @@ def test_z_values_grid_matches_scalar_path():
     samples, _ = make_samples(31, 6, n_p=2)
     signs = draw_sign_matrix(5, 6, sign_seed=1)
     agg = batch_aggregate(samples, signs)
-    points = substream(31, "grid").uniform(-1, 1, size=(17, 2))
-    grid = _z_values_grid(agg, points)
-    for c in range(17):
-        assert np.allclose(grid[:, c], z_values(agg, points[c]), rtol=1e-12)
+    rng = substream(31, "grid")
+    axes = (rng.uniform(-1, 1, size=6), rng.uniform(-1, 1, size=3))
+    grid = _z_values_grid(agg, axes)
+    assert grid.shape == (5, 6, 3)
+    for i, j in np.ndindex(6, 3):
+        assert np.allclose(grid[:, i, j], z_values(agg, [axes[0][i], axes[1][j]]), rtol=1e-12)
 
 
 def test_membership_strict_orderings():
@@ -259,6 +262,25 @@ def test_region_tie_seed_determinism():
     c = evaluate_region(agg, [(0.0, 1.0)], 64, q=1, tie_seed=6)
     assert np.array_equal(a.member_mask, b.member_mask)
     assert not np.array_equal(a.member_mask, c.member_mask)
+
+
+def test_region_lazy_tie_draw_matches_eager_oracle():
+    # Z_0 = 4p^2 and Z_1 = 4: the cells centred on p = -1 and p = 1 tie, the others do not
+    agg = two_node_hand_aggregate()
+    box = [(-1.5, 2.5)]
+    centres = _cell_centres(tuple(box), (4,))
+    assert np.array_equal(centres[0], [-1.0, 0.0, 1.0, 2.0])
+    z = _z_values_grid(agg, centres)
+    assert np.array_equal(z[0] == z[1], [True, False, True, False])
+    masks = set()
+    for tie_seed in range(16):
+        res = evaluate_region(agg, box, 4, q=1, tie_seed=tie_seed)
+        member, volume, bounding = grid_oracle.region(agg, box, (4,), 1, tie_seed)
+        assert np.array_equal(res.member_mask, member)
+        assert res.volume == volume and res.bounding_box == bounding
+        assert res.member_mask[1] and not res.member_mask[3]
+        masks.add(tuple(res.member_mask))
+    assert len(masks) > 1  # the tied cells follow the tie seed
 
 
 def test_region_argument_validation():
