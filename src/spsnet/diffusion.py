@@ -151,6 +151,7 @@ class TagTable:
         self.n_nodes = n_nodes
         self.rows: list[TagRow] = [TagRow(frozenset((owner,)), local_payload)]
         self._tags = {self.rows[0].tag}
+        self._wrapup: tuple[bytes, np.ndarray | None] = (b"", None)  # last (tag matrix bytes, b)
 
     def has_tag(self, tag: frozenset) -> bool:
         return tag in self._tags
@@ -250,12 +251,21 @@ def tas_wrapup(table: TagTable) -> tuple[WrapUpWeights, AggregateSums]:
     the network, which also yields the exact full sum). Overlapping tags are
     resolved by the wrap-up LP; the resulting weights are clamped into [0, 1]
     at tolerance 1e-9 and values within 1e-9 of 0 or 1 are snapped exact.
+    The coefficients b depend on the tag matrix alone: the table keeps the
+    last (tag matrix, read-only b) pair and reuses b while its tag matrix is
+    unchanged. The aggregate is rebuilt from b on every call.
     """
-    tagmat = table.tag_matrix().astype(float)
-    if tagmat.sum(axis=0).max() <= 1:
-        b = np.ones(len(table.rows))
-    else:
-        b, _ = solve_lp(LpProblem(tagmat))
+    tags = table.tag_matrix()
+    key = tags.tobytes()
+    tagmat = tags.astype(float)
+    if table._wrapup[0] != key:
+        if tagmat.sum(axis=0).max() <= 1:
+            b = np.ones(len(table.rows))
+        else:
+            b, _ = solve_lp(LpProblem(tagmat))
+        b.flags.writeable = False
+        table._wrapup = (key, b)
+    b = table._wrapup[1]
     c = b @ tagmat
     c[np.abs(c) <= 1e-9] = 0.0
     c[np.abs(c - 1.0) <= 1e-9] = 1.0

@@ -12,7 +12,8 @@ counting any node more than once:
 b = 0 is always feasible and the objective is bounded above by the node
 count, so the program always has an optimum. Problem sizes stay small (rows
 at most a few hundred), so a dense tableau simplex with Bland's pivoting
-rule (no cycling) is adequate.
+rule (no cycling) is adequate. Each pivot is one rank-1 update whose
+arithmetic matches a row-by-row elimination bit for bit (see _simplex_max).
 """
 
 from __future__ import annotations
@@ -85,7 +86,14 @@ def _simplex_max(
     tol: float,
     max_iterations: int | None,
 ) -> np.ndarray:
-    """maximize cost.x s.t. a x <= rhs, x >= 0, rhs >= 0. Returns optimal x."""
+    """maximize cost.x s.t. a x <= rhs, x >= 0, rhs >= 0. Returns optimal x.
+
+    Each pivot is one rank-1 update of the rows with a nonzero f_i in the
+    entering column: row_i -= f_i * pivot_row. Every element gets the multiply
+    and subtract of a row-by-row elimination, so x matches it bit for bit.
+    That must hold: b drives the weights c, and a last-bit change in c moves
+    region cells and the benchmark's reference rows.
+    """
     n_rows, n_struct = a.shape
     n_cols = n_struct + n_rows
     if max_iterations is None:
@@ -100,27 +108,25 @@ def _simplex_max(
     basis = np.arange(n_struct, n_struct + n_rows)
 
     for _ in range(max_iterations):
-        candidates = np.flatnonzero(reduced > tol)
-        if candidates.size == 0:
+        enter = int((reduced > tol).argmax())  # Bland: lowest index
+        if not reduced[enter] > tol:
             x = np.zeros(n_cols)
             x[basis] = tableau[:, -1]
             return x[:n_struct]
-        enter = int(candidates[0])  # Bland: lowest index
-        col = tableau[:, enter]
-        pos = col > tol
-        if not pos.any():
+        f = tableau[:, enter].copy()
+        pos = (f > tol).nonzero()[0]
+        if pos.size == 0:
             raise SimplexError("unbounded direction found; the wrap-up LP is bounded, so this is a bug")
-        ratios = np.full(n_rows, np.inf)
-        ratios[pos] = tableau[pos, -1] / col[pos]
+        ratios = tableau[pos, -1] / f[pos]
         best = ratios.min()
-        ties = np.flatnonzero(np.isclose(ratios, best, rtol=0.0, atol=tol * max(1.0, best)))
-        leave = int(ties[np.argmin(basis[ties])])  # Bland: lowest basic index
+        ties = pos[abs(ratios - best) <= tol * max(1.0, best)]
+        leave = int(ties[basis[ties].argmin()])  # Bland: lowest basic index
 
-        pivot = tableau[leave, enter]
-        tableau[leave] /= pivot
-        for i in range(n_rows):
-            if i != leave and abs(tableau[i, enter]) > 0:
-                tableau[i] -= tableau[i, enter] * tableau[leave]
-        reduced = reduced - reduced[enter] * tableau[leave, :-1]
+        tableau[leave] /= f[leave]
+        prow = tableau[leave]
+        f[leave] = 0.0
+        rows = f.nonzero()[0]
+        tableau[rows] -= f[rows, None] * prow
+        reduced -= reduced[enter] * prow[:-1]
         basis[leave] = enter
     raise SimplexError(f"simplex did not converge within {max_iterations} iterations")

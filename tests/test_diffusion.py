@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from spsnet import diffusion
 from spsnet.analysis import (
     traffic_mf_clustered,
     traffic_mf_tree,
@@ -266,6 +267,96 @@ def test_wrapup_local_only_table():
     weights, agg = tas_wrapup(table)
     assert np.array_equal(weights.c, [0.0, 1.0, 0.0])
     assert agg.allclose(local_aggregate(samples[1], signs.column(1)))
+
+
+def count_lp_calls(monkeypatch) -> list:
+    """Make diffusion's solve_lp append one entry per call to the list returned."""
+    calls = []
+    solve = diffusion.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "solve_lp", counting)
+    return calls
+
+
+def uncached_wrapup(table):
+    """tas_wrapup with the table's remembered LP solution cleared first."""
+    table._wrapup = (b"", None)
+    return tas_wrapup(table)
+
+
+def same_aggregate(a, b) -> bool:
+    return np.array_equal(a.vec, b.vec) and np.array_equal(a.mat, b.mat)
+
+
+def overlapping_table(locals_):
+    table = TagTable(owner=0, n_nodes=len(locals_), local_payload=locals_[0].copy())
+    table.append(frozenset({1, 2}), locals_[1] + locals_[2])
+    table.append(frozenset({2, 3}), locals_[2] + locals_[3])
+    return table
+
+
+def test_wrapup_reuses_lp_solution_while_tags_are_unchanged(monkeypatch):
+    calls = count_lp_calls(monkeypatch)
+    _, samples, signs = make_network(63, 5, graph=complete_graph(5))
+    locals_ = [local_aggregate(samples[i], signs.column(i)) for i in range(5)]
+    table = overlapping_table(locals_)
+    w1, agg1 = tas_wrapup(table)
+    w2, agg2 = tas_wrapup(table)
+    assert len(calls) == 1
+    assert np.array_equal(w1.c, w2.c) and same_aggregate(agg1, agg2)
+    assert agg1 is not agg2 and agg1.vec is not agg2.vec  # snapshots share no payload
+    assert not table._wrapup[1].flags.writeable
+
+    # a newly distilled row changes the tag matrix and forces a re-solve
+    assert tas_distill(table, frozenset({0, 3, 4}), locals_[0] + locals_[3] + locals_[4]) is not None
+    w3, agg3 = tas_wrapup(table)
+    assert len(calls) == 2
+    assert w3.c[4] == 1.0
+    assert agg3.allclose(truncated_aggregate(samples, signs, w3.c))
+
+    # a message with nothing new leaves the tags, and the solution, as they were
+    assert tas_distill(table, frozenset({1, 2}), locals_[1] + locals_[2]) is None
+    tas_wrapup(table)
+    assert len(calls) == 2
+
+
+def test_wrapup_from_reused_solution_equals_fresh_table():
+    _, samples, signs = make_network(64, 4, graph=complete_graph(4))
+    locals_ = [local_aggregate(samples[i], signs.column(i)) for i in range(4)]
+    table = overlapping_table(locals_)
+    tas_wrapup(table)
+    w_reused, agg_reused = tas_wrapup(table)
+    fresh = TagTable(owner=0, n_nodes=4, local_payload=table.rows[0].payload)
+    for row in table.rows[1:]:
+        fresh.append(row.tag, row.payload)
+    w_fresh, agg_fresh = tas_wrapup(fresh)
+    assert np.array_equal(w_reused.c, w_fresh.c)
+    assert same_aggregate(agg_reused, agg_fresh)
+
+
+def test_tas_snapshots_with_reused_solutions_equal_uncached_run(monkeypatch):
+    graph, samples, signs = make_network(113, 16, m=3)
+    rounds = diameter(graph) + 3  # the last rounds leave most tables unchanged
+
+    def run():
+        calls = count_lp_calls(monkeypatch)
+        res = run_tas(graph, samples, signs, rounds=rounds, snapshot_rounds=range(rounds + 1))
+        return res, len(calls)
+
+    cached, cached_calls = run()
+    monkeypatch.setattr(diffusion, "tas_wrapup", uncached_wrapup)
+    uncached, uncached_calls = run()
+    assert 0 < cached_calls < uncached_calls
+    for rnd in range(rounds + 1):
+        (w, aggs), (w_ref, aggs_ref) = cached.snapshots[rnd], uncached.snapshots[rnd]
+        assert np.array_equal(w, w_ref)
+        assert all(same_aggregate(a, b) for a, b in zip(aggs, aggs_ref))
+    assert np.array_equal(cached.weights, uncached.weights)
+    assert all(same_aggregate(a, b) for a, b in zip(cached.aggregates, uncached.aggregates))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""Wrap-up LP and simplex solver, checked against the vertex-enumeration oracle."""
+"""Wrap-up LP and simplex solver, checked against the vertex-enumeration oracle and HiGHS."""
 
 import numpy as np
 import pytest
 
 from lp_oracle import wrapup_lp_optimum
+from spsnet.diffusion import run_tas
 from spsnet.lp import LpProblem, solve_lp
+from spsnet.model import FieldConfig, generate_measurements
 from spsnet.rng import substream
+from spsnet.sps import draw_sign_matrix
+from spsnet.topology import random_geometric
 
 
 def random_tag_matrix(rng, max_rows=7, max_nodes=6):
@@ -91,3 +95,38 @@ def test_simplex_matches_oracle_on_random_tables():
         assert np.all(c >= -1e-9) and np.all(c <= 1 + 1e-9), f"case {case}"
         assert obj == pytest.approx(float(c.sum()), abs=1e-9)
         assert obj <= tags.shape[1] + 1e-9
+
+
+def highs_optimum(tags) -> float:
+    """Optimal objective of the wrap-up LP from scipy's HiGHS, b free."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n = tags.shape[1]
+    res = linprog(-tags.sum(axis=1), A_ub=np.vstack([tags.T, -tags.T]),
+                  b_ub=np.concatenate([np.ones(n), np.zeros(n)]), bounds=(None, None), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def test_simplex_matches_highs_on_random_tables():
+    rng = substream(1977, "lp-highs")
+    for case in range(150):
+        tags = random_tag_matrix(rng, max_rows=40, max_nodes=60)
+        _, obj = solve_lp(LpProblem(tags))
+        assert obj == pytest.approx(highs_optimum(tags), abs=1e-9), f"case {case}"
+
+
+def test_simplex_matches_highs_on_tas_tables():
+    pytest.importorskip("scipy.optimize")
+    graph = random_geometric(60, substream(1977, "topology"))
+    cfg = FieldConfig(n_p=2, p_true=np.array([1.0, -0.5]))
+    samples = generate_measurements(graph.positions, cfg, substream(1977, "noise"))
+    res = run_tas(graph, samples, draw_sign_matrix(4, 60, sign_seed=1977), wrapup_nodes=[])
+    overlapping = 0
+    for table in res.tables:
+        tags = table.tag_matrix().astype(float)
+        if tags.sum(axis=0).max() <= 1:
+            continue
+        overlapping += 1
+        _, obj = solve_lp(LpProblem(tags))
+        assert obj == pytest.approx(highs_optimum(tags), abs=1e-9), f"node {table.owner}"
+    assert overlapping > 30
