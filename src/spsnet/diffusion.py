@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,12 +55,12 @@ def payload_sizes(n_p: int, m: int) -> tuple[int, int]:
 # traffic accounting
 
 
-@dataclass(frozen=True)
-class TrafficEvent:
+class TrafficEvent(NamedTuple):
     """One broadcast: round, sender, scalar cost, informational tag bits.
 
     ``origins`` lists the record ids carried (flooding protocols only); it is
     provenance for the no-retransmission invariant, not part of the cost.
+    A named tuple, so logging one costs one tuple.
     """
 
     round: int
@@ -70,29 +71,31 @@ class TrafficEvent:
 
 
 class TrafficLog:
-    """Append-only transmission log for one protocol run."""
+    """Append-only transmission log for one protocol run: one event per
+    ``record`` call, per-node totals kept as Python ints."""
 
     def __init__(self, protocol: str, n_nodes: int):
         self.protocol = protocol
         self.n_nodes = n_nodes
         self.events: list[TrafficEvent] = []
-        self._per_node = np.zeros(n_nodes, dtype=np.int64)
+        self._per_node = [0] * n_nodes
 
     def record(self, round_: int, node: int, scalars: int, tag_bits: int = 0, origins=None):
         if scalars < 0 or tag_bits < 0:
             raise ValueError("traffic amounts must be non-negative")
         if origins is not None:
-            origins = tuple(int(o) for o in origins)
-        self.events.append(TrafficEvent(int(round_), int(node), int(scalars), int(tag_bits), origins))
+            origins = tuple(np.asarray(origins).tolist())
+        node, scalars = int(node), int(scalars)
+        self.events.append(TrafficEvent(int(round_), node, scalars, int(tag_bits), origins))
         self._per_node[node] += scalars
 
     @property
     def total_scalars(self) -> int:
-        return int(self._per_node.sum())
+        return sum(self._per_node)
 
     @property
     def per_node_totals(self) -> np.ndarray:
-        return self._per_node.copy()
+        return np.array(self._per_node, dtype=np.int64)
 
     def total_through_round(self, round_: int) -> int:
         return sum(e.scalars for e in self.events if e.round <= round_)
@@ -141,7 +144,8 @@ class TagTable:
     Row 0 is always the owner's local one-hot row. Tags never repeat within a
     table. The table records which rows have already been merged into an
     outgoing aggregate so later aggregation phases can start from fresh
-    content.
+    content. Rows are added only through ``append``, which also keeps the
+    set of covered nodes and whether the stored tags are pairwise disjoint.
     """
 
     def __init__(self, owner: int, n_nodes: int, local_payload):
@@ -151,6 +155,8 @@ class TagTable:
         self.n_nodes = n_nodes
         self.rows: list[TagRow] = [TagRow(frozenset((owner,)), local_payload)]
         self._tags = {self.rows[0].tag}
+        self._covered = {owner}
+        self._disjoint = True
         self._wrapup: tuple[bytes, np.ndarray | None] = (b"", None)  # last (tag matrix bytes, b)
 
     def has_tag(self, tag: frozenset) -> bool:
@@ -159,26 +165,26 @@ class TagTable:
     def append(self, tag: frozenset, payload) -> TagRow:
         if not tag:
             raise ValueError("cannot store an empty tag")
-        if not all(0 <= i < self.n_nodes for i in tag):
+        if min(tag) < 0 or max(tag) >= self.n_nodes:
             raise ValueError("tag contains an unknown node id")
         if tag in self._tags:
             raise ValueError("duplicate tag")
         row = TagRow(frozenset(tag), payload)
         self.rows.append(row)
         self._tags.add(row.tag)
+        if self._disjoint and not self._covered.isdisjoint(row.tag):
+            self._disjoint = False
+        self._covered |= row.tag
         return row
 
     def coverage(self) -> frozenset:
-        out: set = set()
-        for row in self.rows:
-            out |= row.tag
-        return frozenset(out)
+        return frozenset(self._covered)
 
     def tag_matrix(self) -> np.ndarray:
         """0/1 matrix, one row per stored row, one column per network node."""
         t = np.zeros((len(self.rows), self.n_nodes), dtype=np.uint8)
         for r, row in enumerate(self.rows):
-            t[r, list(row.tag)] = 1
+            t[r, np.fromiter(row.tag, dtype=np.intp, count=len(row.tag))] = 1
         return t
 
 
@@ -188,21 +194,23 @@ def tas_distill(table: TagTable, tag: frozenset, payload: AggregateSums) -> TagR
     Scanning stored rows in insertion order, every row whose tag is still a
     subset of the remaining incoming tag is subtracted (tag and payload).
     What is left is new information; it is appended as a row. A message whose
-    residual is empty, or whose residual tag duplicates a stored tag, carries
-    nothing new and is discarded. The incoming payload is never mutated.
+    residual is empty carries nothing new and is discarded. (A residual never
+    repeats a stored tag: the scan would have subtracted that row.) Payloads
+    are touched only for a kept row: a copy of the incoming payload minus the
+    subtracted rows in scan order. The incoming payload is never mutated.
     """
     remaining = set(tag)
-    residual = payload.copy()
+    subtracted = []
     for row in table.rows:
         if row.tag <= remaining:
             remaining -= row.tag
-            residual.isub(row.payload)
+            subtracted.append(row.payload)
     if not remaining:
         return None
-    ftag = frozenset(remaining)
-    if table.has_tag(ftag):
-        return None
-    return table.append(ftag, residual)
+    residual = payload.copy()
+    for known in subtracted:
+        residual.isub(known)
+    return table.append(frozenset(remaining), residual)
 
 
 def tas_aggregate(table: TagTable) -> tuple[frozenset, AggregateSums] | None:
@@ -232,15 +240,13 @@ def tas_aggregate(table: TagTable) -> tuple[frozenset, AggregateSums] | None:
 
 def _complete_message(table: TagTable) -> tuple[frozenset, AggregateSums]:
     """Sum of all stored rows; valid when tags are pairwise disjoint."""
-    tag: set = set()
+    if not table._disjoint:
+        raise ValueError("complete message requires pairwise disjoint tags")
     data = None
     for row in table.rows:
-        if not tag.isdisjoint(row.tag):
-            raise ValueError("complete message requires pairwise disjoint tags")
-        tag |= row.tag
         data = row.payload.copy() if data is None else data.iadd(row.payload)
         row.merged = True
-    return frozenset(tag), data
+    return table.coverage(), data
 
 
 def tas_wrapup(table: TagTable) -> tuple[WrapUpWeights, AggregateSums]:
@@ -248,36 +254,43 @@ def tas_wrapup(table: TagTable) -> tuple[WrapUpWeights, AggregateSums]:
 
     When stored tags are pairwise disjoint every row is used with coefficient
     one, so covered nodes get weight exactly 1 (all ones when the table spans
-    the network, which also yields the exact full sum). Overlapping tags are
-    resolved by the wrap-up LP; the resulting weights are clamped into [0, 1]
-    at tolerance 1e-9 and values within 1e-9 of 0 or 1 are snapped exact.
-    The coefficients b depend on the tag matrix alone: the table keeps the
-    last (tag matrix, read-only b) pair and reuses b while its tag matrix is
-    unchanged. The aggregate is rebuilt from b on every call.
+    the network, which also yields the exact full sum); c is then read off
+    the table's covered set without building a tag matrix. Overlapping tags
+    are resolved by the wrap-up LP; the resulting weights are clamped into
+    [0, 1] at tolerance 1e-9 and values within 1e-9 of 0 or 1 are snapped
+    exact. The coefficients b depend on the tag matrix alone: the table keeps
+    the last (tag matrix, read-only b) pair and reuses b while its tag matrix
+    is unchanged. On both paths the aggregate is rebuilt on every call: a
+    copy of the first used row, then every further used row added in row
+    order.
     """
-    tags = table.tag_matrix()
-    key = tags.tobytes()
-    tagmat = tags.astype(float)
-    if table._wrapup[0] != key:
-        if tagmat.sum(axis=0).max() <= 1:
-            b = np.ones(len(table.rows))
-        else:
+    rows = table.rows
+    if table._disjoint:
+        coeffs = [1.0] * len(rows)
+        c = np.zeros(table.n_nodes)
+        c[np.fromiter(table._covered, dtype=np.intp, count=len(table._covered))] = 1.0
+    else:
+        tags = table.tag_matrix()
+        key = tags.tobytes()
+        tagmat = tags.astype(float)
+        if table._wrapup[0] != key:
             b, _ = solve_lp(LpProblem(tagmat))
-        b.flags.writeable = False
-        table._wrapup = (key, b)
-    b = table._wrapup[1]
-    c = b @ tagmat
-    c[np.abs(c) <= 1e-9] = 0.0
-    c[np.abs(c - 1.0) <= 1e-9] = 1.0
+            b.flags.writeable = False
+            table._wrapup = (key, b)
+        b = table._wrapup[1]
+        coeffs = b.tolist()
+        c = b @ tagmat
+        c[np.abs(c) <= 1e-9] = 0.0
+        c[np.abs(c - 1.0) <= 1e-9] = 1.0
     weights = WrapUpWeights(c)
     agg = None
-    for coeff, row in zip(b, table.rows):
+    for coeff, row in zip(coeffs, rows):
         if coeff == 0:
             continue
-        term = row.payload.scaled(coeff) if coeff != 1 else row.payload.copy()
-        agg = term if agg is None else agg.iadd(term)
+        term = row.payload if coeff == 1 else row.payload.scaled(coeff)
+        agg = term.copy() if agg is None else agg.iadd(term)
     if agg is None:
-        first = table.rows[0].payload
+        first = rows[0].payload
         agg = AggregateSums.zeros(first.m, first.n_p)
     return weights, agg
 

@@ -125,6 +125,8 @@ class AggregateSums:
         return self
 
     def __add__(self, other: "AggregateSums") -> "AggregateSums":
+        if self.vec.shape != other.vec.shape:
+            raise ValueError("aggregate shapes differ")
         return self.copy().iadd(other)
 
     def scaled(self, factor: float) -> "AggregateSums":
@@ -150,13 +152,6 @@ def local_aggregate(sample: RegressorSample, sign_column) -> AggregateSums:
         vec=signs[:, None] * (sample.phi * sample.y)[None, :],
         mat=signs[:, None, None] * outer[None, :, :],
     )
-
-
-def sum_aggregates(a: AggregateSums, b: AggregateSums) -> AggregateSums:
-    """Elementwise sum; aggregation over nodes is exactly this fold."""
-    if a.vec.shape != b.vec.shape:
-        raise ValueError("aggregate shapes differ")
-    return a + b
 
 
 def truncated_aggregate(samples, signs: SignMatrix, weights) -> AggregateSums:

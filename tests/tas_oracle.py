@@ -1,0 +1,77 @@
+"""Eager TAS distillation and tag-matrix wrap-up, as the package first wrote them.
+
+The package works out a message's residual tag before it touches a payload,
+keeps a table's covered set and disjointness as rows are appended, and reads
+a disjoint table's weights off that set. These oracles do the same steps the
+direct way: distillation copies and subtracts before it knows whether the
+residual is kept, coverage and the tag matrix walk every tag node by node,
+and every wrap-up builds the tag matrix. Tests require the package to make
+the same decisions and to reproduce every payload, weight and aggregate bit
+for bit, with the same number of LP solves.
+"""
+
+import numpy as np
+
+from spsnet import diffusion
+from spsnet.lp import LpProblem
+from spsnet.sps import AggregateSums, WrapUpWeights
+
+
+def coverage(table) -> frozenset:
+    out: set = set()
+    for row in table.rows:
+        out |= row.tag
+    return frozenset(out)
+
+
+def tag_matrix(table) -> np.ndarray:
+    t = np.zeros((len(table.rows), table.n_nodes), dtype=np.uint8)
+    for r, row in enumerate(table.rows):
+        t[r, list(row.tag)] = 1
+    return t
+
+
+def tas_distill(table, tag: frozenset, payload: AggregateSums):
+    remaining = set(tag)
+    residual = payload.copy()
+    for row in table.rows:
+        if row.tag <= remaining:
+            remaining -= row.tag
+            residual.isub(row.payload)
+    if not remaining:
+        return None
+    ftag = frozenset(remaining)
+    if table.has_tag(ftag):
+        return None
+    return table.append(ftag, residual)
+
+
+def tas_wrapup(table) -> tuple[WrapUpWeights, AggregateSums]:
+    """Wrap-up through the tag matrix; b is reused while the tag matrix is
+    unchanged, and ``diffusion.solve_lp`` is looked up at call time so a test
+    can count its calls."""
+    tags = tag_matrix(table)
+    key = tags.tobytes()
+    tagmat = tags.astype(float)
+    if table._wrapup[0] != key:
+        if tagmat.sum(axis=0).max() <= 1:
+            b = np.ones(len(table.rows))
+        else:
+            b, _ = diffusion.solve_lp(LpProblem(tagmat))
+        b.flags.writeable = False
+        table._wrapup = (key, b)
+    b = table._wrapup[1]
+    c = b @ tagmat
+    c[np.abs(c) <= 1e-9] = 0.0
+    c[np.abs(c - 1.0) <= 1e-9] = 1.0
+    weights = WrapUpWeights(c)
+    agg = None
+    for coeff, row in zip(b, table.rows):
+        if coeff == 0:
+            continue
+        term = row.payload.scaled(coeff) if coeff != 1 else row.payload.copy()
+        agg = term if agg is None else agg.iadd(term)
+    if agg is None:
+        first = table.rows[0].payload
+        agg = AggregateSums.zeros(first.m, first.n_p)
+    return weights, agg

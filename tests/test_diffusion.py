@@ -14,6 +14,7 @@ from spsnet.analysis import (
 )
 from spsnet.diffusion import (
     TagTable,
+    TrafficEvent,
     TrafficLog,
     consensus_weights,
     payload_sizes,
@@ -128,6 +129,62 @@ def test_traffic_log_csv_format(tmp_path):
     # rows sorted by (round, node); cumulative is the sender's running total
     assert rows[2] == ["demo", "2", "1", "4", "4", "2"]
     assert rows[3] == ["demo", "2", "1", "4", "8", "0"]
+
+
+def test_traffic_events_are_tuples_with_named_fields():
+    log = TrafficLog("demo", 3)
+    log.record(1, 0, 10, tag_bits=3)
+    log.record(np.int64(2), np.int64(2), np.int64(5), origins=[2])
+    first, second = log.events
+    assert TrafficEvent._fields == ("round", "node", "scalars", "tag_bits", "origins")
+    assert (first.round, first.node, first.scalars, first.tag_bits, first.origins) == (1, 0, 10, 3, None)
+    assert first == TrafficEvent(1, 0, 10, 3, None) == (1, 0, 10, 3, None)
+    assert second == TrafficEvent(round=2, node=2, scalars=5, tag_bits=0, origins=(2,))
+    assert all(type(v) is int for v in second[:4])
+
+
+def test_traffic_origins_are_python_ints():
+    log = TrafficLog("demo", 4)
+    log.record(1, 0, 6, origins=np.array([0, 3], dtype=np.int64))
+    log.record(1, 1, 6, origins=[1, np.int64(2)])
+    log.record(1, 2, 0, origins=np.flatnonzero(np.zeros(4, dtype=bool)))
+    assert [e.origins for e in log.events] == [(0, 3), (1, 2), ()]
+    assert all(type(o) is int for e in log.events for o in e.origins)
+
+
+def test_traffic_per_node_totals_is_a_copy():
+    log = TrafficLog("demo", 2)
+    log.record(1, 1, 4)
+    totals = log.per_node_totals
+    assert totals.dtype == np.int64
+    totals[1] = 99
+    totals[0] = 7
+    assert np.array_equal(log.per_node_totals, [0, 4])
+    assert log.total_scalars == 4
+    with pytest.raises(ValueError):
+        log.record(1, 0, 2, tag_bits=-1)
+    with pytest.raises(ValueError):
+        log.record(1, 0, -2)
+    assert len(log.events) == 1 and log.total_scalars == 4
+
+
+def test_traffic_log_csv_text(tmp_path):
+    log = TrafficLog("tas", 3)
+    log.record(1, 2, 18, tag_bits=3)
+    log.record(0, 1, 18, tag_bits=3, origins=[1])
+    log.record(1, 1, 18)
+    log.record(0, 2, 9)
+    path = tmp_path / "traffic.csv"
+    log.to_csv(path)
+    with open(path, newline="") as fh:
+        text = fh.read()
+    assert text == (
+        "protocol,round,node_id,scalars_sent,cumulative_scalars,tag_bits\r\n"
+        "tas,0,1,18,18,3\r\n"
+        "tas,0,2,9,9,0\r\n"
+        "tas,1,1,18,36,0\r\n"
+        "tas,1,2,18,27,3\r\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from spsnet.sps import (
     local_aggregate,
     ls_estimate,
     membership,
-    sum_aggregates,
     truncated_aggregate,
     uniform_order,
     z_values,
@@ -96,7 +95,7 @@ def test_sum_of_locals_equals_batch():
     signs = draw_sign_matrix(6, 9, sign_seed=2)
     total = local_aggregate(samples[0], signs.column(0))
     for i in range(1, 9):
-        total = sum_aggregates(total, local_aggregate(samples[i], signs.column(i)))
+        total = total + local_aggregate(samples[i], signs.column(i))
     assert total.allclose(batch_aggregate(samples, signs))
 
 
@@ -110,7 +109,9 @@ def test_aggregate_algebra():
     assert (a + zero).allclose(a)
     assert a.scaled(2.0).allclose(a + a)
     with pytest.raises(ValueError):
-        sum_aggregates(a, AggregateSums.zeros(3, 3))
+        a + AggregateSums.zeros(3, 3)
+    with pytest.raises(ValueError):
+        a + AggregateSums.zeros(1, 2)  # would broadcast without the shape check
     assert a.payload_scalar_count == 3 * (2 + 3)
     assert AggregateSums.zeros(10, 2).payload_scalar_count == 50
 

@@ -1,0 +1,190 @@
+"""Property test: TAS tag tables against the eager oracle.
+
+Distillation, coverage, the tag matrix and the wrap-up set the weights and
+aggregates every TAS node ends with, and the benchmark compares those bit for
+bit. The package must therefore make the same keep/discard decisions as the
+eager oracle, store the same rows with bit-equal payloads, and wrap up to an
+equal c and a bit-equal aggregate after every step, with the same number of
+LP solves.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import tas_oracle  # noqa: E402
+from spsnet import diffusion  # noqa: E402
+from spsnet.diffusion import TagTable, tas_distill, tas_wrapup  # noqa: E402
+from spsnet.lp import SimplexError  # noqa: E402
+from spsnet.sps import AggregateSums  # noqa: E402
+
+KINDS = ("random", "union", "stored", "stored-plus", "covered", "partial")
+
+
+def random_payload(rng, m, n_p):
+    scale = 10.0 ** rng.uniform(-3, 3)
+    return AggregateSums(rng.standard_normal((m, n_p)) * scale, rng.standard_normal((m, n_p, n_p)) * scale)
+
+
+def next_tag(rng, kind, n_nodes, stored):
+    """One incoming tag of the given kind, built from the stored tags.
+
+    ``union`` nests stored rows inside the message, ``stored`` repeats a
+    stored tag, ``stored-plus`` adds new nodes to one, ``covered`` takes a
+    union of stored rows only (its residual is often empty), and ``partial``
+    keeps part of a stored tag so nothing is subtracted from it.
+    """
+    def pick():
+        return stored[int(rng.integers(len(stored)))]
+
+    def some_nodes():
+        return set(rng.choice(n_nodes, size=int(rng.integers(1, n_nodes + 1)), replace=False).tolist())
+
+    if kind == "random":
+        tag = some_nodes()
+    elif kind == "union":
+        tag = set().union(*(pick() for _ in range(int(rng.integers(1, 4))))) | some_nodes()
+    elif kind == "stored":
+        tag = set(pick())
+    elif kind == "stored-plus":
+        tag = set(pick()) | some_nodes()
+    elif kind == "covered":
+        tag = set().union(*(pick() for _ in range(int(rng.integers(1, 5)))))
+    else:
+        base = sorted(pick())
+        tag = set(base[: max(1, len(base) // 2)]) | some_nodes()
+    return frozenset(tag)
+
+
+def wrapup_outcome(wrapup, table):
+    """(c, aggregate, LP solves) of one wrap-up, or the SimplexError raised."""
+    calls = []
+    solve = diffusion.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diffusion, "solve_lp", counting)
+        try:
+            weights, agg = wrapup(table)
+        except SimplexError as err:
+            return str(err), None, len(calls)
+    return weights.c, agg, len(calls)
+
+
+def same_payload(a, b) -> bool:
+    return np.array_equal(a.vec, b.vec) and np.array_equal(a.mat, b.mat)
+
+
+def assert_same_tables(table, oracle):
+    assert [r.tag for r in table.rows] == [r.tag for r in oracle.rows]
+    assert all(same_payload(a.payload, b.payload) for a, b in zip(table.rows, oracle.rows))
+    assert table.coverage() == tas_oracle.coverage(oracle)
+    tags = tas_oracle.tag_matrix(oracle)
+    assert np.array_equal(table.tag_matrix(), tags)
+    assert table._disjoint == bool(tags.sum(axis=0).max() <= 1)
+
+
+def assert_same_wrapup(table, oracle):
+    c, agg, solves = wrapup_outcome(tas_wrapup, table)
+    c_ref, agg_ref, solves_ref = wrapup_outcome(tas_oracle.tas_wrapup, oracle)
+    assert solves == solves_ref
+    if agg_ref is None:
+        assert agg is None and c == c_ref  # both gave up with the same error
+        return solves
+    assert np.array_equal(c, c_ref)
+    assert same_payload(agg, agg_ref)
+    return solves
+
+
+@st.composite
+def message_streams(draw):
+    """A table's owner and size, payload shape, and 1-16 messages of mixed kinds."""
+    n_nodes = draw(st.integers(1, 40))
+    owner = draw(st.integers(0, n_nodes - 1))
+    m = draw(st.integers(2, 3))
+    n_p = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=16))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n_nodes, owner, m, n_p, kinds, seed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(message_streams())
+def test_tag_table_steps_match_eager_oracle(stream):
+    n_nodes, owner, m, n_p, kinds, seed = stream
+    rng = np.random.default_rng(seed)
+    local = random_payload(rng, m, n_p)
+    table = TagTable(owner, n_nodes, local.copy())
+    oracle = TagTable(owner, n_nodes, local.copy())
+    assert_same_wrapup(table, oracle)
+    for kind in kinds:
+        tag = next_tag(rng, kind, n_nodes, [r.tag for r in oracle.rows])
+        payload = random_payload(rng, m, n_p)
+        before = payload.copy()
+        stored = {r.tag for r in oracle.rows}
+        row = tas_distill(table, tag, payload)
+        row_ref = tas_oracle.tas_distill(oracle, tag, payload)
+        assert (row is None) == (row_ref is None)
+        if row is not None:
+            assert row.tag == row_ref.tag and row.tag not in stored
+            assert same_payload(row.payload, row_ref.payload)
+        assert same_payload(payload, before)  # the incoming message is never mutated
+        assert_same_tables(table, oracle)
+        assert_same_wrapup(table, oracle)
+
+
+def count_isub(monkeypatch) -> list:
+    calls = []
+    isub = AggregateSums.isub
+
+    def counting(self, other):
+        calls.append(1)
+        return isub(self, other)
+
+    monkeypatch.setattr(AggregateSums, "isub", counting)
+    return calls
+
+
+def test_discarded_message_touches_no_payload(monkeypatch):
+    rng = np.random.default_rng(5)
+    table = TagTable(0, 6, random_payload(rng, 2, 2))
+    table.append(frozenset({1, 2}), random_payload(rng, 2, 2))
+    calls = count_isub(monkeypatch)
+    assert tas_distill(table, frozenset({0, 1, 2}), random_payload(rng, 2, 2)) is None
+    assert calls == []
+    row = tas_distill(table, frozenset({0, 1, 2, 5}), random_payload(rng, 2, 2))
+    assert row.tag == frozenset({5})
+    assert len(calls) == 2  # both stored rows, in insertion order
+
+
+def test_table_that_becomes_overlapping_matches_oracle():
+    rng = np.random.default_rng(11)
+    local = random_payload(rng, 3, 2)
+    table = TagTable(2, 7, local.copy())
+    oracle = TagTable(2, 7, local.copy())
+    steps = [frozenset({0, 1}), frozenset({3}), frozenset({1, 4}), frozenset({4, 5, 6}), frozenset({0, 6})]
+    disjoint = [True, True, False, False, False]
+    solves = []
+    for tag, flag in zip(steps, disjoint):
+        payload = random_payload(rng, 3, 2)
+        table.append(tag, payload.copy())
+        oracle.append(tag, payload.copy())
+        assert table._disjoint is flag
+        assert_same_tables(table, oracle)
+        solves.append(assert_same_wrapup(table, oracle))
+    assert solves == [0, 0, 1, 1, 1]  # every new overlapping tag matrix is solved once
+    c, _, again = wrapup_outcome(tas_wrapup, table)
+    assert again == 0 and np.all(c == 1.0)  # {2}, {0,1}, {3}, {4,5,6} cover every node once
+
+
+def test_tag_table_rejects_unknown_node_ids():
+    table = TagTable(0, 4, AggregateSums.zeros(2, 1))
+    for bad in ({-1}, {4}, {1, 9}):
+        with pytest.raises(ValueError):
+            table.append(frozenset(bad), AggregateSums.zeros(2, 1))
+    assert table.coverage() == frozenset({0}) and table._disjoint
