@@ -35,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .lp import LpProblem, solve_lp
-from .sps import AggregateSums, SignMatrix, WrapUpWeights, local_aggregate
+from .model import Samples
+from .sps import AggregateSums, SignMatrix, WrapUpWeights, local_aggregate_arrays
 from .topology import ClusteredTopology, DisconnectedGraphError, Graph, TreeTopology, diameter
 
 
@@ -158,9 +159,6 @@ class TagTable:
         self._covered = {owner}
         self._disjoint = True
         self._wrapup: tuple[bytes, np.ndarray | None] = (b"", None)  # last (tag matrix bytes, b)
-
-    def has_tag(self, tag: frozenset) -> bool:
-        return tag in self._tags
 
     def append(self, tag: frozenset, payload) -> TagRow:
         if not tag:
@@ -322,7 +320,7 @@ def run_pf(graph: Graph, samples, max_rounds: int | None = None) -> PfResult:
     """
     n = graph.n_nodes
     _check_samples(samples, n)
-    d_rec, _ = payload_sizes(samples[0].phi.shape[0], 2)
+    d_rec, _ = payload_sizes(samples.n_p, 2)
     known = np.eye(n, dtype=bool)
     traffic = TrafficLog("pf", n)
     full_round = 0 if known.all() else None
@@ -357,18 +355,6 @@ class MfResult:
         """Binary contribution weights at node k: 1 for each known record."""
         return self.known[k].astype(float)
 
-    def table(self, k: int, samples) -> TagTable:
-        """Materialize node k's store as a tag table of one-hot record rows."""
-        order = [(0, k)] + sorted(
-            (int(self.arrival_round[k, i]), i)
-            for i in np.flatnonzero(self.known[k])
-            if i != k
-        )
-        table = TagTable(owner=k, n_nodes=self.known.shape[0], local_payload=samples[k])
-        for _, i in order[1:]:
-            table.append(frozenset((i,)), samples[i])
-        return table
-
 
 def _mf_snapshot_fill(snapshots: dict, wanted, known: np.ndarray, upto: int):
     for r in wanted:
@@ -392,7 +378,7 @@ def run_mf(
     """
     n = graph.n_nodes
     _check_samples(samples, n)
-    d_rec, _ = payload_sizes(samples[0].phi.shape[0], 2)
+    d_rec, _ = payload_sizes(samples.n_p, 2)
     known = np.eye(n, dtype=bool)
     transmitted = np.zeros((n, n), dtype=bool)
     arrival = np.where(np.eye(n, dtype=bool), 0, -1)
@@ -444,7 +430,7 @@ def run_mf_tree(tree: TreeTopology, samples) -> MfResult:
     """
     n = tree.n_nodes
     _check_samples(samples, n)
-    d_rec, _ = payload_sizes(samples[0].phi.shape[0], 2)
+    d_rec, _ = payload_sizes(samples.n_p, 2)
     known = np.eye(n, dtype=bool)
     transmitted = np.zeros((n, n), dtype=bool)
     arrival = np.where(np.eye(n, dtype=bool), 0, -1)
@@ -501,7 +487,7 @@ def run_mf_clustered(topo: ClusteredTopology, samples) -> MfResult:
     """
     n = topo.n_nodes
     _check_samples(samples, n)
-    d_rec, _ = payload_sizes(samples[0].phi.shape[0], 2)
+    d_rec, _ = payload_sizes(samples.n_p, 2)
     known = np.eye(n, dtype=bool)
     transmitted = np.zeros((n, n), dtype=bool)
     arrival = np.where(np.eye(n, dtype=bool), 0, -1)
@@ -594,13 +580,10 @@ def run_tas(
     are reported rather than assumed.
     """
     n = graph.n_nodes
-    _check_samples(samples, n)
-    if signs.n_nodes != n:
-        raise ValueError("sign matrix width must match the node count")
+    tables = _local_tables(samples, signs, n)
     if rounds is None:
         rounds = diameter(graph)
-    _, d_agg = payload_sizes(samples[0].phi.shape[0], signs.m)
-    tables = [TagTable(k, n, local_aggregate(samples[k], signs.column(k))) for k in range(n)]
+    _, d_agg = payload_sizes(samples.n_p, signs.m)
     traffic = TrafficLog("tas", n)
     wanted = set(int(r) for r in snapshot_rounds)
     snapshots: dict[int, tuple[np.ndarray, list[AggregateSums]]] = {}
@@ -652,11 +635,8 @@ def run_tas_tree(tree: TreeTopology, samples, signs: SignMatrix) -> TasResult:
     exactly.
     """
     n = tree.n_nodes
-    _check_samples(samples, n)
-    if signs.n_nodes != n:
-        raise ValueError("sign matrix width must match the node count")
-    _, d_agg = payload_sizes(samples[0].phi.shape[0], signs.m)
-    tables = [TagTable(k, n, local_aggregate(samples[k], signs.column(k))) for k in range(n)]
+    tables = _local_tables(samples, signs, n)
+    _, d_agg = payload_sizes(samples.n_p, signs.m)
     traffic = TrafficLog("tas-tree", n)
     depth = tree.depth
     rnd = 0
@@ -708,11 +688,8 @@ def run_tas_clustered(topo: ClusteredTopology, samples, signs: SignMatrix) -> Ta
     a single cluster, where the last broadcast repeats the mesh one.
     """
     n = topo.n_nodes
-    _check_samples(samples, n)
-    if signs.n_nodes != n:
-        raise ValueError("sign matrix width must match the node count")
-    _, d_agg = payload_sizes(samples[0].phi.shape[0], signs.m)
-    tables = [TagTable(k, n, local_aggregate(samples[k], signs.column(k))) for k in range(n)]
+    tables = _local_tables(samples, signs, n)
+    _, d_agg = payload_sizes(samples.n_p, signs.m)
     traffic = TrafficLog("tas-clustered", n)
     head_set = sorted(int(h) for h in topo.heads)
 
@@ -849,11 +826,10 @@ def run_consensus(
         raise ValueError("sign matrix width must match the node count")
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
-    _, d_agg = payload_sizes(samples[0].phi.shape[0], signs.m)
+    _, d_agg = payload_sizes(samples.n_p, signs.m)
     w = consensus_weights(graph, scheme)
-    locals_ = [local_aggregate(samples[k], signs.column(k)) for k in range(n)]
-    vec = np.stack([n * loc.vec for loc in locals_])
-    mat = np.stack([n * loc.mat for loc in locals_])
+    vec, mat = local_aggregate_arrays(samples, signs)
+    vec, mat = n * vec, n * mat
     traffic = TrafficLog(f"consensus-{scheme}", n)
     wanted = set(int(t) for t in snapshot_iters)
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -871,9 +847,17 @@ def run_consensus(
     )
 
 
-def _check_samples(samples, n: int) -> None:
+def _check_samples(samples: Samples, n: int) -> None:
     if len(samples) != n:
         raise ValueError(f"expected {n} samples, got {len(samples)}")
-    n_p = samples[0].phi.shape[0]
-    if any(s.phi.shape[0] != n_p for s in samples):
-        raise ValueError("all regressors must share one dimension")
+
+
+def _local_tables(samples: Samples, signs: SignMatrix, n: int) -> list[TagTable]:
+    """One tag table per node, holding that node's local aggregate as row 0.
+
+    Node k's payload views slice k of ``local_aggregate_arrays``: the slices
+    do not overlap, so no two tables share payload memory.
+    """
+    _check_samples(samples, n)
+    vec, mat = local_aggregate_arrays(samples, signs)  # checks the sign matrix width
+    return [TagTable(k, n, AggregateSums._of_valid(vec[k], mat[k])) for k in range(n)]

@@ -301,7 +301,7 @@ def _trial_state(protocol, graph, samples, signs, diff, nodes):
         for k in nodes:
             c = np.zeros(n)
             c[k] = 1.0
-            out[k] = (c, local_aggregate(samples[k], signs.column(k)))
+            out[k] = (c, local_aggregate(samples, k, signs.column(k)))
         return out, 0, None
     if protocol == "pf":
         res = run_pf(graph, samples, max_rounds=diff["rounds"])

@@ -9,6 +9,11 @@ with noise w_i drawn independently from a distribution symmetric about zero.
 Symmetry of the noise is the only distributional assumption the confidence
 region construction needs, so several noise families are provided, including
 a discrete one that produces exact ties.
+
+``generate_measurements`` returns one read-only ``Samples`` value holding
+every node's data as arrays: ``positions`` (N, n_x), ``phi`` (N, n_p) and
+``y`` (N,), row i for node i. It builds them without per-node Python for the
+polynomial basis, with the bits of a node-by-node ``phi_i @ p_true``.
 """
 
 from __future__ import annotations
@@ -82,21 +87,39 @@ class FieldConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class RegressorSample:
-    """One node's (position, regressor, measurement) triple."""
+class Samples:
+    """Every node's position, regressor and measurement, row i for node i.
 
-    node_id: int
-    position: np.ndarray
+    ``positions`` has shape (N, n_x), ``phi`` (N, n_p) and ``y`` (N,). The
+    arrays are private float copies marked read-only, so a ``Samples`` value
+    can be shared by any number of runs and aggregates.
+    """
+
+    positions: np.ndarray
     phi: np.ndarray
-    y: float
+    y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float))
-        if not np.isfinite(self.y):
-            raise ValueError("measurement must be finite")
-        if not np.all(np.isfinite(self.phi)):
+        for name in ("positions", "phi", "y"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        n = self.y.shape[0] if self.y.ndim == 1 else -1
+        if n < 1 or self.phi.ndim != 2 or self.phi.shape[0] != n:
+            raise ValueError("phi must be (N, n_p) with one measurement y per row, N >= 1")
+        if self.positions.ndim != 2 or self.positions.shape[0] != n:
+            raise ValueError("positions must be (N, n_x) with one row per measurement")
+        if not np.isfinite(self.y).all():
+            raise ValueError("measurements must be finite")
+        if not np.isfinite(self.phi).all():
             raise ValueError("regressor entries must be finite")
+
+    def __len__(self) -> int:
+        return self.y.shape[0]
+
+    @property
+    def n_p(self) -> int:
+        return self.phi.shape[1]
 
 
 def _monomial_exponents(n_x: int, n_p: int) -> list[tuple[int, ...]]:
@@ -113,51 +136,49 @@ def _monomial_exponents(n_x: int, n_p: int) -> list[tuple[int, ...]]:
     return out[:n_p]
 
 
-def regressor(position, config: FieldConfig) -> np.ndarray:
-    """Regressor vector phi(x) of length n_p for one position."""
-    x = np.asarray(position, dtype=float)
-    if x.shape != (config.n_x,):
-        raise ValueError(f"position must have shape ({config.n_x},), got {x.shape}")
+def regressors(positions, config: FieldConfig) -> np.ndarray:
+    """Regressor rows phi(x_i), shape (N, n_p), one per position row.
+
+    ``polynomial-basis`` builds each monomial column as the column of its
+    exponent tuple minus the last index (the constant column for a linear
+    term) times that position column: the tuple's factors multiplied left to
+    right, so every entry has the bits of ``np.prod`` over the tuple's
+    coordinates. ``seeded-random`` rows are
+    i.i.d. uniform on [-1, 1] from a hash of (seed, the position's bytes),
+    a pure function of each position.
+    """
+    x = np.asarray(positions, dtype=float)
+    if x.ndim != 2 or x.shape[1] != config.n_x:
+        raise ValueError(f"positions must have shape (N, {config.n_x})")
+    phi = np.empty((x.shape[0], config.n_p))
     if config.regressor_family == "polynomial-basis":
-        phi = np.empty(config.n_p)
-        for k, idx in enumerate(_monomial_exponents(config.n_x, config.n_p)):
-            phi[k] = np.prod(x[list(idx)]) if idx else 1.0
+        exponents = _monomial_exponents(config.n_x, config.n_p)
+        column = {idx: k for k, idx in enumerate(exponents)}
+        for k, idx in enumerate(exponents):
+            if idx:
+                np.multiply(phi[:, column[idx[:-1]]], x[:, idx[-1]], out=phi[:, k])
+            else:
+                phi[:, k] = 1.0
         return phi
-    # seeded-random: i.i.d. uniform [-1, 1], a pure function of (x, seed)
-    h = hashlib.blake2s(digest_size=16)
-    h.update(int(config.regressor_seed).to_bytes(16, "little", signed=True))
-    h.update(x.tobytes())
-    rng = np.random.default_rng(int.from_bytes(h.digest(), "little"))
-    return rng.uniform(-1.0, 1.0, config.n_p)
+    seed = int(config.regressor_seed).to_bytes(16, "little", signed=True)
+    for i, row in enumerate(x):
+        h = hashlib.blake2s(seed, digest_size=16)
+        h.update(row.tobytes())
+        rng = np.random.default_rng(int.from_bytes(h.digest(), "little"))
+        phi[i] = rng.uniform(-1.0, 1.0, config.n_p)
+    return phi
 
 
-def eval_field(phi, p) -> float:
-    """Noiseless field value phi . p."""
-    phi = np.asarray(phi, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if phi.shape != p.shape:
-        raise ValueError("phi and p must have the same shape")
-    return float(phi @ p)
-
-
-def generate_measurements(
-    positions, config: FieldConfig, rng: np.random.Generator
-) -> list[RegressorSample]:
+def generate_measurements(positions, config: FieldConfig, rng: np.random.Generator) -> Samples:
     """Draw one noisy measurement per position.
 
     Regressors are a deterministic function of positions and config; only the
-    noise consumes ``rng``. Returns samples in node-id order.
+    noise consumes ``rng``. ``y`` is ``np.vecdot(phi, p_true) + noise``: the
+    row-wise dot product, which rounds each row as ``phi_i @ p_true`` does.
+    Row i of the returned ``Samples`` is node i.
     """
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != config.n_x:
-        raise ValueError(f"positions must have shape (N, {config.n_x})")
-    if pos.shape[0] == 0:
+    phi = regressors(positions, config)
+    if phi.shape[0] == 0:
         raise ValueError("at least one position is required")
-    noise = config.noise.sample(rng, pos.shape[0])
-    samples = []
-    for i in range(pos.shape[0]):
-        phi = regressor(pos[i], config)
-        samples.append(
-            RegressorSample(node_id=i, position=pos[i], phi=phi, y=eval_field(phi, config.p_true) + noise[i])
-        )
-    return samples
+    noise = config.noise.sample(rng, phi.shape[0])
+    return Samples(positions=positions, phi=phi, y=np.vecdot(phi, config.p_true) + noise)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RegressorSample
+from .model import Samples
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -111,8 +111,16 @@ class AggregateSums:
         n_p = self.n_p
         return self.m * (n_p + n_p * (n_p + 1) // 2)
 
+    @classmethod
+    def _of_valid(cls, vec: np.ndarray, mat: np.ndarray) -> "AggregateSums":
+        """Wrap float arrays already known to have matching shapes, unchecked."""
+        out = cls.__new__(cls)
+        out.vec = vec
+        out.mat = mat
+        return out
+
     def copy(self) -> "AggregateSums":
-        return AggregateSums(self.vec.copy(), self.mat.copy())
+        return AggregateSums._of_valid(self.vec.copy(), self.mat.copy())
 
     def iadd(self, other: "AggregateSums") -> "AggregateSums":
         self.vec += other.vec
@@ -142,19 +150,35 @@ class AggregateSums:
         return cls(np.zeros((m, n_p)), np.zeros((m, n_p, n_p)))
 
 
-def local_aggregate(sample: RegressorSample, sign_column) -> AggregateSums:
-    """Single-node contribution: vec[j] = A[j,i] phi_i y_i, mat[j] = A[j,i] phi_i phi_i^T."""
+def local_aggregate(samples: Samples, node: int, sign_column) -> AggregateSums:
+    """Node ``node``'s contribution: vec[j] = A[j,i] phi_i y_i, mat[j] = A[j,i] phi_i phi_i^T."""
     signs = np.asarray(sign_column, dtype=float)
     if signs.ndim != 1:
         raise ValueError("sign column must be one-dimensional")
-    outer = np.outer(sample.phi, sample.phi)
+    phi, y = samples.phi[node], samples.y[node]
+    outer = np.outer(phi, phi)
     return AggregateSums(
-        vec=signs[:, None] * (sample.phi * sample.y)[None, :],
+        vec=signs[:, None] * (phi * y)[None, :],
         mat=signs[:, None, None] * outer[None, :, :],
     )
 
 
-def truncated_aggregate(samples, signs: SignMatrix, weights) -> AggregateSums:
+def local_aggregate_arrays(samples: Samples, signs: SignMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's ``local_aggregate`` stacked: vec (N, m, n_p), mat (N, m, n_p, n_p).
+
+    One broadcast product per array, made of the elementwise multiplies
+    ``local_aggregate`` makes, so slice k has the bits of node k's sums.
+    """
+    if signs.n_nodes != len(samples):
+        raise ValueError("sign matrix width must match the number of samples")
+    phi, y = samples.phi, samples.y
+    col = signs.entries.T.astype(float)  # (N, m): node k's sign column in row k
+    vec = col[:, :, None] * (phi * y[:, None])[:, None, :]
+    mat = col[:, :, None, None] * (phi[:, :, None] * phi[:, None, :])[:, None, :, :]
+    return vec, mat
+
+
+def truncated_aggregate(samples: Samples, signs: SignMatrix, weights) -> AggregateSums:
     """Weighted aggregate with per-node weights c_i.
 
     ``weights`` is a length-N array (or WrapUpWeights); all-ones reproduces the
@@ -167,15 +191,14 @@ def truncated_aggregate(samples, signs: SignMatrix, weights) -> AggregateSums:
         raise ValueError(f"weights must have shape ({n},)")
     if signs.n_nodes != n:
         raise ValueError("sign matrix width must match the number of samples")
-    phi = np.stack([s.phi for s in samples])
-    y = np.array([s.y for s in samples])
+    phi, y = samples.phi, samples.y
     coeff = signs.entries.astype(float) * c[None, :]
     vec = coeff @ (phi * y[:, None])
     mat = np.einsum("ji,ik,il->jkl", coeff, phi, phi)
     return AggregateSums(vec, mat)
 
 
-def batch_aggregate(samples, signs: SignMatrix) -> AggregateSums:
+def batch_aggregate(samples: Samples, signs: SignMatrix) -> AggregateSums:
     """Complete-data aggregate (all weights one)."""
     return truncated_aggregate(samples, signs, np.ones(len(samples)))
 

@@ -41,7 +41,7 @@ def tas_distill(table, tag: frozenset, payload: AggregateSums):
     if not remaining:
         return None
     ftag = frozenset(remaining)
-    if table.has_tag(ftag):
+    if ftag in table._tags:
         return None
     return table.append(ftag, residual)
 

@@ -169,9 +169,9 @@ def test_criterion_09_wrapup_lp_against_oracle():
     positions = substream(1113, "pos").uniform(0, 1, (4, 2))
     samples = generate_measurements(positions, fc, substream(1113, "noise"))
     signs = draw_sign_matrix(5, 4, derive_seed(1113, "signs"))
-    table = TagTable(owner=0, n_nodes=4, local_payload=local_aggregate(samples[0], signs.column(0)))
+    table = TagTable(owner=0, n_nodes=4, local_payload=local_aggregate(samples, 0, signs.column(0)))
     for i in (1, 2, 3):
-        table.append(frozenset({i}), local_aggregate(samples[i], signs.column(i)))
+        table.append(frozenset({i}), local_aggregate(samples, i, signs.column(i)))
     weights, _ = tas_wrapup(table)
     assert np.array_equal(weights.c, np.ones(4))
 

@@ -1,0 +1,135 @@
+"""Samples as arrays: the vectorised model and the batched local aggregates.
+
+``generate_measurements`` builds every regressor row with column products
+and every measurement with one ``np.vecdot``; the runners build all local
+aggregates with one broadcast product. Region membership breaks exact ties
+at random, so any last-bit change would move region cells: these tests hold
+both paths to the per-node oracle bit for bit. The ``vecdot`` equality rests
+on numpy rounding each row of ``vecdot`` as the 1-D ``phi @ p`` it replaced;
+if a numpy or BLAS upgrade breaks that, the property test below fails.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import model_oracle  # noqa: E402
+from spsnet.diffusion import run_consensus, run_tas, run_tas_clustered, run_tas_tree  # noqa: E402
+from spsnet.model import (  # noqa: E402
+    NOISE_KINDS,
+    REGRESSOR_FAMILIES,
+    FieldConfig,
+    NoiseSpec,
+    generate_measurements,
+)
+from spsnet.rng import substream  # noqa: E402
+from spsnet.sps import draw_sign_matrix, local_aggregate, local_aggregate_arrays  # noqa: E402
+from spsnet.topology import clustered, random_geometric, spanning_tree  # noqa: E402
+
+
+@st.composite
+def model_cases(draw):
+    n_p = draw(st.integers(1, 10))
+    n_x = draw(st.integers(1, 3))
+    n_nodes = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = substream(seed, "model-oracle")
+    magnitude = 10.0 ** draw(st.integers(-3, 3))
+    cfg = FieldConfig(
+        n_p=n_p,
+        p_true=rng.normal(size=n_p) * 10.0 ** draw(st.integers(-3, 3)),
+        n_x=n_x,
+        regressor_family=draw(st.sampled_from(REGRESSOR_FAMILIES)),
+        noise=NoiseSpec(draw(st.sampled_from(NOISE_KINDS)), draw(st.sampled_from([0.0, 0.1, 2.0]))),
+        regressor_seed=draw(st.integers(-(2**40), 2**40)),
+    )
+    positions = rng.uniform(-1.0, 1.0, size=(n_nodes, n_x)) * magnitude
+    return cfg, positions, seed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(model_cases())
+def test_measurements_match_per_node_oracle(case):
+    cfg, positions, seed = case
+    samples = generate_measurements(positions, cfg, substream(seed, "noise"))
+    phi, y = model_oracle.measurements(positions, cfg, substream(seed, "noise"))
+    assert np.array_equal(samples.phi, phi)
+    assert np.array_equal(samples.y, y)
+    assert np.array_equal(samples.positions, positions)
+
+
+def _network(seed, n_nodes, n_p=3, m=5):
+    cfg = FieldConfig(n_p=n_p, p_true=np.array([(-0.5) ** k for k in range(n_p)]),
+                      noise=NoiseSpec(scale=0.3))
+    graph = random_geometric(n_nodes, substream(seed, "topology"))
+    samples = generate_measurements(graph.positions, cfg, substream(seed, "noise"))
+    return graph, samples, draw_sign_matrix(m, n_nodes, sign_seed=seed)
+
+
+@pytest.mark.parametrize("seed,n_nodes,n_p,m",
+                         [(1, 2, 1, 2), (2, 7, 2, 4), (3, 25, 3, 10), (4, 40, 6, 3)])
+def test_batched_locals_equal_local_aggregate(seed, n_nodes, n_p, m):
+    graph, samples, signs = _network(seed, n_nodes, n_p, m)
+    vec, mat = local_aggregate_arrays(samples, signs)
+    assert vec.shape == (n_nodes, m, n_p) and mat.shape == (n_nodes, m, n_p, n_p)
+    tables = run_tas(graph, samples, signs, rounds=0).tables
+    for k in range(n_nodes):
+        one = local_aggregate(samples, k, signs.column(k))
+        assert np.array_equal(vec[k], one.vec) and np.array_equal(mat[k], one.mat)
+        row0 = tables[k].rows[0].payload
+        assert np.array_equal(row0.vec, one.vec) and np.array_equal(row0.mat, one.mat)
+    # consensus starts from N times the locals, the same multiplies as before
+    res = run_consensus(graph, samples, signs, iterations=0, snapshot_iters=[0])
+    v0, m0 = res.snapshots[0]
+    for k in range(n_nodes):
+        one = local_aggregate(samples, k, signs.column(k))
+        assert np.array_equal(v0[k], n_nodes * one.vec) and np.array_equal(m0[k], n_nodes * one.mat)
+
+
+def test_batched_locals_reject_mismatched_signs():
+    _, samples, _ = _network(5, 6)
+    with pytest.raises(ValueError):
+        local_aggregate_arrays(samples, draw_sign_matrix(4, 5, sign_seed=1))
+
+
+def _row0_payloads(tables):
+    return [tables[k].rows[0].payload for k in range(len(tables))]
+
+
+def test_local_payloads_share_no_memory():
+    graph, samples, signs = _network(6, 12)
+    tree = spanning_tree(graph)
+    topo = clustered(12, 3, substream(6, "clusters"))
+    runs = {
+        "tas": run_tas(graph, samples, signs, rounds=0).tables,
+        "tas-tree": run_tas_tree(tree, samples, signs).tables,
+        "tas-clustered": run_tas_clustered(topo, samples, signs).tables,
+    }
+    for name, tables in runs.items():
+        payloads = _row0_payloads(tables)
+        before = [(p.vec.copy(), p.mat.copy()) for p in payloads]
+        for k, target in enumerate(payloads):
+            for other in payloads[k + 1:]:
+                assert not np.shares_memory(target.vec, other.vec), name
+                assert not np.shares_memory(target.mat, other.mat), name
+        # adding into one node's payload leaves every other node's unchanged
+        payloads[4].iadd(payloads[4].copy())
+        for k, p in enumerate(payloads):
+            if k == 4:
+                assert np.array_equal(p.vec, 2 * before[k][0]), name
+            else:
+                assert np.array_equal(p.vec, before[k][0]) and np.array_equal(p.mat, before[k][1]), name
+
+
+def test_aggregate_copy_is_an_independent_aggregate():
+    _, samples, signs = _network(7, 4)
+    one = local_aggregate(samples, 2, signs.column(2))
+    twin = one.copy()
+    assert type(twin) is type(one) and twin.m == one.m and twin.n_p == one.n_p
+    assert np.array_equal(twin.vec, one.vec) and np.array_equal(twin.mat, one.mat)
+    assert not np.shares_memory(twin.vec, one.vec) and not np.shares_memory(twin.mat, one.mat)
+    twin.vec[0, 0] += 1.0
+    twin.mat[0, 0, 0] += 1.0
+    assert twin.vec[0, 0] != one.vec[0, 0] and twin.mat[0, 0, 0] != one.mat[0, 0, 0]

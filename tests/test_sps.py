@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import grid_oracle
-from spsnet.model import FieldConfig, NoiseSpec, RegressorSample, generate_measurements
+from spsnet.model import FieldConfig, NoiseSpec, Samples, generate_measurements
 from spsnet.rng import derive_seed, substream
 from spsnet.sps import (
     AggregateSums,
@@ -37,10 +37,7 @@ def make_samples(seed, n_nodes, n_p=2, scale=0.1):
 
 def two_node_hand_aggregate():
     """N=2, phi=(1) both, y=(1,-1), perturbed signs (+1,-1): Z0=4p^2, Z1=4."""
-    samples = [
-        RegressorSample(node_id=0, position=[0.0, 0.0], phi=[1.0], y=1.0),
-        RegressorSample(node_id=1, position=[1.0, 1.0], phi=[1.0], y=-1.0),
-    ]
+    samples = Samples(positions=[[0.0, 0.0], [1.0, 1.0]], phi=[[1.0], [1.0]], y=[1.0, -1.0])
     signs = SignMatrix(np.array([[1, 1], [1, -1]]))
     return batch_aggregate(samples, signs)
 
@@ -79,31 +76,29 @@ def test_perturbed_rows_average_out():
 
 
 def test_local_aggregate_hand_values():
-    s = RegressorSample(node_id=0, position=[0, 0], phi=[1.0, 0.0], y=2.0)
-    agg = local_aggregate(s, [1.0, -1.0])
+    s = Samples(positions=[[0, 0]], phi=[[1.0, 0.0]], y=[2.0])
+    agg = local_aggregate(s, 0, [1.0, -1.0])
     assert np.allclose(agg.vec, [[2.0, 0.0], [-2.0, 0.0]])
     assert np.allclose(agg.mat[0], [[1.0, 0.0], [0.0, 0.0]])
     assert np.allclose(agg.mat[1], -agg.mat[0])
-    zero_y = local_aggregate(
-        RegressorSample(node_id=0, position=[0, 0], phi=[1.0, 0.5], y=0.0), [1.0, -1.0]
-    )
+    zero_y = local_aggregate(Samples(positions=[[0, 0]], phi=[[1.0, 0.5]], y=[0.0]), 0, [1.0, -1.0])
     assert np.all(zero_y.vec == 0.0)
 
 
 def test_sum_of_locals_equals_batch():
     samples, _ = make_samples(21, 9, n_p=3)
     signs = draw_sign_matrix(6, 9, sign_seed=2)
-    total = local_aggregate(samples[0], signs.column(0))
+    total = local_aggregate(samples, 0, signs.column(0))
     for i in range(1, 9):
-        total = total + local_aggregate(samples[i], signs.column(i))
+        total = total + local_aggregate(samples, i, signs.column(i))
     assert total.allclose(batch_aggregate(samples, signs))
 
 
 def test_aggregate_algebra():
     samples, _ = make_samples(22, 4)
     signs = draw_sign_matrix(3, 4, sign_seed=5)
-    a = local_aggregate(samples[0], signs.column(0))
-    b = local_aggregate(samples[1], signs.column(1))
+    a = local_aggregate(samples, 0, signs.column(0))
+    b = local_aggregate(samples, 1, signs.column(1))
     assert (a + b).allclose(b + a)
     zero = AggregateSums.zeros(3, 2)
     assert (a + zero).allclose(a)
@@ -123,7 +118,7 @@ def test_truncated_aggregate_weight_cases():
     onehot = np.zeros(7)
     onehot[3] = 1.0
     assert truncated_aggregate(samples, signs, onehot).allclose(
-        local_aggregate(samples[3], signs.column(3))
+        local_aggregate(samples, 3, signs.column(3))
     )
     zero = truncated_aggregate(samples, signs, np.zeros(7))
     assert np.all(zero.vec == 0.0) and np.all(zero.mat == 0.0)
@@ -347,7 +342,7 @@ def test_ls_estimate_hand_and_noiseless():
 
 
 def test_ls_estimate_rejects_singular():
-    s = RegressorSample(node_id=0, position=[0, 0], phi=[1.0, 2.0], y=1.0)
-    agg = local_aggregate(s, [1.0, 1.0])  # rank-one normal matrix
+    s = Samples(positions=[[0, 0]], phi=[[1.0, 2.0]], y=[1.0])
+    agg = local_aggregate(s, 0, [1.0, 1.0])  # rank-one normal matrix
     with pytest.raises(SingularMatrixError):
         ls_estimate(agg)
