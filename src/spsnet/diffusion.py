@@ -19,11 +19,29 @@ consensus                every node averages its neighbors' running
                          initial states are scaled by N so the fixed point is
                          the full sum.
 
+PF, MF and TAS run along a schedule: a list of sender sets, one per stage
+(round). In a stage every sender builds one message with its protocol's step,
+and the sender's neighbours in the topology's graph then take it in:
+
+PF     sends every record it knows;          receivers add the records to
+MF     sends the records it knows and has    what they know
+       not sent yet
+TAS    sends its local row (start-up), a     receivers distill the message
+       ``tas_aggregate`` message, or that    into their tag tables
+       message else the complete sum
+
+On a general graph every node sends in every round; ``TreeTopology.stages()``
+and ``ClusteredTopology.stages()`` list the scripted sweeps. Flooding on a
+general graph stops after a round that teaches nobody anything. ``run_tas``
+sends its last round but never delivers it. Consensus is linear and runs on
+its own.
+
 Traffic is counted in scalars: a raw record costs n_p + 1 of them, an
 aggregate payload m * (n_p + n_p (n_p + 1) / 2). Tag bits are reported
 informationally (one bit per node per tagged message) and never enter the
-scalar totals. All runners are deterministic: nodes transmit in id order and
-messages are delivered before the next round starts.
+scalar totals. All runners are deterministic: nodes transmit in id order,
+each receiver hears a stage's senders in id order, and a stage's messages
+are delivered before the next stage starts.
 """
 
 from __future__ import annotations
@@ -100,19 +118,6 @@ class TrafficLog:
 
     def total_through_round(self, round_: int) -> int:
         return sum(e.scalars for e in self.events if e.round <= round_)
-
-    def per_node_through_round(self, round_: int) -> np.ndarray:
-        out = np.zeros(self.n_nodes, dtype=np.int64)
-        for e in self.events:
-            if e.round <= round_:
-                out[e.node] += e.scalars
-        return out
-
-    def round_totals(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for e in self.events:
-            out[e.round] = out.get(e.round, 0) + e.scalars
-        return out
 
     def to_csv(self, path) -> None:
         """CSV rows sorted by (round, node); cumulative_scalars is the
@@ -297,48 +302,12 @@ def tas_wrapup(table: TagTable) -> tuple[WrapUpWeights, AggregateSums]:
 # flooding protocols (record payloads, boolean knowledge state)
 
 
-def _bool_matmul(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    return (adj.astype(np.uint8) @ rows.astype(np.uint8)) > 0
-
-
 @dataclass(eq=False)
 class PfResult:
     known: np.ndarray
     traffic: TrafficLog
     rounds_run: int
     full_knowledge_round: int | None
-
-
-def run_pf(graph: Graph, samples, max_rounds: int | None = None) -> PfResult:
-    """Plain flooding: every node rebroadcasts everything it knows each round.
-
-    Stops after the first round that adds no knowledge anywhere (or at
-    ``max_rounds``); the round at which knowledge first became complete
-    everywhere is reported separately. Traffic dominates modified flooding
-    round by round because the transmitted set always contains the rows MF
-    would send.
-    """
-    n = graph.n_nodes
-    _check_samples(samples, n)
-    d_rec, _ = payload_sizes(samples.n_p, 2)
-    known = np.eye(n, dtype=bool)
-    traffic = TrafficLog("pf", n)
-    full_round = 0 if known.all() else None
-    cap = max_rounds if max_rounds is not None else n + 2
-    rounds_run = 0
-    for rnd in range(1, cap + 1):
-        rounds_run = rnd
-        for k in range(n):
-            cnt = int(known[k].sum())
-            traffic.record(rnd, k, cnt * d_rec, tag_bits=cnt * n, origins=np.flatnonzero(known[k]))
-        new_known = known | _bool_matmul(graph.adjacency, known)
-        grew = bool((new_known & ~known).any())
-        known = new_known
-        if full_round is None and known.all():
-            full_round = rnd
-        if not grew:
-            break
-    return PfResult(known=known, traffic=traffic, rounds_run=rounds_run, full_knowledge_round=full_round)
 
 
 @dataclass(eq=False)
@@ -356,10 +325,70 @@ class MfResult:
         return self.known[k].astype(float)
 
 
-def _mf_snapshot_fill(snapshots: dict, wanted, known: np.ndarray, upto: int):
+def _flood(protocol: str, graph: Graph, stages, samples, plain=False, until_quiet=False,
+           snapshot_rounds=()) -> MfResult:
+    """Flooding along a schedule; stage s (from 1) is round s.
+
+    Each sender sends every record it knows (``plain``, PF) or every record
+    it knows and has not sent (MF); the stage's neighbours then learn them.
+    With ``until_quiet`` the run stops after a stage that taught nobody
+    anything and reports the first round after which every node knew every
+    record; a fixed schedule runs every stage and reports its last one when
+    knowledge is complete by then. Snapshots are taken after delivery; a
+    requested round past the last one gets the final knowledge.
+    """
+    n = graph.n_nodes
+    _check_samples(samples, n)
+    d_rec, _ = payload_sizes(samples.n_p, 2)
+    known = np.eye(n, dtype=bool)
+    transmitted = np.zeros((n, n), dtype=bool)
+    arrival = np.where(known, 0, -1)
+    traffic = TrafficLog(protocol, n)
+    wanted = set(int(r) for r in snapshot_rounds)
+    snapshots = {0: known.copy()} if 0 in wanted else {}
+    completion_round = 0 if known.all() else None
+    rnd = 0
+    for rnd, senders in enumerate(stages, start=1):
+        sent = known[senders] if plain else known[senders] & ~transmitted[senders]
+        transmitted[senders] |= sent
+        before = known.copy()  # every row of ``sent`` was taken before any delivery
+        for s, row, cnt in zip(senders.tolist(), sent, sent.sum(axis=1).tolist()):
+            if cnt:
+                traffic.record(rnd, s, cnt * d_rec, tag_bits=cnt * n, origins=np.flatnonzero(row))
+                known[graph.neighbors(s)] |= row
+        newly = known & ~before
+        arrival[newly] = rnd
+        if completion_round is None and known.all():
+            completion_round = rnd
+        if rnd in wanted:
+            snapshots[rnd] = known.copy()
+        if until_quiet and not newly.any():
+            break
+    if not until_quiet:  # a fixed schedule reports completion at its last stage
+        completion_round = rnd if known.all() else None
     for r in wanted:
-        if r not in snapshots and r >= upto:
+        if r > rnd and r not in snapshots:
             snapshots[r] = known.copy()
+    return MfResult(known, transmitted, arrival, traffic, rnd, completion_round, snapshots)
+
+
+def _every_node(graph: Graph, rounds: int) -> list[np.ndarray]:
+    """The schedule of a general graph: every node sends in every round."""
+    return [np.arange(graph.n_nodes)] * rounds
+
+
+def run_pf(graph: Graph, samples, max_rounds: int | None = None) -> PfResult:
+    """Plain flooding: every node rebroadcasts everything it knows each round.
+
+    Stops after the first round that adds no knowledge anywhere (or at
+    ``max_rounds``); the round at which knowledge first became complete
+    everywhere is reported separately. Traffic dominates modified flooding
+    round by round because the transmitted set always contains the rows MF
+    would send.
+    """
+    cap = max_rounds if max_rounds is not None else graph.n_nodes + 2
+    res = _flood("pf", graph, _every_node(graph, cap), samples, plain=True, until_quiet=True)
+    return PfResult(res.known, res.traffic, res.rounds_run, res.completion_round)
 
 
 def run_mf(
@@ -376,160 +405,30 @@ def run_mf(
     everywhere within diameter + 1. ``snapshot_rounds`` asks for copies of the
     knowledge matrix after given rounds (0 = initial state).
     """
-    n = graph.n_nodes
-    _check_samples(samples, n)
-    d_rec, _ = payload_sizes(samples.n_p, 2)
-    known = np.eye(n, dtype=bool)
-    transmitted = np.zeros((n, n), dtype=bool)
-    arrival = np.where(np.eye(n, dtype=bool), 0, -1)
-    traffic = TrafficLog("mf", n)
-    snapshots: dict[int, np.ndarray] = {}
-    wanted = set(int(r) for r in snapshot_rounds)
-    if 0 in wanted:
-        snapshots[0] = known.copy()
-    completion_round = 0 if known.all() else None
-    cap = max_rounds if max_rounds is not None else n + 2
-    rounds_run = 0
-    for rnd in range(1, cap + 1):
-        pending = known & ~transmitted
-        if not pending.any():
-            break
-        rounds_run = rnd
-        for k in range(n):
-            cnt = int(pending[k].sum())
-            if cnt:
-                traffic.record(rnd, k, cnt * d_rec, tag_bits=cnt * n, origins=np.flatnonzero(pending[k]))
-        transmitted |= pending
-        new_known = known | _bool_matmul(graph.adjacency, pending)
-        arrival[new_known & ~known] = rnd
-        known = new_known
-        if completion_round is None and known.all():
-            completion_round = rnd
-        if rnd in wanted:
-            snapshots[rnd] = known.copy()
-    _mf_snapshot_fill(snapshots, wanted, known, rounds_run + 1)
-    return MfResult(
-        known=known,
-        transmitted=transmitted,
-        arrival_round=arrival,
-        traffic=traffic,
-        rounds_run=rounds_run,
-        completion_round=completion_round,
-        snapshots=snapshots,
-    )
+    cap = max_rounds if max_rounds is not None else graph.n_nodes + 2
+    return _flood("mf", graph, _every_node(graph, cap), samples, until_quiet=True,
+                  snapshot_rounds=snapshot_rounds)
 
 
 def run_mf_tree(tree: TreeTopology, samples) -> MfResult:
-    """Modified flooding on a rooted tree with a level schedule.
+    """Modified flooding on a rooted tree along ``tree.stages()``.
 
-    Forward sweep: levels L down to 0 each broadcast their untransmitted rows
-    (a node's subtree by the time its level fires). Backward sweep: levels 1
-    to L-1, nodes with children only, forward what the root's broadcast gave
-    them. Every node ends up knowing all records, and the totals match the
-    per-level census formula exactly.
+    The forward sweep gives every node its subtree by the time its level
+    fires, and the root all records; the backward sweep forwards what the
+    root's broadcast gave each level. Every node ends up knowing all records,
+    and the totals match the per-level census formula exactly.
     """
-    n = tree.n_nodes
-    _check_samples(samples, n)
-    d_rec, _ = payload_sizes(samples.n_p, 2)
-    known = np.eye(n, dtype=bool)
-    transmitted = np.zeros((n, n), dtype=bool)
-    arrival = np.where(np.eye(n, dtype=bool), 0, -1)
-    traffic = TrafficLog("mf-tree", n)
-    depth = tree.depth
-    rnd = 0
-
-    def neighbors(v: int):
-        out = list(tree.children(v))
-        if tree.parent[v] >= 0:
-            out.append(int(tree.parent[v]))
-        return out
-
-    def stage(senders):
-        nonlocal rnd
-        rnd += 1
-        sends = []
-        for s in sorted(int(v) for v in senders):
-            mask = known[s] & ~transmitted[s]
-            if not mask.any():
-                continue
-            sends.append((s, mask.copy()))
-            traffic.record(rnd, s, int(mask.sum()) * d_rec, tag_bits=int(mask.sum()) * n,
-                           origins=np.flatnonzero(mask))
-        for s, mask in sends:
-            transmitted[s] |= mask
-            for nb in neighbors(s):
-                newly = mask & ~known[nb]
-                known[nb] |= mask
-                arrival[nb, newly] = rnd
-
-    for level in range(depth, -1, -1):
-        stage(tree.nodes_at_level(level))
-    for level in range(1, depth):
-        stage(v for v in tree.nodes_at_level(level) if tree.children(v).size > 0)
-
-    return MfResult(
-        known=known,
-        transmitted=transmitted,
-        arrival_round=arrival,
-        traffic=traffic,
-        rounds_run=rnd,
-        completion_round=rnd if known.all() else None,
-        snapshots={},
-    )
+    return _flood("mf-tree", tree.graph(), tree.stages(), samples)
 
 
 def run_mf_clustered(topo: ClusteredTopology, samples) -> MfResult:
-    """Modified flooding on a clustered topology, three scripted stages.
+    """Modified flooding on a clustered topology along ``topo.stages()``.
 
     Members send their record to their head; heads broadcast everything they
     hold (own cluster) to the head mesh and their members; heads then forward
     the other clusters' records to their members.
     """
-    n = topo.n_nodes
-    _check_samples(samples, n)
-    d_rec, _ = payload_sizes(samples.n_p, 2)
-    known = np.eye(n, dtype=bool)
-    transmitted = np.zeros((n, n), dtype=bool)
-    arrival = np.where(np.eye(n, dtype=bool), 0, -1)
-    traffic = TrafficLog("mf-clustered", n)
-    head_set = set(int(h) for h in topo.heads)
-
-    def receivers(v: int):
-        h = int(topo.heads[topo.assignment[v]])
-        if v == h:
-            out = [int(x) for x in topo.members(topo.assignment[v]) if int(x) != v]
-            out += [int(x) for x in head_set if x != v]
-            return sorted(set(out))
-        return [h]
-
-    def stage(rnd: int, senders):
-        sends = []
-        for s in sorted(senders):
-            mask = known[s] & ~transmitted[s]
-            if not mask.any():
-                continue
-            sends.append((s, mask.copy()))
-            traffic.record(rnd, s, int(mask.sum()) * d_rec, tag_bits=int(mask.sum()) * n,
-                           origins=np.flatnonzero(mask))
-        for s, mask in sends:
-            transmitted[s] |= mask
-            for nb in receivers(s):
-                newly = mask & ~known[nb]
-                known[nb] |= mask
-                arrival[nb, newly] = rnd
-
-    stage(1, [v for v in range(n) if v not in head_set])
-    stage(2, head_set)
-    stage(3, head_set)
-    return MfResult(
-        known=known,
-        transmitted=transmitted,
-        arrival_round=arrival,
-        traffic=traffic,
-        rounds_run=3,
-        completion_round=3 if known.all() else None,
-        snapshots={},
-    )
+    return _flood("mf-clustered", topo.graph(), topo.stages(), samples)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +460,52 @@ def _wrapup_all(tables, nodes=None):
     return weights, aggs, complete
 
 
+def _local_row(table: TagTable) -> tuple[frozenset, AggregateSums]:
+    """The start-up message: a copy of row 0, which stays unmerged."""
+    row = table.rows[0]
+    return row.tag, row.payload.copy()
+
+
+def _aggregate_or_complete(table: TagTable) -> tuple[frozenset, AggregateSums]:
+    """A fresh aggregate when there is one, else the complete sum again."""
+    return tas_aggregate(table) or _complete_message(table)
+
+
+def _tas(protocol: str, graph: Graph, stages, steps, samples, signs: SignMatrix, first_round=1,
+         deliver_last=True, snapshot_rounds=(), wrapup_nodes=None) -> TasResult:
+    """TAS along a schedule; stage i is round ``first_round + i``.
+
+    In each stage every sender builds its message with that stage's step (a
+    sender whose step gives None stays silent). Snapshots wrap up after the
+    stage sends and before it delivers. Each neighbour of a sender then
+    distills the message, hearing senders in ascending id order. Without
+    ``deliver_last`` the final stage is sent but never delivered.
+    """
+    n = graph.n_nodes
+    tables = _local_tables(samples, signs, n)
+    _, d_agg = payload_sizes(samples.n_p, signs.m)
+    traffic = TrafficLog(protocol, n)
+    wanted = set(int(r) for r in snapshot_rounds)
+    snapshots: dict[int, tuple[np.ndarray, list[AggregateSums]]] = {}
+    for i, (senders, step) in enumerate(zip(stages, steps, strict=True)):
+        rnd = first_round + i
+        msgs = []
+        for s in senders.tolist():
+            msg = step(tables[s])
+            if msg is not None:
+                msgs.append((s, msg))
+                traffic.record(rnd, s, d_agg, tag_bits=n)
+        if rnd in wanted:
+            w, a, _ = _wrapup_all(tables, wrapup_nodes)
+            snapshots[rnd] = (w, a)
+        if deliver_last or i < len(stages) - 1:
+            for s, (tag, payload) in msgs:
+                for k in graph.neighbors(s).tolist():
+                    tas_distill(tables[k], tag, payload)
+    weights, aggs, complete = _wrapup_all(tables, wrapup_nodes)
+    return TasResult(tables, traffic, weights, aggs, complete, rnd, snapshots)
+
+
 def run_tas(
     graph: Graph,
     samples,
@@ -575,111 +520,34 @@ def run_tas(
     the following ``rounds`` cycles (default: graph diameter) runs reception,
     distillation, aggregation, transmission. A node transmits every round as
     long as its aggregation finds a never-merged row, even when the message
-    repeats content; with no never-merged row it stays silent. The final
-    wrap-up may be partial on general graphs, so per-node completion flags
-    are reported rather than assumed.
+    repeats content; with no never-merged row it stays silent. The last
+    round's messages are sent but never received. The final wrap-up may be
+    partial on general graphs, so per-node completion flags are reported
+    rather than assumed.
     """
-    n = graph.n_nodes
-    tables = _local_tables(samples, signs, n)
     if rounds is None:
         rounds = diameter(graph)
-    _, d_agg = payload_sizes(samples.n_p, signs.m)
-    traffic = TrafficLog("tas", n)
-    wanted = set(int(r) for r in snapshot_rounds)
-    snapshots: dict[int, tuple[np.ndarray, list[AggregateSums]]] = {}
-
-    outbox: dict[int, tuple[frozenset, AggregateSums]] = {}
-    for k in range(n):
-        outbox[k] = (tables[k].rows[0].tag, tables[k].rows[0].payload.copy())
-        traffic.record(0, k, d_agg, tag_bits=n)
-    if 0 in wanted:
-        w, a, _ = _wrapup_all(tables, wrapup_nodes)
-        snapshots[0] = (w, a)
-
-    for rnd in range(1, rounds + 1):
-        for k in range(n):
-            for sender in sorted(int(s) for s in graph.neighbors(k)):
-                if sender in outbox:
-                    tag, payload = outbox[sender]
-                    tas_distill(tables[k], tag, payload)
-        new_outbox: dict[int, tuple[frozenset, AggregateSums]] = {}
-        for k in range(n):
-            msg = tas_aggregate(tables[k])
-            if msg is not None:
-                new_outbox[k] = msg
-                traffic.record(rnd, k, d_agg, tag_bits=n)
-        outbox = new_outbox
-        if rnd in wanted:
-            w, a, _ = _wrapup_all(tables, wrapup_nodes)
-            snapshots[rnd] = (w, a)
-
-    weights, aggs, complete = _wrapup_all(tables, wrapup_nodes)
-    return TasResult(
-        tables=tables,
-        traffic=traffic,
-        weights=weights,
-        aggregates=aggs,
-        complete=complete,
-        rounds_run=rounds,
-        snapshots=snapshots,
-    )
+    if rounds < 0:
+        raise ValueError("rounds must be non-negative")
+    return _tas("tas", graph, _every_node(graph, rounds + 1), [_local_row] + [tas_aggregate] * rounds,
+                samples, signs, first_round=0, deliver_last=False,
+                snapshot_rounds=snapshot_rounds, wrapup_nodes=wrapup_nodes)
 
 
 def run_tas_tree(tree: TreeTopology, samples, signs: SignMatrix) -> TasResult:
-    """TAS on a rooted tree: one forward sweep and one backward sweep.
+    """TAS on a rooted tree along ``tree.stages()``.
 
-    Levels fire from the deepest up to the root, each node merging its
-    subtree into a single message; then levels 1..L-1 (nodes with children
-    only) redistribute the complete aggregate downwards. Every node finishes
-    with weights all one, and the scalar totals hit the census formula
-    exactly.
+    In the forward sweep each node merges its subtree into a single message;
+    in the backward sweep the complete aggregate flows down. Every node
+    finishes with weights all one, and the scalar totals hit the census
+    formula exactly.
     """
-    n = tree.n_nodes
-    tables = _local_tables(samples, signs, n)
-    _, d_agg = payload_sizes(samples.n_p, signs.m)
-    traffic = TrafficLog("tas-tree", n)
-    depth = tree.depth
-    rnd = 0
-
-    def neighbors(v: int):
-        out = [int(c) for c in tree.children(v)]
-        if tree.parent[v] >= 0:
-            out.append(int(tree.parent[v]))
-        return sorted(out)
-
-    def stage(senders):
-        nonlocal rnd
-        rnd += 1
-        msgs = []
-        for s in sorted(int(v) for v in senders):
-            msg = tas_aggregate(tables[s])
-            if msg is None:
-                continue
-            msgs.append((s, msg))
-            traffic.record(rnd, s, d_agg, tag_bits=n)
-        for s, (tag, payload) in msgs:
-            for nb in neighbors(s):
-                tas_distill(tables[nb], tag, payload)
-
-    for level in range(depth, -1, -1):
-        stage(tree.nodes_at_level(level))
-    for level in range(1, depth):
-        stage(v for v in tree.nodes_at_level(level) if tree.children(v).size > 0)
-
-    weights, aggs, complete = _wrapup_all(tables)
-    return TasResult(
-        tables=tables,
-        traffic=traffic,
-        weights=weights,
-        aggregates=aggs,
-        complete=complete,
-        rounds_run=rnd,
-        snapshots={},
-    )
+    stages = tree.stages()
+    return _tas("tas-tree", tree.graph(), stages, [tas_aggregate] * len(stages), samples, signs)
 
 
 def run_tas_clustered(topo: ClusteredTopology, samples, signs: SignMatrix) -> TasResult:
-    """TAS on a clustered topology, three scripted stages.
+    """TAS on a clustered topology along ``topo.stages()``.
 
     Members send their local row to their head; heads broadcast their cluster
     aggregate across the head mesh (members overhear); heads then broadcast
@@ -687,60 +555,8 @@ def run_tas_clustered(topo: ClusteredTopology, samples, signs: SignMatrix) -> Ta
     unconditionally, so the totals are (N + n_c) aggregate payloads even for
     a single cluster, where the last broadcast repeats the mesh one.
     """
-    n = topo.n_nodes
-    tables = _local_tables(samples, signs, n)
-    _, d_agg = payload_sizes(samples.n_p, signs.m)
-    traffic = TrafficLog("tas-clustered", n)
-    head_set = sorted(int(h) for h in topo.heads)
-
-    def cluster_receivers(h: int):
-        own = [int(v) for v in topo.members(topo.assignment[h]) if int(v) != h]
-        mesh = [x for x in head_set if x != h]
-        return sorted(set(own + mesh))
-
-    # stage 1: members to their heads
-    msgs = []
-    for v in range(n):
-        if v in head_set:
-            continue
-        row = tables[v].rows[0]
-        msgs.append((v, int(topo.heads[topo.assignment[v]]), (row.tag, row.payload.copy())))
-        traffic.record(1, v, d_agg, tag_bits=n)
-    for _, h, (tag, payload) in msgs:
-        tas_distill(tables[h], tag, payload)
-
-    # stage 2: heads broadcast their cluster aggregate
-    msgs = []
-    for h in head_set:
-        msg = tas_aggregate(tables[h])
-        msgs.append((h, msg))
-        traffic.record(2, h, d_agg, tag_bits=n)
-    for h, (tag, payload) in msgs:
-        for nb in cluster_receivers(h):
-            tas_distill(tables[nb], tag, payload)
-
-    # stage 3: heads broadcast the complete aggregate, repeated or not
-    msgs = []
-    for h in head_set:
-        msg = tas_aggregate(tables[h])
-        if msg is None:
-            msg = _complete_message(tables[h])
-        msgs.append((h, msg))
-        traffic.record(3, h, d_agg, tag_bits=n)
-    for h, (tag, payload) in msgs:
-        for nb in cluster_receivers(h):
-            tas_distill(tables[nb], tag, payload)
-
-    weights, aggs, complete = _wrapup_all(tables)
-    return TasResult(
-        tables=tables,
-        traffic=traffic,
-        weights=weights,
-        aggregates=aggs,
-        complete=complete,
-        rounds_run=3,
-        snapshots={},
-    )
+    return _tas("tas-clustered", topo.graph(), topo.stages(),
+                [_local_row, tas_aggregate, _aggregate_or_complete], samples, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -797,11 +613,6 @@ class ConsensusResult:
         t = self.iterations if iteration is None else iteration
         n = self.mixing.shape[0]
         return n * np.linalg.matrix_power(self.mixing, t)
-
-    def reported_weights(self, k: int, iteration: int | None = None) -> WrapUpWeights:
-        """Effective weights clipped into [0, 1] for reporting."""
-        c = np.clip(self.effective_weights(iteration)[k], 0.0, 1.0)
-        return WrapUpWeights(c)
 
 
 def run_consensus(

@@ -30,10 +30,9 @@ from .diffusion import (
     run_tas,
     run_tas_tree,
 )
-from .model import FieldConfig, NoiseSpec, generate_measurements
+from .model import FieldConfig, NoiseSpec, Samples, generate_measurements
 from .rng import derive_seed, substream
 from .sps import (
-    AggregateSums,
     RegionResult,
     SignMatrix,
     batch_aggregate,
@@ -303,15 +302,8 @@ def _trial_state(protocol, graph, samples, signs, diff, nodes):
             c[k] = 1.0
             out[k] = (c, local_aggregate(samples, k, signs.column(k)))
         return out, 0, None
-    if protocol == "pf":
-        res = run_pf(graph, samples, max_rounds=diff["rounds"])
-        out = {}
-        for k in nodes:
-            c = res.known[k].astype(float)
-            out[k] = (c, truncated_aggregate(samples, signs, c))
-        return out, res.rounds_run, res.traffic
-    if protocol == "mf":
-        res = run_mf(graph, samples, max_rounds=diff["rounds"])
+    if protocol in ("pf", "mf"):
+        res = (run_pf if protocol == "pf" else run_mf)(graph, samples, max_rounds=diff["rounds"])
         out = {}
         for k in nodes:
             c = res.known[k].astype(float)
@@ -661,25 +653,22 @@ def run_region(config: ExperimentConfig) -> tuple[RegionResult, dict]:
     sign seed is given). Otherwise one seeded trial of the configured
     diffusion supplies the designated node's aggregate. Without an explicit
     box the region is evaluated on a unit-halfwidth box around the
-    least-squares estimate.
+    least-squares estimate. Non-finite data, or a sign matrix whose width is
+    not the number of rows, raise ValueError.
     """
     seed = config.seed
     m, q = config.sps_params()
     if "data" in config.raw:
         data = config.raw["data"]
-        phi = np.asarray(data["phi"], dtype=float)
         y = np.asarray(data["y"], dtype=float)
-        if phi.ndim != 2 or phi.shape[0] != y.shape[0]:
-            raise ValueError("phi must be (N, n_p) with one measurement per row")
+        samples = Samples(np.zeros((y.size, 0)), data["phi"], y)
         if "signs" in data:
             signs = SignMatrix(np.asarray(data["signs"], dtype=int))
         else:
-            signs = draw_sign_matrix(m, phi.shape[0], data.get("sign_seed", seed))
-        vec = signs.entries.astype(float) @ (phi * y[:, None])
-        mat = np.einsum("ji,ik,il->jkl", signs.entries.astype(float), phi, phi)
-        agg = AggregateSums(vec, mat)
+            signs = draw_sign_matrix(m, len(samples), data.get("sign_seed", seed))
+        agg = batch_aggregate(samples, signs)
         m = signs.m
-        meta = {"source": "data", "n_nodes": int(phi.shape[0])}
+        meta = {"source": "data", "n_nodes": len(samples)}
     else:
         fc = config.field_config()
         bundle = build_topology(seed, config.topology())

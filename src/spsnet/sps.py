@@ -258,8 +258,12 @@ def _z_values_grid(agg: AggregateSums, axes) -> np.ndarray:
     mat = agg.mat.transpose(1, 0, 2)  # (k, j, l), so each s[k] below is contiguous
     terms = [mat[:, :, l].reshape(lead) * axis.reshape((-1,) + (1,) * (n_p - 1 - l))
              for l, axis in enumerate(axes)]
-    s = agg.vec.T.reshape(lead) - _lane_sum(terms)
-    return _lane_sum([sk * sk for sk in s])
+    # s is subtracted and squared in place: every fresh full-grid array costs
+    # page faults, and the same elementwise operations keep the same bits
+    s = _lane_sum(terms)
+    np.subtract(agg.vec.T.reshape(lead), s, out=s)
+    np.multiply(s, s, out=s)
+    return _lane_sum(list(s))
 
 
 @functools.lru_cache(maxsize=32)
@@ -271,22 +275,22 @@ def _cell_centres(box: tuple, shape: tuple) -> tuple:
     return axes
 
 
-def uniform_order(values, rng: np.random.Generator) -> np.ndarray:
-    """Ascending ordering of ``values`` with ties broken uniformly at random.
+def rank_above(z: np.ndarray, keys) -> np.ndarray:
+    """How many of rows 1.. rank strictly above row 0, per column of ``z``.
 
-    Each value gets an independent uniform tie key; sorting by (value, key)
-    makes every ordering of a tied group equally likely, which keeps the
-    region's coverage exact even for discrete data where exact ties occur.
-    Returns the permutation of indices, smallest first.
+    Rows are ranked by (value, uniform key): a row with a larger value ranks
+    above, and a tied row ranks above when its key is larger. Independent
+    uniform keys make every ordering of a tied group equally likely, which
+    keeps the region's coverage exact even where exact ties occur. ``z`` has
+    shape (m, ...); ``keys`` is an array of the same shape, or a function
+    returning one, called only when some row ties with row 0.
     """
-    v = np.asarray(values, dtype=float)
-    u = rng.uniform(size=v.shape[0])
-    return np.lexsort((u, v))
-
-
-def _count_above(z: np.ndarray, u: np.ndarray) -> int:
-    """How many of z[1:] rank strictly above z[0] under (value, tie-key) order."""
-    return int(np.sum((z[1:] > z[0]) | ((z[1:] == z[0]) & (u[1:] > u[0]))))
+    above = z[1:] > z[0]
+    tied = z[1:] == z[0]
+    if tied.any():
+        u = keys() if callable(keys) else keys
+        above |= tied & (u[1:] > u[0])
+    return above.sum(axis=0)
 
 
 def membership(z, q: int, tie_rng: np.random.Generator) -> bool:
@@ -300,8 +304,7 @@ def membership(z, q: int, tie_rng: np.random.Generator) -> bool:
     m = z.shape[0]
     if not 1 <= q <= m - 1:
         raise ValueError("q must satisfy 1 <= q <= m-1")
-    u = tie_rng.uniform(size=m)
-    return _count_above(z, u) >= q
+    return bool(rank_above(z, tie_rng.uniform(size=m)) >= q)
 
 
 @dataclass(eq=False)
@@ -440,13 +443,12 @@ def evaluate_region(
         raise ValueError("q must satisfy 1 <= q <= m-1")
 
     z = _z_values_grid(agg, _cell_centres(tuple(box), shape))
-    above = z[1:] > z[0]
-    tied = z[1:] == z[0]
-    if tied.any():
+
+    def tie_keys():
         rng = np.random.default_rng(np.random.SeedSequence(int(tie_seed)))
-        u = rng.uniform(size=(z[0].size, agg.m)).T.reshape(z.shape)
-        above |= tied & (u[1:] > u[0])
-    member = above.sum(axis=0) >= q
+        return rng.uniform(size=(z[0].size, agg.m)).T.reshape(z.shape)
+
+    member = rank_above(z, tie_keys) >= q
 
     widths = [(hi - lo) / g for (lo, hi), g in zip(box, shape)]
     volume = float(member.sum()) * float(np.prod(widths))

@@ -209,14 +209,26 @@ class TreeTopology:
                 counts[self.level[i]] += 1
         return counts
 
+    def stages(self) -> list[np.ndarray]:
+        """Sender sets of the two-sweep schedule, ids ascending within a stage.
+
+        Forward sweep: levels L, L-1, ..., 0, every node of the level, so a
+        node's whole subtree has reached it by the time it sends and the root
+        ends with every record. Backward sweep: levels 1, ..., L-1, nodes with
+        children only, passing down what came from above. 2L stages in all
+        (one for a single node). Each sender is heard by its tree neighbours.
+        """
+        inner = np.array([c.size > 0 for c in self._children], dtype=bool)
+        forward = [self.nodes_at_level(l) for l in range(self.depth, -1, -1)]
+        backward = [np.flatnonzero((self.level == l) & inner) for l in range(1, self.depth)]
+        return forward + backward
+
     def graph(self) -> Graph:
         n = self.n_nodes
         adj = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            p = self.parent[i]
-            if p >= 0:
-                adj[i, p] = adj[p, i] = True
-        return Graph(adjacency=adj)
+        child = np.flatnonzero(self.parent >= 0)
+        adj[child, self.parent[child]] = True
+        return Graph(adjacency=adj | adj.T)
 
     def to_json_dict(self) -> dict:
         return {
@@ -329,18 +341,27 @@ class ClusteredTopology:
     def is_head(self, i: int) -> bool:
         return bool(np.any(self.heads == i))
 
+    def stages(self) -> list[np.ndarray]:
+        """Sender sets of the three-stage schedule, ids ascending within a stage.
+
+        Stage 1: every member sends to its head. Stage 2: every head sends
+        to the other heads and its own members. Stage 3: every head sends
+        again, now carrying the other clusters' data to its members. Each
+        sender is heard by its neighbours in ``graph()``.
+        """
+        is_head = np.zeros(self.n_nodes, dtype=bool)
+        is_head[self.heads] = True
+        heads = np.flatnonzero(is_head)
+        return [np.flatnonzero(~is_head), heads, heads]
+
     def graph(self) -> Graph:
+        """Members linked to their head, heads linked pairwise."""
         n = self.n_nodes
         adj = np.zeros((n, n), dtype=bool)
-        for c in range(self.n_clusters):
-            h = self.heads[c]
-            for v in self.members(c):
-                if v != h:
-                    adj[v, h] = adj[h, v] = True
-        for a in self.heads:
-            for b in self.heads:
-                if a != b:
-                    adj[a, b] = True
+        adj[np.arange(n), self.heads[self.assignment]] = True
+        adj[np.ix_(self.heads, self.heads)] = True
+        adj |= adj.T
+        np.fill_diagonal(adj, False)
         return Graph(adjacency=adj)
 
     def to_json_dict(self) -> dict:

@@ -11,6 +11,7 @@ import numpy as np
 
 from lp_oracle import wrapup_lp_optimum
 from test_lp import random_tag_matrix
+from test_sps import orderings
 
 from spsnet.analysis import (
     compare,
@@ -40,7 +41,6 @@ from spsnet.sps import (
     evaluate_region,
     local_aggregate,
     truncated_aggregate,
-    uniform_order,
 )
 from spsnet.topology import clustered, complete_binary_tree, random_geometric, spanning_tree
 
@@ -200,10 +200,11 @@ def test_criterion_10_orderings_are_uniform():
     for label, draw in drawers.items():
         values_rng = substream(1114, label, "values")
         tie_rng = substream(1114, label, "ties")
-        counts = Counter()
-        for _ in range(trials):
-            order = uniform_order(draw(values_rng), tie_rng)
-            counts[tuple(int(i) for i in order)] += 1
+        values, keys = np.empty((trials, 3)), np.empty((trials, 3))
+        for t in range(trials):
+            values[t] = draw(values_rng)
+            keys[t] = tie_rng.uniform(size=3)
+        counts = Counter(tuple(order) for order in orderings(values, keys).tolist())
         assert len(counts) == 6
         freqs = {perm: cnt / trials for perm, cnt in counts.items()}
         spread = max(abs(f - 1 / 6) for f in freqs.values())

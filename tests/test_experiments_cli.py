@@ -121,6 +121,21 @@ def test_run_region_data_block_hand_example():
     assert list(mask) == [False, False, True, True, True, True, False, False]
 
 
+def test_run_region_data_block_rejects_non_finite_data():
+    for key, value in (("phi", [[1.0], [float("inf")]]), ("y", [1.0, float("nan")])):
+        raw = json.loads(json.dumps(REGION_CONFIG))
+        raw["data"][key] = value
+        with pytest.raises(ValueError, match="finite"):
+            run_region(ExperimentConfig(raw))
+
+
+def test_run_region_data_block_rejects_signs_of_the_wrong_width():
+    raw = json.loads(json.dumps(REGION_CONFIG))
+    raw["data"]["signs"] = [[1, 1, 1], [1, -1, 1]]
+    with pytest.raises(ValueError, match="sign matrix width"):
+        run_region(ExperimentConfig(raw))
+
+
 def test_run_region_simulation_default_box():
     cfg = ExperimentConfig({
         "seed": 9,

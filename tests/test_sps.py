@@ -1,5 +1,7 @@
 """Sign-perturbed sums: aggregates, membership, tie handling, region grids."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,8 @@ from spsnet.sps import (
     local_aggregate,
     ls_estimate,
     membership,
+    rank_above,
     truncated_aggregate,
-    uniform_order,
     z_values,
 )
 from spsnet.sps import _cell_centres, _z_values_grid
@@ -184,18 +186,40 @@ def test_membership_all_ties_hits_nominal_level():
     assert abs(hits / 20000 - 0.9) < 0.012
 
 
+def orderings(values, keys):
+    """Ascending order of each row of ``values`` under (value, key), from ``rank_above``.
+
+    Column (i, t) of the stacked input holds row t rotated so that element i
+    comes first, and its position is n - 1 minus the rows ranked above it.
+    """
+    n = values.shape[1]
+    rotate = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n  # [r, i] -> (i + r) % n
+    position = n - 1 - rank_above(values.T[rotate], keys.T[rotate])  # (n, rows)
+    return np.argsort(position, axis=0).T
+
+
 def test_uniform_order_strict_values():
     rng = substream(2, "order")
-    assert np.array_equal(uniform_order([3.0, 1.0, 2.0], rng), [1, 2, 0])
+    assert np.array_equal(orderings(np.array([[3.0, 1.0, 2.0]]), rng.uniform(size=(1, 3))), [[1, 2, 0]])
     # ties permuted uniformly enough for a coarse check
-    counts = {}
     rng = substream(3, "order-ties")
-    for _ in range(6000):
-        perm = tuple(uniform_order([1.0, 1.0, 1.0], rng))
-        counts[perm] = counts.get(perm, 0) + 1
+    keys = np.array([rng.uniform(size=3) for _ in range(6000)])
+    counts = Counter(map(tuple, orderings(np.ones((6000, 3)), keys).tolist()))
     assert len(counts) == 6
     for v in counts.values():
         assert abs(v / 6000 - 1 / 6) < 0.03
+
+
+def test_rank_above_draws_keys_only_on_ties():
+    def never():
+        raise AssertionError("keys drawn without a tie")
+
+    strict = np.array([[2.0, 1.0], [3.0, 0.5], [1.0, 0.0]])
+    assert np.array_equal(rank_above(strict, never), [1, 0])
+    tied = np.array([[2.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
+    keys = np.array([[0.5, 0.5], [0.7, 0.2], [0.9, 0.9]])
+    assert np.array_equal(rank_above(tied, lambda: keys), [1, 1])
+    assert np.array_equal(rank_above(tied, keys), [1, 1])
 
 
 # ---------------------------------------------------------------------------
