@@ -36,6 +36,11 @@ general graph stops after a round that teaches nobody anything. ``run_tas``
 sends its last round but never delivers it. Consensus is linear and runs on
 its own.
 
+A TAS tag is one Python ``int`` used as a bitmask: bit i is set when node i's
+data is in the payload. So a subset test is ``t & rem == t``, disjointness is
+``not a & b``, a union is ``a | b``, and the 0/1 tag matrix the wrap-up LP
+reads is unpacked from each tag's little-endian bytes.
+
 Traffic is counted in scalars: a raw record costs n_p + 1 of them, an
 aggregate payload m * (n_p + n_p (n_p + 1) / 2). Tag bits are reported
 informationally (one bit per node per tagged message) and never enter the
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -137,21 +143,31 @@ class TrafficLog:
 
 @dataclass(eq=False)
 class TagRow:
-    """Stored row: tag (set of node ids the payload accounts for) + payload."""
+    """Stored row: tag (bitmask of the node ids the payload accounts for) + payload."""
 
-    tag: frozenset
+    tag: int
     payload: object
     merged: bool = False
+
+
+def _unpack(masks, n_nodes: int) -> np.ndarray:
+    """0/1 uint8 matrix with one row per bitmask: column i is bit i."""
+    nbytes = (n_nodes + 7) // 8
+    buf = b"".join(t.to_bytes(nbytes, "little") for t in masks)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=n_nodes, bitorder="little")
 
 
 class TagTable:
     """A node's insertion-ordered store of tagged rows.
 
-    Row 0 is always the owner's local one-hot row. Tags never repeat within a
-    table. The table records which rows have already been merged into an
-    outgoing aggregate so later aggregation phases can start from fresh
-    content. Rows are added only through ``append``, which also keeps the
-    set of covered nodes and whether the stored tags are pairwise disjoint.
+    Every tag is an ``int`` bitmask over the table's ``n_nodes`` node ids
+    (bit i is node i). Row 0 is always the owner's local row, tag
+    ``1 << owner``. Tags never repeat within a table. The table records which
+    rows have already been merged into an outgoing aggregate so later
+    aggregation phases can start from fresh content. Rows are added only
+    through ``append``, which also keeps the mask of covered nodes and
+    whether the stored tags are pairwise disjoint.
     """
 
     def __init__(self, owner: int, n_nodes: int, local_payload):
@@ -159,39 +175,37 @@ class TagTable:
             raise ValueError("owner must be a valid node id")
         self.owner = owner
         self.n_nodes = n_nodes
-        self.rows: list[TagRow] = [TagRow(frozenset((owner,)), local_payload)]
-        self._tags = {self.rows[0].tag}
-        self._covered = {owner}
+        self.rows: list[TagRow] = [TagRow(1 << owner, local_payload)]
+        self._tags = {1 << owner}
+        self._covered = 1 << owner
         self._disjoint = True
         self._wrapup: tuple[bytes, np.ndarray | None] = (b"", None)  # last (tag matrix bytes, b)
 
-    def append(self, tag: frozenset, payload) -> TagRow:
-        if not tag:
-            raise ValueError("cannot store an empty tag")
-        if min(tag) < 0 or max(tag) >= self.n_nodes:
+    def append(self, tag: int, payload) -> TagRow:
+        if tag <= 0:
+            raise ValueError("a tag must name at least one node")
+        if tag >> self.n_nodes:
             raise ValueError("tag contains an unknown node id")
         if tag in self._tags:
             raise ValueError("duplicate tag")
-        row = TagRow(frozenset(tag), payload)
+        row = TagRow(tag, payload)
         self.rows.append(row)
-        self._tags.add(row.tag)
-        if self._disjoint and not self._covered.isdisjoint(row.tag):
+        self._tags.add(tag)
+        if self._covered & tag:
             self._disjoint = False
-        self._covered |= row.tag
+        self._covered |= tag
         return row
 
-    def coverage(self) -> frozenset:
-        return frozenset(self._covered)
+    def coverage(self) -> int:
+        """Bitmask of the nodes some stored tag names."""
+        return self._covered
 
     def tag_matrix(self) -> np.ndarray:
         """0/1 matrix, one row per stored row, one column per network node."""
-        t = np.zeros((len(self.rows), self.n_nodes), dtype=np.uint8)
-        for r, row in enumerate(self.rows):
-            t[r, np.fromiter(row.tag, dtype=np.intp, count=len(row.tag))] = 1
-        return t
+        return _unpack([row.tag for row in self.rows], self.n_nodes)
 
 
-def tas_distill(table: TagTable, tag: frozenset, payload: AggregateSums) -> TagRow | None:
+def tas_distill(table: TagTable, tag: int, payload: AggregateSums) -> TagRow | None:
     """Reduce an incoming message against the stored rows and keep the rest.
 
     Scanning stored rows in insertion order, every row whose tag is still a
@@ -202,46 +216,46 @@ def tas_distill(table: TagTable, tag: frozenset, payload: AggregateSums) -> TagR
     are touched only for a kept row: a copy of the incoming payload minus the
     subtracted rows in scan order. The incoming payload is never mutated.
     """
-    remaining = set(tag)
+    remaining = tag
     subtracted = []
     for row in table.rows:
-        if row.tag <= remaining:
-            remaining -= row.tag
+        t = row.tag
+        if t & remaining == t:
+            remaining ^= t
             subtracted.append(row.payload)
     if not remaining:
         return None
     residual = payload.copy()
     for known in subtracted:
         residual.isub(known)
-    return table.append(frozenset(remaining), residual)
+    return table.append(remaining, residual)
 
 
-def tas_aggregate(table: TagTable) -> tuple[frozenset, AggregateSums] | None:
+def tas_aggregate(table: TagTable) -> tuple[int, AggregateSums] | None:
     """Build one outgoing message from the table.
 
     The running pair starts from the first row never merged before (None when
     there is no such row, in which case the node stays silent). All rows are
     then scanned in insertion order and every row whose tag is disjoint from
-    the running tag is summed in and marked merged. Rows overlapping the
-    running tag are skipped; resolving partial overlaps is the wrap-up's job.
+    the running tag is summed in and marked merged; the start row overlaps
+    itself, so it is not added twice. Rows overlapping the running tag are
+    skipped; resolving partial overlaps is the wrap-up's job.
     """
     start = next((r for r in table.rows if not r.merged), None)
     if start is None:
         return None
-    tag = set(start.tag)
+    tag = start.tag
     data = start.payload.copy()
     start.merged = True
     for row in table.rows:
-        if row is start:
-            continue
-        if tag.isdisjoint(row.tag):
+        if not tag & row.tag:
             data.iadd(row.payload)
             tag |= row.tag
             row.merged = True
-    return frozenset(tag), data
+    return tag, data
 
 
-def _complete_message(table: TagTable) -> tuple[frozenset, AggregateSums]:
+def _complete_message(table: TagTable) -> tuple[int, AggregateSums]:
     """Sum of all stored rows; valid when tags are pairwise disjoint."""
     if not table._disjoint:
         raise ValueError("complete message requires pairwise disjoint tags")
@@ -249,7 +263,7 @@ def _complete_message(table: TagTable) -> tuple[frozenset, AggregateSums]:
     for row in table.rows:
         data = row.payload.copy() if data is None else data.iadd(row.payload)
         row.merged = True
-    return table.coverage(), data
+    return table._covered, data
 
 
 def tas_wrapup(table: TagTable) -> tuple[WrapUpWeights, AggregateSums]:
@@ -257,8 +271,8 @@ def tas_wrapup(table: TagTable) -> tuple[WrapUpWeights, AggregateSums]:
 
     When stored tags are pairwise disjoint every row is used with coefficient
     one, so covered nodes get weight exactly 1 (all ones when the table spans
-    the network, which also yields the exact full sum); c is then read off
-    the table's covered set without building a tag matrix. Overlapping tags
+    the network, which also yields the exact full sum); c is then unpacked
+    from the table's covered mask without building a tag matrix. Overlapping tags
     are resolved by the wrap-up LP; the resulting weights are clamped into
     [0, 1] at tolerance 1e-9 and values within 1e-9 of 0 or 1 are snapped
     exact. The coefficients b depend on the tag matrix alone: the table keeps
@@ -270,8 +284,7 @@ def tas_wrapup(table: TagTable) -> tuple[WrapUpWeights, AggregateSums]:
     rows = table.rows
     if table._disjoint:
         coeffs = [1.0] * len(rows)
-        c = np.zeros(table.n_nodes)
-        c[np.fromiter(table._covered, dtype=np.intp, count=len(table._covered))] = 1.0
+        c = _unpack([table._covered], table.n_nodes)[0].astype(float)
     else:
         tags = table.tag_matrix()
         key = tags.tobytes()
@@ -332,10 +345,10 @@ def _flood(protocol: str, graph: Graph, stages, samples, plain=False, until_quie
     Each sender sends every record it knows (``plain``, PF) or every record
     it knows and has not sent (MF); the stage's neighbours then learn them.
     With ``until_quiet`` the run stops after a stage that taught nobody
-    anything and reports the first round after which every node knew every
-    record; a fixed schedule runs every stage and reports its last one when
-    knowledge is complete by then. Snapshots are taken after delivery; a
-    requested round past the last one gets the final knowledge.
+    anything; a fixed schedule runs every stage. Either way the run reports
+    the first round after which every node knew every record (None when that
+    never happened). Snapshots are taken after delivery; a requested round
+    past the last one gets the final knowledge.
     """
     n = graph.n_nodes
     _check_samples(samples, n)
@@ -364,8 +377,6 @@ def _flood(protocol: str, graph: Graph, stages, samples, plain=False, until_quie
             snapshots[rnd] = known.copy()
         if until_quiet and not newly.any():
             break
-    if not until_quiet:  # a fixed schedule reports completion at its last stage
-        completion_round = rnd if known.all() else None
     for r in wanted:
         if r > rnd and r not in snapshots:
             snapshots[r] = known.copy()
@@ -437,13 +448,36 @@ def run_mf_clustered(topo: ClusteredTopology, samples) -> MfResult:
 
 @dataclass(eq=False)
 class TasResult:
+    """A finished TAS run: its tag tables, traffic and snapshots.
+
+    ``weights``, ``aggregates`` and ``complete`` hold the final wrap-up of
+    the ``wrapup_nodes`` (every node when None; other rows stay zero, None and
+    False). It runs once, on the first read of any of the three, so a caller
+    that reads only the traffic never pays for it. Snapshots are wrapped up
+    during the run, because the tables change after they are taken.
+    """
+
     tables: list[TagTable]
     traffic: TrafficLog
-    weights: np.ndarray
-    aggregates: list[AggregateSums]
-    complete: np.ndarray
     rounds_run: int
     snapshots: dict[int, tuple[np.ndarray, list[AggregateSums]]] = field(default_factory=dict)
+    wrapup_nodes: list[int] | None = None
+
+    @cached_property
+    def _final(self) -> tuple[np.ndarray, list[AggregateSums | None], np.ndarray]:
+        return _wrapup_all(self.tables, self.wrapup_nodes)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._final[0]
+
+    @property
+    def aggregates(self) -> list[AggregateSums | None]:
+        return self._final[1]
+
+    @property
+    def complete(self) -> np.ndarray:
+        return self._final[2]
 
 
 def _wrapup_all(tables, nodes=None):
@@ -460,13 +494,13 @@ def _wrapup_all(tables, nodes=None):
     return weights, aggs, complete
 
 
-def _local_row(table: TagTable) -> tuple[frozenset, AggregateSums]:
+def _local_row(table: TagTable) -> tuple[int, AggregateSums]:
     """The start-up message: a copy of row 0, which stays unmerged."""
     row = table.rows[0]
     return row.tag, row.payload.copy()
 
 
-def _aggregate_or_complete(table: TagTable) -> tuple[frozenset, AggregateSums]:
+def _aggregate_or_complete(table: TagTable) -> tuple[int, AggregateSums]:
     """A fresh aggregate when there is one, else the complete sum again."""
     return tas_aggregate(table) or _complete_message(table)
 
@@ -479,7 +513,8 @@ def _tas(protocol: str, graph: Graph, stages, steps, samples, signs: SignMatrix,
     sender whose step gives None stays silent). Snapshots wrap up after the
     stage sends and before it delivers. Each neighbour of a sender then
     distills the message, hearing senders in ascending id order. Without
-    ``deliver_last`` the final stage is sent but never delivered.
+    ``deliver_last`` the final stage is sent but never delivered. The final
+    wrap-up is left to the result, which runs it on first read.
     """
     n = graph.n_nodes
     tables = _local_tables(samples, signs, n)
@@ -502,8 +537,7 @@ def _tas(protocol: str, graph: Graph, stages, steps, samples, signs: SignMatrix,
             for s, (tag, payload) in msgs:
                 for k in graph.neighbors(s).tolist():
                     tas_distill(tables[k], tag, payload)
-    weights, aggs, complete = _wrapup_all(tables, wrapup_nodes)
-    return TasResult(tables, traffic, weights, aggs, complete, rnd, snapshots)
+    return TasResult(tables, traffic, rnd, snapshots, wrapup_nodes)
 
 
 def run_tas(
@@ -582,10 +616,7 @@ def consensus_weights(graph: Graph, scheme: str = "metropolis") -> np.ndarray:
     deg = graph.degrees.astype(float)
     adj = graph.adjacency
     if scheme == "metropolis":
-        w = np.zeros((n, n))
-        for i in range(n):
-            for j in graph.neighbors(i):
-                w[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
+        w = np.where(adj, 1.0 / (1.0 + np.maximum(deg[:, None], deg[None, :])), 0.0)
         np.fill_diagonal(w, 1.0 - w.sum(axis=1))
         return w
     eps = 1.0 / (deg.max() + 1.0)

@@ -6,17 +6,21 @@ shape: ``run_pf``, ``run_mf`` and ``run_tas`` each own a round loop, and the
 tree and clustered runners each script their stages and receivers by hand.
 Tests require the engines to log the same events in the same order and to
 reproduce knowledge, arrival rounds, snapshots, every tag table and every
-weight and aggregate bit for bit.
+weight and aggregate bit for bit. The TAS oracles wrap up every table before
+they return, as the package first did; the package's results wrap up on first
+read.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from spsnet.diffusion import (
     MfResult,
     PfResult,
-    TasResult,
+    TagTable,
     TrafficLog,
     _check_samples,
     _complete_message,
@@ -28,6 +32,19 @@ from spsnet.diffusion import (
 )
 from spsnet.sps import AggregateSums, SignMatrix
 from spsnet.topology import ClusteredTopology, Graph, TreeTopology, diameter
+
+
+@dataclass(eq=False)
+class TasResult:
+    """A TAS run with its final wrap-up already done."""
+
+    tables: list[TagTable]
+    traffic: TrafficLog
+    weights: np.ndarray
+    aggregates: list[AggregateSums]
+    complete: np.ndarray
+    rounds_run: int
+    snapshots: dict[int, tuple[np.ndarray, list[AggregateSums]]] = field(default_factory=dict)
 
 
 def _bool_matmul(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -269,7 +286,7 @@ def run_tas(
     wanted = set(int(r) for r in snapshot_rounds)
     snapshots: dict[int, tuple[np.ndarray, list[AggregateSums]]] = {}
 
-    outbox: dict[int, tuple[frozenset, AggregateSums]] = {}
+    outbox: dict[int, tuple[int, AggregateSums]] = {}
     for k in range(n):
         outbox[k] = (tables[k].rows[0].tag, tables[k].rows[0].payload.copy())
         traffic.record(0, k, d_agg, tag_bits=n)
@@ -283,7 +300,7 @@ def run_tas(
                 if sender in outbox:
                     tag, payload = outbox[sender]
                     tas_distill(tables[k], tag, payload)
-        new_outbox: dict[int, tuple[frozenset, AggregateSums]] = {}
+        new_outbox: dict[int, tuple[int, AggregateSums]] = {}
         for k in range(n):
             msg = tas_aggregate(tables[k])
             if msg is not None:

@@ -1,20 +1,61 @@
-"""Eager TAS distillation and tag-matrix wrap-up, as the package first wrote them.
+"""Eager TAS distillation and tag-matrix wrap-up over plain sets.
 
-The package works out a message's residual tag before it touches a payload,
-keeps a table's covered set and disjointness as rows are appended, and reads
-a disjoint table's weights off that set. These oracles do the same steps the
-direct way: distillation copies and subtracts before it knows whether the
-residual is kept, coverage and the tag matrix walk every tag node by node,
-and every wrap-up builds the tag matrix. Tests require the package to make
-the same decisions and to reproduce every payload, weight and aggregate bit
-for bit, with the same number of LP solves.
+The package stores each tag as an ``int`` bitmask, works out a message's
+residual tag before it touches a payload, keeps a table's covered mask and
+disjointness as rows are appended, and reads a disjoint table's weights off
+that mask. These oracles keep tags as ``frozenset``s in a minimal table of
+their own and do the same steps the direct way: distillation copies and
+subtracts before it knows whether the residual is kept, coverage and the tag
+matrix walk every tag node by node, and every wrap-up builds the tag matrix.
+So the package's bit logic is checked against plain set algebra. Tests
+require the package to make the same decisions (on decoded masks) and to
+reproduce every payload, weight and aggregate bit for bit, with the same
+number of LP solves.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from spsnet import diffusion
 from spsnet.lp import LpProblem
 from spsnet.sps import AggregateSums, WrapUpWeights
+
+
+def mask(*nodes: int) -> int:
+    """The bitmask tag of the given node ids."""
+    out = 0
+    for i in nodes:
+        out |= 1 << i
+    return out
+
+
+def nodes(tag: int) -> frozenset:
+    """The node ids a bitmask tag names."""
+    return frozenset(i for i in range(tag.bit_length()) if tag >> i & 1)
+
+
+@dataclass(eq=False)
+class SetRow:
+    tag: frozenset
+    payload: AggregateSums
+
+
+class SetTable:
+    """A tag table whose tags are frozensets; row 0 is the owner's local row."""
+
+    def __init__(self, owner: int, n_nodes: int, local_payload):
+        self.owner = owner
+        self.n_nodes = n_nodes
+        self.rows = [SetRow(frozenset({owner}), local_payload)]
+        self._wrapup = (b"", None)
+
+    def append(self, tag: frozenset, payload) -> SetRow:
+        assert tag and min(tag) >= 0 and max(tag) < self.n_nodes
+        assert tag not in {r.tag for r in self.rows}
+        row = SetRow(frozenset(tag), payload)
+        self.rows.append(row)
+        return row
 
 
 def coverage(table) -> frozenset:
@@ -41,7 +82,7 @@ def tas_distill(table, tag: frozenset, payload: AggregateSums):
     if not remaining:
         return None
     ftag = frozenset(remaining)
-    if ftag in table._tags:
+    if ftag in {r.tag for r in table.rows}:
         return None
     return table.append(ftag, residual)
 

@@ -171,7 +171,7 @@ def test_criterion_09_wrapup_lp_against_oracle():
     signs = draw_sign_matrix(5, 4, derive_seed(1113, "signs"))
     table = TagTable(owner=0, n_nodes=4, local_payload=local_aggregate(samples, 0, signs.column(0)))
     for i in (1, 2, 3):
-        table.append(frozenset({i}), local_aggregate(samples, i, signs.column(i)))
+        table.append(1 << i, local_aggregate(samples, i, signs.column(i)))
     weights, _ = tas_wrapup(table)
     assert np.array_equal(weights.c, np.ones(4))
 

@@ -31,6 +31,7 @@ from spsnet.diffusion import (
     tas_wrapup,
 )
 from spsnet.diffusion import _complete_message
+from tas_oracle import mask, nodes
 from spsnet.model import FieldConfig, NoiseSpec, generate_measurements
 from spsnet.rng import substream
 from spsnet.sps import (
@@ -199,19 +200,19 @@ def test_traffic_log_csv_text(tmp_path):
 
 def test_tag_table_basics():
     table = TagTable(owner=2, n_nodes=5, local_payload=marker_payload(1.0))
-    assert table.rows[0].tag == frozenset({2})
-    table.append(frozenset({0, 1}), marker_payload(2.0))
-    assert table.coverage() == frozenset({0, 1, 2})
+    assert table.rows[0].tag == mask(2)
+    table.append(mask(0, 1), marker_payload(2.0))
+    assert table.coverage() == mask(0, 1, 2)
     mat = table.tag_matrix()
     assert mat.shape == (2, 5)
     assert np.array_equal(mat[0], [0, 0, 1, 0, 0])
     assert np.array_equal(mat[1], [1, 1, 0, 0, 0])
     with pytest.raises(ValueError):
-        table.append(frozenset(), marker_payload(0.0))
+        table.append(0, marker_payload(0.0))
     with pytest.raises(ValueError):
-        table.append(frozenset({0, 1}), marker_payload(3.0))  # duplicate tag
+        table.append(mask(0, 1), marker_payload(3.0))  # duplicate tag
     with pytest.raises(ValueError):
-        table.append(frozenset({9}), marker_payload(3.0))
+        table.append(mask(9), marker_payload(3.0))
     with pytest.raises(ValueError):
         TagTable(owner=7, n_nodes=5, local_payload=marker_payload(0.0))
 
@@ -220,36 +221,36 @@ def test_distill_subtracts_known_rows():
     # node values are powers of two so payload sums identify tags exactly
     val = lambda tag: float(sum(2 ** i for i in tag))
     table = TagTable(owner=0, n_nodes=11, local_payload=marker_payload(val({0})))
-    table.append(frozenset({1, 6}), marker_payload(val({1, 6})))
+    table.append(mask(1, 6), marker_payload(val({1, 6})))
 
-    incoming_tag = frozenset({0, 1, 6, 7, 10})
-    incoming = marker_payload(val(incoming_tag))
+    incoming_tag = mask(0, 1, 6, 7, 10)
+    incoming = marker_payload(val(nodes(incoming_tag)))
     row = tas_distill(table, incoming_tag, incoming)
     assert row is not None
-    assert row.tag == frozenset({7, 10})
+    assert row.tag == mask(7, 10)
     assert np.allclose(row.payload.vec, val({7, 10}))
     assert np.allclose(row.payload.mat, val({7, 10}))
     # the incoming message itself is left untouched
-    assert np.all(incoming.vec == val(incoming_tag))
+    assert np.all(incoming.vec == val(nodes(incoming_tag)))
     assert len(table.rows) == 3
 
 
 def test_distill_discards_redundant_messages():
     table = TagTable(owner=0, n_nodes=6, local_payload=marker_payload(1.0))
-    table.append(frozenset({1}), marker_payload(2.0))
+    table.append(mask(1), marker_payload(2.0))
     # residual empty: everything already stored
-    assert tas_distill(table, frozenset({0, 1}), marker_payload(3.0)) is None
+    assert tas_distill(table, mask(0, 1), marker_payload(3.0)) is None
     # residual duplicates an existing tag
-    assert tas_distill(table, frozenset({0, 1}), marker_payload(3.0)) is None
+    assert tas_distill(table, mask(0, 1), marker_payload(3.0)) is None
     assert len(table.rows) == 2
 
 
 def test_distill_keeps_partial_overlaps_intact():
     table = TagTable(owner=0, n_nodes=6, local_payload=marker_payload(1.0))
-    table.append(frozenset({3, 5}), marker_payload(40.0))
-    row = tas_distill(table, frozenset({3, 4}), marker_payload(24.0))
+    table.append(mask(3, 5), marker_payload(40.0))
+    row = tas_distill(table, mask(3, 4), marker_payload(24.0))
     # no stored tag is a subset, so the message is stored unmodified
-    assert row.tag == frozenset({3, 4})
+    assert row.tag == mask(3, 4)
     assert np.all(row.payload.vec == 24.0)
 
 
@@ -259,26 +260,26 @@ def test_aggregate_walkthrough_and_restart():
     tags = [{0}, {2}, {5}, {1, 6}, {3}, {4, 6}, {1, 4}]
     table = TagTable(owner=0, n_nodes=7, local_payload=marker_payload(val(tags[0])))
     for tag in tags[1:]:
-        table.append(frozenset(tag), marker_payload(val(tag)))
+        table.append(mask(*tag), marker_payload(val(tag)))
 
     first = tas_aggregate(table)
     assert first is not None
     tag1, data1 = first
     # rows 0..4 merge; {4,6} and {1,4} overlap the running tag and are skipped
-    assert tag1 == frozenset({0, 1, 2, 3, 5, 6})
-    assert np.allclose(data1.vec, val(tag1))
+    assert tag1 == mask(0, 1, 2, 3, 5, 6)
+    assert np.allclose(data1.vec, val(nodes(tag1)))
     assert [r.merged for r in table.rows] == [True, True, True, True, True, False, False]
 
     # second message restarts from the first never-merged row ({4,6}) and
     # re-merges every disjoint row from the top
     tag2, data2 = tas_aggregate(table)
-    assert tag2 == frozenset({0, 2, 3, 4, 5, 6})
-    assert np.allclose(data2.vec, val(tag2))
+    assert tag2 == mask(0, 2, 3, 4, 5, 6)
+    assert np.allclose(data2.vec, val(nodes(tag2)))
     assert [r.merged for r in table.rows] == [True, True, True, True, True, True, False]
 
     tag3, data3 = tas_aggregate(table)
-    assert tag3 == frozenset({0, 1, 2, 3, 4, 5})
-    assert np.allclose(data3.vec, val(tag3))
+    assert tag3 == mask(0, 1, 2, 3, 4, 5)
+    assert np.allclose(data3.vec, val(nodes(tag3)))
 
     # everything merged: the node falls silent
     assert tas_aggregate(table) is None
@@ -286,12 +287,12 @@ def test_aggregate_walkthrough_and_restart():
 
 def test_complete_message_requires_disjoint_tags():
     table = TagTable(owner=0, n_nodes=4, local_payload=marker_payload(1.0))
-    table.append(frozenset({1, 2}), marker_payload(6.0))
+    table.append(mask(1, 2), marker_payload(6.0))
     tag, data = _complete_message(table)
-    assert tag == frozenset({0, 1, 2})
+    assert tag == mask(0, 1, 2)
     assert np.all(data.vec == 7.0)
     overlapping = TagTable(owner=0, n_nodes=4, local_payload=marker_payload(1.0))
-    overlapping.append(frozenset({0, 1}), marker_payload(3.0))
+    overlapping.append(mask(0, 1), marker_payload(3.0))
     with pytest.raises(ValueError):
         _complete_message(overlapping)
 
@@ -300,8 +301,8 @@ def test_wrapup_disjoint_covering_table():
     _, samples, signs = make_network(60, 4, graph=complete_graph(4))
     locals_ = [local_aggregate(samples, i, signs.column(i)) for i in range(4)]
     table = TagTable(owner=0, n_nodes=4, local_payload=locals_[0].copy())
-    table.append(frozenset({1}), locals_[1].copy())
-    table.append(frozenset({2, 3}), locals_[2] + locals_[3])
+    table.append(mask(1), locals_[1].copy())
+    table.append(mask(2, 3), locals_[2] + locals_[3])
     weights, agg = tas_wrapup(table)
     assert weights.complete
     assert agg.allclose(batch_aggregate(samples, signs))
@@ -311,8 +312,8 @@ def test_wrapup_overlapping_rows_uses_lp():
     _, samples, signs = make_network(61, 4, graph=complete_graph(4))
     locals_ = [local_aggregate(samples, i, signs.column(i)) for i in range(4)]
     table = TagTable(owner=0, n_nodes=4, local_payload=locals_[0].copy())
-    table.append(frozenset({1, 2}), locals_[1] + locals_[2])
-    table.append(frozenset({2, 3}), locals_[2] + locals_[3])
+    table.append(mask(1, 2), locals_[1] + locals_[2])
+    table.append(mask(2, 3), locals_[2] + locals_[3])
     weights, agg = tas_wrapup(table)
     c = weights.c
     assert c[0] == 1.0
@@ -356,8 +357,8 @@ def same_aggregate(a, b) -> bool:
 
 def overlapping_table(locals_):
     table = TagTable(owner=0, n_nodes=len(locals_), local_payload=locals_[0].copy())
-    table.append(frozenset({1, 2}), locals_[1] + locals_[2])
-    table.append(frozenset({2, 3}), locals_[2] + locals_[3])
+    table.append(mask(1, 2), locals_[1] + locals_[2])
+    table.append(mask(2, 3), locals_[2] + locals_[3])
     return table
 
 
@@ -374,14 +375,14 @@ def test_wrapup_reuses_lp_solution_while_tags_are_unchanged(monkeypatch):
     assert not table._wrapup[1].flags.writeable
 
     # a newly distilled row changes the tag matrix and forces a re-solve
-    assert tas_distill(table, frozenset({0, 3, 4}), locals_[0] + locals_[3] + locals_[4]) is not None
+    assert tas_distill(table, mask(0, 3, 4), locals_[0] + locals_[3] + locals_[4]) is not None
     w3, agg3 = tas_wrapup(table)
     assert len(calls) == 2
     assert w3.c[4] == 1.0
     assert agg3.allclose(truncated_aggregate(samples, signs, w3.c))
 
     # a message with nothing new leaves the tags, and the solution, as they were
-    assert tas_distill(table, frozenset({1, 2}), locals_[1] + locals_[2]) is None
+    assert tas_distill(table, mask(1, 2), locals_[1] + locals_[2]) is None
     tas_wrapup(table)
     assert len(calls) == 2
 
@@ -407,6 +408,7 @@ def test_tas_snapshots_with_reused_solutions_equal_uncached_run(monkeypatch):
     def run():
         calls = count_lp_calls(monkeypatch)
         res = run_tas(graph, samples, signs, rounds=rounds, snapshot_rounds=range(rounds + 1))
+        res.weights  # the final wrap-up runs on first read; count its solves too
         return res, len(calls)
 
     cached, cached_calls = run()
@@ -553,6 +555,18 @@ def test_mf_clustered_matches_formula():
     assert res.traffic.total_scalars == traffic_mf_clustered(20, 4, 2, 2)
 
 
+def test_mf_clustered_reports_the_round_knowledge_completes():
+    # with one cluster, or one node per cluster, every record has arrived after
+    # stage 2; stage 3 still runs, but completion is not moved to it
+    for n_clusters in (1, 20):
+        topo = clustered(20, n_clusters, substream(95, "clusters"))
+        _, samples, _ = make_network(95, 20, graph=topo.graph())
+        res = run_mf_clustered(topo, samples)
+        assert res.known.all() and res.rounds_run == 3
+        assert res.arrival_round.max() == 2
+        assert res.completion_round == 2
+
+
 # ---------------------------------------------------------------------------
 # tagged aggregate sums
 
@@ -591,7 +605,7 @@ def test_tas_tag_sum_consistency():
     for table in res.tables:
         for row in table.rows:
             expected = AggregateSums.zeros(3, 2)
-            for i in row.tag:
+            for i in nodes(row.tag):
                 expected.iadd(locals_[i])
             assert row.payload.allclose(expected, rtol=1e-9, atol=1e-12)
 
@@ -689,6 +703,19 @@ def test_tas_clustered_single_cluster():
 
 # ---------------------------------------------------------------------------
 # consensus
+
+
+def test_metropolis_weights_equal_the_edge_loop():
+    for n in (2, 5, 20, 60):
+        for seed in range(5):
+            graph = random_geometric(n, substream(seed, "metropolis", n))
+            deg = graph.degrees.astype(float)
+            ref = np.zeros((n, n))
+            for i in range(n):
+                for j in graph.neighbors(i):
+                    ref[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
+            np.fill_diagonal(ref, 1.0 - ref.sum(axis=1))
+            assert consensus_weights(graph, "metropolis").tobytes() == ref.tobytes()
 
 
 def test_metropolis_weights_on_path():

@@ -1,11 +1,14 @@
-"""Property test: TAS tag tables against the eager oracle.
+"""Property test: TAS tag tables against the eager set-based oracle.
 
 Distillation, coverage, the tag matrix and the wrap-up set the weights and
 aggregates every TAS node ends with, and the benchmark compares those bit for
-bit. The package must therefore make the same keep/discard decisions as the
-eager oracle, store the same rows with bit-equal payloads, and wrap up to an
-equal c and a bit-equal aggregate after every step, with the same number of
-LP solves.
+bit. The package keeps tags as ``int`` bitmasks, the oracle as frozensets.
+The package must make the same keep/discard decisions as the oracle, store
+the same rows (masks decoded to node sets) with bit-equal payloads, produce
+a byte-equal tag matrix (the LP input and the key of the remembered LP
+solution), and wrap up to an equal c and a bit-equal aggregate after every
+step, with the same number of LP solves. Table sizes include 63, 64, 65, 130
+and 500 nodes, so masks cross 64-bit word and byte boundaries.
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import tas_oracle  # noqa: E402
 from spsnet import diffusion  # noqa: E402
 from spsnet.diffusion import TagTable, tas_distill, tas_wrapup  # noqa: E402
+from tas_oracle import SetTable, mask, nodes  # noqa: E402
 from spsnet.lp import SimplexError  # noqa: E402
 from spsnet.sps import AggregateSums  # noqa: E402
 
@@ -81,11 +85,12 @@ def same_payload(a, b) -> bool:
 
 
 def assert_same_tables(table, oracle):
-    assert [r.tag for r in table.rows] == [r.tag for r in oracle.rows]
+    assert [nodes(r.tag) for r in table.rows] == [r.tag for r in oracle.rows]
     assert all(same_payload(a.payload, b.payload) for a, b in zip(table.rows, oracle.rows))
-    assert table.coverage() == tas_oracle.coverage(oracle)
+    assert nodes(table.coverage()) == tas_oracle.coverage(oracle)
     tags = tas_oracle.tag_matrix(oracle)
-    assert np.array_equal(table.tag_matrix(), tags)
+    got = table.tag_matrix()
+    assert got.dtype == tags.dtype and got.shape == tags.shape and got.tobytes() == tags.tobytes()
     assert table._disjoint == bool(tags.sum(axis=0).max() <= 1)
 
 
@@ -104,7 +109,7 @@ def assert_same_wrapup(table, oracle):
 @st.composite
 def message_streams(draw):
     """A table's owner and size, payload shape, and 1-16 messages of mixed kinds."""
-    n_nodes = draw(st.integers(1, 40))
+    n_nodes = draw(st.integers(1, 40) | st.sampled_from([63, 64, 65, 130, 500]))
     owner = draw(st.integers(0, n_nodes - 1))
     m = draw(st.integers(2, 3))
     n_p = draw(st.integers(1, 3))
@@ -120,18 +125,18 @@ def test_tag_table_steps_match_eager_oracle(stream):
     rng = np.random.default_rng(seed)
     local = random_payload(rng, m, n_p)
     table = TagTable(owner, n_nodes, local.copy())
-    oracle = TagTable(owner, n_nodes, local.copy())
+    oracle = SetTable(owner, n_nodes, local.copy())
     assert_same_wrapup(table, oracle)
     for kind in kinds:
         tag = next_tag(rng, kind, n_nodes, [r.tag for r in oracle.rows])
         payload = random_payload(rng, m, n_p)
         before = payload.copy()
         stored = {r.tag for r in oracle.rows}
-        row = tas_distill(table, tag, payload)
+        row = tas_distill(table, mask(*tag), payload)
         row_ref = tas_oracle.tas_distill(oracle, tag, payload)
         assert (row is None) == (row_ref is None)
         if row is not None:
-            assert row.tag == row_ref.tag and row.tag not in stored
+            assert nodes(row.tag) == row_ref.tag and row_ref.tag not in stored
             assert same_payload(row.payload, row_ref.payload)
         assert same_payload(payload, before)  # the incoming message is never mutated
         assert_same_tables(table, oracle)
@@ -153,12 +158,12 @@ def count_isub(monkeypatch) -> list:
 def test_discarded_message_touches_no_payload(monkeypatch):
     rng = np.random.default_rng(5)
     table = TagTable(0, 6, random_payload(rng, 2, 2))
-    table.append(frozenset({1, 2}), random_payload(rng, 2, 2))
+    table.append(mask(1, 2), random_payload(rng, 2, 2))
     calls = count_isub(monkeypatch)
-    assert tas_distill(table, frozenset({0, 1, 2}), random_payload(rng, 2, 2)) is None
+    assert tas_distill(table, mask(0, 1, 2), random_payload(rng, 2, 2)) is None
     assert calls == []
-    row = tas_distill(table, frozenset({0, 1, 2, 5}), random_payload(rng, 2, 2))
-    assert row.tag == frozenset({5})
+    row = tas_distill(table, mask(0, 1, 2, 5), random_payload(rng, 2, 2))
+    assert row.tag == mask(5)
     assert len(calls) == 2  # both stored rows, in insertion order
 
 
@@ -166,13 +171,13 @@ def test_table_that_becomes_overlapping_matches_oracle():
     rng = np.random.default_rng(11)
     local = random_payload(rng, 3, 2)
     table = TagTable(2, 7, local.copy())
-    oracle = TagTable(2, 7, local.copy())
+    oracle = SetTable(2, 7, local.copy())
     steps = [frozenset({0, 1}), frozenset({3}), frozenset({1, 4}), frozenset({4, 5, 6}), frozenset({0, 6})]
     disjoint = [True, True, False, False, False]
     solves = []
     for tag, flag in zip(steps, disjoint):
         payload = random_payload(rng, 3, 2)
-        table.append(tag, payload.copy())
+        table.append(mask(*tag), payload.copy())
         oracle.append(tag, payload.copy())
         assert table._disjoint is flag
         assert_same_tables(table, oracle)
@@ -183,8 +188,12 @@ def test_table_that_becomes_overlapping_matches_oracle():
 
 
 def test_tag_table_rejects_unknown_node_ids():
-    table = TagTable(0, 4, AggregateSums.zeros(2, 1))
-    for bad in ({-1}, {4}, {1, 9}):
-        with pytest.raises(ValueError):
-            table.append(frozenset(bad), AggregateSums.zeros(2, 1))
-    assert table.coverage() == frozenset({0}) and table._disjoint
+    for n_nodes in (4, 8, 64, 65):
+        table = TagTable(0, n_nodes, AggregateSums.zeros(2, 1))
+        # empty, negative, and masks with a bit at or above n_nodes
+        for bad in (0, -1, -(1 << 2), 1 << n_nodes, mask(1, n_nodes + 5), (1 << (n_nodes + 1)) - 1):
+            with pytest.raises(ValueError):
+                table.append(bad, AggregateSums.zeros(2, 1))
+        assert table.coverage() == mask(0) and table._disjoint and len(table.rows) == 1
+        table.append((1 << n_nodes) - 2, AggregateSums.zeros(2, 1))  # every other node: accepted
+        assert table.coverage() == (1 << n_nodes) - 1 and table._disjoint
