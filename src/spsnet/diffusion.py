@@ -158,6 +158,14 @@ def _unpack(masks, n_nodes: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=n_nodes, bitorder="little")
 
 
+def _mask_of(ids) -> int:
+    """Bitmask of a collection of node ids (a negative id raises ValueError)."""
+    tag = 0
+    for i in ids:
+        tag |= 1 << int(i)
+    return tag
+
+
 class TagTable:
     """A node's insertion-ordered store of tagged rows.
 
@@ -167,7 +175,8 @@ class TagTable:
     rows have already been merged into an outgoing aggregate so later
     aggregation phases can start from fresh content. Rows are added only
     through ``append``, which also keeps the mask of covered nodes and
-    whether the stored tags are pairwise disjoint.
+    whether the stored tags are pairwise disjoint. ``append`` also takes a
+    collection of node ids and stores its mask.
     """
 
     def __init__(self, owner: int, n_nodes: int, local_payload):
@@ -181,7 +190,9 @@ class TagTable:
         self._disjoint = True
         self._wrapup: tuple[bytes, np.ndarray | None] = (b"", None)  # last (tag matrix bytes, b)
 
-    def append(self, tag: int, payload) -> TagRow:
+    def append(self, tag, payload) -> TagRow:
+        if not isinstance(tag, int):
+            tag = _mask_of(tag)
         if tag <= 0:
             raise ValueError("a tag must name at least one node")
         if tag >> self.n_nodes:
@@ -461,7 +472,7 @@ class TasResult:
     traffic: TrafficLog
     rounds_run: int
     snapshots: dict[int, tuple[np.ndarray, list[AggregateSums]]] = field(default_factory=dict)
-    wrapup_nodes: list[int] | None = None
+    wrapup_nodes: tuple[int, ...] | None = None
 
     @cached_property
     def _final(self) -> tuple[np.ndarray, list[AggregateSums | None], np.ndarray]:
@@ -517,6 +528,10 @@ def _tas(protocol: str, graph: Graph, stages, steps, samples, signs: SignMatrix,
     wrap-up is left to the result, which runs it on first read.
     """
     n = graph.n_nodes
+    if wrapup_nodes is not None:
+        wrapup_nodes = tuple(int(k) for k in wrapup_nodes)
+        if not all(0 <= k < n for k in wrapup_nodes):
+            raise ValueError("wrapup_nodes must be valid node ids")
     tables = _local_tables(samples, signs, n)
     _, d_agg = payload_sizes(samples.n_p, signs.m)
     traffic = TrafficLog(protocol, n)

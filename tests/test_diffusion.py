@@ -648,6 +648,18 @@ def test_tas_snapshots_wrap_up_requested_nodes():
     assert aggs_end[5].allclose(res.aggregates[5])
 
 
+def test_tas_checks_and_freezes_wrapup_nodes_at_run_time():
+    graph, samples, signs = make_network(110, 9, m=3)
+    for bad in ([9], [-1], [2, 12]):
+        with pytest.raises(ValueError):
+            run_tas(graph, samples, signs, rounds=1, wrapup_nodes=bad)
+    wanted = [2, 5]
+    res = run_tas(graph, samples, signs, rounds=1, wrapup_nodes=wanted)
+    wanted.append(3)  # a later change to the caller's list is not seen
+    assert res.wrapup_nodes == (2, 5)
+    assert [k for k in range(9) if res.aggregates[k] is not None] == [2, 5]
+
+
 def test_tas_tree_hand_trace_and_formula():
     _, samples, signs = make_network(111, 4, graph=complete_graph(4))
     tree = TreeTopology(parent=np.array([-1, 0, 0, 1]))

@@ -197,3 +197,18 @@ def test_tag_table_rejects_unknown_node_ids():
         assert table.coverage() == mask(0) and table._disjoint and len(table.rows) == 1
         table.append((1 << n_nodes) - 2, AggregateSums.zeros(2, 1))  # every other node: accepted
         assert table.coverage() == (1 << n_nodes) - 1 and table._disjoint
+
+
+def test_tag_table_stores_a_collection_of_node_ids_as_its_mask():
+    for n_nodes in (4, 64, 65, 130):
+        table = TagTable(0, n_nodes, AggregateSums.zeros(2, 1))
+        ids = [1, n_nodes - 1]
+        row = table.append(frozenset(ids), AggregateSums.zeros(2, 1))
+        assert type(row.tag) is int and row.tag == mask(*ids)
+        assert table.append(np.array([2]), AggregateSums.zeros(2, 1)).tag == mask(2)
+        with pytest.raises(ValueError):
+            table.append(ids, AggregateSums.zeros(2, 1))  # the same tag again
+        for bad in ([], [-1], [n_nodes], {1, n_nodes + 3}):
+            with pytest.raises(ValueError):
+                table.append(bad, AggregateSums.zeros(2, 1))
+        assert table.coverage() == mask(0, 1, 2, n_nodes - 1)
