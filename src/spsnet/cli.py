@@ -3,7 +3,7 @@
 Subcommands:
 
     topology         generate a deployment and dump it as JSON (+ DOT)
-    diffuse          run one diffusion protocol, write the traffic log
+    diffuse          run one protocol, write the traffic log
     region           evaluate one confidence region, write JSON + CSV summary
     coverage         Monte Carlo coverage of the true parameter
     tradeoff         averaged volume-versus-traffic curves per protocol
@@ -26,27 +26,16 @@ import sys
 import jsonschema
 
 from .analysis import compare
-from .diffusion import (
-    run_consensus,
-    run_mf,
-    run_mf_clustered,
-    run_mf_tree,
-    run_pf,
-    run_tas,
-    run_tas_clustered,
-    run_tas_tree,
-)
 from .experiments import (
+    PROTOCOLS,
     ExperimentConfig,
     build_topology,
     run_coverage,
     run_region,
     run_success_rate,
     run_tradeoff,
+    simulate,
 )
-from .model import generate_measurements
-from .rng import derive_seed, substream
-from .sps import draw_sign_matrix
 from .topology import diameter, save_topology
 
 
@@ -77,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_topology)
 
     p = sub.add_parser("diffuse", parents=[common, topo_flags],
-                       help="run one diffusion protocol and write the traffic log")
-    p.add_argument("--protocol", choices=("pf", "mf", "tas", "consensus"))
+                       help="run one protocol and write the traffic log")
+    p.add_argument("--protocol", choices=tuple(PROTOCOLS))
     p.add_argument("--rounds", type=int)
     p.add_argument("--iterations", type=int)
     p.add_argument("--scheme", choices=("metropolis", "perron"))
@@ -91,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", parents=[common],
                        help="Monte Carlo coverage of the true parameter")
     p.add_argument("--trials", type=int)
-    p.add_argument("--protocol", choices=("full", "local", "pf", "mf", "tas", "consensus"))
+    p.add_argument("--protocol", choices=tuple(PROTOCOLS))
     p.add_argument("--all-nodes", action="store_true", dest="all_nodes",
                    help="evaluate membership at every node, not just the designated one")
     p.set_defaults(func=_cmd_coverage)
@@ -182,7 +171,8 @@ def _cmd_topology(args) -> int:
     save_topology(obj, os.path.join(out, "topology.json"),
                   dot_path=os.path.join(out, "topology.dot"))
     g = bundle.graph
-    print(f"kind={bundle.kind} n_nodes={g.n_nodes} edges={len(g.edges)} diameter={diameter(g)}")
+    radius = "" if bundle.radius is None else f" radius={bundle.radius}"
+    print(f"kind={bundle.kind} n_nodes={g.n_nodes} edges={len(g.edges)} diameter={diameter(g)}{radius}")
     return 0
 
 
@@ -194,44 +184,10 @@ def _cmd_diffuse(args) -> int:
         (("diffusion", "scheme"), args.scheme),
     ]
     config = _load_config(args, overrides)
-    seed = config.seed
-    bundle = build_topology(seed, config.topology())
-    fc = config.field_config()
-    m, _ = config.sps_params()
-    diff = config.diffusion()
-    protocol = diff["protocol"]
-    n = bundle.graph.n_nodes
-    samples = generate_measurements(bundle.positions, fc, substream(seed, "noise", 0))
-    signs = draw_sign_matrix(m, n, derive_seed(seed, "signs", 0))
-
-    if protocol == "pf":
-        res = run_pf(bundle.graph, samples, max_rounds=diff["rounds"])
-        extra = f"full_knowledge_round={res.full_knowledge_round}"
-    elif protocol == "mf":
-        if bundle.tree is not None:
-            res = run_mf_tree(bundle.tree, samples)
-        elif bundle.clusters is not None:
-            res = run_mf_clustered(bundle.clusters, samples)
-        else:
-            res = run_mf(bundle.graph, samples, max_rounds=diff["rounds"])
-        extra = f"completion_round={res.completion_round}"
-    elif protocol == "tas":
-        if bundle.tree is not None:
-            res = run_tas_tree(bundle.tree, samples, signs)
-        elif bundle.clusters is not None:
-            res = run_tas_clustered(bundle.clusters, samples, signs)
-        else:
-            res = run_tas(bundle.graph, samples, signs, rounds=diff["rounds"])
-        extra = f"complete_nodes={int(res.complete.sum())}"
-    elif protocol == "consensus":
-        res = run_consensus(bundle.graph, samples, signs,
-                            iterations=diff["iterations"], scheme=diff["scheme"])
-        extra = f"scheme={diff['scheme']}"
-    else:
-        raise ValueError(f"diffuse does not support protocol {protocol!r}")
-
+    run = simulate(config)
     out = _out_dir(config)
-    traffic = res.traffic
+    traffic = run.traffic
+    n = traffic.n_nodes
     if args.format == "json":
         path = os.path.join(out, "traffic.json")
         payload = {
@@ -247,8 +203,9 @@ def _cmd_diffuse(args) -> int:
         path = os.path.join(out, "traffic.csv")
         traffic.to_csv(path)
     per_node_mean = traffic.total_scalars / n
+    complete_nodes = int((run.weights == 1.0).all(axis=1).sum())
     print(f"protocol={traffic.protocol} n_nodes={n} total_scalars={traffic.total_scalars} "
-          f"per_node_mean={per_node_mean:.6g} {extra}")
+          f"per_node_mean={per_node_mean:.6g} rounds={run.rounds} complete_nodes={complete_nodes}")
     print(f"wrote {path}")
     return 0
 

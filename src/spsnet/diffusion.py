@@ -327,14 +327,6 @@ def tas_wrapup(table: TagTable) -> tuple[WrapUpWeights, AggregateSums]:
 
 
 @dataclass(eq=False)
-class PfResult:
-    known: np.ndarray
-    traffic: TrafficLog
-    rounds_run: int
-    full_knowledge_round: int | None
-
-
-@dataclass(eq=False)
 class MfResult:
     known: np.ndarray
     transmitted: np.ndarray
@@ -343,10 +335,6 @@ class MfResult:
     rounds_run: int
     completion_round: int | None
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def weights(self, k: int) -> np.ndarray:
-        """Binary contribution weights at node k: 1 for each known record."""
-        return self.known[k].astype(float)
 
 
 def _flood(protocol: str, graph: Graph, stages, samples, plain=False, until_quiet=False,
@@ -399,18 +387,17 @@ def _every_node(graph: Graph, rounds: int) -> list[np.ndarray]:
     return [np.arange(graph.n_nodes)] * rounds
 
 
-def run_pf(graph: Graph, samples, max_rounds: int | None = None) -> PfResult:
+def run_pf(graph: Graph, samples, max_rounds: int | None = None) -> MfResult:
     """Plain flooding: every node rebroadcasts everything it knows each round.
 
     Stops after the first round that adds no knowledge anywhere (or at
     ``max_rounds``); the round at which knowledge first became complete
-    everywhere is reported separately. Traffic dominates modified flooding
+    everywhere is ``completion_round``. Traffic dominates modified flooding
     round by round because the transmitted set always contains the rows MF
     would send.
     """
     cap = max_rounds if max_rounds is not None else graph.n_nodes + 2
-    res = _flood("pf", graph, _every_node(graph, cap), samples, plain=True, until_quiet=True)
-    return PfResult(res.known, res.traffic, res.rounds_run, res.completion_round)
+    return _flood("pf", graph, _every_node(graph, cap), samples, plain=True, until_quiet=True)
 
 
 def run_mf(
@@ -583,19 +570,21 @@ def run_tas(
                 snapshot_rounds=snapshot_rounds, wrapup_nodes=wrapup_nodes)
 
 
-def run_tas_tree(tree: TreeTopology, samples, signs: SignMatrix) -> TasResult:
+def run_tas_tree(tree: TreeTopology, samples, signs: SignMatrix, wrapup_nodes=None) -> TasResult:
     """TAS on a rooted tree along ``tree.stages()``.
 
     In the forward sweep each node merges its subtree into a single message;
     in the backward sweep the complete aggregate flows down. Every node
     finishes with weights all one, and the scalar totals hit the census
-    formula exactly.
+    formula exactly. ``wrapup_nodes`` is as in ``run_tas``.
     """
     stages = tree.stages()
-    return _tas("tas-tree", tree.graph(), stages, [tas_aggregate] * len(stages), samples, signs)
+    return _tas("tas-tree", tree.graph(), stages, [tas_aggregate] * len(stages), samples, signs,
+                wrapup_nodes=wrapup_nodes)
 
 
-def run_tas_clustered(topo: ClusteredTopology, samples, signs: SignMatrix) -> TasResult:
+def run_tas_clustered(topo: ClusteredTopology, samples, signs: SignMatrix,
+                      wrapup_nodes=None) -> TasResult:
     """TAS on a clustered topology along ``topo.stages()``.
 
     Members send their local row to their head; heads broadcast their cluster
@@ -603,9 +592,11 @@ def run_tas_clustered(topo: ClusteredTopology, samples, signs: SignMatrix) -> Ta
     the complete aggregate to their cluster. The final stage transmits
     unconditionally, so the totals are (N + n_c) aggregate payloads even for
     a single cluster, where the last broadcast repeats the mesh one.
+    ``wrapup_nodes`` is as in ``run_tas``.
     """
     return _tas("tas-clustered", topo.graph(), topo.stages(),
-                [_local_row, tas_aggregate, _aggregate_or_complete], samples, signs)
+                [_local_row, tas_aggregate, _aggregate_or_complete], samples, signs,
+                wrapup_nodes=wrapup_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 
@@ -22,17 +24,21 @@ import numpy as np
 
 from .analysis import traffic_mf_tree, traffic_tas_tree
 from .diffusion import (
+    TrafficLog,
     payload_sizes,
     run_consensus,
     run_mf,
+    run_mf_clustered,
     run_mf_tree,
     run_pf,
     run_tas,
+    run_tas_clustered,
     run_tas_tree,
 )
 from .model import FieldConfig, NoiseSpec, Samples, generate_measurements
 from .rng import derive_seed, substream
 from .sps import (
+    AggregateSums,
     RegionResult,
     SignMatrix,
     batch_aggregate,
@@ -122,11 +128,6 @@ class ExperimentConfig:
         if "seed" not in raw:
             raise ValueError("config must set a seed")
         self.raw = copy.deepcopy(raw)
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls(json.load(fh))
 
     @property
     def config_hash(self) -> str:
@@ -250,6 +251,7 @@ class TopologyBundle:
     tree: object | None
     clusters: object | None
     positions: np.ndarray
+    radius: float | None = None  # the broadcast radius of a random deployment
 
 
 def build_topology(seed: int, tcfg: dict) -> TopologyBundle:
@@ -263,11 +265,11 @@ def build_topology(seed: int, tcfg: dict) -> TopologyBundle:
     n = int(tcfg["n_nodes"])
     if kind == "rgg":
         g = random_geometric(n, substream(seed, "topology"), radius=tcfg.get("radius"))
-        return TopologyBundle(kind, g, None, None, g.positions)
+        return TopologyBundle(kind, g, None, None, g.positions, g.radius)
     if kind == "tree":
         g = random_geometric(n, substream(seed, "topology"), radius=tcfg.get("radius"))
         tree = spanning_tree(g)
-        return TopologyBundle(kind, tree.graph(), tree, None, g.positions)
+        return TopologyBundle(kind, tree.graph(), tree, None, g.positions, g.radius)
     positions = substream(seed, "positions").uniform(0.0, 1.0, size=(n, 2))
     if kind == "complete":
         adj = ~np.eye(n, dtype=bool)
@@ -285,61 +287,124 @@ def build_topology(seed: int, tcfg: dict) -> TopologyBundle:
 
 
 # ---------------------------------------------------------------------------
+# the protocol table: what each protocol hands the SPS test
+
+
+@dataclass(eq=False)
+class ProtocolRun:
+    """One protocol run as the SPS test sees it: row k of ``weights`` is node
+    k's weight vector c, ``aggregate(k)`` builds node k's c-weighted aggregate
+    sums on demand, and ``traffic`` is empty for ``full`` and ``local``."""
+
+    weights: np.ndarray
+    aggregate: Callable[[int], AggregateSums]
+    rounds: int
+    traffic: TrafficLog
+
+
+def _full(bundle, samples, signs, diff, nodes):
+    n = bundle.graph.n_nodes
+    agg = functools.cache(lambda: batch_aggregate(samples, signs))
+    return ProtocolRun(np.ones((n, n)), lambda k: agg(), 0, TrafficLog("full", n))
+
+
+def _local(bundle, samples, signs, diff, nodes):
+    n = bundle.graph.n_nodes
+    return ProtocolRun(np.eye(n), lambda k: local_aggregate(samples, k, signs.column(k)), 0,
+                       TrafficLog("local", n))
+
+
+def _knowledge(res, samples, signs):
+    weights = res.known.astype(float)
+    return ProtocolRun(weights, lambda k: truncated_aggregate(samples, signs, weights[k]),
+                       res.rounds_run, res.traffic)
+
+
+def _pf(bundle, samples, signs, diff, nodes):
+    return _knowledge(run_pf(bundle.graph, samples, max_rounds=diff["rounds"]), samples, signs)
+
+
+def _mf(bundle, samples, signs, diff, nodes):
+    if bundle.tree is not None:
+        res = run_mf_tree(bundle.tree, samples)
+    elif bundle.clusters is not None:
+        res = run_mf_clustered(bundle.clusters, samples)
+    else:
+        res = run_mf(bundle.graph, samples, max_rounds=diff["rounds"])
+    return _knowledge(res, samples, signs)
+
+
+def _tas(bundle, samples, signs, diff, nodes):
+    if bundle.tree is not None:
+        res = run_tas_tree(bundle.tree, samples, signs, wrapup_nodes=nodes)
+    elif bundle.clusters is not None:
+        res = run_tas_clustered(bundle.clusters, samples, signs, wrapup_nodes=nodes)
+    else:
+        res = run_tas(bundle.graph, samples, signs, rounds=diff["rounds"], wrapup_nodes=nodes)
+    return ProtocolRun(res.weights, lambda k: res.aggregates[k], res.rounds_run, res.traffic)
+
+
+def _consensus(bundle, samples, signs, diff, nodes):
+    res = run_consensus(bundle.graph, samples, signs, iterations=diff["iterations"], scheme=diff["scheme"])
+    return ProtocolRun(res.effective_weights(), res.state, res.iterations, res.traffic)
+
+
+# Entries look their runners up by module-level name at call time, so a
+# patched module binding (as a tracer installs) reaches every protocol.
+PROTOCOLS = {"full": _full, "local": _local, "pf": _pf, "mf": _mf, "tas": _tas, "consensus": _consensus}
+
+
+def run_protocol(bundle: TopologyBundle, samples: Samples, signs: SignMatrix, diff: dict,
+                 nodes=None) -> ProtocolRun:
+    """Run the protocol ``diff["protocol"]`` names on one data draw.
+
+    On tree and binary bundles MF and TAS run the tree's schedule, on
+    clustered bundles the clusters' one, and ``diffusion.rounds`` is ignored.
+    Every other case runs the general-graph runner. TAS wraps up only
+    ``nodes`` (every node when None); its other rows of ``weights`` are zero.
+    """
+    protocol = diff["protocol"]
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if nodes is not None and any(not 0 <= k < bundle.graph.n_nodes for k in nodes):
+        raise ValueError("designated node is out of range")
+    return PROTOCOLS[protocol](bundle, samples, signs, diff, nodes)
+
+
+def simulate(config: ExperimentConfig, nodes=None) -> ProtocolRun:
+    """The configured protocol on the data of coverage trial 0, as the
+    ``region`` and ``diffuse`` subcommands run it."""
+    seed = config.seed
+    bundle = build_topology(seed, config.topology())
+    samples = generate_measurements(bundle.positions, config.field_config(), substream(seed, "noise", 0))
+    signs = draw_sign_matrix(config.sps_params()[0], bundle.graph.n_nodes, derive_seed(seed, "signs", 0))
+    return run_protocol(bundle, samples, signs, config.diffusion(), nodes)
+
+
+# ---------------------------------------------------------------------------
 # coverage Monte Carlo
 
 
-def _trial_state(protocol, graph, samples, signs, diff, nodes):
-    """One trial's per-node (weights, aggregate) plus run metadata."""
-    n = graph.n_nodes
-    if protocol == "full":
-        agg = batch_aggregate(samples, signs)
-        ones = np.ones(n)
-        return {k: (ones, agg) for k in nodes}, 0, None
-    if protocol == "local":
-        out = {}
-        for k in nodes:
-            c = np.zeros(n)
-            c[k] = 1.0
-            out[k] = (c, local_aggregate(samples, k, signs.column(k)))
-        return out, 0, None
-    if protocol in ("pf", "mf"):
-        res = (run_pf if protocol == "pf" else run_mf)(graph, samples, max_rounds=diff["rounds"])
-        out = {}
-        for k in nodes:
-            c = res.known[k].astype(float)
-            out[k] = (c, truncated_aggregate(samples, signs, c))
-        return out, res.rounds_run, res.traffic
-    if protocol == "tas":
-        res = run_tas(graph, samples, signs, rounds=diff["rounds"], wrapup_nodes=nodes)
-        out = {k: (res.weights[k], res.aggregates[k]) for k in nodes}
-        return out, res.rounds_run, res.traffic
-    if protocol == "consensus":
-        res = run_consensus(graph, samples, signs, iterations=diff["iterations"], scheme=diff["scheme"])
-        eff = res.effective_weights()
-        out = {k: (np.clip(eff[k], 0.0, 1.0), res.state(k)) for k in nodes}
-        return out, res.iterations, res.traffic
-    raise ValueError(f"unknown protocol {protocol!r}")
+def _region_volume(agg, region, q, tie_seed) -> float:
+    res = evaluate_region(agg, region["box"], region["grid_per_dim"], q, tie_seed=tie_seed)
+    return float(res.volume)
 
 
 def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
     """Monte Carlo estimate of the confidence region's coverage of p_true.
 
     Each trial redraws noise and signs (topology and regressors stay fixed),
-    runs the configured diffusion, and tests membership of the true parameter
+    runs the configured protocol, and tests membership of the true parameter
     at the designated node (all nodes with ``all_nodes``). Region volumes are
     evaluated per row only when the region section asks for it.
     """
     seed = config.seed
     bundle = build_topology(seed, config.topology())
-    graph = bundle.graph
-    n = graph.n_nodes
+    n = bundle.graph.n_nodes
     fc = config.field_config()
     m, q = config.sps_params()
     diff = config.diffusion()
-    protocol = diff["protocol"]
     nodes = list(range(n)) if config.all_nodes else [config.node]
-    if any(not 0 <= k < n for k in nodes):
-        raise ValueError("designated node is out of range")
     region = config.region_params(fc.p_true)
 
     rows = []
@@ -347,22 +412,16 @@ def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
     for trial in range(config.trials):
         samples = generate_measurements(bundle.positions, fc, substream(seed, "noise", trial))
         signs = draw_sign_matrix(m, n, derive_seed(seed, "signs", trial))
-        state, rounds_done, traffic = _trial_state(protocol, graph, samples, signs, diff, nodes)
-        per_node = traffic.per_node_totals if traffic is not None else np.zeros(n, dtype=np.int64)
+        run = run_protocol(bundle, samples, signs, diff, nodes)
+        per_node = run.traffic.per_node_totals
         for k in nodes:
-            c, agg = state[k]
+            c, agg = run.weights[k], run.aggregate(k)
             covers = membership(z_values(agg, fc.p_true), q, substream(seed, "ties", trial, k))
             covers_by_node[k] += covers
-            if region["evaluate"]:
-                res = evaluate_region(
-                    agg, region["box"], region["grid_per_dim"], q,
-                    tie_seed=derive_seed(seed, "region-ties", trial, k),
-                )
-                volume = float(res.volume)
-            else:
-                volume = ""
+            volume = (_region_volume(agg, region, q, derive_seed(seed, "region-ties", trial, k))
+                      if region["evaluate"] else "")
             rows.append((
-                trial, k, int(rounds_done), int(per_node[k]), volume, int(covers),
+                trial, k, int(run.rounds), int(per_node[k]), volume, int(covers),
                 float(np.min(c)), float(np.mean(c)), float(np.max(c)),
             ))
 
@@ -371,7 +430,7 @@ def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
     designated = config.node if config.node in rates else nodes[0]
     lo, hi = wilson_interval(covers_by_node[designated], trials)
     summary = {
-        "protocol": protocol,
+        "protocol": diff["protocol"],
         "trials": trials,
         "node": designated,
         "coverage": rates[designated],
@@ -404,11 +463,6 @@ def _consensus_checkpoints(limit: int) -> list[int]:
         t = min(limit, max(t + 1, int(t * 1.3)))
         ts.add(t)
     return sorted(ts)
-
-
-def _region_volume(agg, region, q, tie_seed) -> float:
-    res = evaluate_region(agg, region["box"], region["grid_per_dim"], q, tie_seed=tie_seed)
-    return float(res.volume)
 
 
 def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
@@ -670,14 +724,10 @@ def run_region(config: ExperimentConfig) -> tuple[RegionResult, dict]:
         m = signs.m
         meta = {"source": "data", "n_nodes": len(samples)}
     else:
-        fc = config.field_config()
-        bundle = build_topology(seed, config.topology())
-        samples = generate_measurements(bundle.positions, fc, substream(seed, "noise", 0))
-        signs = draw_sign_matrix(m, bundle.graph.n_nodes, derive_seed(seed, "signs", 0))
-        diff = config.diffusion()
-        state, _, _ = _trial_state(diff["protocol"], bundle.graph, samples, signs, diff, [config.node])
-        _, agg = state[config.node]
-        meta = {"source": "simulation", "n_nodes": bundle.graph.n_nodes, "protocol": diff["protocol"]}
+        run = simulate(config, [config.node])
+        agg = run.aggregate(config.node)
+        meta = {"source": "simulation", "n_nodes": run.traffic.n_nodes,
+                "protocol": config.diffusion()["protocol"]}
     region = config.region_params()
     box = region["box"]
     if box is None:

@@ -5,16 +5,18 @@ row is all +1, define for a candidate parameter p
 
     S_j(p) = sum_i c_i * A[j, i] * phi_i * (y_i - phi_i . p),    Z_j(p) = ||S_j(p)||^2
 
-with per-node weights c_i in [0, 1] (all ones for complete data). The region
-keeps the points p where Z_0 is not among the q largest of the m values, with
-ties broken uniformly at random. For the true parameter the residuals reduce
-to symmetric noise, making each ordering of the Z values equally likely, so
+with per-node weights c_i (all ones for complete data). The region keeps the
+points p where Z_0 is not among the q largest of the m values, with ties
+broken uniformly at random. For the true parameter the residuals reduce to
+symmetric noise, making each ordering of the Z values equally likely, so
 
     Prob(p_true in region) = 1 - q/m        exactly,
 
-for any fixed weight vector, any sample size and any noise symmetric about
-zero. The aggregate sums S_j are linear in per-node terms, which is what lets
-diffusion protocols assemble them from partial information.
+for any fixed weights that do not depend on the data, any sample size and any
+noise symmetric about zero. The aggregate sums S_j are linear in per-node
+terms, which is what lets diffusion protocols assemble them from partial
+information. Flooding knowledge gives 0/1 weights and the TAS wrap-up keeps
+them in [0, 1]; consensus weights N * W^t can exceed 1.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ import numpy as np
 
 from spsnet.diffusion import (
     MfResult,
-    PfResult,
     TagTable,
     TrafficLog,
     _check_samples,
@@ -32,6 +31,16 @@ from spsnet.diffusion import (
 )
 from spsnet.sps import AggregateSums, SignMatrix
 from spsnet.topology import ClusteredTopology, Graph, TreeTopology, diameter
+
+
+@dataclass(eq=False)
+class PfResult:
+    """A PF run as the package first reported it."""
+
+    known: np.ndarray
+    traffic: TrafficLog
+    rounds_run: int
+    full_knowledge_round: int | None
 
 
 @dataclass(eq=False)

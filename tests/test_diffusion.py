@@ -431,7 +431,7 @@ def test_pf_complete_graph_trace():
     graph, samples, signs = make_network(70, 5, graph=complete_graph(5))
     d_rec, _ = payload_sizes(2, 2)
     res = run_pf(graph, samples)
-    assert res.full_knowledge_round == 1
+    assert res.completion_round == 1
     assert res.rounds_run == 2  # one extra round to observe no growth
     # round 1: 5 own records; round 2: everyone rebroadcasts all 5
     assert round_totals(res.traffic) == {1: 5 * d_rec, 2: 25 * d_rec}
@@ -442,7 +442,7 @@ def test_pf_path_trace():
     graph, samples, signs = make_network(71, 3, graph=path_graph(3))
     d_rec, _ = payload_sizes(2, 2)
     res = run_pf(graph, samples)
-    assert res.full_knowledge_round == 2
+    assert res.completion_round == 2
     assert res.traffic.total_scalars == 19 * d_rec
     assert round_totals(res.traffic) == {1: 3 * d_rec, 2: 7 * d_rec, 3: 9 * d_rec}
 
@@ -494,7 +494,7 @@ def test_pf_dominates_mf_and_both_complete_at_diameter():
         pf = run_pf(graph, samples)
         mf = run_mf(graph, samples)
         d = diameter(graph)
-        assert pf.full_knowledge_round == d
+        assert pf.completion_round == d
         assert mf.completion_round == d
         assert pf.traffic.total_scalars >= mf.traffic.total_scalars
         assert np.all(pf.traffic.per_node_totals >= mf.traffic.per_node_totals)
@@ -515,7 +515,6 @@ def test_mf_snapshots_and_arrival_rounds():
     assert np.all(res.arrival_round[res.known] >= 0)
     assert np.all(np.diag(res.arrival_round) == 0)
     assert res.known[3].all()
-    assert np.array_equal(res.weights(3), np.ones(12))
 
 
 def test_mf_tree_hand_traces():

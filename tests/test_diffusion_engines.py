@@ -64,8 +64,8 @@ def assert_same_flooding(res, ref):
     assert_same_log(res.traffic, ref.traffic)
     assert np.array_equal(res.known, ref.known)
     assert res.rounds_run == ref.rounds_run
-    if isinstance(ref, diffusion.PfResult):
-        assert res.full_knowledge_round == ref.full_knowledge_round
+    if isinstance(ref, oracle.PfResult):
+        assert res.completion_round == ref.full_knowledge_round
         return
     assert np.array_equal(res.transmitted, ref.transmitted)
     assert np.array_equal(res.arrival_round, ref.arrival_round)

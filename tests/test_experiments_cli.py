@@ -17,6 +17,7 @@ from spsnet.experiments import (
     validate_config,
     wilson_interval,
 )
+from spsnet.topology import comm_radius
 
 
 def test_config_schema_validation():
@@ -152,6 +153,16 @@ def test_run_region_simulation_default_box():
     assert 0.0 <= result.volume <= 4.0
 
 
+@pytest.mark.parametrize("protocol", ["full", "local", "tas"])
+def test_designated_node_out_of_range_is_rejected(protocol):
+    cfg = ExperimentConfig({"seed": 5, "node": 20, "trials": 2, "topology": {"kind": "rgg", "n_nodes": 20},
+                            "diffusion": {"protocol": protocol}})
+    with pytest.raises(ValueError, match="designated node is out of range"):
+        run_region(cfg)
+    with pytest.raises(ValueError, match="designated node is out of range"):
+        run_coverage(cfg)
+
+
 def test_run_success_rate_smoke():
     cfg = ExperimentConfig({
         "seed": 13,
@@ -231,6 +242,46 @@ def test_cli_diffuse_consensus_json(tmp_path, capsys):
     payload = json.loads((tmp_path / "traffic.json").read_text())
     assert payload["total_scalars"] == 3 * 8 * 50
     assert payload["rounds"] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("protocol", [None, "local"])  # None: the default config's "full"
+def test_cli_diffuse_protocols_that_send_nothing(tmp_path, capsys, protocol):
+    argv = ["diffuse", "--seed", "1", "--out", str(tmp_path)]
+    rc = main(argv if protocol is None else argv + ["--protocol", protocol])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert f"protocol={protocol or 'full'} " in out
+    assert "total_scalars=0 " in out and "rounds=0 " in out
+    assert f"complete_nodes={0 if protocol == 'local' else 20}" in out
+    assert (tmp_path / "traffic.csv").read_text().splitlines() == [
+        "protocol,round,node_id,scalars_sent,cumulative_scalars,tag_bits"]
+
+    rc = main(argv + ["--format", "json"] + ([] if protocol is None else ["--protocol", protocol]))
+    assert rc == 0
+    payload = json.loads((tmp_path / "traffic.json").read_text())
+    assert payload["rounds"] == [] and payload["total_scalars"] == 0
+
+
+def test_cli_diffuse_reports_rounds_and_complete_nodes(tmp_path, capsys):
+    rc = main(["diffuse", "--seed", "2", "--kind", "clustered", "--n-nodes", "20", "--n-clusters", "1",
+               "--protocol", "mf", "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "protocol=mf-clustered " in out
+    assert "rounds=3 complete_nodes=20" in out
+
+
+def test_cli_topology_prints_the_deployment_radius(tmp_path, capsys):
+    for kind in ("rgg", "tree"):
+        assert main(["topology", "--seed", "5", "--kind", kind, "--n-nodes", "12",
+                     "--out", str(tmp_path)]) == 0
+        assert f" radius={comm_radius(12)!r}" in capsys.readouterr().out
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 5, "topology": {"kind": "tree", "n_nodes": 12, "radius": 0.75}}))
+    assert main(["topology", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(" radius=0.75")
+    assert main(["topology", "--seed", "5", "--kind", "binary", "--depth", "2", "--out", str(tmp_path)]) == 0
+    assert "radius=" not in capsys.readouterr().out
 
 
 def test_cli_region_hand_example(tmp_path, capsys):

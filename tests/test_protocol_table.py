@@ -1,0 +1,183 @@
+"""The protocol table: one dispatch hands the SPS test weights, aggregates,
+rounds and traffic for every protocol on every topology kind.
+
+The contract the test relies on is that node k's aggregate is the sum of the
+local terms weighted by row k of ``weights``, whatever the protocol. On
+general graphs the table must reproduce the old coverage dispatch
+(``trial_oracle``) bit for bit; on trees and clustered deployments it must run
+the scheduled simulators, whose totals have closed forms.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import trial_oracle  # noqa: E402
+from spsnet import diffusion, experiments  # noqa: E402
+from spsnet.analysis import (  # noqa: E402
+    traffic_mf_clustered,
+    traffic_mf_tree,
+    traffic_tas_clustered,
+    traffic_tas_tree,
+)
+from spsnet.diffusion import CONSENSUS_SCHEMES, run_consensus  # noqa: E402
+from spsnet.experiments import PROTOCOLS, build_topology, run_protocol  # noqa: E402
+from spsnet.model import FieldConfig, NoiseSpec, generate_measurements  # noqa: E402
+from spsnet.rng import substream  # noqa: E402
+from spsnet.sps import draw_sign_matrix, truncated_aggregate  # noqa: E402
+
+
+def bundle_for(kind, n_nodes, seed, depth=2, n_clusters=3):
+    tcfg = {"kind": kind, "n_nodes": n_nodes, "depth": depth, "n_clusters": n_clusters, "radius": None}
+    return build_topology(seed, tcfg)
+
+
+def data_for(bundle, seed, n_p=2, m=4):
+    fc = FieldConfig(n_p=n_p, p_true=np.ones(n_p), noise=NoiseSpec(scale=0.1))
+    samples = generate_measurements(bundle.positions, fc, substream(seed, "noise"))
+    return samples, draw_sign_matrix(m, bundle.graph.n_nodes, seed)
+
+
+def diffusion_cfg(protocol, rounds=None, iterations=4, scheme="metropolis"):
+    return {"protocol": protocol, "rounds": rounds, "iterations": iterations, "scheme": scheme}
+
+
+def same_agg(a, b):
+    return np.array_equal(a.vec, b.vec) and np.array_equal(a.mat, b.mat)
+
+
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+@pytest.mark.parametrize("kind,n_nodes,rounds", [
+    ("rgg", 12, 1), ("rgg", 25, None), ("binary", 7, None), ("clustered", 10, 1),
+])
+def test_aggregate_is_the_weighted_sum_of_local_terms(protocol, kind, n_nodes, rounds):
+    for seed in range(3):
+        bundle = bundle_for(kind, n_nodes, seed)
+        samples, signs = data_for(bundle, seed)
+        n = bundle.graph.n_nodes
+        run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds), range(n))
+        assert run.weights.shape == (n, n)
+        for k in range(n):
+            assert truncated_aggregate(samples, signs, run.weights[k]).allclose(run.aggregate(k))
+
+
+def test_consensus_weights_are_unclipped():
+    bundle = bundle_for("rgg", 30, 4)
+    samples, signs = data_for(bundle, 4)
+    run = run_protocol(bundle, samples, signs, diffusion_cfg("consensus", iterations=4), [0])
+    assert run.weights.max() > 1.0  # N * W^t exceeds one on this graph
+    assert np.array_equal(run.weights, run_consensus(bundle.graph, samples, signs, 4).effective_weights())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["rgg", "complete"]), st.integers(2, 30), st.integers(0, 2**32 - 1),
+       st.sampled_from([None, 0, 1, 3]), st.sampled_from(CONSENSUS_SCHEMES), st.booleans(), st.data())
+def test_table_matches_the_old_dispatch_on_general_graphs(kind, n_nodes, seed, rounds, scheme, all_nodes,
+                                                          data):
+    bundle = bundle_for(kind, n_nodes, seed)
+    samples, signs = data_for(bundle, seed)
+    n = bundle.graph.n_nodes
+    nodes = list(range(n)) if all_nodes else [data.draw(st.integers(0, n - 1))]
+    for protocol in PROTOCOLS:
+        diff = diffusion_cfg(protocol, rounds, iterations=4 if rounds is None else rounds, scheme=scheme)
+        run = run_protocol(bundle, samples, signs, diff, nodes)
+        state, rounds_run, traffic = trial_oracle.trial_state(protocol, bundle.graph, samples, signs, diff,
+                                                              nodes)
+        assert run.rounds == rounds_run
+        if traffic is None:
+            assert run.traffic.events == []
+            assert not run.traffic.per_node_totals.any()
+        else:
+            assert run.traffic.events == traffic.events
+            assert np.array_equal(run.traffic.per_node_totals, traffic.per_node_totals)
+        if protocol == "consensus":
+            eff = run_consensus(bundle.graph, samples, signs, diff["iterations"], scheme).effective_weights()
+        for k in nodes:
+            c, agg = state[k]
+            assert same_agg(run.aggregate(k), agg)
+            if protocol == "consensus":
+                assert np.array_equal(run.weights[k], eff[k])
+                assert np.array_equal(np.clip(run.weights[k], 0.0, 1.0), c)
+            else:
+                assert np.array_equal(run.weights[k], c)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_structured_kinds_run_their_schedule(seed):
+    n_p, m = 2, 4
+    cases = [bundle_for("tree", 30, seed), bundle_for("binary", 15, seed, depth=3),
+             bundle_for("clustered", 24, seed, n_clusters=5)]
+    for bundle in cases:
+        samples, signs = data_for(bundle, seed, n_p, m)
+        n = bundle.graph.n_nodes
+        if bundle.tree is not None:
+            census = (bundle.tree.level_counts, bundle.tree.childless_counts)
+            expected = {"mf": traffic_mf_tree(*census, n_p, m), "tas": traffic_tas_tree(*census, n_p, m)}
+            suffix = "tree"
+        else:
+            n_c = bundle.clusters.n_clusters
+            expected = {"mf": traffic_mf_clustered(n, n_c, n_p, m),
+                        "tas": traffic_tas_clustered(n, n_c, n_p, m)}
+            suffix = "clustered"
+        for protocol, total in expected.items():
+            for rounds in (None, 1):  # diffusion.rounds is ignored on a schedule
+                run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds), [0])
+                assert run.traffic.protocol == f"{protocol}-{suffix}"
+                assert run.traffic.total_scalars == total
+                assert (run.weights[0] == 1.0).all()
+
+
+def test_runners_are_looked_up_by_name_at_call_time(monkeypatch):
+    bundle = bundle_for("rgg", 10, 2)
+    samples, signs = data_for(bundle, 2)
+    calls = []
+    for name in ("run_pf", "run_mf", "run_tas", "run_consensus"):
+        original = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw))
+    for protocol in ("pf", "mf", "tas", "consensus"):
+        run_protocol(bundle, samples, signs, diffusion_cfg(protocol, 1), [0])
+    assert calls == ["run_pf", "run_mf", "run_tas", "run_consensus"]
+
+
+def test_aggregates_are_built_only_when_read(monkeypatch):
+    bundle = bundle_for("rgg", 10, 3)
+    samples, signs = data_for(bundle, 3)
+    built = []
+    for name in ("batch_aggregate", "truncated_aggregate", "local_aggregate"):
+        original = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda *a, _f=original, _n=name, **kw: built.append(_n) or _f(*a, **kw))
+    nodes = list(range(10))
+    for protocol in ("full", "local", "pf", "mf"):
+        run_protocol(bundle, samples, signs, diffusion_cfg(protocol, 1), nodes)
+    assert built == []
+    run = run_protocol(bundle, samples, signs, diffusion_cfg("full"), nodes)
+    assert all(run.aggregate(k) is run.aggregate(0) for k in nodes)
+    assert built == ["batch_aggregate"]  # once per run, not once per node
+    built.clear()
+    run = run_protocol(bundle, samples, signs, diffusion_cfg("mf", 1), nodes)
+    run.aggregate(3)
+    assert built == ["truncated_aggregate"]
+
+
+def test_unknown_protocol_is_rejected():
+    bundle = bundle_for("rgg", 5, 0)
+    samples, signs = data_for(bundle, 0)
+    with pytest.raises(ValueError, match="unknown protocol"):
+        run_protocol(bundle, samples, signs, diffusion_cfg("gossip"), [0])
+
+
+def test_tas_wraps_up_only_the_requested_nodes(monkeypatch):
+    calls = []
+    original = diffusion.tas_wrapup
+    monkeypatch.setattr(diffusion, "tas_wrapup", lambda table: calls.append(table.owner) or original(table))
+    for kind, n_nodes in (("rgg", 12), ("tree", 12), ("binary", 15), ("clustered", 12)):
+        bundle = bundle_for(kind, n_nodes, 1, depth=3)
+        samples, signs = data_for(bundle, 1)
+        calls.clear()
+        run = run_protocol(bundle, samples, signs, diffusion_cfg("tas"), [2, 5])
+        assert sorted(calls) == [2, 5]
+        assert not run.weights[[k for k in range(bundle.graph.n_nodes) if k not in (2, 5)]].any()
