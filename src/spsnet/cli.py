@@ -203,7 +203,7 @@ def _cmd_diffuse(args) -> int:
         path = os.path.join(out, "traffic.csv")
         traffic.to_csv(path)
     per_node_mean = traffic.total_scalars / n
-    complete_nodes = int((run.weights == 1.0).all(axis=1).sum())
+    complete_nodes = sum(bool((run.weights(k) == 1.0).all()) for k in range(n))
     print(f"protocol={traffic.protocol} n_nodes={n} total_scalars={traffic.total_scalars} "
           f"per_node_mean={per_node_mean:.6g} rounds={run.rounds} complete_nodes={complete_nodes}")
     print(f"wrote {path}")

@@ -47,13 +47,21 @@ informationally (one bit per node per tagged message) and never enter the
 scalar totals. All runners are deterministic: nodes transmit in id order,
 each receiver hears a stage's senders in id order, and a stage's messages
 are delivered before the next stage starts.
+
+A finished run answers for any node and round after the fact, so nothing is
+asked for in advance. ``MfResult.known_after(r)`` is the knowledge after round
+r is delivered (a round past the last one gives the final knowledge), read
+off the arrival rounds. ``TasResult.wrapup(k, r)`` wraps up node k's table as
+round r sends, before that round is delivered: tag tables only grow and a
+stored payload never changes, so that table is a prefix of the final one, and
+the run records each table's row count per round. Nothing is wrapped up
+until it is read.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -83,8 +91,6 @@ def payload_sizes(n_p: int, m: int) -> tuple[int, int]:
 class TrafficEvent(NamedTuple):
     """One broadcast: round, sender, scalar cost, informational tag bits.
 
-    ``origins`` lists the record ids carried (flooding protocols only); it is
-    provenance for the no-retransmission invariant, not part of the cost.
     A named tuple, so logging one costs one tuple.
     """
 
@@ -92,7 +98,6 @@ class TrafficEvent(NamedTuple):
     node: int
     scalars: int
     tag_bits: int = 0
-    origins: tuple[int, ...] | None = None
 
 
 class TrafficLog:
@@ -105,13 +110,11 @@ class TrafficLog:
         self.events: list[TrafficEvent] = []
         self._per_node = [0] * n_nodes
 
-    def record(self, round_: int, node: int, scalars: int, tag_bits: int = 0, origins=None):
+    def record(self, round_: int, node: int, scalars: int, tag_bits: int = 0):
         if scalars < 0 or tag_bits < 0:
             raise ValueError("traffic amounts must be non-negative")
-        if origins is not None:
-            origins = tuple(np.asarray(origins).tolist())
         node, scalars = int(node), int(scalars)
-        self.events.append(TrafficEvent(int(round_), node, scalars, int(tag_bits), origins))
+        self.events.append(TrafficEvent(int(round_), node, scalars, int(tag_bits)))
         self._per_node[node] += scalars
 
     @property
@@ -174,9 +177,8 @@ class TagTable:
     ``1 << owner``. Tags never repeat within a table. The table records which
     rows have already been merged into an outgoing aggregate so later
     aggregation phases can start from fresh content. Rows are added only
-    through ``append``, which also keeps the mask of covered nodes and
-    whether the stored tags are pairwise disjoint. ``append`` also takes a
-    collection of node ids and stores its mask.
+    through ``append``, which also takes a collection of node ids and stores
+    its mask.
     """
 
     def __init__(self, owner: int, n_nodes: int, local_payload):
@@ -186,8 +188,6 @@ class TagTable:
         self.n_nodes = n_nodes
         self.rows: list[TagRow] = [TagRow(1 << owner, local_payload)]
         self._tags = {1 << owner}
-        self._covered = 1 << owner
-        self._disjoint = True
         self._wrapup: tuple[bytes, np.ndarray | None] = (b"", None)  # last (tag matrix bytes, b)
 
     def append(self, tag, payload) -> TagRow:
@@ -202,18 +202,21 @@ class TagTable:
         row = TagRow(tag, payload)
         self.rows.append(row)
         self._tags.add(tag)
-        if self._covered & tag:
-            self._disjoint = False
-        self._covered |= tag
         return row
-
-    def coverage(self) -> int:
-        """Bitmask of the nodes some stored tag names."""
-        return self._covered
 
     def tag_matrix(self) -> np.ndarray:
         """0/1 matrix, one row per stored row, one column per network node."""
         return _unpack([row.tag for row in self.rows], self.n_nodes)
+
+
+def _cover(rows) -> tuple[int, bool]:
+    """(mask of the nodes the rows' tags name, whether those tags are pairwise
+    disjoint): disjoint exactly when the tags' bit counts add up to the mask's."""
+    covered = bits = 0
+    for row in rows:
+        covered |= row.tag
+        bits += row.tag.bit_count()
+    return covered, bits == covered.bit_count()
 
 
 def tas_distill(table: TagTable, tag: int, payload: AggregateSums) -> TagRow | None:
@@ -268,36 +271,39 @@ def tas_aggregate(table: TagTable) -> tuple[int, AggregateSums] | None:
 
 def _complete_message(table: TagTable) -> tuple[int, AggregateSums]:
     """Sum of all stored rows; valid when tags are pairwise disjoint."""
-    if not table._disjoint:
+    covered, disjoint = _cover(table.rows)
+    if not disjoint:
         raise ValueError("complete message requires pairwise disjoint tags")
     data = None
     for row in table.rows:
         data = row.payload.copy() if data is None else data.iadd(row.payload)
         row.merged = True
-    return table._covered, data
+    return covered, data
 
 
-def tas_wrapup(table: TagTable) -> tuple[WrapUpWeights, AggregateSums]:
-    """Turn a table into per-node weights and a weighted aggregate.
+def tas_wrapup(table: TagTable, n_rows: int | None = None) -> tuple[WrapUpWeights, AggregateSums]:
+    """Turn a table, or its first ``n_rows`` rows, into per-node weights and a
+    weighted aggregate.
 
-    When stored tags are pairwise disjoint every row is used with coefficient
-    one, so covered nodes get weight exactly 1 (all ones when the table spans
-    the network, which also yields the exact full sum); c is then unpacked
-    from the table's covered mask without building a tag matrix. Overlapping tags
-    are resolved by the wrap-up LP; the resulting weights are clamped into
-    [0, 1] at tolerance 1e-9 and values within 1e-9 of 0 or 1 are snapped
-    exact. The coefficients b depend on the tag matrix alone: the table keeps
-    the last (tag matrix, read-only b) pair and reuses b while its tag matrix
-    is unchanged. On both paths the aggregate is rebuilt on every call: a
-    copy of the first used row, then every further used row added in row
-    order.
+    When those rows' tags are pairwise disjoint every row is used with
+    coefficient one, so covered nodes get weight exactly 1 (all ones when the
+    rows span the network, which also yields the exact full sum); c is then
+    unpacked from the covered mask without building a tag matrix. Overlapping
+    tags are resolved by the wrap-up LP; the resulting weights are clamped
+    into [0, 1] at tolerance 1e-9 and values within 1e-9 of 0 or 1 are
+    snapped exact. The coefficients b depend on the tag matrix alone: the
+    table keeps the last (tag matrix, read-only b) pair and reuses b while the
+    tag matrix it is asked for is unchanged. On both paths the aggregate is
+    rebuilt on every call: a copy of the first used row, then every further
+    used row added in row order.
     """
-    rows = table.rows
-    if table._disjoint:
+    rows = table.rows[:n_rows]
+    covered, disjoint = _cover(rows)
+    if disjoint:
         coeffs = [1.0] * len(rows)
-        c = _unpack([table._covered], table.n_nodes)[0].astype(float)
+        c = _unpack([covered], table.n_nodes)[0].astype(float)
     else:
-        tags = table.tag_matrix()
+        tags = _unpack([row.tag for row in rows], table.n_nodes)
         key = tags.tobytes()
         tagmat = tags.astype(float)
         if table._wrapup[0] != key:
@@ -334,11 +340,14 @@ class MfResult:
     traffic: TrafficLog
     rounds_run: int
     completion_round: int | None
-    snapshots: dict[int, np.ndarray] = field(default_factory=dict)
+
+    def known_after(self, rnd: int) -> np.ndarray:
+        """Who knows which record after round ``rnd`` is delivered (0 = own
+        records only); a round past the last one gives the final knowledge."""
+        return (0 <= self.arrival_round) & (self.arrival_round <= rnd)
 
 
-def _flood(protocol: str, graph: Graph, stages, samples, plain=False, until_quiet=False,
-           snapshot_rounds=()) -> MfResult:
+def _flood(protocol: str, graph: Graph, stages, samples, plain=False, until_quiet=False) -> MfResult:
     """Flooding along a schedule; stage s (from 1) is round s.
 
     Each sender sends every record it knows (``plain``, PF) or every record
@@ -346,8 +355,7 @@ def _flood(protocol: str, graph: Graph, stages, samples, plain=False, until_quie
     With ``until_quiet`` the run stops after a stage that taught nobody
     anything; a fixed schedule runs every stage. Either way the run reports
     the first round after which every node knew every record (None when that
-    never happened). Snapshots are taken after delivery; a requested round
-    past the last one gets the final knowledge.
+    never happened).
     """
     n = graph.n_nodes
     _check_samples(samples, n)
@@ -356,8 +364,6 @@ def _flood(protocol: str, graph: Graph, stages, samples, plain=False, until_quie
     transmitted = np.zeros((n, n), dtype=bool)
     arrival = np.where(known, 0, -1)
     traffic = TrafficLog(protocol, n)
-    wanted = set(int(r) for r in snapshot_rounds)
-    snapshots = {0: known.copy()} if 0 in wanted else {}
     completion_round = 0 if known.all() else None
     rnd = 0
     for rnd, senders in enumerate(stages, start=1):
@@ -366,20 +372,15 @@ def _flood(protocol: str, graph: Graph, stages, samples, plain=False, until_quie
         before = known.copy()  # every row of ``sent`` was taken before any delivery
         for s, row, cnt in zip(senders.tolist(), sent, sent.sum(axis=1).tolist()):
             if cnt:
-                traffic.record(rnd, s, cnt * d_rec, tag_bits=cnt * n, origins=np.flatnonzero(row))
+                traffic.record(rnd, s, cnt * d_rec, tag_bits=cnt * n)
                 known[graph.neighbors(s)] |= row
         newly = known & ~before
         arrival[newly] = rnd
         if completion_round is None and known.all():
             completion_round = rnd
-        if rnd in wanted:
-            snapshots[rnd] = known.copy()
         if until_quiet and not newly.any():
             break
-    for r in wanted:
-        if r > rnd and r not in snapshots:
-            snapshots[r] = known.copy()
-    return MfResult(known, transmitted, arrival, traffic, rnd, completion_round, snapshots)
+    return MfResult(known, transmitted, arrival, traffic, rnd, completion_round)
 
 
 def _every_node(graph: Graph, rounds: int) -> list[np.ndarray]:
@@ -400,23 +401,16 @@ def run_pf(graph: Graph, samples, max_rounds: int | None = None) -> MfResult:
     return _flood("pf", graph, _every_node(graph, cap), samples, plain=True, until_quiet=True)
 
 
-def run_mf(
-    graph: Graph,
-    samples,
-    max_rounds: int | None = None,
-    snapshot_rounds=(),
-) -> MfResult:
+def run_mf(graph: Graph, samples, max_rounds: int | None = None) -> MfResult:
     """Modified flooding: forward each record at most once per node.
 
     Round 1 is every node broadcasting its own record; later rounds forward
     whatever arrived and was never sent. The run quiesces (no node holds an
     untransmitted row) within diameter + 2 rounds; knowledge is complete
-    everywhere within diameter + 1. ``snapshot_rounds`` asks for copies of the
-    knowledge matrix after given rounds (0 = initial state).
+    everywhere within diameter + 1.
     """
     cap = max_rounds if max_rounds is not None else graph.n_nodes + 2
-    return _flood("mf", graph, _every_node(graph, cap), samples, until_quiet=True,
-                  snapshot_rounds=snapshot_rounds)
+    return _flood("mf", graph, _every_node(graph, cap), samples, until_quiet=True)
 
 
 def run_mf_tree(tree: TreeTopology, samples) -> MfResult:
@@ -446,50 +440,22 @@ def run_mf_clustered(topo: ClusteredTopology, samples) -> MfResult:
 
 @dataclass(eq=False)
 class TasResult:
-    """A finished TAS run: its tag tables, traffic and snapshots.
-
-    ``weights``, ``aggregates`` and ``complete`` hold the final wrap-up of
-    the ``wrapup_nodes`` (every node when None; other rows stay zero, None and
-    False). It runs once, on the first read of any of the three, so a caller
-    that reads only the traffic never pays for it. Snapshots are wrapped up
-    during the run, because the tables change after they are taken.
-    """
+    """A finished TAS run: its tag tables, traffic, and each table's row count
+    as each round sent (``row_counts[rnd][k]``)."""
 
     tables: list[TagTable]
     traffic: TrafficLog
     rounds_run: int
-    snapshots: dict[int, tuple[np.ndarray, list[AggregateSums]]] = field(default_factory=dict)
-    wrapup_nodes: tuple[int, ...] | None = None
+    row_counts: dict[int, list[int]]
 
-    @cached_property
-    def _final(self) -> tuple[np.ndarray, list[AggregateSums | None], np.ndarray]:
-        return _wrapup_all(self.tables, self.wrapup_nodes)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._final[0]
-
-    @property
-    def aggregates(self) -> list[AggregateSums | None]:
-        return self._final[1]
-
-    @property
-    def complete(self) -> np.ndarray:
-        return self._final[2]
-
-
-def _wrapup_all(tables, nodes=None):
-    n = len(tables)
-    nodes = range(n) if nodes is None else nodes
-    weights = np.zeros((n, n))
-    aggs: list[AggregateSums | None] = [None] * n
-    complete = np.zeros(n, dtype=bool)
-    for k in nodes:
-        w, agg = tas_wrapup(tables[k])
-        weights[k] = w.c
-        aggs[k] = agg
-        complete[k] = w.complete
-    return weights, aggs, complete
+    def wrapup(self, k: int, rnd: int | None = None) -> tuple[WrapUpWeights, AggregateSums]:
+        """Node k's weights and aggregate as round ``rnd`` sends, before it is
+        delivered; from the whole table when ``rnd`` is None."""
+        if not 0 <= k < len(self.tables):
+            raise ValueError(f"node {k} is not in the network")
+        if rnd is not None and rnd not in self.row_counts:
+            raise ValueError(f"round {rnd} was not run")
+        return tas_wrapup(self.tables[k], None if rnd is None else self.row_counts[rnd][k])
 
 
 def _local_row(table: TagTable) -> tuple[int, AggregateSums]:
@@ -504,26 +470,20 @@ def _aggregate_or_complete(table: TagTable) -> tuple[int, AggregateSums]:
 
 
 def _tas(protocol: str, graph: Graph, stages, steps, samples, signs: SignMatrix, first_round=1,
-         deliver_last=True, snapshot_rounds=(), wrapup_nodes=None) -> TasResult:
+         deliver_last=True) -> TasResult:
     """TAS along a schedule; stage i is round ``first_round + i``.
 
     In each stage every sender builds its message with that stage's step (a
-    sender whose step gives None stays silent). Snapshots wrap up after the
-    stage sends and before it delivers. Each neighbour of a sender then
-    distills the message, hearing senders in ascending id order. Without
-    ``deliver_last`` the final stage is sent but never delivered. The final
-    wrap-up is left to the result, which runs it on first read.
+    sender whose step gives None stays silent), and every table's row count
+    is recorded. Each neighbour of a sender then distills the message,
+    hearing senders in ascending id order. Without ``deliver_last`` the final
+    stage is sent but never delivered. Wrap-ups are left to the result.
     """
     n = graph.n_nodes
-    if wrapup_nodes is not None:
-        wrapup_nodes = tuple(int(k) for k in wrapup_nodes)
-        if not all(0 <= k < n for k in wrapup_nodes):
-            raise ValueError("wrapup_nodes must be valid node ids")
     tables = _local_tables(samples, signs, n)
     _, d_agg = payload_sizes(samples.n_p, signs.m)
     traffic = TrafficLog(protocol, n)
-    wanted = set(int(r) for r in snapshot_rounds)
-    snapshots: dict[int, tuple[np.ndarray, list[AggregateSums]]] = {}
+    row_counts: dict[int, list[int]] = {}
     for i, (senders, step) in enumerate(zip(stages, steps, strict=True)):
         rnd = first_round + i
         msgs = []
@@ -532,24 +492,15 @@ def _tas(protocol: str, graph: Graph, stages, steps, samples, signs: SignMatrix,
             if msg is not None:
                 msgs.append((s, msg))
                 traffic.record(rnd, s, d_agg, tag_bits=n)
-        if rnd in wanted:
-            w, a, _ = _wrapup_all(tables, wrapup_nodes)
-            snapshots[rnd] = (w, a)
+        row_counts[rnd] = [len(t.rows) for t in tables]
         if deliver_last or i < len(stages) - 1:
             for s, (tag, payload) in msgs:
                 for k in graph.neighbors(s).tolist():
                     tas_distill(tables[k], tag, payload)
-    return TasResult(tables, traffic, rnd, snapshots, wrapup_nodes)
+    return TasResult(tables, traffic, rnd, row_counts)
 
 
-def run_tas(
-    graph: Graph,
-    samples,
-    signs: SignMatrix,
-    rounds: int | None = None,
-    snapshot_rounds=(),
-    wrapup_nodes=None,
-) -> TasResult:
+def run_tas(graph: Graph, samples, signs: SignMatrix, rounds: int | None = None) -> TasResult:
     """Tagged aggregate sums on an arbitrary connected graph.
 
     Round 0 is the initialization broadcast of each node's local row. Each of
@@ -557,34 +508,31 @@ def run_tas(
     distillation, aggregation, transmission. A node transmits every round as
     long as its aggregation finds a never-merged row, even when the message
     repeats content; with no never-merged row it stays silent. The last
-    round's messages are sent but never received. The final wrap-up may be
-    partial on general graphs, so per-node completion flags are reported
-    rather than assumed.
+    round's messages are sent but never received, so a wrap-up as the last
+    round sends reads the final tables. The final wrap-up may be partial on
+    general graphs, so completion is reported per node, not assumed.
     """
     if rounds is None:
         rounds = diameter(graph)
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
     return _tas("tas", graph, _every_node(graph, rounds + 1), [_local_row] + [tas_aggregate] * rounds,
-                samples, signs, first_round=0, deliver_last=False,
-                snapshot_rounds=snapshot_rounds, wrapup_nodes=wrapup_nodes)
+                samples, signs, first_round=0, deliver_last=False)
 
 
-def run_tas_tree(tree: TreeTopology, samples, signs: SignMatrix, wrapup_nodes=None) -> TasResult:
+def run_tas_tree(tree: TreeTopology, samples, signs: SignMatrix) -> TasResult:
     """TAS on a rooted tree along ``tree.stages()``.
 
     In the forward sweep each node merges its subtree into a single message;
     in the backward sweep the complete aggregate flows down. Every node
     finishes with weights all one, and the scalar totals hit the census
-    formula exactly. ``wrapup_nodes`` is as in ``run_tas``.
+    formula exactly.
     """
     stages = tree.stages()
-    return _tas("tas-tree", tree.graph(), stages, [tas_aggregate] * len(stages), samples, signs,
-                wrapup_nodes=wrapup_nodes)
+    return _tas("tas-tree", tree.graph(), stages, [tas_aggregate] * len(stages), samples, signs)
 
 
-def run_tas_clustered(topo: ClusteredTopology, samples, signs: SignMatrix,
-                      wrapup_nodes=None) -> TasResult:
+def run_tas_clustered(topo: ClusteredTopology, samples, signs: SignMatrix) -> TasResult:
     """TAS on a clustered topology along ``topo.stages()``.
 
     Members send their local row to their head; heads broadcast their cluster
@@ -592,11 +540,9 @@ def run_tas_clustered(topo: ClusteredTopology, samples, signs: SignMatrix,
     the complete aggregate to their cluster. The final stage transmits
     unconditionally, so the totals are (N + n_c) aggregate payloads even for
     a single cluster, where the last broadcast repeats the mesh one.
-    ``wrapup_nodes`` is as in ``run_tas``.
     """
     return _tas("tas-clustered", topo.graph(), topo.stages(),
-                [_local_row, tas_aggregate, _aggregate_or_complete], samples, signs,
-                wrapup_nodes=wrapup_nodes)
+                [_local_row, tas_aggregate, _aggregate_or_complete], samples, signs)
 
 
 # ---------------------------------------------------------------------------

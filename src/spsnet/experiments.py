@@ -263,6 +263,9 @@ def build_topology(seed: int, tcfg: dict) -> TopologyBundle:
     """
     kind = tcfg["kind"]
     n = int(tcfg["n_nodes"])
+    if kind == "binary":
+        tree = complete_binary_tree(int(tcfg["depth"]))
+        n = tree.n_nodes
     if kind == "rgg":
         g = random_geometric(n, substream(seed, "topology"), radius=tcfg.get("radius"))
         return TopologyBundle(kind, g, None, None, g.positions, g.radius)
@@ -275,10 +278,6 @@ def build_topology(seed: int, tcfg: dict) -> TopologyBundle:
         adj = ~np.eye(n, dtype=bool)
         return TopologyBundle(kind, Graph(adjacency=adj, positions=positions), None, None, positions)
     if kind == "binary":
-        tree = complete_binary_tree(int(tcfg["depth"]))
-        if tree.n_nodes != n and "n_nodes" in tcfg:
-            n = tree.n_nodes
-            positions = substream(seed, "positions").uniform(0.0, 1.0, size=(n, 2))
         return TopologyBundle(kind, tree.graph(), tree, None, positions)
     if kind == "clustered":
         topo = clustered(n, int(tcfg["n_clusters"]), substream(seed, "topology"))
@@ -292,39 +291,41 @@ def build_topology(seed: int, tcfg: dict) -> TopologyBundle:
 
 @dataclass(eq=False)
 class ProtocolRun:
-    """One protocol run as the SPS test sees it: row k of ``weights`` is node
-    k's weight vector c, ``aggregate(k)`` builds node k's c-weighted aggregate
+    """One protocol run as the SPS test sees it: ``weights(k)`` is node k's
+    weight vector c, ``aggregate(k)`` builds node k's c-weighted aggregate
     sums on demand, and ``traffic`` is empty for ``full`` and ``local``."""
 
-    weights: np.ndarray
+    weights: Callable[[int], np.ndarray]
     aggregate: Callable[[int], AggregateSums]
     rounds: int
     traffic: TrafficLog
 
 
-def _full(bundle, samples, signs, diff, nodes):
+def _full(bundle, samples, signs, diff):
     n = bundle.graph.n_nodes
     agg = functools.cache(lambda: batch_aggregate(samples, signs))
-    return ProtocolRun(np.ones((n, n)), lambda k: agg(), 0, TrafficLog("full", n))
+    return ProtocolRun(lambda k: np.ones(n), lambda k: agg(), 0, TrafficLog("full", n))
 
 
-def _local(bundle, samples, signs, diff, nodes):
+def _local(bundle, samples, signs, diff):
     n = bundle.graph.n_nodes
-    return ProtocolRun(np.eye(n), lambda k: local_aggregate(samples, k, signs.column(k)), 0,
+    return ProtocolRun(lambda k: np.eye(n)[k], lambda k: local_aggregate(samples, k, signs.column(k)), 0,
                        TrafficLog("local", n))
 
 
 def _knowledge(res, samples, signs):
-    weights = res.known.astype(float)
-    return ProtocolRun(weights, lambda k: truncated_aggregate(samples, signs, weights[k]),
+    def weights(k):
+        return res.known[k].astype(float)
+
+    return ProtocolRun(weights, lambda k: truncated_aggregate(samples, signs, weights(k)),
                        res.rounds_run, res.traffic)
 
 
-def _pf(bundle, samples, signs, diff, nodes):
+def _pf(bundle, samples, signs, diff):
     return _knowledge(run_pf(bundle.graph, samples, max_rounds=diff["rounds"]), samples, signs)
 
 
-def _mf(bundle, samples, signs, diff, nodes):
+def _mf(bundle, samples, signs, diff):
     if bundle.tree is not None:
         res = run_mf_tree(bundle.tree, samples)
     elif bundle.clusters is not None:
@@ -334,19 +335,21 @@ def _mf(bundle, samples, signs, diff, nodes):
     return _knowledge(res, samples, signs)
 
 
-def _tas(bundle, samples, signs, diff, nodes):
+def _tas(bundle, samples, signs, diff):
     if bundle.tree is not None:
-        res = run_tas_tree(bundle.tree, samples, signs, wrapup_nodes=nodes)
+        res = run_tas_tree(bundle.tree, samples, signs)
     elif bundle.clusters is not None:
-        res = run_tas_clustered(bundle.clusters, samples, signs, wrapup_nodes=nodes)
+        res = run_tas_clustered(bundle.clusters, samples, signs)
     else:
-        res = run_tas(bundle.graph, samples, signs, rounds=diff["rounds"], wrapup_nodes=nodes)
-    return ProtocolRun(res.weights, lambda k: res.aggregates[k], res.rounds_run, res.traffic)
+        res = run_tas(bundle.graph, samples, signs, rounds=diff["rounds"])
+    wrapup = functools.cache(res.wrapup)  # each node's table is wrapped up once, when first read
+    return ProtocolRun(lambda k: wrapup(k)[0].c, lambda k: wrapup(k)[1], res.rounds_run, res.traffic)
 
 
-def _consensus(bundle, samples, signs, diff, nodes):
+def _consensus(bundle, samples, signs, diff):
     res = run_consensus(bundle.graph, samples, signs, iterations=diff["iterations"], scheme=diff["scheme"])
-    return ProtocolRun(res.effective_weights(), res.state, res.iterations, res.traffic)
+    weights = res.effective_weights()
+    return ProtocolRun(lambda k: weights[k], res.state, res.iterations, res.traffic)
 
 
 # Entries look their runners up by module-level name at call time, so a
@@ -354,31 +357,35 @@ def _consensus(bundle, samples, signs, diff, nodes):
 PROTOCOLS = {"full": _full, "local": _local, "pf": _pf, "mf": _mf, "tas": _tas, "consensus": _consensus}
 
 
-def run_protocol(bundle: TopologyBundle, samples: Samples, signs: SignMatrix, diff: dict,
-                 nodes=None) -> ProtocolRun:
+def run_protocol(bundle: TopologyBundle, samples: Samples, signs: SignMatrix, diff: dict) -> ProtocolRun:
     """Run the protocol ``diff["protocol"]`` names on one data draw.
 
     On tree and binary bundles MF and TAS run the tree's schedule, on
     clustered bundles the clusters' one, and ``diffusion.rounds`` is ignored.
-    Every other case runs the general-graph runner. TAS wraps up only
-    ``nodes`` (every node when None); its other rows of ``weights`` are zero.
+    Every other case runs the general-graph runner. TAS wraps up a node's
+    table on the first read of its weights or aggregate.
     """
     protocol = diff["protocol"]
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    if nodes is not None and any(not 0 <= k < bundle.graph.n_nodes for k in nodes):
-        raise ValueError("designated node is out of range")
-    return PROTOCOLS[protocol](bundle, samples, signs, diff, nodes)
+    return PROTOCOLS[protocol](bundle, samples, signs, diff)
 
 
-def simulate(config: ExperimentConfig, nodes=None) -> ProtocolRun:
+def simulate(config: ExperimentConfig) -> ProtocolRun:
     """The configured protocol on the data of coverage trial 0, as the
     ``region`` and ``diffuse`` subcommands run it."""
     seed = config.seed
     bundle = build_topology(seed, config.topology())
     samples = generate_measurements(bundle.positions, config.field_config(), substream(seed, "noise", 0))
     signs = draw_sign_matrix(config.sps_params()[0], bundle.graph.n_nodes, derive_seed(seed, "signs", 0))
-    return run_protocol(bundle, samples, signs, config.diffusion(), nodes)
+    return run_protocol(bundle, samples, signs, config.diffusion())
+
+
+def _designated_node(config: ExperimentConfig, n_nodes: int) -> int:
+    """The config's ``node``, checked against the network size."""
+    if not 0 <= config.node < n_nodes:
+        raise ValueError("designated node is out of range")
+    return config.node
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +411,8 @@ def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
     fc = config.field_config()
     m, q = config.sps_params()
     diff = config.diffusion()
-    nodes = list(range(n)) if config.all_nodes else [config.node]
+    designated = _designated_node(config, n)
+    nodes = list(range(n)) if config.all_nodes else [designated]
     region = config.region_params(fc.p_true)
 
     rows = []
@@ -412,10 +420,10 @@ def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
     for trial in range(config.trials):
         samples = generate_measurements(bundle.positions, fc, substream(seed, "noise", trial))
         signs = draw_sign_matrix(m, n, derive_seed(seed, "signs", trial))
-        run = run_protocol(bundle, samples, signs, diff, nodes)
+        run = run_protocol(bundle, samples, signs, diff)
         per_node = run.traffic.per_node_totals
         for k in nodes:
-            c, agg = run.weights[k], run.aggregate(k)
+            c, agg = run.weights(k), run.aggregate(k)
             covers = membership(z_values(agg, fc.p_true), q, substream(seed, "ties", trial, k))
             covers_by_node[k] += covers
             volume = (_region_volume(agg, region, q, derive_seed(seed, "region-ties", trial, k))
@@ -427,7 +435,6 @@ def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
 
     trials = config.trials
     rates = {k: covers_by_node[k] / trials for k in nodes}
-    designated = config.node if config.node in rates else nodes[0]
     lo, hi = wilson_interval(covers_by_node[designated], trials)
     summary = {
         "protocol": diff["protocol"],
@@ -469,13 +476,13 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
     """Average region volume against average per-node traffic, per round.
 
     For every seed: one data draw on a fresh random geometric network, then
-    MF, TAS and both consensus schemes run with snapshots, and the region
-    volume of every sampled node's current aggregate is measured after each
-    round (wrap-up applied for TAS, knowledge-truncated aggregate for MF, raw
-    state for consensus). Rows are (protocol, round, avg scalars per node,
-    avg volume) averaged over seeds and sampled nodes; the summary locates
-    the consensus iteration bracket whose mean volume first matches full
-    diffusion and the per-node scalars this costs.
+    MF, TAS and both consensus schemes run, and the region volume of every
+    sampled node's current aggregate is measured at each round (wrap-up as
+    the round sends for TAS, knowledge-truncated aggregate after the round
+    delivers for MF, raw state for consensus). Rows are (protocol, round, avg
+    scalars per node, avg volume) averaged over seeds and sampled nodes; the
+    summary locates the consensus iteration bracket whose mean volume first
+    matches full diffusion and the per-node scalars this costs.
     """
     seed = config.seed
     tcfg = config.topology()
@@ -508,11 +515,11 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
         full_agg = batch_aggregate(samples, signs)
         full_volumes.append(_region_volume(full_agg, region, q, derive_seed(seed, "rt", s, "full")))
 
-        # modified flooding: knowledge snapshot after every round
-        mf = run_mf(graph, samples, snapshot_rounds=range(0, n + 2))
+        # modified flooding: knowledge after every round
+        mf = run_mf(graph, samples)
         curve = []
         for r in range(0, mf.rounds_run + 1):
-            known = mf.snapshots[r]
+            known = mf.known_after(r)
             vols = []
             for k in sample_nodes:
                 agg = truncated_aggregate(samples, signs, known[k].astype(float))
@@ -521,17 +528,13 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
             curve.append((r, float(scal), float(np.mean(vols))))
         curves["mf"].append(curve)
 
-        # tagged aggregate sums: wrap-up snapshot after every round
+        # tagged aggregate sums: wrap-up as every round sends, rounds in order
         rounds_tas = pars["rounds"] if pars["rounds"] is not None else diameter(graph) + 2
-        tas = run_tas(
-            graph, samples, signs, rounds=rounds_tas,
-            snapshot_rounds=range(0, rounds_tas + 1), wrapup_nodes=sample_nodes,
-        )
+        tas = run_tas(graph, samples, signs, rounds=rounds_tas)
         curve = []
         for r in range(0, rounds_tas + 1):
-            _, aggs = tas.snapshots[r]
             vols = [
-                _region_volume(aggs[k], region, q, derive_seed(seed, "rt", s, "tas", r, k))
+                _region_volume(tas.wrapup(k, r)[1], region, q, derive_seed(seed, "rt", s, "tas", r, k))
                 for k in sample_nodes
             ]
             scal = tas.traffic.total_through_round(r) / n
@@ -724,8 +727,8 @@ def run_region(config: ExperimentConfig) -> tuple[RegionResult, dict]:
         m = signs.m
         meta = {"source": "data", "n_nodes": len(samples)}
     else:
-        run = simulate(config, [config.node])
-        agg = run.aggregate(config.node)
+        run = simulate(config)
+        agg = run.aggregate(_designated_node(config, run.traffic.n_nodes))
         meta = {"source": "simulation", "n_nodes": run.traffic.n_nodes,
                 "protocol": config.diffusion()["protocol"]}
     region = config.region_params()

@@ -108,11 +108,6 @@ class AggregateSums:
     def n_p(self) -> int:
         return self.vec.shape[1]
 
-    @property
-    def payload_scalar_count(self) -> int:
-        n_p = self.n_p
-        return self.m * (n_p + n_p * (n_p + 1) // 2)
-
     @classmethod
     def _of_valid(cls, vec: np.ndarray, mat: np.ndarray) -> "AggregateSums":
         """Wrap float arrays already known to have matching shapes, unchecked."""
@@ -133,11 +128,6 @@ class AggregateSums:
         self.vec -= other.vec
         self.mat -= other.mat
         return self
-
-    def __add__(self, other: "AggregateSums") -> "AggregateSums":
-        if self.vec.shape != other.vec.shape:
-            raise ValueError("aggregate shapes differ")
-        return self.copy().iadd(other)
 
     def scaled(self, factor: float) -> "AggregateSums":
         return AggregateSums(self.vec * factor, self.mat * factor)

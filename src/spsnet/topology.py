@@ -331,15 +331,8 @@ class ClusteredTopology:
     def n_clusters(self) -> int:
         return self.heads.shape[0]
 
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.n_clusters)
-
     def members(self, c: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == c)
-
-    def is_head(self, i: int) -> bool:
-        return bool(np.any(self.heads == i))
 
     def stages(self) -> list[np.ndarray]:
         """Sender sets of the three-stage schedule, ids ascending within a stage.

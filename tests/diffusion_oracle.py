@@ -5,10 +5,13 @@ engine and every TAS variant through another. These oracles keep the old
 shape: ``run_pf``, ``run_mf`` and ``run_tas`` each own a round loop, and the
 tree and clustered runners each script their stages and receivers by hand.
 Tests require the engines to log the same events in the same order and to
-reproduce knowledge, arrival rounds, snapshots, every tag table and every
-weight and aggregate bit for bit. The TAS oracles wrap up every table before
-they return, as the package first did; the package's results wrap up on first
-read.
+reproduce knowledge, arrival rounds, every tag table and every weight and
+aggregate bit for bit. The oracles also keep the eager snapshots the package
+first took: a copy of the knowledge after each requested round, and for TAS
+the wrap-up of every requested node as each requested round sends. The TAS
+oracles wrap up every table before they return. The package instead answers
+for any node and round after the run, from arrival rounds and tag-table
+prefixes, and wraps up nothing until it is read.
 """
 
 from __future__ import annotations
@@ -18,16 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spsnet.diffusion import (
-    MfResult,
     TagTable,
     TrafficLog,
     _check_samples,
     _complete_message,
     _local_tables,
-    _wrapup_all,
     payload_sizes,
     tas_aggregate,
     tas_distill,
+    tas_wrapup,
 )
 from spsnet.sps import AggregateSums, SignMatrix
 from spsnet.topology import ClusteredTopology, Graph, TreeTopology, diameter
@@ -44,6 +46,19 @@ class PfResult:
 
 
 @dataclass(eq=False)
+class MfResult:
+    """A flooding run with its knowledge snapshots already taken."""
+
+    known: np.ndarray
+    transmitted: np.ndarray
+    arrival_round: np.ndarray
+    traffic: TrafficLog
+    rounds_run: int
+    completion_round: int | None
+    snapshots: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+@dataclass(eq=False)
 class TasResult:
     """A TAS run with its final wrap-up already done."""
 
@@ -54,6 +69,22 @@ class TasResult:
     complete: np.ndarray
     rounds_run: int
     snapshots: dict[int, tuple[np.ndarray, list[AggregateSums]]] = field(default_factory=dict)
+
+
+def _wrapup_all(tables, nodes=None):
+    """Weights, aggregates and completion flags of the given nodes' tables
+    (every node when None; other rows stay zero, None and False)."""
+    n = len(tables)
+    nodes = range(n) if nodes is None else nodes
+    weights = np.zeros((n, n))
+    aggs: list[AggregateSums | None] = [None] * n
+    complete = np.zeros(n, dtype=bool)
+    for k in nodes:
+        w, agg = tas_wrapup(tables[k])
+        weights[k] = w.c
+        aggs[k] = agg
+        complete[k] = w.complete
+    return weights, aggs, complete
 
 
 def _bool_matmul(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -81,7 +112,7 @@ def run_pf(graph: Graph, samples, max_rounds: int | None = None) -> PfResult:
         rounds_run = rnd
         for k in range(n):
             cnt = int(known[k].sum())
-            traffic.record(rnd, k, cnt * d_rec, tag_bits=cnt * n, origins=np.flatnonzero(known[k]))
+            traffic.record(rnd, k, cnt * d_rec, tag_bits=cnt * n)
         new_known = known | _bool_matmul(graph.adjacency, known)
         grew = bool((new_known & ~known).any())
         known = new_known
@@ -134,7 +165,7 @@ def run_mf(
         for k in range(n):
             cnt = int(pending[k].sum())
             if cnt:
-                traffic.record(rnd, k, cnt * d_rec, tag_bits=cnt * n, origins=np.flatnonzero(pending[k]))
+                traffic.record(rnd, k, cnt * d_rec, tag_bits=cnt * n)
         transmitted |= pending
         new_known = known | _bool_matmul(graph.adjacency, pending)
         arrival[new_known & ~known] = rnd
@@ -189,8 +220,7 @@ def run_mf_tree(tree: TreeTopology, samples) -> MfResult:
             if not mask.any():
                 continue
             sends.append((s, mask.copy()))
-            traffic.record(rnd, s, int(mask.sum()) * d_rec, tag_bits=int(mask.sum()) * n,
-                           origins=np.flatnonzero(mask))
+            traffic.record(rnd, s, int(mask.sum()) * d_rec, tag_bits=int(mask.sum()) * n)
         for s, mask in sends:
             transmitted[s] |= mask
             for nb in neighbors(s):
@@ -245,8 +275,7 @@ def run_mf_clustered(topo: ClusteredTopology, samples) -> MfResult:
             if not mask.any():
                 continue
             sends.append((s, mask.copy()))
-            traffic.record(rnd, s, int(mask.sum()) * d_rec, tag_bits=int(mask.sum()) * n,
-                           origins=np.flatnonzero(mask))
+            traffic.record(rnd, s, int(mask.sum()) * d_rec, tag_bits=int(mask.sum()) * n)
         for s, mask in sends:
             transmitted[s] |= mask
             for nb in receivers(s):

@@ -1,9 +1,9 @@
 """Eager TAS distillation and tag-matrix wrap-up over plain sets.
 
 The package stores each tag as an ``int`` bitmask, works out a message's
-residual tag before it touches a payload, keeps a table's covered mask and
-disjointness as rows are appended, and reads a disjoint table's weights off
-that mask. These oracles keep tags as ``frozenset``s in a minimal table of
+residual tag before it touches a payload, reads the covered mask and
+disjointness of a table's rows off the OR and bit counts of their tags, and
+reads a disjoint table's weights off that mask. These oracles keep tags as ``frozenset``s in a minimal table of
 their own and do the same steps the direct way: distillation copies and
 subtracts before it knows whether the residual is kept, coverage and the tag
 matrix walk every tag node by node, and every wrap-up builds the tag matrix.

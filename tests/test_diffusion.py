@@ -88,6 +88,21 @@ def round_totals(log):
     return out
 
 
+def plus(*aggs):
+    """A new aggregate: the sum of the given ones, in order."""
+    total = aggs[0].copy()
+    for agg in aggs[1:]:
+        total.iadd(agg)
+    return total
+
+
+def final_wrapups(res):
+    """(weights matrix, aggregates, completion flags) of every node's final wrap-up."""
+    wrapups = [res.wrapup(k) for k in range(len(res.tables))]
+    return (np.array([w.c for w, _ in wrapups]), [agg for _, agg in wrapups],
+            np.array([w.complete for w, _ in wrapups]))
+
+
 def marker_payload(value, m=2):
     """Tiny aggregate whose every entry is ``value`` (payload arithmetic probe)."""
     return AggregateSums(np.full((m, 1), value), np.full((m, 1, 1), value))
@@ -141,22 +156,13 @@ def test_traffic_log_csv_format(tmp_path):
 def test_traffic_events_are_tuples_with_named_fields():
     log = TrafficLog("demo", 3)
     log.record(1, 0, 10, tag_bits=3)
-    log.record(np.int64(2), np.int64(2), np.int64(5), origins=[2])
+    log.record(np.int64(2), np.int64(2), np.int64(5))
     first, second = log.events
-    assert TrafficEvent._fields == ("round", "node", "scalars", "tag_bits", "origins")
-    assert (first.round, first.node, first.scalars, first.tag_bits, first.origins) == (1, 0, 10, 3, None)
-    assert first == TrafficEvent(1, 0, 10, 3, None) == (1, 0, 10, 3, None)
-    assert second == TrafficEvent(round=2, node=2, scalars=5, tag_bits=0, origins=(2,))
-    assert all(type(v) is int for v in second[:4])
-
-
-def test_traffic_origins_are_python_ints():
-    log = TrafficLog("demo", 4)
-    log.record(1, 0, 6, origins=np.array([0, 3], dtype=np.int64))
-    log.record(1, 1, 6, origins=[1, np.int64(2)])
-    log.record(1, 2, 0, origins=np.flatnonzero(np.zeros(4, dtype=bool)))
-    assert [e.origins for e in log.events] == [(0, 3), (1, 2), ()]
-    assert all(type(o) is int for e in log.events for o in e.origins)
+    assert TrafficEvent._fields == ("round", "node", "scalars", "tag_bits")
+    assert (first.round, first.node, first.scalars, first.tag_bits) == (1, 0, 10, 3)
+    assert first == TrafficEvent(1, 0, 10, 3) == (1, 0, 10, 3)
+    assert second == TrafficEvent(round=2, node=2, scalars=5, tag_bits=0)
+    assert all(type(v) is int for v in second)
 
 
 def test_traffic_per_node_totals_is_a_copy():
@@ -178,7 +184,7 @@ def test_traffic_per_node_totals_is_a_copy():
 def test_traffic_log_csv_text(tmp_path):
     log = TrafficLog("tas", 3)
     log.record(1, 2, 18, tag_bits=3)
-    log.record(0, 1, 18, tag_bits=3, origins=[1])
+    log.record(0, 1, 18, tag_bits=3)
     log.record(1, 1, 18)
     log.record(0, 2, 9)
     path = tmp_path / "traffic.csv"
@@ -202,7 +208,7 @@ def test_tag_table_basics():
     table = TagTable(owner=2, n_nodes=5, local_payload=marker_payload(1.0))
     assert table.rows[0].tag == mask(2)
     table.append(mask(0, 1), marker_payload(2.0))
-    assert table.coverage() == mask(0, 1, 2)
+    assert diffusion._cover(table.rows) == (mask(0, 1, 2), True)
     mat = table.tag_matrix()
     assert mat.shape == (2, 5)
     assert np.array_equal(mat[0], [0, 0, 1, 0, 0])
@@ -302,7 +308,7 @@ def test_wrapup_disjoint_covering_table():
     locals_ = [local_aggregate(samples, i, signs.column(i)) for i in range(4)]
     table = TagTable(owner=0, n_nodes=4, local_payload=locals_[0].copy())
     table.append(mask(1), locals_[1].copy())
-    table.append(mask(2, 3), locals_[2] + locals_[3])
+    table.append(mask(2, 3), plus(locals_[2], locals_[3]))
     weights, agg = tas_wrapup(table)
     assert weights.complete
     assert agg.allclose(batch_aggregate(samples, signs))
@@ -312,8 +318,8 @@ def test_wrapup_overlapping_rows_uses_lp():
     _, samples, signs = make_network(61, 4, graph=complete_graph(4))
     locals_ = [local_aggregate(samples, i, signs.column(i)) for i in range(4)]
     table = TagTable(owner=0, n_nodes=4, local_payload=locals_[0].copy())
-    table.append(mask(1, 2), locals_[1] + locals_[2])
-    table.append(mask(2, 3), locals_[2] + locals_[3])
+    table.append(mask(1, 2), plus(locals_[1], locals_[2]))
+    table.append(mask(2, 3), plus(locals_[2], locals_[3]))
     weights, agg = tas_wrapup(table)
     c = weights.c
     assert c[0] == 1.0
@@ -345,10 +351,10 @@ def count_lp_calls(monkeypatch) -> list:
     return calls
 
 
-def uncached_wrapup(table):
+def uncached_wrapup(table, n_rows=None):
     """tas_wrapup with the table's remembered LP solution cleared first."""
     table._wrapup = (b"", None)
-    return tas_wrapup(table)
+    return tas_wrapup(table, n_rows)
 
 
 def same_aggregate(a, b) -> bool:
@@ -357,8 +363,8 @@ def same_aggregate(a, b) -> bool:
 
 def overlapping_table(locals_):
     table = TagTable(owner=0, n_nodes=len(locals_), local_payload=locals_[0].copy())
-    table.append(mask(1, 2), locals_[1] + locals_[2])
-    table.append(mask(2, 3), locals_[2] + locals_[3])
+    table.append(mask(1, 2), plus(locals_[1], locals_[2]))
+    table.append(mask(2, 3), plus(locals_[2], locals_[3]))
     return table
 
 
@@ -375,14 +381,14 @@ def test_wrapup_reuses_lp_solution_while_tags_are_unchanged(monkeypatch):
     assert not table._wrapup[1].flags.writeable
 
     # a newly distilled row changes the tag matrix and forces a re-solve
-    assert tas_distill(table, mask(0, 3, 4), locals_[0] + locals_[3] + locals_[4]) is not None
+    assert tas_distill(table, mask(0, 3, 4), plus(locals_[0], locals_[3], locals_[4])) is not None
     w3, agg3 = tas_wrapup(table)
     assert len(calls) == 2
     assert w3.c[4] == 1.0
     assert agg3.allclose(truncated_aggregate(samples, signs, w3.c))
 
     # a message with nothing new leaves the tags, and the solution, as they were
-    assert tas_distill(table, mask(1, 2), locals_[1] + locals_[2]) is None
+    assert tas_distill(table, mask(1, 2), plus(locals_[1], locals_[2])) is None
     tas_wrapup(table)
     assert len(calls) == 2
 
@@ -406,21 +412,21 @@ def test_tas_snapshots_with_reused_solutions_equal_uncached_run(monkeypatch):
     rounds = diameter(graph) + 3  # the last rounds leave most tables unchanged
 
     def run():
+        """Every node's wrap-up as each round sends, rounds in order, then the
+        final ones, with the number of LP solves they took."""
         calls = count_lp_calls(monkeypatch)
-        res = run_tas(graph, samples, signs, rounds=rounds, snapshot_rounds=range(rounds + 1))
-        res.weights  # the final wrap-up runs on first read; count its solves too
-        return res, len(calls)
+        res = run_tas(graph, samples, signs, rounds=rounds)
+        views = [res.wrapup(k, rnd) for rnd in range(rounds + 1) for k in range(16)]
+        views += [res.wrapup(k) for k in range(16)]
+        return views, len(calls)
 
     cached, cached_calls = run()
     monkeypatch.setattr(diffusion, "tas_wrapup", uncached_wrapup)
     uncached, uncached_calls = run()
     assert 0 < cached_calls < uncached_calls
-    for rnd in range(rounds + 1):
-        (w, aggs), (w_ref, aggs_ref) = cached.snapshots[rnd], uncached.snapshots[rnd]
-        assert np.array_equal(w, w_ref)
-        assert all(same_aggregate(a, b) for a, b in zip(aggs, aggs_ref))
-    assert np.array_equal(cached.weights, uncached.weights)
-    assert all(same_aggregate(a, b) for a, b in zip(cached.aggregates, uncached.aggregates))
+    for (w, agg), (w_ref, agg_ref) in zip(cached, uncached, strict=True):
+        assert np.array_equal(w.c, w_ref.c)
+        assert same_aggregate(agg, agg_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -475,17 +481,15 @@ def test_mf_single_node():
 
 
 def test_mf_never_retransmits():
+    d_rec, _ = payload_sizes(2, 2)
     for i in range(5):
         graph, samples, signs = make_network(75 + i, 15)
         res = run_mf(graph, samples)
         assert res.known.all()
-        sent = {}
-        for e in res.traffic.events:
-            assert e.origins is not None
-            for record in e.origins:
-                key = (e.node, record)
-                assert key not in sent, f"{key} transmitted twice"
-                sent[key] = e.round
+        # each node pays for every distinct record it sent exactly once
+        totals = res.traffic.per_node_totals
+        for k in range(15):
+            assert totals[k] == res.transmitted[k].sum() * d_rec
 
 
 def test_pf_dominates_mf_and_both_complete_at_diameter():
@@ -502,15 +506,16 @@ def test_pf_dominates_mf_and_both_complete_at_diameter():
 
 def test_mf_snapshots_and_arrival_rounds():
     graph, samples, signs = make_network(85, 12)
-    res = run_mf(graph, samples, snapshot_rounds=range(0, 20))
-    assert np.array_equal(res.snapshots[0], np.eye(12, dtype=bool))
-    prev = res.snapshots[0]
+    res = run_mf(graph, samples)
+    assert np.array_equal(res.known_after(0), np.eye(12, dtype=bool))
+    prev = res.known_after(0)
     for r in range(1, res.rounds_run + 1):
-        cur = res.snapshots[r]
+        cur = res.known_after(r)
         assert np.all(prev <= cur)  # knowledge only grows
         prev = cur
-    # requested rounds past quiescence return the final state
-    assert np.array_equal(res.snapshots[19], res.known)
+    assert np.array_equal(prev, res.known)
+    # rounds past quiescence give the final state
+    assert np.array_equal(res.known_after(19), res.known)
     # arrival bookkeeping: every known record has a round, own record at 0
     assert np.all(res.arrival_round[res.known] >= 0)
     assert np.all(np.diag(res.arrival_round) == 0)
@@ -574,11 +579,12 @@ def test_tas_complete_graph_single_round():
     graph, samples, signs = make_network(100, 6, m=5, graph=complete_graph(6))
     res = run_tas(graph, samples, signs)  # diameter 1
     assert res.rounds_run == 1
-    assert res.complete.all()
-    assert np.all(res.weights == 1.0)
+    weights, aggs, complete = final_wrapups(res)
+    assert complete.all()
+    assert np.all(weights == 1.0)
     full = batch_aggregate(samples, signs)
     for k in range(6):
-        assert res.aggregates[k].allclose(full)
+        assert aggs[k].allclose(full)
         # table holds the six one-hot rows
         assert len(res.tables[k].rows) == 6
     _, d_agg = payload_sizes(2, 5)
@@ -591,7 +597,7 @@ def test_tas_single_node_zero_rounds():
     _, samples, signs = make_network(101, 1, graph=graph)
     res = run_tas(graph, samples, signs)
     assert res.rounds_run == 0
-    assert np.array_equal(res.weights, [[1.0]])
+    assert np.array_equal(final_wrapups(res)[0], [[1.0]])
     _, d_agg = payload_sizes(2, 4)
     assert res.traffic.total_scalars == d_agg
 
@@ -615,13 +621,14 @@ def test_tas_diameter_rounds_full_sum_or_valid_partial():
         graph, samples, signs = make_network(105 + i, 13, m=4)
         res = run_tas(graph, samples, signs)  # rounds = diameter
         full = batch_aggregate(samples, signs)
-        assert np.all((res.weights >= 0.0) & (res.weights <= 1.0))
+        weights, aggs, complete = final_wrapups(res)
+        assert np.all((weights >= 0.0) & (weights <= 1.0))
         for k in range(13):
-            if res.complete[k]:
-                assert res.aggregates[k].allclose(full)
+            if complete[k]:
+                assert aggs[k].allclose(full)
                 full_checked += 1
             else:
-                assert res.weights[k].min() < 1.0
+                assert weights[k].min() < 1.0
     assert full_checked > 0  # at least some nodes finish on these graphs
 
 
@@ -637,26 +644,29 @@ def test_tas_every_transmission_costs_one_aggregate():
 def test_tas_snapshots_wrap_up_requested_nodes():
     graph, samples, signs = make_network(110, 9, m=3)
     rounds = diameter(graph)
-    res = run_tas(graph, samples, signs, rounds=rounds,
-                  snapshot_rounds=[0, rounds], wrapup_nodes=[2, 5])
-    w0, aggs0 = res.snapshots[0]
-    assert np.array_equal(w0[2], np.eye(9)[2])  # before any exchange
-    assert aggs0[2].allclose(local_aggregate(samples, 2, signs.column(2)))
-    w_end, aggs_end = res.snapshots[rounds]
-    assert np.array_equal(w_end[2], res.weights[2])
-    assert aggs_end[5].allclose(res.aggregates[5])
+    res = run_tas(graph, samples, signs, rounds=rounds)
+    w0, agg0 = res.wrapup(2, 0)
+    assert np.array_equal(w0.c, np.eye(9)[2])  # before any exchange
+    assert agg0.allclose(local_aggregate(samples, 2, signs.column(2)))
+    # the last round is sent but never delivered: its view is the final table
+    for k in (2, 5):
+        (w_end, agg_end), (w, agg) = res.wrapup(k, rounds), res.wrapup(k)
+        assert np.array_equal(w_end.c, w.c)
+        assert same_aggregate(agg_end, agg)
 
 
-def test_tas_checks_and_freezes_wrapup_nodes_at_run_time():
+def test_tas_wrapup_rejects_unknown_nodes_and_rounds():
     graph, samples, signs = make_network(110, 9, m=3)
-    for bad in ([9], [-1], [2, 12]):
-        with pytest.raises(ValueError):
-            run_tas(graph, samples, signs, rounds=1, wrapup_nodes=bad)
-    wanted = [2, 5]
-    res = run_tas(graph, samples, signs, rounds=1, wrapup_nodes=wanted)
-    wanted.append(3)  # a later change to the caller's list is not seen
-    assert res.wrapup_nodes == (2, 5)
-    assert [k for k in range(9) if res.aggregates[k] is not None] == [2, 5]
+    res = run_tas(graph, samples, signs, rounds=1)
+    for k in (9, -1, 12):
+        with pytest.raises(ValueError, match="not in the network"):
+            res.wrapup(k)
+    for rnd in (-1, 2):
+        with pytest.raises(ValueError, match="was not run"):
+            res.wrapup(2, rnd)
+    tree = run_tas_tree(TreeTopology(parent=np.array([-1, 0, 0])), *make_network(110, 3)[1:])
+    with pytest.raises(ValueError, match="was not run"):
+        tree.wrapup(0, 0)  # scheduled rounds start at 1
 
 
 def test_tas_tree_hand_trace_and_formula():
@@ -665,16 +675,17 @@ def test_tas_tree_hand_trace_and_formula():
     _, d_agg = payload_sizes(2, 4)
     res = run_tas_tree(tree, samples, signs)
     assert res.traffic.total_scalars == 5 * d_agg
-    assert res.complete.all()
+    _, aggs, complete = final_wrapups(res)
+    assert complete.all()
     full = batch_aggregate(samples, signs)
     for k in range(4):
-        assert res.aggregates[k].allclose(full)
+        assert aggs[k].allclose(full)
 
     single = TreeTopology(parent=np.array([-1]))
     _, s1, g1 = make_network(112, 1, graph=Graph(adjacency=np.zeros((1, 1), dtype=bool)))
     res1 = run_tas_tree(single, s1, g1)
     assert res1.traffic.total_scalars == payload_sizes(2, 4)[1]
-    assert np.array_equal(res1.weights, [[1.0]])
+    assert np.array_equal(final_wrapups(res1)[0], [[1.0]])
 
 
 def test_tas_tree_matches_census_formula():
@@ -682,12 +693,13 @@ def test_tas_tree_matches_census_formula():
         graph, samples, signs = make_network(115 + i, 30, m=5)
         tree = spanning_tree(graph)
         res = run_tas_tree(tree, samples, signs)
-        assert res.complete.all()
+        _, aggs, complete = final_wrapups(res)
+        assert complete.all()
         expected = traffic_tas_tree(tree.level_counts, tree.childless_counts, 2, 5)
         assert res.traffic.total_scalars == expected
         full = batch_aggregate(samples, signs)
         for k in range(30):
-            assert res.aggregates[k].allclose(full)
+            assert aggs[k].allclose(full)
 
 
 def test_tas_clustered_formula_and_exactness():
@@ -697,10 +709,11 @@ def test_tas_clustered_formula_and_exactness():
     res = run_tas_clustered(topo, samples, signs)
     assert res.traffic.total_scalars == 12 * d_agg
     assert res.traffic.total_scalars == traffic_tas_clustered(10, 2, 2, 3)
-    assert res.complete.all()
+    _, aggs, complete = final_wrapups(res)
+    assert complete.all()
     full = batch_aggregate(samples, signs)
     for k in range(10):
-        assert res.aggregates[k].allclose(full)
+        assert aggs[k].allclose(full)
 
 
 def test_tas_clustered_single_cluster():
@@ -709,7 +722,7 @@ def test_tas_clustered_single_cluster():
     res = run_tas_clustered(topo, samples, signs)
     # the final head broadcast repeats the mesh one but is still sent
     assert res.traffic.total_scalars == traffic_tas_clustered(7, 1, 2, 3)
-    assert res.complete.all()
+    assert final_wrapups(res)[2].all()
 
 
 # ---------------------------------------------------------------------------

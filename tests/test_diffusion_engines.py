@@ -3,17 +3,22 @@
 Every traffic integer, weight and aggregate the benchmark checks comes out of
 these seven runners, so each must log the same events in the same order and
 end with the same state as its oracle in ``diffusion_oracle``: knowledge,
-transmitted rows, arrival rounds, round counts and snapshots for flooding;
-every tag table row (tag, merged flag, payload bits), weights, aggregates,
-completion flags and snapshots for TAS. Cases cover random geometric graphs
-of 2 to 60 nodes, their spanning trees, complete binary trees and clustered
-deployments with one cluster, N/4 clusters and one node per cluster.
+transmitted rows, arrival rounds and round counts for flooding; every tag
+table row (tag, merged flag, payload bits), weights, aggregates and
+completion flags for TAS. The round views must equal the oracles' eager
+snapshots bit for bit: ``known_after(r)`` for every round, also past the
+last one, and ``wrapup(k, r)`` for every node and round. On the tree and
+clustered schedules, which the oracles do not snapshot, ``wrapup(k, r)``
+must equal the wrap-up of a fresh table holding that prefix of node k's
+rows. Cases cover random geometric graphs of 2 to 60 nodes, their spanning
+trees, complete binary trees and clustered deployments with one cluster, N/4
+clusters and one node per cluster.
 
 Two things differ from the oracles on purpose. Every MF result reports as
 ``completion_round`` the first round after which all nodes know every record,
 also on the tree and clustered schedules (the oracles report the last
-stage there). And a TAS result wraps up its tables on the first read of
-``weights``, ``aggregates`` or ``complete``, not before it returns.
+stage there). And a TAS result wraps up nothing until ``wrapup`` is called,
+where the oracles wrap up every table before they return.
 """
 
 import numpy as np
@@ -71,8 +76,12 @@ def assert_same_flooding(res, ref):
     assert np.array_equal(res.arrival_round, ref.arrival_round)
     # with equal arrival rounds this also equals run_mf's oracle
     assert res.completion_round == (int(res.arrival_round.max()) if res.known.all() else None)
-    assert res.snapshots.keys() == ref.snapshots.keys()
-    assert all(np.array_equal(res.snapshots[r], ref.snapshots[r]) for r in ref.snapshots)
+    for r, known in ref.snapshots.items():
+        assert np.array_equal(res.known_after(r), known)
+
+
+def same_wrapup(got, weights, agg):
+    return np.array_equal(got[0].c, weights) and same_agg(got[1], agg)
 
 
 def assert_same_tas(res, ref):
@@ -81,36 +90,45 @@ def assert_same_tas(res, ref):
     for table, ref_table in zip(res.tables, ref.tables, strict=True):
         assert [(r.tag, r.merged) for r in table.rows] == [(r.tag, r.merged) for r in ref_table.rows]
         assert all(same_agg(r.payload, q.payload) for r, q in zip(table.rows, ref_table.rows))
-    assert np.array_equal(res.weights, ref.weights)
-    assert np.array_equal(res.complete, ref.complete)
-    assert all(same_agg(a, b) for a, b in zip(res.aggregates, ref.aggregates, strict=True))
-    assert res.snapshots.keys() == ref.snapshots.keys()
+    for k in range(len(ref.tables)):
+        final = res.wrapup(k)
+        assert same_wrapup(final, ref.weights[k], ref.aggregates[k])
+        assert final[0].complete == ref.complete[k]
     for r, (weights, aggs) in ref.snapshots.items():
-        assert np.array_equal(res.snapshots[r][0], weights)
-        assert all(same_agg(a, b) for a, b in zip(res.snapshots[r][1], aggs, strict=True))
+        assert all(same_wrapup(res.wrapup(k, r), weights[k], aggs[k]) for k in range(len(ref.tables)))
+
+
+def assert_prefix_wrapups(res):
+    """Each node's wrap-up at each round equals that of a fresh table built
+    from the prefix of its rows the round saw."""
+    for r, counts in res.row_counts.items():
+        for k, table in enumerate(res.tables):
+            fresh = diffusion.TagTable(k, table.n_nodes, table.rows[0].payload)
+            for row in table.rows[1:counts[k]]:
+                fresh.append(row.tag, row.payload)
+            weights, agg = diffusion.tas_wrapup(fresh)
+            assert same_wrapup(res.wrapup(k, r), weights.c, agg)
 
 
 @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
-@given(networks(), st.sampled_from([None, 1, 3]), st.sets(st.integers(0, 8), max_size=4))
-def test_flooding_matches_oracle(net, max_rounds, snapshot_rounds):
+@given(networks(), st.sampled_from([None, 1, 3]))
+def test_flooding_matches_oracle(net, max_rounds):
     _, graph, samples, _ = net
     assert_same_flooding(diffusion.run_pf(graph, samples, max_rounds=max_rounds),
                          oracle.run_pf(graph, samples, max_rounds=max_rounds))
-    assert_same_flooding(
-        diffusion.run_mf(graph, samples, max_rounds=max_rounds, snapshot_rounds=snapshot_rounds),
-        oracle.run_mf(graph, samples, max_rounds=max_rounds, snapshot_rounds=snapshot_rounds),
-    )
+    res = diffusion.run_mf(graph, samples, max_rounds=max_rounds)
+    every_round = range(res.rounds_run + 3)  # two rounds past the end give the final knowledge
+    assert_same_flooding(res, oracle.run_mf(graph, samples, max_rounds=max_rounds, snapshot_rounds=every_round))
 
 
 @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
-@given(networks(), st.sampled_from([None, 0, 1, 4]), st.sets(st.integers(0, 5), max_size=3), st.data())
-def test_tas_matches_oracle(net, rounds, snapshot_rounds, data):
+@given(networks(), st.sampled_from([None, 0, 1, 4]))
+def test_tas_matches_oracle(net, rounds):
     _, graph, samples, signs = net
-    n = graph.n_nodes
-    wrapup_nodes = data.draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
-    kwargs = dict(rounds=rounds, snapshot_rounds=snapshot_rounds, wrapup_nodes=wrapup_nodes)
-    assert_same_tas(diffusion.run_tas(graph, samples, signs, **kwargs),
-                    oracle.run_tas(graph, samples, signs, **kwargs))
+    res = diffusion.run_tas(graph, samples, signs, rounds=rounds)
+    assert sorted(res.row_counts) == list(range(res.rounds_run + 1))
+    assert_same_tas(res, oracle.run_tas(graph, samples, signs, rounds=rounds,
+                                        snapshot_rounds=range(res.rounds_run + 1)))
 
 
 @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
@@ -124,7 +142,9 @@ def test_tree_schedules_match_oracle(net, binary_depth):
         positions = substream(seed, "positions").uniform(0, 1, size=(tree.n_nodes, 2))
         samples, signs = data_for(positions, seed, samples.n_p, signs.m)
     assert_same_flooding(diffusion.run_mf_tree(tree, samples), oracle.run_mf_tree(tree, samples))
-    assert_same_tas(diffusion.run_tas_tree(tree, samples, signs), oracle.run_tas_tree(tree, samples, signs))
+    res = diffusion.run_tas_tree(tree, samples, signs)
+    assert_same_tas(res, oracle.run_tas_tree(tree, samples, signs))
+    assert_prefix_wrapups(res)
 
 
 @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
@@ -135,50 +155,48 @@ def test_clustered_schedules_match_oracle(net, size):
     n_clusters = {"one": 1, "quarter": max(1, n // 4), "all": n}[size]
     topo = clustered(n, n_clusters, substream(seed, "clusters"))
     assert_same_flooding(diffusion.run_mf_clustered(topo, samples), oracle.run_mf_clustered(topo, samples))
-    assert_same_tas(diffusion.run_tas_clustered(topo, samples, signs),
-                    oracle.run_tas_clustered(topo, samples, signs))
+    res = diffusion.run_tas_clustered(topo, samples, signs)
+    assert sorted(res.row_counts) == [1, 2, 3]
+    assert_same_tas(res, oracle.run_tas_clustered(topo, samples, signs))
+    assert_prefix_wrapups(res)
 
 
 def counting_wrapups(mp) -> list:
-    """Make diffusion's tas_wrapup append the table owner per call to the list returned."""
+    """Make diffusion's tas_wrapup append (table owner, n_rows) per call to the list returned."""
     calls = []
     wrapup = diffusion.tas_wrapup
 
-    def counting(table):
-        calls.append(table.owner)
-        return wrapup(table)
+    def counting(table, n_rows=None):
+        calls.append((table.owner, n_rows))
+        return wrapup(table, n_rows)
 
     mp.setattr(diffusion, "tas_wrapup", counting)
     return calls
 
 
 @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
-@given(networks(), st.sampled_from(["tas", "tree", "clustered"]), st.sets(st.integers(0, 3), max_size=2),
-       st.sampled_from(["weights", "aggregates", "complete"]), st.data())
-def test_tas_wraps_up_once_on_first_read(net, runner, snapshot_rounds, first, data):
+@given(networks(), st.sampled_from(["tas", "tree", "clustered"]), st.data())
+def test_tas_runs_wrap_up_only_what_is_read(net, runner, data):
     seed, graph, samples, signs = net
     n = graph.n_nodes
     if runner == "tas":
-        nodes = data.draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
-        kwargs = dict(rounds=2, snapshot_rounds=snapshot_rounds, wrapup_nodes=nodes)
-        run, ref_run, args = diffusion.run_tas, oracle.run_tas, (graph, samples, signs)
-        snapshot_calls = len(snapshot_rounds & {0, 1, 2}) * len(nodes or range(n))
+        run, ref_run, args = diffusion.run_tas, oracle.run_tas, (graph, samples, signs, 2)
     else:
-        nodes, kwargs, snapshot_calls = None, {}, 0
         topo = spanning_tree(graph) if runner == "tree" else clustered(n, max(1, n // 4), substream(seed, "c"))
         run = diffusion.run_tas_tree if runner == "tree" else diffusion.run_tas_clustered
         ref_run = oracle.run_tas_tree if runner == "tree" else oracle.run_tas_clustered
         args = (topo, samples, signs)
     with pytest.MonkeyPatch.context() as mp:
         calls = counting_wrapups(mp)
-        res = run(*args, **kwargs)
-        assert len(calls) == snapshot_calls  # snapshots only
-        del calls[:]
-        getattr(res, first)
-        assert calls == list(nodes or range(n))
-        res.weights, res.aggregates, res.complete
-        assert len(calls) == len(nodes or range(n))
-    assert_same_tas(res, ref_run(*args, **kwargs))
+        res = run(*args)
+        assert calls == []  # the run wraps up nothing
+        rounds = st.none() | st.sampled_from(sorted(res.row_counts))
+        reads = data.draw(st.lists(st.tuples(st.integers(0, n - 1), rounds), min_size=1, max_size=4))
+        for k, rnd in reads:
+            res.wrapup(k, rnd)
+        # one wrap-up per read, of the prefix the round saw
+        assert calls == [(k, None if rnd is None else res.row_counts[rnd][k]) for k, rnd in reads]
+    assert_same_tas(res, ref_run(*args))
 
 
 def test_tree_and_cluster_stages():

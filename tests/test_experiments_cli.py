@@ -163,6 +163,18 @@ def test_designated_node_out_of_range_is_rejected(protocol):
         run_coverage(cfg)
 
 
+def test_coverage_over_all_nodes_still_checks_the_designated_node(tmp_path, capsys):
+    raw = {"seed": 1, "node": 50, "all_nodes": True, "trials": 2, "topology": {"kind": "rgg", "n_nodes": 10}}
+    with pytest.raises(ValueError, match="designated node is out of range"):
+        run_coverage(ExperimentConfig(raw))
+    cfg_path = tmp_path / "cov.json"
+    cfg_path.write_text(json.dumps(dict(raw, all_nodes=False)))
+    rc = main(["coverage", "--config", str(cfg_path), "--all-nodes", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "designated node is out of range" in capsys.readouterr().err
+    assert not (tmp_path / "coverage.csv").exists()
+
+
 def test_run_success_rate_smoke():
     cfg = ExperimentConfig({
         "seed": 13,

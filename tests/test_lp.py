@@ -120,7 +120,7 @@ def test_simplex_matches_highs_on_tas_tables():
     graph = random_geometric(60, substream(1977, "topology"))
     cfg = FieldConfig(n_p=2, p_true=np.array([1.0, -0.5]))
     samples = generate_measurements(graph.positions, cfg, substream(1977, "noise"))
-    res = run_tas(graph, samples, draw_sign_matrix(4, 60, sign_seed=1977), wrapup_nodes=[])
+    res = run_tas(graph, samples, draw_sign_matrix(4, 60, sign_seed=1977))
     overlapping = 0
     for table in res.tables:
         tags = table.tag_matrix().astype(float)

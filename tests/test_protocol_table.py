@@ -2,7 +2,7 @@
 rounds and traffic for every protocol on every topology kind.
 
 The contract the test relies on is that node k's aggregate is the sum of the
-local terms weighted by row k of ``weights``, whatever the protocol. On
+local terms weighted by ``weights(k)``, whatever the protocol. On
 general graphs the table must reproduce the old coverage dispatch
 (``trial_oracle``) bit for bit; on trees and clustered deployments it must run
 the scheduled simulators, whose totals have closed forms.
@@ -57,18 +57,19 @@ def test_aggregate_is_the_weighted_sum_of_local_terms(protocol, kind, n_nodes, r
         bundle = bundle_for(kind, n_nodes, seed)
         samples, signs = data_for(bundle, seed)
         n = bundle.graph.n_nodes
-        run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds), range(n))
-        assert run.weights.shape == (n, n)
+        run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds))
         for k in range(n):
-            assert truncated_aggregate(samples, signs, run.weights[k]).allclose(run.aggregate(k))
+            assert run.weights(k).shape == (n,)
+            assert truncated_aggregate(samples, signs, run.weights(k)).allclose(run.aggregate(k))
 
 
 def test_consensus_weights_are_unclipped():
     bundle = bundle_for("rgg", 30, 4)
     samples, signs = data_for(bundle, 4)
-    run = run_protocol(bundle, samples, signs, diffusion_cfg("consensus", iterations=4), [0])
-    assert run.weights.max() > 1.0  # N * W^t exceeds one on this graph
-    assert np.array_equal(run.weights, run_consensus(bundle.graph, samples, signs, 4).effective_weights())
+    run = run_protocol(bundle, samples, signs, diffusion_cfg("consensus", iterations=4))
+    weights = np.array([run.weights(k) for k in range(30)])
+    assert weights.max() > 1.0  # N * W^t exceeds one on this graph
+    assert np.array_equal(weights, run_consensus(bundle.graph, samples, signs, 4).effective_weights())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -82,7 +83,7 @@ def test_table_matches_the_old_dispatch_on_general_graphs(kind, n_nodes, seed, r
     nodes = list(range(n)) if all_nodes else [data.draw(st.integers(0, n - 1))]
     for protocol in PROTOCOLS:
         diff = diffusion_cfg(protocol, rounds, iterations=4 if rounds is None else rounds, scheme=scheme)
-        run = run_protocol(bundle, samples, signs, diff, nodes)
+        run = run_protocol(bundle, samples, signs, diff)
         state, rounds_run, traffic = trial_oracle.trial_state(protocol, bundle.graph, samples, signs, diff,
                                                               nodes)
         assert run.rounds == rounds_run
@@ -98,10 +99,10 @@ def test_table_matches_the_old_dispatch_on_general_graphs(kind, n_nodes, seed, r
             c, agg = state[k]
             assert same_agg(run.aggregate(k), agg)
             if protocol == "consensus":
-                assert np.array_equal(run.weights[k], eff[k])
-                assert np.array_equal(np.clip(run.weights[k], 0.0, 1.0), c)
+                assert np.array_equal(run.weights(k), eff[k])
+                assert np.array_equal(np.clip(run.weights(k), 0.0, 1.0), c)
             else:
-                assert np.array_equal(run.weights[k], c)
+                assert np.array_equal(run.weights(k), c)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -123,10 +124,10 @@ def test_structured_kinds_run_their_schedule(seed):
             suffix = "clustered"
         for protocol, total in expected.items():
             for rounds in (None, 1):  # diffusion.rounds is ignored on a schedule
-                run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds), [0])
+                run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds))
                 assert run.traffic.protocol == f"{protocol}-{suffix}"
                 assert run.traffic.total_scalars == total
-                assert (run.weights[0] == 1.0).all()
+                assert (run.weights(0) == 1.0).all()
 
 
 def test_runners_are_looked_up_by_name_at_call_time(monkeypatch):
@@ -138,7 +139,7 @@ def test_runners_are_looked_up_by_name_at_call_time(monkeypatch):
         monkeypatch.setattr(experiments, name,
                             lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw))
     for protocol in ("pf", "mf", "tas", "consensus"):
-        run_protocol(bundle, samples, signs, diffusion_cfg(protocol, 1), [0])
+        run_protocol(bundle, samples, signs, diffusion_cfg(protocol, 1))
     assert calls == ["run_pf", "run_mf", "run_tas", "run_consensus"]
 
 
@@ -150,15 +151,14 @@ def test_aggregates_are_built_only_when_read(monkeypatch):
         original = getattr(experiments, name)
         monkeypatch.setattr(experiments, name,
                             lambda *a, _f=original, _n=name, **kw: built.append(_n) or _f(*a, **kw))
-    nodes = list(range(10))
     for protocol in ("full", "local", "pf", "mf"):
-        run_protocol(bundle, samples, signs, diffusion_cfg(protocol, 1), nodes)
+        run_protocol(bundle, samples, signs, diffusion_cfg(protocol, 1))
     assert built == []
-    run = run_protocol(bundle, samples, signs, diffusion_cfg("full"), nodes)
-    assert all(run.aggregate(k) is run.aggregate(0) for k in nodes)
+    run = run_protocol(bundle, samples, signs, diffusion_cfg("full"))
+    assert all(run.aggregate(k) is run.aggregate(0) for k in range(10))
     assert built == ["batch_aggregate"]  # once per run, not once per node
     built.clear()
-    run = run_protocol(bundle, samples, signs, diffusion_cfg("mf", 1), nodes)
+    run = run_protocol(bundle, samples, signs, diffusion_cfg("mf", 1))
     run.aggregate(3)
     assert built == ["truncated_aggregate"]
 
@@ -167,17 +167,23 @@ def test_unknown_protocol_is_rejected():
     bundle = bundle_for("rgg", 5, 0)
     samples, signs = data_for(bundle, 0)
     with pytest.raises(ValueError, match="unknown protocol"):
-        run_protocol(bundle, samples, signs, diffusion_cfg("gossip"), [0])
+        run_protocol(bundle, samples, signs, diffusion_cfg("gossip"))
 
 
 def test_tas_wraps_up_only_the_requested_nodes(monkeypatch):
     calls = []
     original = diffusion.tas_wrapup
-    monkeypatch.setattr(diffusion, "tas_wrapup", lambda table: calls.append(table.owner) or original(table))
+    monkeypatch.setattr(diffusion, "tas_wrapup",
+                        lambda table, n_rows=None: calls.append((table.owner, n_rows)) or original(table, n_rows))
     for kind, n_nodes in (("rgg", 12), ("tree", 12), ("binary", 15), ("clustered", 12)):
         bundle = bundle_for(kind, n_nodes, 1, depth=3)
         samples, signs = data_for(bundle, 1)
         calls.clear()
-        run = run_protocol(bundle, samples, signs, diffusion_cfg("tas"), [2, 5])
-        assert sorted(calls) == [2, 5]
-        assert not run.weights[[k for k in range(bundle.graph.n_nodes) if k not in (2, 5)]].any()
+        run = run_protocol(bundle, samples, signs, diffusion_cfg("tas"))
+        assert calls == []  # nothing is wrapped up until it is read
+        first = [(run.weights(k), run.aggregate(k)) for k in (5, 2)]
+        again = [(run.weights(k), run.aggregate(k)) for k in (2, 5)]
+        assert calls == [(5, None), (2, None)]  # each node's final table, once, on its first read
+        assert first[0][1] is again[1][1] and first[1][1] is again[0][1]
+        with pytest.raises(ValueError, match="not in the network"):
+            run.aggregate(bundle.graph.n_nodes)

@@ -4,10 +4,11 @@ Distillation, coverage, the tag matrix and the wrap-up set the weights and
 aggregates every TAS node ends with, and the benchmark compares those bit for
 bit. The package keeps tags as ``int`` bitmasks, the oracle as frozensets.
 The package must make the same keep/discard decisions as the oracle, store
-the same rows (masks decoded to node sets) with bit-equal payloads, produce
+the same rows (masks decoded to node sets) with bit-equal payloads, read the
+same covered nodes and disjointness off every prefix of the rows, produce
 a byte-equal tag matrix (the LP input and the key of the remembered LP
 solution), and wrap up to an equal c and a bit-equal aggregate after every
-step, with the same number of LP solves. Table sizes include 63, 64, 65, 130
+step and from every prefix, with the same number of LP solves. Table sizes include 63, 64, 65, 130
 and 500 nodes, so masks cross 64-bit word and byte boundaries.
 """
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import tas_oracle  # noqa: E402
 from spsnet import diffusion  # noqa: E402
-from spsnet.diffusion import TagTable, tas_distill, tas_wrapup  # noqa: E402
+from spsnet.diffusion import TagTable, _cover, tas_distill, tas_wrapup  # noqa: E402
 from tas_oracle import SetTable, mask, nodes  # noqa: E402
 from spsnet.lp import SimplexError  # noqa: E402
 from spsnet.sps import AggregateSums  # noqa: E402
@@ -84,26 +85,41 @@ def same_payload(a, b) -> bool:
     return np.array_equal(a.vec, b.vec) and np.array_equal(a.mat, b.mat)
 
 
+def oracle_prefix(oracle, n_rows):
+    """A fresh oracle table holding the first ``n_rows`` rows of ``oracle``."""
+    out = SetTable(oracle.owner, oracle.n_nodes, oracle.rows[0].payload)
+    for row in oracle.rows[1:n_rows]:
+        out.append(row.tag, row.payload)
+    return out
+
+
 def assert_same_tables(table, oracle):
     assert [nodes(r.tag) for r in table.rows] == [r.tag for r in oracle.rows]
     assert all(same_payload(a.payload, b.payload) for a, b in zip(table.rows, oracle.rows))
-    assert nodes(table.coverage()) == tas_oracle.coverage(oracle)
+    for n_rows in range(1, len(table.rows) + 1):
+        covered, disjoint = _cover(table.rows[:n_rows])
+        prefix = oracle_prefix(oracle, n_rows)
+        assert nodes(covered) == tas_oracle.coverage(prefix)
+        assert disjoint == bool(tas_oracle.tag_matrix(prefix).sum(axis=0).max() <= 1)
     tags = tas_oracle.tag_matrix(oracle)
     got = table.tag_matrix()
     assert got.dtype == tags.dtype and got.shape == tags.shape and got.tobytes() == tags.tobytes()
-    assert table._disjoint == bool(tags.sum(axis=0).max() <= 1)
 
 
 def assert_same_wrapup(table, oracle):
     c, agg, solves = wrapup_outcome(tas_wrapup, table)
     c_ref, agg_ref, solves_ref = wrapup_outcome(tas_oracle.tas_wrapup, oracle)
     assert solves == solves_ref
+    assert_same_outcome(c, agg, c_ref, agg_ref)
+    return solves
+
+
+def assert_same_outcome(c, agg, c_ref, agg_ref):
     if agg_ref is None:
         assert agg is None and c == c_ref  # both gave up with the same error
-        return solves
+        return
     assert np.array_equal(c, c_ref)
     assert same_payload(agg, agg_ref)
-    return solves
 
 
 @st.composite
@@ -141,6 +157,10 @@ def test_tag_table_steps_match_eager_oracle(stream):
         assert same_payload(payload, before)  # the incoming message is never mutated
         assert_same_tables(table, oracle)
         assert_same_wrapup(table, oracle)
+    for n_rows in range(1, len(table.rows) + 1):  # every prefix, as a round view reads it
+        c, agg, _ = wrapup_outcome(lambda t: tas_wrapup(t, n_rows), table)
+        c_ref, agg_ref, _ = wrapup_outcome(tas_oracle.tas_wrapup, oracle_prefix(oracle, n_rows))
+        assert_same_outcome(c, agg, c_ref, agg_ref)
 
 
 def count_isub(monkeypatch) -> list:
@@ -179,7 +199,7 @@ def test_table_that_becomes_overlapping_matches_oracle():
         payload = random_payload(rng, 3, 2)
         table.append(mask(*tag), payload.copy())
         oracle.append(tag, payload.copy())
-        assert table._disjoint is flag
+        assert _cover(table.rows)[1] is flag
         assert_same_tables(table, oracle)
         solves.append(assert_same_wrapup(table, oracle))
     assert solves == [0, 0, 1, 1, 1]  # every new overlapping tag matrix is solved once
@@ -194,9 +214,9 @@ def test_tag_table_rejects_unknown_node_ids():
         for bad in (0, -1, -(1 << 2), 1 << n_nodes, mask(1, n_nodes + 5), (1 << (n_nodes + 1)) - 1):
             with pytest.raises(ValueError):
                 table.append(bad, AggregateSums.zeros(2, 1))
-        assert table.coverage() == mask(0) and table._disjoint and len(table.rows) == 1
+        assert _cover(table.rows) == (mask(0), True) and len(table.rows) == 1
         table.append((1 << n_nodes) - 2, AggregateSums.zeros(2, 1))  # every other node: accepted
-        assert table.coverage() == (1 << n_nodes) - 1 and table._disjoint
+        assert _cover(table.rows) == ((1 << n_nodes) - 1, True)
 
 
 def test_tag_table_stores_a_collection_of_node_ids_as_its_mask():
@@ -211,4 +231,4 @@ def test_tag_table_stores_a_collection_of_node_ids_as_its_mask():
         for bad in ([], [-1], [n_nodes], {1, n_nodes + 3}):
             with pytest.raises(ValueError):
                 table.append(bad, AggregateSums.zeros(2, 1))
-        assert table.coverage() == mask(0, 1, 2, n_nodes - 1)
+        assert _cover(table.rows)[0] == mask(0, 1, 2, n_nodes - 1)

@@ -5,8 +5,9 @@ The package now runs every protocol through one table,
 an aggregate on demand, the rounds run and the traffic log. This oracle keeps
 the old shape: one if/elif chain that runs the general-graph runner for every
 protocol on every topology and returns, per requested node, a (weights,
-aggregate) pair. Tests require the table to reproduce it bit for bit on
-general graphs. One difference is on purpose: the oracle reports consensus
+aggregate) pair, with TAS from the eager runner in ``diffusion_oracle``,
+which wraps up every table before it returns. Tests require the table to
+reproduce it bit for bit on general graphs. One difference is on purpose: the oracle reports consensus
 weights clipped into [0, 1], while the consensus state is the sum weighted by
 the unclipped N * W^t; the table reports the unclipped weights.
 """
@@ -15,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from spsnet.diffusion import run_consensus, run_mf, run_pf, run_tas
+import diffusion_oracle
+from spsnet.diffusion import run_consensus, run_mf, run_pf
 from spsnet.sps import batch_aggregate, local_aggregate, truncated_aggregate
 
 
@@ -41,7 +43,7 @@ def trial_state(protocol, graph, samples, signs, diff, nodes):
             out[k] = (c, truncated_aggregate(samples, signs, c))
         return out, res.rounds_run, res.traffic
     if protocol == "tas":
-        res = run_tas(graph, samples, signs, rounds=diff["rounds"], wrapup_nodes=nodes)
+        res = diffusion_oracle.run_tas(graph, samples, signs, rounds=diff["rounds"], wrapup_nodes=nodes)
         out = {k: (res.weights[k], res.aggregates[k]) for k in nodes}
         return out, res.rounds_run, res.traffic
     if protocol == "consensus":
