@@ -56,6 +56,14 @@ round r sends, before that round is delivered: tag tables only grow and a
 stored payload never changes, so that table is a prefix of the final one, and
 the run records each table's row count per round. Nothing is wrapped up
 until it is read.
+
+A TAS run moves tags and references to payloads and does no payload
+arithmetic: traffic depends on the tags alone. Distillation, aggregation and
+the complete and start-up messages record each new payload as a ``Fold``, a
+base followed by the terms to add or subtract in scan order. A fold is formed
+once, when a wrap-up, a row's ``payload`` or a message's ``vec``/``mat``
+first reads it, with the copy and in-place sums an eager run makes at send
+time, so every read has the eager bits. Folds nobody reads are never formed.
 """
 
 from __future__ import annotations
@@ -144,13 +152,76 @@ class TrafficLog:
 # tag tables
 
 
-@dataclass(eq=False)
+class Fold:
+    """Sums not formed yet: a copy of ``base``, then every term of ``terms``
+    added in order (subtracted with ``sub``).
+
+    Operands are ``AggregateSums`` or further folds, and none of them may
+    change afterwards. A fold is formed once, on the first read of its
+    ``vec`` or ``mat`` or of a row that stores it, with the ``copy`` and
+    ``iadd``/``isub`` calls an eager left fold makes, so its bits are the
+    eager ones. It then keeps its sums and drops its operands.
+    """
+
+    __slots__ = ("_ops", "_sums")
+
+    def __init__(self, base: AggregateSums | Fold, terms=(), sub: bool = False):
+        self._ops = (base, terms, sub)
+        self._sums: AggregateSums | None = None
+
+    @property
+    def vec(self) -> np.ndarray:
+        return _formed(self).vec
+
+    @property
+    def mat(self) -> np.ndarray:
+        return _formed(self).mat
+
+
+def _formed(payload) -> AggregateSums:
+    """The sums of a payload, forming first every fold it rests on that is
+    not formed yet. The walk keeps its own stack: fold chains grow with the
+    rounds and would overflow Python's recursion limit."""
+    if not isinstance(payload, Fold):
+        return payload
+    stack = [payload]
+    while stack:
+        fold = stack[-1]
+        if fold._sums is None:
+            base, terms, sub = fold._ops
+            waiting = [op for op in (base, *terms) if isinstance(op, Fold) and op._sums is None]
+            if waiting:
+                stack += waiting
+                continue
+            out = _sums_of(base).copy()
+            for term in terms:
+                if sub:
+                    out.isub(_sums_of(term))
+                else:
+                    out.iadd(_sums_of(term))
+            fold._sums, fold._ops = out, None
+        stack.pop()
+    return payload._sums
+
+
+def _sums_of(op) -> AggregateSums:
+    """The sums of an operand whose folds are all formed."""
+    return op._sums if isinstance(op, Fold) else op
+
+
+@dataclass(eq=False, slots=True)
 class TagRow:
-    """Stored row: tag (bitmask of the node ids the payload accounts for) + payload."""
+    """Stored row: tag (bitmask of the node ids the payload accounts for) +
+    payload, stored as ``AggregateSums`` or as a ``Fold`` that ``payload``
+    forms on its first read."""
 
     tag: int
-    payload: object
+    _payload: AggregateSums | Fold
     merged: bool = False
+
+    @property
+    def payload(self) -> AggregateSums:
+        return _formed(self._payload)
 
 
 def _unpack(masks, n_nodes: int) -> np.ndarray:
@@ -204,10 +275,6 @@ class TagTable:
         self._tags.add(tag)
         return row
 
-    def tag_matrix(self) -> np.ndarray:
-        """0/1 matrix, one row per stored row, one column per network node."""
-        return _unpack([row.tag for row in self.rows], self.n_nodes)
-
 
 def _cover(rows) -> tuple[int, bool]:
     """(mask of the nodes the rows' tags name, whether those tags are pairwise
@@ -219,16 +286,17 @@ def _cover(rows) -> tuple[int, bool]:
     return covered, bits == covered.bit_count()
 
 
-def tas_distill(table: TagTable, tag: int, payload: AggregateSums) -> TagRow | None:
+def tas_distill(table: TagTable, tag: int, payload: AggregateSums | Fold) -> TagRow | None:
     """Reduce an incoming message against the stored rows and keep the rest.
 
     Scanning stored rows in insertion order, every row whose tag is still a
     subset of the remaining incoming tag is subtracted (tag and payload).
     What is left is new information; it is appended as a row. A message whose
     residual is empty carries nothing new and is discarded. (A residual never
-    repeats a stored tag: the scan would have subtracted that row.) Payloads
-    are touched only for a kept row: a copy of the incoming payload minus the
-    subtracted rows in scan order. The incoming payload is never mutated.
+    repeats a stored tag: the scan would have subtracted that row.) A kept
+    row stores its payload as a ``Fold``: a copy of the incoming payload minus
+    the subtracted rows in scan order, formed when the row is first read. No
+    payload is touched here, and the incoming one is never mutated.
     """
     remaining = tag
     subtracted = []
@@ -236,16 +304,13 @@ def tas_distill(table: TagTable, tag: int, payload: AggregateSums) -> TagRow | N
         t = row.tag
         if t & remaining == t:
             remaining ^= t
-            subtracted.append(row.payload)
+            subtracted.append(row._payload)
     if not remaining:
         return None
-    residual = payload.copy()
-    for known in subtracted:
-        residual.isub(known)
-    return table.append(remaining, residual)
+    return table.append(remaining, Fold(payload, subtracted, sub=True))
 
 
-def tas_aggregate(table: TagTable) -> tuple[int, AggregateSums] | None:
+def tas_aggregate(table: TagTable) -> tuple[int, Fold] | None:
     """Build one outgoing message from the table.
 
     The running pair starts from the first row never merged before (None when
@@ -253,32 +318,35 @@ def tas_aggregate(table: TagTable) -> tuple[int, AggregateSums] | None:
     then scanned in insertion order and every row whose tag is disjoint from
     the running tag is summed in and marked merged; the start row overlaps
     itself, so it is not added twice. Rows overlapping the running tag are
-    skipped; resolving partial overlaps is the wrap-up's job.
+    skipped; resolving partial overlaps is the wrap-up's job. The payload is
+    a ``Fold``, formed on first read: a copy of the start row's payload plus
+    the merged rows' in scan order.
     """
     start = next((r for r in table.rows if not r.merged), None)
     if start is None:
         return None
     tag = start.tag
-    data = start.payload.copy()
     start.merged = True
+    merged = []
     for row in table.rows:
         if not tag & row.tag:
-            data.iadd(row.payload)
+            merged.append(row._payload)
             tag |= row.tag
             row.merged = True
-    return tag, data
+    return tag, Fold(start._payload, merged)
 
 
-def _complete_message(table: TagTable) -> tuple[int, AggregateSums]:
-    """Sum of all stored rows; valid when tags are pairwise disjoint."""
+def _complete_message(table: TagTable) -> tuple[int, Fold]:
+    """Sum of all stored rows; valid when tags are pairwise disjoint. The
+    payload is a ``Fold``, formed on first read: a copy of row 0's payload
+    plus every further row's in row order."""
     covered, disjoint = _cover(table.rows)
     if not disjoint:
         raise ValueError("complete message requires pairwise disjoint tags")
-    data = None
     for row in table.rows:
-        data = row.payload.copy() if data is None else data.iadd(row.payload)
         row.merged = True
-    return covered, data
+    first, *rest = table.rows
+    return covered, Fold(first._payload, [row._payload for row in rest])
 
 
 def tas_wrapup(table: TagTable, n_rows: int | None = None) -> tuple[WrapUpWeights, AggregateSums]:
@@ -295,7 +363,9 @@ def tas_wrapup(table: TagTable, n_rows: int | None = None) -> tuple[WrapUpWeight
     table keeps the last (tag matrix, read-only b) pair and reuses b while the
     tag matrix it is asked for is unchanged. On both paths the aggregate is
     rebuilt on every call: a copy of the first used row, then every further
-    used row added in row order.
+    used row added in row order. Reading the used rows' payloads forms every
+    fold they rest on that is not formed yet (see ``Fold``); the rest stay
+    unformed.
     """
     rows = table.rows[:n_rows]
     covered, disjoint = _cover(rows)
@@ -458,13 +528,14 @@ class TasResult:
         return tas_wrapup(self.tables[k], None if rnd is None else self.row_counts[rnd][k])
 
 
-def _local_row(table: TagTable) -> tuple[int, AggregateSums]:
-    """The start-up message: a copy of row 0, which stays unmerged."""
+def _local_row(table: TagTable) -> tuple[int, Fold]:
+    """The start-up message: a copy of row 0, which stays unmerged, formed on
+    first read."""
     row = table.rows[0]
-    return row.tag, row.payload.copy()
+    return row.tag, Fold(row._payload)
 
 
-def _aggregate_or_complete(table: TagTable) -> tuple[int, AggregateSums]:
+def _aggregate_or_complete(table: TagTable) -> tuple[int, Fold]:
     """A fresh aggregate when there is one, else the complete sum again."""
     return tas_aggregate(table) or _complete_message(table)
 

@@ -57,7 +57,9 @@ class Graph:
             self.positions = np.asarray(self.positions, dtype=float)
             if self.positions.shape[0] != adj.shape[0]:
                 raise ValueError("positions must match the node count")
-        self._neighbors = [np.flatnonzero(adj[i]) for i in range(adj.shape[0])]
+        _, cols = np.nonzero(adj)  # row-major: each row's ids ascending, rows in order
+        ends = np.cumsum(adj.sum(axis=1)).tolist()
+        self._neighbors = [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
     @property
     def n_nodes(self) -> int:

@@ -12,6 +12,12 @@ the wrap-up of every requested node as each requested round sends. The TAS
 oracles wrap up every table before they return. The package instead answers
 for any node and round after the run, from arrival rounds and tag-table
 prefixes, and wraps up nothing until it is read.
+
+TAS payloads here are eager: ``tas_distill``, ``tas_aggregate`` and
+``_complete_message`` below are the package's bodies from before it recorded
+payloads as folds formed on first read. They copy, add and subtract arrays as
+the run goes, and every TAS oracle lists the messages it sent, so tests check
+the package's folds against this arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -24,11 +30,9 @@ from spsnet.diffusion import (
     TagTable,
     TrafficLog,
     _check_samples,
-    _complete_message,
+    _cover,
     _local_tables,
     payload_sizes,
-    tas_aggregate,
-    tas_distill,
     tas_wrapup,
 )
 from spsnet.sps import AggregateSums, SignMatrix
@@ -60,7 +64,8 @@ class MfResult:
 
 @dataclass(eq=False)
 class TasResult:
-    """A TAS run with its final wrap-up already done."""
+    """A TAS run with its final wrap-up already done, and every message it
+    sent as (tag, payload), in sending order."""
 
     tables: list[TagTable]
     traffic: TrafficLog
@@ -68,7 +73,54 @@ class TasResult:
     aggregates: list[AggregateSums]
     complete: np.ndarray
     rounds_run: int
+    messages: list[tuple[int, AggregateSums]]
     snapshots: dict[int, tuple[np.ndarray, list[AggregateSums]]] = field(default_factory=dict)
+
+
+def tas_distill(table: TagTable, tag: int, payload: AggregateSums):
+    """Subtract the stored subset rows in scan order from a copy of the
+    payload, and append the residual when its tag is not empty."""
+    remaining = tag
+    subtracted = []
+    for row in table.rows:
+        t = row.tag
+        if t & remaining == t:
+            remaining ^= t
+            subtracted.append(row.payload)
+    if not remaining:
+        return None
+    residual = payload.copy()
+    for known in subtracted:
+        residual.isub(known)
+    return table.append(remaining, residual)
+
+
+def tas_aggregate(table: TagTable):
+    """A copy of the first never-merged row plus every disjoint row in scan order."""
+    start = next((r for r in table.rows if not r.merged), None)
+    if start is None:
+        return None
+    tag = start.tag
+    data = start.payload.copy()
+    start.merged = True
+    for row in table.rows:
+        if not tag & row.tag:
+            data.iadd(row.payload)
+            tag |= row.tag
+            row.merged = True
+    return tag, data
+
+
+def _complete_message(table: TagTable):
+    """A copy of row 0 plus every further row; the tags must be disjoint."""
+    covered, disjoint = _cover(table.rows)
+    if not disjoint:
+        raise ValueError("complete message requires pairwise disjoint tags")
+    data = None
+    for row in table.rows:
+        data = row.payload.copy() if data is None else data.iadd(row.payload)
+        row.merged = True
+    return covered, data
 
 
 def _wrapup_all(tables, nodes=None):
@@ -328,6 +380,7 @@ def run_tas(
     for k in range(n):
         outbox[k] = (tables[k].rows[0].tag, tables[k].rows[0].payload.copy())
         traffic.record(0, k, d_agg, tag_bits=n)
+    messages = list(outbox.values())
     if 0 in wanted:
         w, a, _ = _wrapup_all(tables, wrapup_nodes)
         snapshots[0] = (w, a)
@@ -343,6 +396,7 @@ def run_tas(
             msg = tas_aggregate(tables[k])
             if msg is not None:
                 new_outbox[k] = msg
+                messages.append(msg)
                 traffic.record(rnd, k, d_agg, tag_bits=n)
         outbox = new_outbox
         if rnd in wanted:
@@ -357,6 +411,7 @@ def run_tas(
         aggregates=aggs,
         complete=complete,
         rounds_run=rounds,
+        messages=messages,
         snapshots=snapshots,
     )
 
@@ -376,6 +431,7 @@ def run_tas_tree(tree: TreeTopology, samples, signs: SignMatrix) -> TasResult:
     traffic = TrafficLog("tas-tree", n)
     depth = tree.depth
     rnd = 0
+    messages = []
 
     def neighbors(v: int):
         out = [int(c) for c in tree.children(v)]
@@ -392,6 +448,7 @@ def run_tas_tree(tree: TreeTopology, samples, signs: SignMatrix) -> TasResult:
             if msg is None:
                 continue
             msgs.append((s, msg))
+            messages.append(msg)
             traffic.record(rnd, s, d_agg, tag_bits=n)
         for s, (tag, payload) in msgs:
             for nb in neighbors(s):
@@ -410,6 +467,7 @@ def run_tas_tree(tree: TreeTopology, samples, signs: SignMatrix) -> TasResult:
         aggregates=aggs,
         complete=complete,
         rounds_run=rnd,
+        messages=messages,
         snapshots={},
     )
 
@@ -442,6 +500,7 @@ def run_tas_clustered(topo: ClusteredTopology, samples, signs: SignMatrix) -> Ta
         row = tables[v].rows[0]
         msgs.append((v, int(topo.heads[topo.assignment[v]]), (row.tag, row.payload.copy())))
         traffic.record(1, v, d_agg, tag_bits=n)
+    messages = [msg for _, _, msg in msgs]
     for _, h, (tag, payload) in msgs:
         tas_distill(tables[h], tag, payload)
 
@@ -450,6 +509,7 @@ def run_tas_clustered(topo: ClusteredTopology, samples, signs: SignMatrix) -> Ta
     for h in head_set:
         msg = tas_aggregate(tables[h])
         msgs.append((h, msg))
+        messages.append(msg)
         traffic.record(2, h, d_agg, tag_bits=n)
     for h, (tag, payload) in msgs:
         for nb in cluster_receivers(h):
@@ -462,6 +522,7 @@ def run_tas_clustered(topo: ClusteredTopology, samples, signs: SignMatrix) -> Ta
         if msg is None:
             msg = _complete_message(tables[h])
         msgs.append((h, msg))
+        messages.append(msg)
         traffic.record(3, h, d_agg, tag_bits=n)
     for h, (tag, payload) in msgs:
         for nb in cluster_receivers(h):
@@ -475,5 +536,6 @@ def run_tas_clustered(topo: ClusteredTopology, samples, signs: SignMatrix) -> Ta
         aggregates=aggs,
         complete=complete,
         rounds_run=3,
+        messages=messages,
         snapshots={},
     )

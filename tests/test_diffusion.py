@@ -209,7 +209,7 @@ def test_tag_table_basics():
     assert table.rows[0].tag == mask(2)
     table.append(mask(0, 1), marker_payload(2.0))
     assert diffusion._cover(table.rows) == (mask(0, 1, 2), True)
-    mat = table.tag_matrix()
+    mat = diffusion._unpack([r.tag for r in table.rows], table.n_nodes)
     assert mat.shape == (2, 5)
     assert np.array_equal(mat[0], [0, 0, 1, 0, 0])
     assert np.array_equal(mat[1], [1, 1, 0, 0, 0])
@@ -723,6 +723,35 @@ def test_tas_clustered_single_cluster():
     # the final head broadcast repeats the mesh one but is still sent
     assert res.traffic.total_scalars == traffic_tas_clustered(7, 1, 2, 3)
     assert final_wrapups(res)[2].all()
+
+
+def counting_payload_arithmetic(mp) -> list:
+    """Make ``AggregateSums.copy``, ``iadd`` and ``isub`` append their name per call to the list returned."""
+    calls = []
+    for name in ("copy", "iadd", "isub"):
+        def counting(self, *args, _name=name, _method=getattr(AggregateSums, name)):
+            calls.append(_name)
+            return _method(self, *args)
+
+        mp.setattr(AggregateSums, name, counting)
+    return calls
+
+
+def test_scheduled_tas_runs_form_no_payload_until_a_wrapup_is_read():
+    graph, samples, signs = make_network(130, 200, m=5)
+    tree = spanning_tree(graph)
+    topo = clustered(140, 20, substream(131, "clusters"))
+    _, c_samples, c_signs = make_network(131, 140, m=5, graph=topo.graph())
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_payload_arithmetic(mp)
+        res = run_tas_tree(tree, samples, signs)
+        c_res = run_tas_clustered(topo, c_samples, c_signs)
+        assert calls == []
+        assert res.traffic.total_scalars == traffic_tas_tree(tree.level_counts, tree.childless_counts, 2, 5)
+        assert c_res.traffic.total_scalars == traffic_tas_clustered(140, 20, 2, 5)
+        _, agg = res.wrapup(0)
+        assert "copy" in calls  # a read forms what it needs
+    assert agg.allclose(batch_aggregate(samples, signs))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 Every traffic integer, weight and aggregate the benchmark checks comes out of
 these seven runners, so each must log the same events in the same order and
 end with the same state as its oracle in ``diffusion_oracle``: knowledge,
-transmitted rows, arrival rounds and round counts for flooding; every tag
-table row (tag, merged flag, payload bits), weights, aggregates and
-completion flags for TAS. The round views must equal the oracles' eager
-snapshots bit for bit: ``known_after(r)`` for every round, also past the
-last one, and ``wrapup(k, r)`` for every node and round. On the tree and
+transmitted rows, arrival rounds and round counts for flooding; every
+message sent (tag and payload bits), every tag table row (tag, merged flag,
+payload bits), weights, aggregates and completion flags for TAS. The TAS
+oracles do their payload arithmetic eagerly, so this checks the package's
+payload folds, formed only when read, against it. The round views must
+equal the oracles' eager snapshots bit for bit: ``known_after(r)`` for every
+round, also past the last one, and ``wrapup(k, r)`` for every node and
+round. On the tree and
 clustered schedules, which the oracles do not snapshot, ``wrapup(k, r)``
 must equal the wrap-up of a fresh table holding that prefix of node k's
 rows. Cases cover random geometric graphs of 2 to 60 nodes, their spanning
@@ -84,9 +87,32 @@ def same_wrapup(got, weights, agg):
     return np.array_equal(got[0].c, weights) and same_agg(got[1], agg)
 
 
-def assert_same_tas(res, ref):
+def run_recording(run, *args):
+    """(result, every message it sent as (tag, payload) in sending order) of a
+    package TAS runner, read off its message steps."""
+    sent = []
+
+    def recording(step):
+        def wrapped(table):
+            msg = step(table)
+            if msg is not None:
+                sent.append(msg)
+            return msg
+
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_local_row", "tas_aggregate", "_complete_message"):
+            mp.setattr(diffusion, name, recording(getattr(diffusion, name)))
+        res = run(*args)
+    return res, sent
+
+
+def assert_same_tas(res, sent, ref):
     assert_same_log(res.traffic, ref.traffic)
     assert res.rounds_run == ref.rounds_run
+    assert [tag for tag, _ in sent] == [tag for tag, _ in ref.messages]
+    assert all(same_agg(msg, ref_msg) for (_, msg), (_, ref_msg) in zip(sent, ref.messages))
     for table, ref_table in zip(res.tables, ref.tables, strict=True):
         assert [(r.tag, r.merged) for r in table.rows] == [(r.tag, r.merged) for r in ref_table.rows]
         assert all(same_agg(r.payload, q.payload) for r, q in zip(table.rows, ref_table.rows))
@@ -125,9 +151,9 @@ def test_flooding_matches_oracle(net, max_rounds):
 @given(networks(), st.sampled_from([None, 0, 1, 4]))
 def test_tas_matches_oracle(net, rounds):
     _, graph, samples, signs = net
-    res = diffusion.run_tas(graph, samples, signs, rounds=rounds)
+    res, sent = run_recording(diffusion.run_tas, graph, samples, signs, rounds)
     assert sorted(res.row_counts) == list(range(res.rounds_run + 1))
-    assert_same_tas(res, oracle.run_tas(graph, samples, signs, rounds=rounds,
+    assert_same_tas(res, sent, oracle.run_tas(graph, samples, signs, rounds=rounds,
                                         snapshot_rounds=range(res.rounds_run + 1)))
 
 
@@ -142,8 +168,8 @@ def test_tree_schedules_match_oracle(net, binary_depth):
         positions = substream(seed, "positions").uniform(0, 1, size=(tree.n_nodes, 2))
         samples, signs = data_for(positions, seed, samples.n_p, signs.m)
     assert_same_flooding(diffusion.run_mf_tree(tree, samples), oracle.run_mf_tree(tree, samples))
-    res = diffusion.run_tas_tree(tree, samples, signs)
-    assert_same_tas(res, oracle.run_tas_tree(tree, samples, signs))
+    res, sent = run_recording(diffusion.run_tas_tree, tree, samples, signs)
+    assert_same_tas(res, sent, oracle.run_tas_tree(tree, samples, signs))
     assert_prefix_wrapups(res)
 
 
@@ -155,9 +181,9 @@ def test_clustered_schedules_match_oracle(net, size):
     n_clusters = {"one": 1, "quarter": max(1, n // 4), "all": n}[size]
     topo = clustered(n, n_clusters, substream(seed, "clusters"))
     assert_same_flooding(diffusion.run_mf_clustered(topo, samples), oracle.run_mf_clustered(topo, samples))
-    res = diffusion.run_tas_clustered(topo, samples, signs)
+    res, sent = run_recording(diffusion.run_tas_clustered, topo, samples, signs)
     assert sorted(res.row_counts) == [1, 2, 3]
-    assert_same_tas(res, oracle.run_tas_clustered(topo, samples, signs))
+    assert_same_tas(res, sent, oracle.run_tas_clustered(topo, samples, signs))
     assert_prefix_wrapups(res)
 
 
@@ -188,7 +214,7 @@ def test_tas_runs_wrap_up_only_what_is_read(net, runner, data):
         args = (topo, samples, signs)
     with pytest.MonkeyPatch.context() as mp:
         calls = counting_wrapups(mp)
-        res = run(*args)
+        res, sent = run_recording(run, *args)
         assert calls == []  # the run wraps up nothing
         rounds = st.none() | st.sampled_from(sorted(res.row_counts))
         reads = data.draw(st.lists(st.tuples(st.integers(0, n - 1), rounds), min_size=1, max_size=4))
@@ -196,7 +222,7 @@ def test_tas_runs_wrap_up_only_what_is_read(net, runner, data):
             res.wrapup(k, rnd)
         # one wrap-up per read, of the prefix the round saw
         assert calls == [(k, None if rnd is None else res.row_counts[rnd][k]) for k, rnd in reads]
-    assert_same_tas(res, ref_run(*args))
+    assert_same_tas(res, sent, ref_run(*args))
 
 
 def test_tree_and_cluster_stages():

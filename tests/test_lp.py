@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lp_oracle import wrapup_lp_optimum
-from spsnet.diffusion import run_tas
+from spsnet.diffusion import _unpack, run_tas
 from spsnet.lp import LpProblem, solve_lp
 from spsnet.model import FieldConfig, generate_measurements
 from spsnet.rng import substream
@@ -123,7 +123,7 @@ def test_simplex_matches_highs_on_tas_tables():
     res = run_tas(graph, samples, draw_sign_matrix(4, 60, sign_seed=1977))
     overlapping = 0
     for table in res.tables:
-        tags = table.tag_matrix().astype(float)
+        tags = _unpack([r.tag for r in table.rows], table.n_nodes).astype(float)
         if tags.sum(axis=0).max() <= 1:
             continue
         overlapping += 1

@@ -102,7 +102,7 @@ def assert_same_tables(table, oracle):
         assert nodes(covered) == tas_oracle.coverage(prefix)
         assert disjoint == bool(tas_oracle.tag_matrix(prefix).sum(axis=0).max() <= 1)
     tags = tas_oracle.tag_matrix(oracle)
-    got = table.tag_matrix()
+    got = diffusion._unpack([r.tag for r in table.rows], table.n_nodes)
     assert got.dtype == tags.dtype and got.shape == tags.shape and got.tobytes() == tags.tobytes()
 
 
@@ -164,11 +164,12 @@ def test_tag_table_steps_match_eager_oracle(stream):
 
 
 def count_isub(monkeypatch) -> list:
+    """Make ``AggregateSums.isub`` append the operand of each call to the list returned."""
     calls = []
     isub = AggregateSums.isub
 
     def counting(self, other):
-        calls.append(1)
+        calls.append(other)
         return isub(self, other)
 
     monkeypatch.setattr(AggregateSums, "isub", counting)
@@ -181,10 +182,24 @@ def test_discarded_message_touches_no_payload(monkeypatch):
     table.append(mask(1, 2), random_payload(rng, 2, 2))
     calls = count_isub(monkeypatch)
     assert tas_distill(table, mask(0, 1, 2), random_payload(rng, 2, 2)) is None
-    assert calls == []
     row = tas_distill(table, mask(0, 1, 2, 5), random_payload(rng, 2, 2))
     assert row.tag == mask(5)
-    assert len(calls) == 2  # both stored rows, in insertion order
+    assert calls == []  # neither the discarded nor the kept message touched a payload
+    formed = row.payload
+    stored = [r.payload for r in table.rows[:2]]
+    assert len(calls) == 2 and all(a is b for a, b in zip(calls, stored))  # in insertion order
+    assert row.payload is formed and len(calls) == 2  # formed once
+
+
+def test_a_long_fold_chain_forms_like_an_eager_left_fold():
+    rng = np.random.default_rng(9)
+    terms = [random_payload(rng, 2, 2) for _ in range(3001)]
+    fold, eager = terms[0], terms[0].copy()
+    for i, term in enumerate(terms[1:]):
+        fold = diffusion.Fold(fold, [term], sub=i % 2 == 1)
+        eager = eager.copy().isub(term) if i % 2 else eager.copy().iadd(term)
+    # deeper than the recursion limit: forming must not recurse
+    assert np.array_equal(fold.vec, eager.vec) and np.array_equal(fold.mat, eager.mat)
 
 
 def test_table_that_becomes_overlapping_matches_oracle():

@@ -54,6 +54,24 @@ def test_graph_validation():
     assert not two_parts.is_connected()
 
 
+def test_neighbor_arrays_equal_per_row_flatnonzero():
+    rng = np.random.default_rng(2)
+    graphs = []
+    for n in (2, 3, 17, 64, 130):
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.6), 1)
+        graphs.append(Graph(adjacency=upper | upper.T))
+    isolated = path_graph(5).adjacency.copy()
+    isolated[2, :] = isolated[:, 2] = False  # node 2 has no neighbour
+    graphs += [Graph(adjacency=isolated), Graph(adjacency=np.zeros((1, 1), dtype=bool)),
+               random_geometric(60, substream(4, "topology"))]
+    for g in graphs:
+        for i in range(g.n_nodes):
+            want = np.flatnonzero(g.adjacency[i])
+            got = g.neighbors(i)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert graphs[-3].neighbors(2).size == 0 and graphs[-2].neighbors(0).size == 0
+
+
 def test_bfs_levels_on_path():
     g = path_graph(5)
     assert np.array_equal(bfs_levels(g.adjacency, 0), [0, 1, 2, 3, 4])
