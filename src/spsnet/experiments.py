@@ -93,14 +93,22 @@ _DEFAULTS = {
 }
 
 
-def load_schema() -> dict:
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
     text = resources.files("spsnet").joinpath("data/experiment_config.schema.json").read_text()
-    return json.loads(text)
+    return jsonschema.Draft202012Validator(json.loads(text))
 
 
 def validate_config(raw: dict) -> None:
-    """Raise jsonschema.ValidationError when the config does not fit the schema."""
-    jsonschema.validate(raw, load_schema(), cls=jsonschema.Draft202012Validator)
+    """Raise the jsonschema.ValidationError ``jsonschema.validate`` would raise
+    (the best match) when the config does not fit the packaged schema.
+
+    Uses one validator built per process and does not re-check the schema
+    against its metaschema; the test suite checks it against draft 2020-12.
+    """
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
+    if error is not None:
+        raise error
 
 
 def _merge(defaults, given):
@@ -125,8 +133,6 @@ class ExperimentConfig:
 
     def __init__(self, raw: dict):
         validate_config(raw)
-        if "seed" not in raw:
-            raise ValueError("config must set a seed")
         self.raw = copy.deepcopy(raw)
 
     @property
