@@ -249,7 +249,8 @@ class TagTable:
     rows have already been merged into an outgoing aggregate so later
     aggregation phases can start from fresh content. Rows are added only
     through ``append``, which also takes a collection of node ids and stores
-    its mask.
+    its mask, and which keeps ``covered``, the OR of every row's tag, and
+    ``disjoint``, whether those tags are pairwise disjoint.
     """
 
     def __init__(self, owner: int, n_nodes: int, local_payload):
@@ -258,6 +259,8 @@ class TagTable:
         self.owner = owner
         self.n_nodes = n_nodes
         self.rows: list[TagRow] = [TagRow(1 << owner, local_payload)]
+        self.covered = 1 << owner
+        self.disjoint = True
         self._tags = {1 << owner}
         self._wrapup: tuple[bytes, np.ndarray | None] = (b"", None)  # last (tag matrix bytes, b)
 
@@ -273,6 +276,8 @@ class TagTable:
         row = TagRow(tag, payload)
         self.rows.append(row)
         self._tags.add(tag)
+        self.disjoint = self.disjoint and not tag & self.covered
+        self.covered |= tag
         return row
 
 
@@ -297,7 +302,20 @@ def tas_distill(table: TagTable, tag: int, payload: AggregateSums | Fold) -> Tag
     row stores its payload as a ``Fold``: a copy of the incoming payload minus
     the subtracted rows in scan order, formed when the row is first read. No
     payload is touched here, and the incoming one is never mutated.
+
+    Two cases need no scan, read off the table's ``covered`` and ``disjoint``:
+    a tag sharing no node with ``covered`` is kept whole with nothing
+    subtracted, and when the table is disjoint, a tag that contains
+    ``covered`` has every row subtracted in row order (and is discarded when
+    it equals ``covered``). The scan would reach the same result.
     """
+    covered = table.covered
+    if not tag & covered:
+        return table.append(tag, Fold(payload, (), sub=True)) if tag else None
+    if table.disjoint and tag & covered == covered:
+        if tag == covered:
+            return None
+        return table.append(tag ^ covered, Fold(payload, [row._payload for row in table.rows], sub=True))
     remaining = tag
     subtracted = []
     for row in table.rows:
@@ -340,13 +358,12 @@ def _complete_message(table: TagTable) -> tuple[int, Fold]:
     """Sum of all stored rows; valid when tags are pairwise disjoint. The
     payload is a ``Fold``, formed on first read: a copy of row 0's payload
     plus every further row's in row order."""
-    covered, disjoint = _cover(table.rows)
-    if not disjoint:
+    if not table.disjoint:
         raise ValueError("complete message requires pairwise disjoint tags")
     for row in table.rows:
         row.merged = True
     first, *rest = table.rows
-    return covered, Fold(first._payload, [row._payload for row in rest])
+    return table.covered, Fold(first._payload, [row._payload for row in rest])
 
 
 def tas_wrapup(table: TagTable, n_rows: int | None = None) -> tuple[WrapUpWeights, AggregateSums]:
@@ -546,14 +563,17 @@ def _tas(protocol: str, graph: Graph, stages, steps, samples, signs: SignMatrix,
 
     In each stage every sender builds its message with that stage's step (a
     sender whose step gives None stays silent), and every table's row count
-    is recorded. Each neighbour of a sender then distills the message,
-    hearing senders in ascending id order. Without ``deliver_last`` the final
-    stage is sent but never delivered. Wrap-ups are left to the result.
+    is recorded: a running count per table, bumped whenever distillation
+    keeps a row, copied once per stage. Each neighbour of a sender then
+    distills the message, hearing senders in ascending id order. Without
+    ``deliver_last`` the final stage is sent but never delivered. Wrap-ups
+    are left to the result.
     """
     n = graph.n_nodes
     tables = _local_tables(samples, signs, n)
     _, d_agg = payload_sizes(samples.n_p, signs.m)
     traffic = TrafficLog(protocol, n)
+    counts = [1] * n
     row_counts: dict[int, list[int]] = {}
     for i, (senders, step) in enumerate(zip(stages, steps, strict=True)):
         rnd = first_round + i
@@ -563,11 +583,12 @@ def _tas(protocol: str, graph: Graph, stages, steps, samples, signs: SignMatrix,
             if msg is not None:
                 msgs.append((s, msg))
                 traffic.record(rnd, s, d_agg, tag_bits=n)
-        row_counts[rnd] = [len(t.rows) for t in tables]
+        row_counts[rnd] = counts.copy()
         if deliver_last or i < len(stages) - 1:
             for s, (tag, payload) in msgs:
                 for k in graph.neighbors(s).tolist():
-                    tas_distill(tables[k], tag, payload)
+                    if tas_distill(tables[k], tag, payload) is not None:
+                        counts[k] += 1
     return TasResult(tables, traffic, rnd, row_counts)
 
 

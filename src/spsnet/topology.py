@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,9 +128,11 @@ def random_geometric(
     """Connected random geometric graph on the unit square.
 
     Positions are uniform; nodes within ``radius`` (default: comm_radius(N))
-    of each other are adjacent. Redraws positions until the graph is
-    connected, up to ``max_retries`` attempts (the retry count is logged, not
-    returned).
+    of each other are adjacent: ``dx*dx + dy*dy <= radius**2`` on the two
+    planar (N, N) coordinate differences, which are the products and the add
+    a sum of squared difference vectors makes, so no (N, N, 2) array is
+    built. Redraws positions until the graph is connected, up to
+    ``max_retries`` attempts (the retry count is logged, not returned).
     """
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
@@ -139,8 +142,12 @@ def random_geometric(
         raise ValueError("radius must be positive")
     for attempt in range(1, max_retries + 1):
         pos = rng.uniform(0.0, 1.0, size=(n_nodes, 2))
-        diff = pos[:, None, :] - pos[None, :, :]
-        adj = (diff ** 2).sum(axis=2) <= radius ** 2
+        dx = np.subtract.outer(pos[:, 0], pos[:, 0])
+        dy = np.subtract.outer(pos[:, 1], pos[:, 1])
+        dx *= dx
+        dy *= dy
+        dx += dy
+        adj = dx <= radius ** 2
         np.fill_diagonal(adj, False)
         if (bfs_levels(adj, 0) >= 0).all():
             if attempt > 1:
@@ -153,14 +160,23 @@ def random_geometric(
 
 @dataclass(eq=False)
 class TreeTopology:
-    """Rooted tree given by a parent array (parent[root] = -1)."""
+    """Rooted tree given by a parent array (parent[root] = -1).
+
+    Every entry must be an integer id in -1..N-1; anything else raises
+    ValueError.
+    """
 
     parent: np.ndarray
     level: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.parent = np.asarray(self.parent, dtype=int)
-        n = self.parent.shape[0]
+        parent = np.asarray(self.parent)
+        if parent.ndim != 1 or parent.dtype.kind not in "iu":
+            raise ValueError("parent must be a 1-D array of integer node ids")
+        n = parent.shape[0]
+        if ((parent < -1) | (parent >= n)).any():
+            raise ValueError(f"parent ids must lie in -1..{n - 1}")
+        self.parent = np.asarray(parent, dtype=int)
         roots = np.flatnonzero(self.parent < 0)
         if roots.shape[0] != 1:
             raise ValueError("tree must have exactly one root (parent -1)")
@@ -176,7 +192,12 @@ class TreeTopology:
         if (level < 0).any():
             raise ValueError("parent array contains a cycle or unreachable node")
         self.level = level
-        self._children = [np.flatnonzero(self.parent == i) for i in range(n)]
+        # a stable sort groups children by parent, ids ascending, after the root
+        kids = np.argsort(self.parent, kind="stable")[1:]
+        self._n_children = np.bincount(self.parent + 1, minlength=n + 1)[1:]
+        ends = np.cumsum(self._n_children).tolist()
+        self._children = [kids[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        self._graph: Graph | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -205,11 +226,7 @@ class TreeTopology:
     @property
     def childless_counts(self) -> np.ndarray:
         """Census of nodes with no children, per level."""
-        counts = np.zeros(self.depth + 1, dtype=int)
-        for i in range(self.n_nodes):
-            if self._children[i].size == 0:
-                counts[self.level[i]] += 1
-        return counts
+        return np.bincount(self.level[self._n_children == 0], minlength=self.depth + 1)
 
     def stages(self) -> list[np.ndarray]:
         """Sender sets of the two-sweep schedule, ids ascending within a stage.
@@ -220,17 +237,21 @@ class TreeTopology:
         children only, passing down what came from above. 2L stages in all
         (one for a single node). Each sender is heard by its tree neighbours.
         """
-        inner = np.array([c.size > 0 for c in self._children], dtype=bool)
+        inner = self._n_children > 0
         forward = [self.nodes_at_level(l) for l in range(self.depth, -1, -1)]
         backward = [np.flatnonzero((self.level == l) & inner) for l in range(1, self.depth)]
         return forward + backward
 
     def graph(self) -> Graph:
-        n = self.n_nodes
-        adj = np.zeros((n, n), dtype=bool)
-        child = np.flatnonzero(self.parent >= 0)
-        adj[child, self.parent[child]] = True
-        return Graph(adjacency=adj | adj.T)
+        """Every node linked to its parent; built on the first call, the same
+        object after that."""
+        if self._graph is None:
+            n = self.n_nodes
+            adj = np.zeros((n, n), dtype=bool)
+            child = np.flatnonzero(self.parent >= 0)
+            adj[child, self.parent[child]] = True
+            self._graph = Graph(adjacency=adj | adj.T)
+        return self._graph
 
     def to_json_dict(self) -> dict:
         return {
@@ -258,22 +279,22 @@ def spanning_tree(graph: Graph, root: int | None = None) -> TreeTopology:
     """Breadth-first spanning tree of a connected graph.
 
     Each node's parent is its smallest-id neighbor one level closer to the
-    root, so the tree is deterministic. When ``root`` is omitted it is chosen
-    by a double-BFS midpoint heuristic (BFS from node 0 to a farthest node a,
-    BFS from a to a farthest node b, root = midpoint of the a-b path), which
-    keeps the tree depth near half the graph diameter.
+    root, so the tree is deterministic: one ``argmax`` per row of the
+    adjacency masked to the level above picks the first such column. When
+    ``root`` is omitted it is chosen by a double-BFS midpoint heuristic (BFS
+    from node 0 to a farthest node a, BFS from a to a farthest node b, root =
+    midpoint of the a-b path), which keeps the tree depth near half the graph
+    diameter. A given ``root`` outside 0..N-1 raises ValueError.
     """
+    if root is not None and not 0 <= operator.index(root) < graph.n_nodes:
+        raise ValueError(f"root {root} is not a node id in 0..{graph.n_nodes - 1}")
     if not graph.is_connected():
         raise DisconnectedGraphError("spanning tree requires a connected graph")
     if root is None:
         root = _center_node(graph)
     level = bfs_levels(graph.adjacency, root)
-    parent = np.full(graph.n_nodes, -1, dtype=int)
-    for v in range(graph.n_nodes):
-        if v == root:
-            continue
-        ups = [u for u in graph.neighbors(v) if level[u] == level[v] - 1]
-        parent[v] = min(ups)
+    parent = (graph.adjacency & (level[None, :] == level[:, None] - 1)).argmax(axis=1)
+    parent[root] = -1
     return TreeTopology(parent=parent)
 
 

@@ -9,7 +9,11 @@ same covered nodes and disjointness off every prefix of the rows, produce
 a byte-equal tag matrix (the LP input and the key of the remembered LP
 solution), and wrap up to an equal c and a bit-equal aggregate after every
 step and from every prefix, with the same number of LP solves. Table sizes include 63, 64, 65, 130
-and 500 nodes, so masks cross 64-bit word and byte boundaries.
+and 500 nodes, so masks cross 64-bit word and byte boundaries. The table's
+running ``covered`` and ``disjoint`` must equal those read off all its rows,
+and further streams are built so that every example hits both cases that
+distillation decides without scanning the rows: a tag sharing no node with
+the table, and a tag containing every node of a disjoint table.
 """
 
 import numpy as np
@@ -95,6 +99,7 @@ def oracle_prefix(oracle, n_rows):
 
 def assert_same_tables(table, oracle):
     assert [nodes(r.tag) for r in table.rows] == [r.tag for r in oracle.rows]
+    assert (table.covered, table.disjoint) == _cover(table.rows)
     assert all(same_payload(a.payload, b.payload) for a, b in zip(table.rows, oracle.rows))
     for n_rows in range(1, len(table.rows) + 1):
         covered, disjoint = _cover(table.rows[:n_rows])
@@ -122,6 +127,21 @@ def assert_same_outcome(c, agg, c_ref, agg_ref):
     assert same_payload(agg, agg_ref)
 
 
+def distill_both(table, oracle, tag, payload):
+    """Distill one message into the table and into the oracle, and require the
+    same decision, the same stored rows and an unchanged incoming payload."""
+    before = payload.copy()
+    stored = {r.tag for r in oracle.rows}
+    row = tas_distill(table, mask(*tag), payload)
+    row_ref = tas_oracle.tas_distill(oracle, tag, payload)
+    assert (row is None) == (row_ref is None)
+    if row is not None:
+        assert nodes(row.tag) == row_ref.tag and row_ref.tag not in stored
+        assert same_payload(row.payload, row_ref.payload)
+    assert same_payload(payload, before)  # the incoming message is never mutated
+    assert_same_tables(table, oracle)
+
+
 @st.composite
 def message_streams(draw):
     """A table's owner and size, payload shape, and 1-16 messages of mixed kinds."""
@@ -145,22 +165,51 @@ def test_tag_table_steps_match_eager_oracle(stream):
     assert_same_wrapup(table, oracle)
     for kind in kinds:
         tag = next_tag(rng, kind, n_nodes, [r.tag for r in oracle.rows])
-        payload = random_payload(rng, m, n_p)
-        before = payload.copy()
-        stored = {r.tag for r in oracle.rows}
-        row = tas_distill(table, mask(*tag), payload)
-        row_ref = tas_oracle.tas_distill(oracle, tag, payload)
-        assert (row is None) == (row_ref is None)
-        if row is not None:
-            assert nodes(row.tag) == row_ref.tag and row_ref.tag not in stored
-            assert same_payload(row.payload, row_ref.payload)
-        assert same_payload(payload, before)  # the incoming message is never mutated
-        assert_same_tables(table, oracle)
+        distill_both(table, oracle, tag, random_payload(rng, m, n_p))
         assert_same_wrapup(table, oracle)
     for n_rows in range(1, len(table.rows) + 1):  # every prefix, as a round view reads it
         c, agg, _ = wrapup_outcome(lambda t: tas_wrapup(t, n_rows), table)
         c_ref, agg_ref, _ = wrapup_outcome(tas_oracle.tas_wrapup, oracle_prefix(oracle, n_rows))
         assert_same_outcome(c, agg, c_ref, agg_ref)
+
+
+def covering_tag(rng, kind, n_nodes, oracle):
+    """``fresh``: only nodes no stored tag names; ``superset``: every stored
+    node and some fresh ones; ``exact``: every stored node. With no fresh node
+    left, each is ``exact``."""
+    covered = tas_oracle.coverage(oracle)
+    free = sorted(set(range(n_nodes)) - covered)
+    if kind == "exact" or not free:
+        return covered
+    extra = frozenset(rng.choice(free, size=int(rng.integers(1, len(free) + 1)), replace=False).tolist())
+    return extra if kind == "fresh" else covered | extra
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(message_streams(), st.lists(st.sampled_from(("fresh", "superset", "exact") + KINDS), max_size=16))
+def test_distill_shortcuts_match_eager_oracle(stream, kinds):
+    """Streams that open with a fresh tag and then a superset of the table,
+    so that both cases distillation decides without a scan come up in every
+    example; which case a message hits is read off the oracle table first."""
+    n_nodes, owner, m, n_p, _, seed = stream
+    rng = np.random.default_rng(seed)
+    local = random_payload(rng, m, n_p)
+    table = TagTable(owner, n_nodes, local.copy())
+    oracle = SetTable(owner, n_nodes, local.copy())
+    hits = {"fresh": 0, "covering": 0}
+    for kind in ["fresh", "superset"] + kinds:
+        if kind in KINDS:
+            tag = next_tag(rng, kind, n_nodes, [r.tag for r in oracle.rows])
+        else:
+            tag = covering_tag(rng, kind, n_nodes, oracle)
+        covered = tas_oracle.coverage(oracle)
+        if not tag & covered:
+            hits["fresh"] += 1
+        elif tas_oracle.tag_matrix(oracle).sum(axis=0).max() <= 1 and tag >= covered:
+            hits["covering"] += 1
+        distill_both(table, oracle, tag, random_payload(rng, m, n_p))
+    assert hits["covering"] >= 1 and (hits["fresh"] >= 1 or n_nodes == 1)
+    assert_same_wrapup(table, oracle)
 
 
 def count_isub(monkeypatch) -> list:
@@ -182,6 +231,7 @@ def test_discarded_message_touches_no_payload(monkeypatch):
     table.append(mask(1, 2), random_payload(rng, 2, 2))
     calls = count_isub(monkeypatch)
     assert tas_distill(table, mask(0, 1, 2), random_payload(rng, 2, 2)) is None
+    assert tas_distill(table, 0, random_payload(rng, 2, 2)) is None  # an empty tag carries nothing
     row = tas_distill(table, mask(0, 1, 2, 5), random_payload(rng, 2, 2))
     assert row.tag == mask(5)
     assert calls == []  # neither the discarded nor the kept message touched a payload

@@ -111,6 +111,10 @@ def test_tree_topology_validation():
         TreeTopology(parent=np.array([-1, -1]))  # two roots
     with pytest.raises(ValueError):
         TreeTopology(parent=np.array([-1, 2, 1]))  # 1 <-> 2 cycle
+    for bad in ([-1, 5], [-1, 0, 3], [-1, -2], [-1, 0, 1.5], [-1.0, 0.0], [[-1, 0]],
+                np.array([True, False])):
+        with pytest.raises(ValueError):
+            TreeTopology(parent=bad)  # ids outside -1..N-1, non-integer entries, wrong shape
     tree = TreeTopology(parent=np.array([-1, 0, 0, 1]))
     assert tree.root == 0 and tree.depth == 2
     assert np.array_equal(tree.level, [0, 1, 1, 2])
@@ -143,6 +147,10 @@ def test_spanning_tree_centers_the_root():
     assert rooted_end.depth == 4
     with pytest.raises(DisconnectedGraphError):
         spanning_tree(Graph(adjacency=np.zeros((3, 3), dtype=bool)))
+    for bad in (5, -1, 17):
+        with pytest.raises(ValueError):
+            spanning_tree(g, root=bad)
+    assert spanning_tree(g, root=np.int64(4)).root == 4
 
 
 def test_census_identities_on_random_trees():
