@@ -19,6 +19,7 @@ override the corresponding config entries.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -26,6 +27,7 @@ import sys
 import jsonschema
 
 from .analysis import compare
+from .diffusion import CONSENSUS_SCHEMES
 from .experiments import (
     PROTOCOLS,
     ExperimentConfig,
@@ -70,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=tuple(PROTOCOLS))
     p.add_argument("--rounds", type=int)
     p.add_argument("--iterations", type=int)
-    p.add_argument("--scheme", choices=("metropolis", "perron"))
+    p.add_argument("--scheme", choices=CONSENSUS_SCHEMES)
     p.set_defaults(func=_cmd_diffuse)
 
     p = sub.add_parser("region", parents=[common],
@@ -224,9 +226,7 @@ def _cmd_region(args) -> int:
     if args.format == "csv":
         csv_path = os.path.join(out, "region_summary.csv")
         with open(csv_path, "w", newline="") as fh:
-            import csv as _csv
-
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["volume", "dim", "bound_lo", "bound_hi"])
             for row in result.csv_summary_rows():
                 writer.writerow(row)

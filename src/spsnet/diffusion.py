@@ -55,7 +55,8 @@ off the arrival rounds. ``TasResult.wrapup(k, r)`` wraps up node k's table as
 round r sends, before that round is delivered: tag tables only grow and a
 stored payload never changes, so that table is a prefix of the final one, and
 the run records each table's row count per round. Nothing is wrapped up
-until it is read.
+until it is read. ``ConsensusResult.state(k, t)`` is node k's state after
+iteration t, stepped from the starting states only when it is read.
 
 A TAS run moves tags and references to payloads and does no payload
 arithmetic: traffic depends on the tags alone. Distillation, aggregation and
@@ -110,20 +111,22 @@ class TrafficEvent(NamedTuple):
 
 class TrafficLog:
     """Append-only transmission log for one protocol run: one event per
-    ``record`` call, per-node totals kept as Python ints."""
+    ``record`` call, per-node and per-round totals kept as Python ints."""
 
     def __init__(self, protocol: str, n_nodes: int):
         self.protocol = protocol
         self.n_nodes = n_nodes
         self.events: list[TrafficEvent] = []
         self._per_node = [0] * n_nodes
+        self._per_round: dict[int, int] = {}
 
     def record(self, round_: int, node: int, scalars: int, tag_bits: int = 0):
         if scalars < 0 or tag_bits < 0:
             raise ValueError("traffic amounts must be non-negative")
-        node, scalars = int(node), int(scalars)
-        self.events.append(TrafficEvent(int(round_), node, scalars, int(tag_bits)))
+        round_, node, scalars = int(round_), int(node), int(scalars)
+        self.events.append(TrafficEvent(round_, node, scalars, int(tag_bits)))
         self._per_node[node] += scalars
+        self._per_round[round_] = self._per_round.get(round_, 0) + scalars
 
     @property
     def total_scalars(self) -> int:
@@ -134,7 +137,7 @@ class TrafficLog:
         return np.array(self._per_node, dtype=np.int64)
 
     def total_through_round(self, round_: int) -> int:
-        return sum(e.scalars for e in self.events if e.round <= round_)
+        return sum(total for rnd, total in self._per_round.items() if rnd <= round_)
 
     def to_csv(self, path) -> None:
         """CSV rows sorted by (round, node); cumulative_scalars is the
@@ -670,41 +673,58 @@ def consensus_weights(graph: Graph, scheme: str = "metropolis") -> np.ndarray:
 
 @dataclass(eq=False)
 class ConsensusResult:
+    """A consensus run, read on demand: ``state(k, t)`` is node k's running
+    aggregate after iteration t (the last one when t is None).
+
+    States are stepped only when read, from one cursor ``(t, vec, mat)``: a
+    read steps the cursor forward with the same two ``einsum`` calls an eager
+    run makes, and a read before the cursor restarts it from ``initial``, the
+    N-scaled local aggregates. Reads in iteration order therefore step each
+    iteration once, with the eager bits, and the result holds the starting
+    states and one stepped state. An iteration that was not run raises
+    ValueError.
+    """
+
     mixing: np.ndarray
-    vec: np.ndarray
-    mat: np.ndarray
+    initial: tuple[np.ndarray, np.ndarray]
     traffic: TrafficLog
     iterations: int
-    snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    _cursor: tuple[int, np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+
+    def _iteration(self, iteration: int | None) -> int:
+        t = self.iterations if iteration is None else iteration
+        if not 0 <= t <= self.iterations:
+            raise ValueError(f"iteration {t} was not run")
+        return t
 
     def state(self, k: int, iteration: int | None = None) -> AggregateSums:
-        if iteration is None:
-            return AggregateSums(self.vec[k].copy(), self.mat[k].copy())
-        v, m = self.snapshots[iteration]
-        return AggregateSums(v[k].copy(), m[k].copy())
+        t = self._iteration(iteration)
+        if self._cursor is None or self._cursor[0] > t:
+            self._cursor = (0, *self.initial)
+        i, vec, mat = self._cursor
+        for _ in range(t - i):
+            vec = np.einsum("kj,jab->kab", self.mixing, vec)
+            mat = np.einsum("kj,jabc->kabc", self.mixing, mat)
+        self._cursor = (t, vec, mat)
+        return AggregateSums(vec[k].copy(), mat[k].copy())
 
     def effective_weights(self, iteration: int | None = None) -> np.ndarray:
         """c[k, i] = N * (W^t)[k, i], the weight of node i's data at node k."""
-        t = self.iterations if iteration is None else iteration
         n = self.mixing.shape[0]
-        return n * np.linalg.matrix_power(self.mixing, t)
+        return n * np.linalg.matrix_power(self.mixing, self._iteration(iteration))
 
 
-def run_consensus(
-    graph: Graph,
-    samples,
-    signs: SignMatrix,
-    iterations: int,
-    scheme: str = "metropolis",
-    snapshot_iters=(),
-) -> ConsensusResult:
+def run_consensus(graph: Graph, samples, signs: SignMatrix, iterations: int,
+                  scheme: str = "metropolis") -> ConsensusResult:
     """Average consensus over the aggregate payloads.
 
     States start at N times the local aggregate so the fixed point of
     averaging equals the full-network sum. Every node transmits its state
     every iteration: traffic after t iterations is exactly t * N aggregate
-    payloads. Membership evaluation can use the state at any iteration; the
-    running state equals the truncated aggregate with weights N * (W^t)[k, :].
+    payloads, logged as one event per node per iteration. The run builds the
+    mixing matrix and the starting states and logs the traffic; the result
+    steps the states only when they are read, and the state of node k after
+    iteration t equals the truncated aggregate with weights N * (W^t)[k, :].
     """
     n = graph.n_nodes
     _check_samples(samples, n)
@@ -715,22 +735,11 @@ def run_consensus(
     _, d_agg = payload_sizes(samples.n_p, signs.m)
     w = consensus_weights(graph, scheme)
     vec, mat = local_aggregate_arrays(samples, signs)
-    vec, mat = n * vec, n * mat
     traffic = TrafficLog(f"consensus-{scheme}", n)
-    wanted = set(int(t) for t in snapshot_iters)
-    snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    if 0 in wanted:
-        snapshots[0] = (vec.copy(), mat.copy())
     for t in range(1, iterations + 1):
         for k in range(n):
             traffic.record(t, k, d_agg, tag_bits=0)
-        vec = np.einsum("kj,jab->kab", w, vec)
-        mat = np.einsum("kj,jabc->kabc", w, mat)
-        if t in wanted:
-            snapshots[t] = (vec.copy(), mat.copy())
-    return ConsensusResult(
-        mixing=w, vec=vec, mat=mat, traffic=traffic, iterations=iterations, snapshots=snapshots
-    )
+    return ConsensusResult(w, (n * vec, n * mat), traffic, iterations)
 
 
 def _check_samples(samples: Samples, n: int) -> None:

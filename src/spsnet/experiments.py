@@ -24,6 +24,7 @@ import numpy as np
 
 from .analysis import traffic_mf_tree, traffic_tas_tree
 from .diffusion import (
+    CONSENSUS_SCHEMES,
     TrafficLog,
     payload_sizes,
     run_consensus,
@@ -297,12 +298,20 @@ def build_topology(seed: int, tcfg: dict) -> TopologyBundle:
 
 @dataclass(eq=False)
 class ProtocolRun:
-    """One protocol run as the SPS test sees it: ``weights(k)`` is node k's
-    weight vector c, ``aggregate(k)`` builds node k's c-weighted aggregate
-    sums on demand, and ``traffic`` is empty for ``full`` and ``local``."""
+    """One protocol run as the SPS test sees it: ``weights(k, r)`` is node k's
+    weight vector c at round r, ``aggregate(k, r)`` builds node k's c-weighted
+    aggregate sums on demand, and ``traffic`` is empty for ``full`` and
+    ``local``, which ignore r.
 
-    weights: Callable[[int], np.ndarray]
-    aggregate: Callable[[int], AggregateSums]
+    ``r=None`` reads the end of the run. PF and MF read the knowledge after
+    round r is delivered (a round past the last one gives the final
+    knowledge), TAS the wrap-up as round r sends, and consensus the state
+    after iteration r, with weights N * W^r. TAS and consensus raise
+    ValueError for a round that was not run.
+    """
+
+    weights: Callable[..., np.ndarray]
+    aggregate: Callable[..., AggregateSums]
     rounds: int
     traffic: TrafficLog
 
@@ -310,20 +319,20 @@ class ProtocolRun:
 def _full(bundle, samples, signs, diff):
     n = bundle.graph.n_nodes
     agg = functools.cache(lambda: batch_aggregate(samples, signs))
-    return ProtocolRun(lambda k: np.ones(n), lambda k: agg(), 0, TrafficLog("full", n))
+    return ProtocolRun(lambda k, r=None: np.ones(n), lambda k, r=None: agg(), 0, TrafficLog("full", n))
 
 
 def _local(bundle, samples, signs, diff):
     n = bundle.graph.n_nodes
-    return ProtocolRun(lambda k: np.eye(n)[k], lambda k: local_aggregate(samples, k, signs.column(k)), 0,
-                       TrafficLog("local", n))
+    return ProtocolRun(lambda k, r=None: np.eye(n)[k],
+                       lambda k, r=None: local_aggregate(samples, k, signs.column(k)), 0, TrafficLog("local", n))
 
 
 def _knowledge(res, samples, signs):
-    def weights(k):
-        return res.known[k].astype(float)
+    def weights(k, r=None):
+        return (res.known if r is None else res.known_after(r))[k].astype(float)
 
-    return ProtocolRun(weights, lambda k: truncated_aggregate(samples, signs, weights(k)),
+    return ProtocolRun(weights, lambda k, r=None: truncated_aggregate(samples, signs, weights(k, r)),
                        res.rounds_run, res.traffic)
 
 
@@ -348,14 +357,15 @@ def _tas(bundle, samples, signs, diff):
         res = run_tas_clustered(bundle.clusters, samples, signs)
     else:
         res = run_tas(bundle.graph, samples, signs, rounds=diff["rounds"])
-    wrapup = functools.cache(res.wrapup)  # each node's table is wrapped up once, when first read
-    return ProtocolRun(lambda k: wrapup(k)[0].c, lambda k: wrapup(k)[1], res.rounds_run, res.traffic)
+    wrapup = functools.cache(res.wrapup)  # each (node, round) is wrapped up once, when first read
+    return ProtocolRun(lambda k, r=None: wrapup(k, r)[0].c, lambda k, r=None: wrapup(k, r)[1],
+                       res.rounds_run, res.traffic)
 
 
 def _consensus(bundle, samples, signs, diff):
     res = run_consensus(bundle.graph, samples, signs, iterations=diff["iterations"], scheme=diff["scheme"])
-    weights = res.effective_weights()
-    return ProtocolRun(lambda k: weights[k], res.state, res.iterations, res.traffic)
+    weights = functools.cache(res.effective_weights)  # N * W^r, once per round read
+    return ProtocolRun(lambda k, r=None: weights(r)[k], res.state, res.iterations, res.traffic)
 
 
 # Entries look their runners up by module-level name at call time, so a
@@ -482,13 +492,15 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
     """Average region volume against average per-node traffic, per round.
 
     For every seed: one data draw on a fresh random geometric network, then
-    MF, TAS and both consensus schemes run, and the region volume of every
-    sampled node's current aggregate is measured at each round (wrap-up as
-    the round sends for TAS, knowledge-truncated aggregate after the round
-    delivers for MF, raw state for consensus). Rows are (protocol, round, avg
-    scalars per node, avg volume) averaged over seeds and sampled nodes; the
-    summary locates the consensus iteration bracket whose mean volume first
-    matches full diffusion and the per-node scalars this costs.
+    MF, TAS and both consensus schemes run through the protocol table, and
+    the region volume of every sampled node's aggregate is measured at each
+    round read (every round for MF and TAS, the checkpoints for consensus)
+    with ``aggregate(k, r)``; traffic per node is the log's total through
+    round r over N. Rows are (protocol, round, avg scalars per node, avg
+    volume) averaged over seeds and sampled nodes, a shorter curve held at
+    its last point; the summary locates the consensus iteration bracket whose
+    mean volume first matches full diffusion and the per-node scalars this
+    costs.
     """
     seed = config.seed
     tcfg = config.topology()
@@ -503,13 +515,11 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
     d_rec, d_agg = payload_sizes(fc.n_p, m)
     checkpoints = _consensus_checkpoints(int(pars["max_iterations"]))
 
-    curves: dict[str, list[list[tuple[int, float, float]]]] = {
-        "mf": [], "tas": [], "consensus-metropolis": [], "consensus-perron": [],
-    }
+    curves: dict[str, list[list[tuple[int, float, float]]]] = {}
     full_volumes = []
-
     for s in range(n_seeds):
         graph = random_geometric(n, substream(seed, "topology", s), radius=tcfg.get("radius"))
+        bundle = TopologyBundle("rgg", graph, None, None, graph.positions, graph.radius)
         samples = generate_measurements(graph.positions, fc, substream(seed, "noise", s))
         signs = draw_sign_matrix(m, n, derive_seed(seed, "signs", s))
         if pars["node_sample"] is None:
@@ -517,73 +527,36 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
         else:
             pick = substream(seed, "node-sample", s).choice(n, size=min(int(pars["node_sample"]), n), replace=False)
             sample_nodes = sorted(int(v) for v in pick)
+        full_volumes.append(_region_volume(batch_aggregate(samples, signs), region, q,
+                                           derive_seed(seed, "rt", s, "full")))
 
-        full_agg = batch_aggregate(samples, signs)
-        full_volumes.append(_region_volume(full_agg, region, q, derive_seed(seed, "rt", s, "full")))
-
-        # modified flooding: knowledge after every round
-        mf = run_mf(graph, samples)
-        curve = []
-        for r in range(0, mf.rounds_run + 1):
-            known = mf.known_after(r)
-            vols = []
-            for k in sample_nodes:
-                agg = truncated_aggregate(samples, signs, known[k].astype(float))
-                vols.append(_region_volume(agg, region, q, derive_seed(seed, "rt", s, "mf", r, k)))
-            scal = mf.traffic.total_through_round(r) / n
-            curve.append((r, float(scal), float(np.mean(vols))))
-        curves["mf"].append(curve)
-
-        # tagged aggregate sums: wrap-up as every round sends, rounds in order
+        # (curve, tie-seed label, diffusion, rounds read; None reads every round run)
         rounds_tas = pars["rounds"] if pars["rounds"] is not None else diameter(graph) + 2
-        tas = run_tas(graph, samples, signs, rounds=rounds_tas)
-        curve = []
-        for r in range(0, rounds_tas + 1):
-            vols = [
-                _region_volume(tas.wrapup(k, r)[1], region, q, derive_seed(seed, "rt", s, "tas", r, k))
-                for k in sample_nodes
-            ]
-            scal = tas.traffic.total_through_round(r) / n
-            curve.append((r, float(scal), float(np.mean(vols))))
-        curves["tas"].append(curve)
-
-        # consensus, both mixing schemes, checkpointed iterations
-        for scheme in ("metropolis", "perron"):
-            res = run_consensus(
-                graph, samples, signs, iterations=checkpoints[-1],
-                scheme=scheme, snapshot_iters=checkpoints,
-            )
+        reads = [("mf", "mf", {"protocol": "mf", "rounds": None}, None),
+                 ("tas", "tas", {"protocol": "tas", "rounds": rounds_tas}, None)]
+        reads += [(f"consensus-{scheme}", scheme,
+                   {"protocol": "consensus", "iterations": checkpoints[-1], "scheme": scheme}, checkpoints)
+                  for scheme in CONSENSUS_SCHEMES]
+        for name, label, diff, rounds in reads:
+            run = run_protocol(bundle, samples, signs, diff)
             curve = []
-            for t in checkpoints:
-                vols = [
-                    _region_volume(res.state(k, t), region, q, derive_seed(seed, "rt", s, scheme, t, k))
-                    for k in sample_nodes
-                ]
-                curve.append((t, float(t * d_agg), float(np.mean(vols))))
-            curves[f"consensus-{scheme}"].append(curve)
+            for r in range(run.rounds + 1) if rounds is None else rounds:
+                vols = [_region_volume(run.aggregate(k, r), region, q, derive_seed(seed, "rt", s, label, r, k))
+                        for k in sample_nodes]
+                curve.append((r, run.traffic.total_through_round(r) / n, float(np.mean(vols))))
+            curves.setdefault(name, []).append(curve)
 
-    # average the per-seed curves; step-extend the shorter flooding curves
-    rows = []
+    # average the per-seed curves, step-extending the shorter ones
     full_avg = float(np.mean(full_volumes))
-    rows.append(("full", 0, 0.0, full_avg))
+    rows = [("full", 0, 0.0, full_avg)]
     averaged: dict[str, list[tuple[int, float, float]]] = {}
     for protocol, seed_curves in curves.items():
-        if protocol.startswith("consensus"):
-            pts = []
-            for i, t in enumerate(checkpoints):
-                scal = seed_curves[0][i][1]
-                vol = float(np.mean([c[i][2] for c in seed_curves]))
-                pts.append((t, scal, vol))
-        else:
-            max_r = max(len(c) - 1 for c in seed_curves)
-            pts = []
-            for r in range(0, max_r + 1):
-                entries = [c[min(r, len(c) - 1)] for c in seed_curves]
-                pts.append((r, float(np.mean([e[1] for e in entries])),
-                            float(np.mean([e[2] for e in entries]))))
+        pts = []
+        for i, (r, _, _) in enumerate(max(seed_curves, key=len)):
+            entries = [c[min(i, len(c) - 1)] for c in seed_curves]
+            pts.append((r, float(np.mean([e[1] for e in entries])), float(np.mean([e[2] for e in entries]))))
         averaged[protocol] = pts
-        for r, scal, vol in pts:
-            rows.append((protocol, r, scal, vol))
+        rows += [(protocol, *pt) for pt in pts]
 
     tol = float(pars["volume_tolerance"])
     summary = {
@@ -598,7 +571,7 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
             "final_avg_scalars_per_node": scal,
             "final_avg_volume": vol,
         }
-    for scheme in ("metropolis", "perron"):
+    for scheme in CONSENSUS_SCHEMES:
         pts = averaged[f"consensus-{scheme}"]
         at4 = next((vol for t, _, vol in pts if t == 4), None)
         entry = {"avg_volume_at_4": at4, "final_avg_volume": pts[-1][2]}

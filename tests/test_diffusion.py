@@ -834,7 +834,7 @@ def test_consensus_converges_to_full_sum():
 
 def test_consensus_state_equals_effective_weight_aggregate():
     graph, samples, signs = make_network(133, 10, m=3)
-    res = run_consensus(graph, samples, signs, iterations=6, snapshot_iters=[2, 6], scheme="perron")
+    res = run_consensus(graph, samples, signs, iterations=6, scheme="perron")
     for t in (2, 6):
         eff = res.effective_weights(t)
         for k in range(10):

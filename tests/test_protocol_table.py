@@ -187,3 +187,32 @@ def test_tas_wraps_up_only_the_requested_nodes(monkeypatch):
         assert first[0][1] is again[1][1] and first[1][1] is again[0][1]
         with pytest.raises(ValueError, match="not in the network"):
             run.aggregate(bundle.graph.n_nodes)
+
+
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+@pytest.mark.parametrize("kind,n_nodes", [("rgg", 12), ("binary", 7), ("clustered", 10)])
+def test_every_round_reads_the_weighted_sum_of_local_terms(protocol, kind, n_nodes):
+    bundle = bundle_for(kind, n_nodes, 5)
+    samples, signs = data_for(bundle, 5)
+    n = bundle.graph.n_nodes
+    run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds=2, iterations=5))
+    scheduled_tas = protocol == "tas" and kind != "rgg"  # a schedule's first round is 1
+    for r in range(int(scheduled_tas), run.rounds + 1):
+        for k in range(n):
+            assert run.weights(k, r).shape == (n,)
+            assert truncated_aggregate(samples, signs, run.weights(k, r)).allclose(run.aggregate(k, r))
+    later = run.rounds + 3
+    if protocol in ("tas", "consensus"):
+        for rnd in (-1, run.rounds + 1) + ((0,) if scheduled_tas else ()):
+            with pytest.raises(ValueError, match="not run"):
+                run.weights(0, rnd)
+            with pytest.raises(ValueError, match="not run"):
+                run.aggregate(0, rnd)
+    else:  # full and local ignore the round; flooding past its last round is final knowledge
+        for k in range(n):
+            assert np.array_equal(run.weights(k, later), run.weights(k))
+            assert same_agg(run.aggregate(k, later), run.aggregate(k))
+    if protocol != "tas":  # TAS on a schedule delivers its last round after it sends
+        for k in range(n):
+            assert np.array_equal(run.weights(k, run.rounds), run.weights(k))
+            assert same_agg(run.aggregate(k, run.rounds), run.aggregate(k))

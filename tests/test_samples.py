@@ -81,11 +81,11 @@ def test_batched_locals_equal_local_aggregate(seed, n_nodes, n_p, m):
         row0 = tables[k].rows[0].payload
         assert np.array_equal(row0.vec, one.vec) and np.array_equal(row0.mat, one.mat)
     # consensus starts from N times the locals, the same multiplies as before
-    res = run_consensus(graph, samples, signs, iterations=0, snapshot_iters=[0])
-    v0, m0 = res.snapshots[0]
+    res = run_consensus(graph, samples, signs, iterations=0)
     for k in range(n_nodes):
         one = local_aggregate(samples, k, signs.column(k))
-        assert np.array_equal(v0[k], n_nodes * one.vec) and np.array_equal(m0[k], n_nodes * one.mat)
+        state = res.state(k, 0)
+        assert np.array_equal(state.vec, n_nodes * one.vec) and np.array_equal(state.mat, n_nodes * one.mat)
 
 
 def test_batched_locals_reject_mismatched_signs():
