@@ -24,8 +24,6 @@ import json
 import os
 import sys
 
-import jsonschema
-
 from .analysis import compare
 from .diffusion import CONSENSUS_SCHEMES
 from .experiments import (
@@ -326,12 +324,20 @@ def _cmd_traffic_predict(args) -> int:
     return 0
 
 
+def _user_errors() -> tuple[type[Exception], ...]:
+    """The errors ``main`` reports as ``error: ...``. A config validation
+    error can only come from a loaded ``jsonschema``, so a command that loads
+    no config never imports it."""
+    schema = sys.modules.get("jsonschema")
+    return (ValueError, KeyError, OSError) + ((schema.ValidationError,) if schema else ())
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, jsonschema.ValidationError) as exc:
+    except _user_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,10 +36,12 @@ general graph stops after a round that teaches nobody anything. ``run_tas``
 sends its last round but never delivers it. Consensus is linear and runs on
 its own.
 
-A TAS tag is one Python ``int`` used as a bitmask: bit i is set when node i's
-data is in the payload. So a subset test is ``t & rem == t``, disjointness is
-``not a & b``, a union is ``a | b``, and the 0/1 tag matrix the wrap-up LP
-reads is unpacked from each tag's little-endian bytes.
+Whose data a node holds is one Python ``int`` used as a bitmask, bit i for
+node i: a TAS tag names the nodes whose data its payload carries, and a
+flooding node keeps one mask of the records it knows and one of those it has
+sent. So a subset test is ``t & rem == t``, disjointness is ``not a & b``, a
+union is ``a | b``, and a 0/1 matrix (the tag matrix the wrap-up LP reads, or
+flooding knowledge) is unpacked from the masks' little-endian bytes.
 
 Traffic is counted in scalars: a raw record costs n_p + 1 of them, an
 aggregate payload m * (n_p + n_p (n_p + 1) / 2). Tag bits are reported
@@ -50,13 +52,14 @@ are delivered before the next stage starts.
 
 A finished run answers for any node and round after the fact, so nothing is
 asked for in advance. ``MfResult.known_after(r)`` is the knowledge after round
-r is delivered (a round past the last one gives the final knowledge), read
-off the arrival rounds. ``TasResult.wrapup(k, r)`` wraps up node k's table as
-round r sends, before that round is delivered: tag tables only grow and a
-stored payload never changes, so that table is a prefix of the final one, and
-the run records each table's row count per round. Nothing is wrapped up
-until it is read. ``ConsensusResult.state(k, t)`` is node k's state after
-iteration t, stepped from the starting states only when it is read.
+r is delivered (a round past the last one gives the final knowledge),
+unpacked from the per-node masks the run keeps for each round.
+``TasResult.wrapup(k, r)`` wraps up node k's table as round r sends, before
+that round is delivered: tag tables only grow and a stored payload never
+changes, so that table is a prefix of the final one, and the run records each
+table's row count per round. Nothing is wrapped up until it is read.
+``ConsensusResult.state(k, t)`` is node k's state after iteration t, stepped
+from the starting states only when it is read.
 
 A TAS run moves tags and references to payloads and does no payload
 arithmetic: traffic depends on the tags alone. Distillation, aggregation and
@@ -419,58 +422,58 @@ def tas_wrapup(table: TagTable, n_rows: int | None = None) -> tuple[WrapUpWeight
 
 
 # ---------------------------------------------------------------------------
-# flooding protocols (record payloads, boolean knowledge state)
+# flooding protocols (record payloads, knowledge as per-node bitmasks)
 
 
 @dataclass(eq=False)
 class MfResult:
-    known: np.ndarray
-    transmitted: np.ndarray
-    arrival_round: np.ndarray
+    """A flooding run: ``masks[r][k]``, an ``int`` bitmask like a TAS tag, has
+    bit i set when node k holds node i's record after round r is delivered."""
+
+    masks: list[list[int]]
     traffic: TrafficLog
     rounds_run: int
-    completion_round: int | None
 
-    def known_after(self, rnd: int) -> np.ndarray:
-        """Who knows which record after round ``rnd`` is delivered (0 = own
-        records only); a round past the last one gives the final knowledge."""
-        return (0 <= self.arrival_round) & (self.arrival_round <= rnd)
+    def known_after(self, rnd: int | None = None) -> np.ndarray:
+        """Who knows which record after round ``rnd`` (0: own records only),
+        as (N, N) bools; None or a round past the last gives the final state."""
+        if rnd is not None and rnd < 0:
+            raise ValueError(f"round {rnd} was not run")
+        masks = self.masks[self.rounds_run if rnd is None else min(rnd, self.rounds_run)]
+        return _unpack(masks, len(masks)).view(bool)
+
+    @property
+    def completion_round(self) -> int | None:
+        """The first round after which every node knew every record, or None."""
+        full = (1 << len(self.masks[0])) - 1
+        return next((r for r, masks in enumerate(self.masks) if masks.count(full) == len(masks)), None)
 
 
 def _flood(protocol: str, graph: Graph, stages, samples, plain=False, until_quiet=False) -> MfResult:
     """Flooding along a schedule; stage s (from 1) is round s.
 
-    Each sender sends every record it knows (``plain``, PF) or every record
-    it knows and has not sent (MF); the stage's neighbours then learn them.
-    With ``until_quiet`` the run stops after a stage that taught nobody
-    anything; a fixed schedule runs every stage. Either way the run reports
-    the first round after which every node knew every record (None when that
-    never happened).
+    A sender sends the records it knows (``plain``, PF) or knows and has not
+    sent (MF), both bitmasks per node, every message of a stage formed before
+    receivers OR it in. ``until_quiet`` stops after a stage that taught nobody.
     """
     n = graph.n_nodes
     _check_samples(samples, n)
     d_rec, _ = payload_sizes(samples.n_p, 2)
-    known = np.eye(n, dtype=bool)
-    transmitted = np.zeros((n, n), dtype=bool)
-    arrival = np.where(known, 0, -1)
-    traffic = TrafficLog(protocol, n)
-    completion_round = 0 if known.all() else None
-    rnd = 0
+    known, sent = [1 << k for k in range(n)], [0] * n
+    masks, traffic = [known], TrafficLog(protocol, n)
     for rnd, senders in enumerate(stages, start=1):
-        sent = known[senders] if plain else known[senders] & ~transmitted[senders]
-        transmitted[senders] |= sent
-        before = known.copy()  # every row of ``sent`` was taken before any delivery
-        for s, row, cnt in zip(senders.tolist(), sent, sent.sum(axis=1).tolist()):
-            if cnt:
-                traffic.record(rnd, s, cnt * d_rec, tag_bits=cnt * n)
-                known[graph.neighbors(s)] |= row
-        newly = known & ~before
-        arrival[newly] = rnd
-        if completion_round is None and known.all():
-            completion_round = rnd
-        if until_quiet and not newly.any():
+        msgs = [(s, known[s] if plain else known[s] & ~sent[s]) for s in senders.tolist()]
+        known = known.copy()
+        for s, msg in msgs:
+            if msg:
+                sent[s] |= msg
+                traffic.record(rnd, s, msg.bit_count() * d_rec, tag_bits=msg.bit_count() * n)
+                for k in graph.neighbors(s).tolist():
+                    known[k] |= msg
+        masks.append(known)
+        if until_quiet and known == masks[-2]:
             break
-    return MfResult(known, transmitted, arrival, traffic, rnd, completion_round)
+    return MfResult(masks, traffic, len(masks) - 1)
 
 
 def _every_node(graph: Graph, rounds: int) -> list[np.ndarray]:

@@ -19,7 +19,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .analysis import traffic_mf_tree, traffic_tas_tree
@@ -42,6 +41,7 @@ from .sps import (
     AggregateSums,
     RegionResult,
     SignMatrix,
+    SingularMatrixError,
     batch_aggregate,
     draw_sign_matrix,
     evaluate_region,
@@ -95,7 +95,12 @@ _DEFAULTS = {
 
 
 @functools.cache
-def _validator() -> jsonschema.Draft202012Validator:
+def _validator():
+    """The packaged schema's validator, built on first use: importing
+    ``jsonschema`` is a large share of a fresh start, and commands that load
+    no config never pay for it."""
+    import jsonschema
+
     text = resources.files("spsnet").joinpath("data/experiment_config.schema.json").read_text()
     return jsonschema.Draft202012Validator(json.loads(text))
 
@@ -107,7 +112,9 @@ def validate_config(raw: dict) -> None:
     Uses one validator built per process and does not re-check the schema
     against its metaschema; the test suite checks it against draft 2020-12.
     """
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(raw))
     if error is not None:
         raise error
 
@@ -330,7 +337,7 @@ def _local(bundle, samples, signs, diff):
 
 def _knowledge(res, samples, signs):
     def weights(k, r=None):
-        return (res.known if r is None else res.known_after(r))[k].astype(float)
+        return res.known_after(r)[k].astype(float)
 
     return ProtocolRun(weights, lambda k, r=None: truncated_aggregate(samples, signs, weights(k, r)),
                        res.rounds_run, res.traffic)
@@ -689,8 +696,12 @@ def run_region(config: ExperimentConfig) -> tuple[RegionResult, dict]:
     sign seed is given). Otherwise one seeded trial of the configured
     diffusion supplies the designated node's aggregate. Without an explicit
     box the region is evaluated on a unit-halfwidth box around the
-    least-squares estimate. Non-finite data, or a sign matrix whose width is
-    not the number of rows, raise ValueError.
+    least-squares estimate, or on the minimum-norm least-squares solution
+    when the normal-equations matrix is too ill-conditioned for the estimate
+    (fewer weighted samples than parameters); ``meta`` then records that
+    matrix's ``rank`` and whether the region is ``bounded`` (full rank).
+    Non-finite data, or a sign matrix whose width is not the number of rows,
+    raise ValueError.
     """
     seed = config.seed
     m, q = config.sps_params()
@@ -713,7 +724,11 @@ def run_region(config: ExperimentConfig) -> tuple[RegionResult, dict]:
     region = config.region_params()
     box = region["box"]
     if box is None:
-        center = ls_estimate(agg)
+        try:
+            center = ls_estimate(agg)
+        except SingularMatrixError:
+            center, _, rank, _ = np.linalg.lstsq(agg.mat[0], agg.vec[0], rcond=None)
+            meta.update({"rank": int(rank), "bounded": bool(rank == agg.n_p)})
         box = [[float(c) - 1.0, float(c) + 1.0] for c in center]
     tie_seed = region["tie_seed"] if region["tie_seed"] is not None else derive_seed(seed, "region-ties")
     result = evaluate_region(agg, box, region["grid_per_dim"], q, tie_seed=tie_seed)

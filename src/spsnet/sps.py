@@ -215,10 +215,6 @@ class WrapUpWeights:
             raise ValueError("weights must lie in [0, 1] (within 1e-9)")
         self.c = np.clip(c, 0.0, 1.0)
 
-    @property
-    def complete(self) -> bool:
-        return bool(np.all(self.c == 1.0))
-
 
 def z_values(agg: AggregateSums, p) -> np.ndarray:
     """Z_j(p) = ||vec_j - mat_j p||^2 for j = 0..m-1."""
@@ -338,23 +334,6 @@ class RegionResult:
             "mask_rle": _encode_rle(flat),
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RegionResult":
-        shape = tuple(d["grid_shape"])
-        mask = _decode_rle(d["mask_rle"], int(np.prod(shape))).reshape(shape)
-        return cls(
-            box=[tuple(b) for b in d["box"]],
-            grid_shape=shape,
-            member_mask=mask,
-            volume=d["volume"],
-            bounding_box=None
-            if d["bounding_box"] is None
-            else [tuple(b) for b in d["bounding_box"]],
-            q=d["q"],
-            m=d["m"],
-            tie_seed=d["tie_seed"],
-        )
-
     def csv_summary_rows(self) -> list[tuple]:
         """One row per dimension: (volume, dim, lo, hi) with empty-region sentinel."""
         rows = []
@@ -380,20 +359,6 @@ def _encode_rle(flat: np.ndarray) -> list[int]:
             count = 1
     runs.append(count)
     return runs
-
-
-def _decode_rle(runs, total: int) -> np.ndarray:
-    flat = np.zeros(total, dtype=bool)
-    pos = 0
-    value = False
-    for run in runs:
-        if value:
-            flat[pos : pos + run] = True
-        pos += run
-        value = not value
-    if pos != total:
-        raise ValueError("run lengths do not match the grid size")
-    return flat
 
 
 def evaluate_region(

@@ -192,11 +192,7 @@ class TreeTopology:
         if (level < 0).any():
             raise ValueError("parent array contains a cycle or unreachable node")
         self.level = level
-        # a stable sort groups children by parent, ids ascending, after the root
-        kids = np.argsort(self.parent, kind="stable")[1:]
         self._n_children = np.bincount(self.parent + 1, minlength=n + 1)[1:]
-        ends = np.cumsum(self._n_children).tolist()
-        self._children = [kids[a:b] for a, b in zip([0] + ends[:-1], ends)]
         self._graph: Graph | None = None
 
     @property
@@ -211,9 +207,6 @@ class TreeTopology:
     def depth(self) -> int:
         """Deepest level L; levels run 0..L."""
         return int(self.level.max())
-
-    def children(self, i: int) -> np.ndarray:
-        return self._children[i]
 
     def nodes_at_level(self, l: int) -> np.ndarray:
         return np.flatnonzero(self.level == l)

@@ -11,7 +11,9 @@ first took: a copy of the knowledge after each requested round, and for TAS
 the wrap-up of every requested node as each requested round sends. The TAS
 oracles wrap up every table before they return. The package instead answers
 for any node and round after the run, from arrival rounds and tag-table
-prefixes, and wraps up nothing until it is read.
+prefixes, and wraps up nothing until it is read. Flooding here keeps the
+dense (N, N) knowledge, transmitted and arrival-round arrays the package
+first kept; the package keeps one bitmask per node and round instead.
 
 TAS payloads here are eager: ``tas_distill``, ``tas_aggregate`` and
 ``_complete_message`` below are the package's bodies from before it recorded
@@ -41,12 +43,14 @@ from spsnet.topology import ClusteredTopology, Graph, TreeTopology, diameter
 
 @dataclass(eq=False)
 class PfResult:
-    """A PF run as the package first reported it."""
+    """A PF run as the package first reported it, with ``history[r]`` a copy
+    of the knowledge after round r."""
 
     known: np.ndarray
     traffic: TrafficLog
     rounds_run: int
     full_knowledge_round: int | None
+    history: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass(eq=False)
@@ -135,7 +139,7 @@ def _wrapup_all(tables, nodes=None):
         w, agg = tas_wrapup(tables[k])
         weights[k] = w.c
         aggs[k] = agg
-        complete[k] = w.complete
+        complete[k] = (w.c == 1.0).all()
     return weights, aggs, complete
 
 
@@ -158,6 +162,7 @@ def run_pf(graph: Graph, samples, max_rounds: int | None = None) -> PfResult:
     known = np.eye(n, dtype=bool)
     traffic = TrafficLog("pf", n)
     full_round = 0 if known.all() else None
+    history = [known]
     cap = max_rounds if max_rounds is not None else n + 2
     rounds_run = 0
     for rnd in range(1, cap + 1):
@@ -168,11 +173,13 @@ def run_pf(graph: Graph, samples, max_rounds: int | None = None) -> PfResult:
         new_known = known | _bool_matmul(graph.adjacency, known)
         grew = bool((new_known & ~known).any())
         known = new_known
+        history.append(known)
         if full_round is None and known.all():
             full_round = rnd
         if not grew:
             break
-    return PfResult(known=known, traffic=traffic, rounds_run=rounds_run, full_knowledge_round=full_round)
+    return PfResult(known=known, traffic=traffic, rounds_run=rounds_run, full_knowledge_round=full_round,
+                    history=history)
 
 
 def _mf_snapshot_fill(snapshots: dict, wanted, known: np.ndarray, upto: int):
@@ -258,7 +265,7 @@ def run_mf_tree(tree: TreeTopology, samples) -> MfResult:
     rnd = 0
 
     def neighbors(v: int):
-        out = list(tree.children(v))
+        out = list(np.flatnonzero(tree.parent == v))
         if tree.parent[v] >= 0:
             out.append(int(tree.parent[v]))
         return out
@@ -283,7 +290,7 @@ def run_mf_tree(tree: TreeTopology, samples) -> MfResult:
     for level in range(depth, -1, -1):
         stage(tree.nodes_at_level(level))
     for level in range(1, depth):
-        stage(v for v in tree.nodes_at_level(level) if tree.children(v).size > 0)
+        stage(v for v in tree.nodes_at_level(level) if (tree.parent == v).any())
 
     return MfResult(
         known=known,
@@ -434,7 +441,7 @@ def run_tas_tree(tree: TreeTopology, samples, signs: SignMatrix) -> TasResult:
     messages = []
 
     def neighbors(v: int):
-        out = [int(c) for c in tree.children(v)]
+        out = [int(c) for c in np.flatnonzero(tree.parent == v)]
         if tree.parent[v] >= 0:
             out.append(int(tree.parent[v]))
         return sorted(out)
@@ -457,7 +464,7 @@ def run_tas_tree(tree: TreeTopology, samples, signs: SignMatrix) -> TasResult:
     for level in range(depth, -1, -1):
         stage(tree.nodes_at_level(level))
     for level in range(1, depth):
-        stage(v for v in tree.nodes_at_level(level) if tree.children(v).size > 0)
+        stage(v for v in tree.nodes_at_level(level) if (tree.parent == v).any())
 
     weights, aggs, complete = _wrapup_all(tables)
     return TasResult(

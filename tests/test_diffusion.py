@@ -100,7 +100,7 @@ def final_wrapups(res):
     """(weights matrix, aggregates, completion flags) of every node's final wrap-up."""
     wrapups = [res.wrapup(k) for k in range(len(res.tables))]
     return (np.array([w.c for w, _ in wrapups]), [agg for _, agg in wrapups],
-            np.array([w.complete for w, _ in wrapups]))
+            np.array([(w.c == 1.0).all() for w, _ in wrapups]))
 
 
 def marker_payload(value, m=2):
@@ -310,7 +310,7 @@ def test_wrapup_disjoint_covering_table():
     table.append(mask(1), locals_[1].copy())
     table.append(mask(2, 3), plus(locals_[2], locals_[3]))
     weights, agg = tas_wrapup(table)
-    assert weights.complete
+    assert (weights.c == 1.0).all()
     assert agg.allclose(batch_aggregate(samples, signs))
 
 
@@ -441,7 +441,7 @@ def test_pf_complete_graph_trace():
     assert res.rounds_run == 2  # one extra round to observe no growth
     # round 1: 5 own records; round 2: everyone rebroadcasts all 5
     assert round_totals(res.traffic) == {1: 5 * d_rec, 2: 25 * d_rec}
-    assert res.known.all()
+    assert res.known_after().all()
 
 
 def test_pf_path_trace():
@@ -460,7 +460,9 @@ def test_mf_complete_graph_trace():
     assert res.completion_round == 1
     assert res.traffic.total_scalars == 25 * d_rec
     assert round_totals(res.traffic) == {1: 5 * d_rec, 2: 20 * d_rec}
-    assert res.known.all() and res.transmitted.all()
+    assert res.known_after().all()
+    # every node sent each of the 5 records once
+    assert np.array_equal(res.traffic.per_node_totals, [5 * d_rec] * 5)
 
 
 def test_mf_path_trace():
@@ -485,11 +487,14 @@ def test_mf_never_retransmits():
     for i in range(5):
         graph, samples, signs = make_network(75 + i, 15)
         res = run_mf(graph, samples)
-        assert res.known.all()
-        # each node pays for every distinct record it sent exactly once
-        totals = res.traffic.per_node_totals
-        for k in range(15):
-            assert totals[k] == res.transmitted[k].sum() * d_rec
+        assert res.known_after().all()
+        # each node pays for every distinct record it sent exactly once: a
+        # run to quiescence sends every record it knows, so all 15
+        sent = np.zeros(15, dtype=int)
+        for e in res.traffic.events:
+            sent[e.node] += e.tag_bits // 15
+        assert np.array_equal(sent, [15] * 15)
+        assert np.array_equal(res.traffic.per_node_totals, sent * d_rec)
 
 
 def test_pf_dominates_mf_and_both_complete_at_diameter():
@@ -507,19 +512,20 @@ def test_pf_dominates_mf_and_both_complete_at_diameter():
 def test_mf_snapshots_and_arrival_rounds():
     graph, samples, signs = make_network(85, 12)
     res = run_mf(graph, samples)
+    assert res.known_after(0).dtype == bool
     assert np.array_equal(res.known_after(0), np.eye(12, dtype=bool))
     prev = res.known_after(0)
     for r in range(1, res.rounds_run + 1):
         cur = res.known_after(r)
         assert np.all(prev <= cur)  # knowledge only grows
+        assert cur.all() == (res.completion_round is not None and r >= res.completion_round)
         prev = cur
-    assert np.array_equal(prev, res.known)
+    assert np.array_equal(prev, res.known_after())
     # rounds past quiescence give the final state
-    assert np.array_equal(res.known_after(19), res.known)
-    # arrival bookkeeping: every known record has a round, own record at 0
-    assert np.all(res.arrival_round[res.known] >= 0)
-    assert np.all(np.diag(res.arrival_round) == 0)
-    assert res.known[3].all()
+    assert np.array_equal(res.known_after(19), res.known_after())
+    assert res.known_after()[3].all()
+    with pytest.raises(ValueError):
+        res.known_after(-1)
 
 
 def test_mf_tree_hand_traces():
@@ -528,13 +534,13 @@ def test_mf_tree_hand_traces():
     chain = TreeTopology(parent=np.array([-1, 0, 1]))  # path rooted at one end
     res = run_mf_tree(chain, samples)
     assert res.traffic.total_scalars == 7 * d_rec
-    assert res.known.all()
+    assert res.known_after().all()
 
     _, samples4, _ = make_network(87, 4, graph=complete_graph(4))
     tree = TreeTopology(parent=np.array([-1, 0, 0, 1]))
     res4 = run_mf_tree(tree, samples4)
     assert res4.traffic.total_scalars == 10 * d_rec
-    assert res4.known.all()
+    assert res4.known_after().all()
     assert res4.traffic.total_scalars == traffic_mf_tree(
         tree.level_counts, tree.childless_counts, 2, 2
     )
@@ -545,7 +551,7 @@ def test_mf_tree_matches_census_formula():
         graph, samples, signs = make_network(90 + i, 30)
         tree = spanning_tree(graph)
         res = run_mf_tree(tree, samples)
-        assert res.known.all()
+        assert res.known_after().all()
         expected = traffic_mf_tree(tree.level_counts, tree.childless_counts, 2, 2)
         assert res.traffic.total_scalars == expected
 
@@ -554,7 +560,7 @@ def test_mf_clustered_matches_formula():
     topo = clustered(20, 4, substream(95, "clusters"))
     _, samples, signs = make_network(95, 20, graph=topo.graph())
     res = run_mf_clustered(topo, samples)
-    assert res.known.all()
+    assert res.known_after().all()
     assert res.completion_round == 3
     assert res.traffic.total_scalars == traffic_mf_clustered(20, 4, 2, 2)
 
@@ -566,8 +572,8 @@ def test_mf_clustered_reports_the_round_knowledge_completes():
         topo = clustered(20, n_clusters, substream(95, "clusters"))
         _, samples, _ = make_network(95, 20, graph=topo.graph())
         res = run_mf_clustered(topo, samples)
-        assert res.known.all() and res.rounds_run == 3
-        assert res.arrival_round.max() == 2
+        assert res.known_after().all() and res.rounds_run == 3
+        assert res.known_after(2).all() and not res.known_after(1).all()  # the last record arrives at 2
         assert res.completion_round == 2
 
 

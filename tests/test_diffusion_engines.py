@@ -3,14 +3,15 @@
 Every traffic integer, weight and aggregate the benchmark checks comes out of
 these seven runners, so each must log the same events in the same order and
 end with the same state as its oracle in ``diffusion_oracle``: knowledge,
-transmitted rows, arrival rounds and round counts for flooding; every
+records sent per node, arrival rounds and round counts for flooding; every
 message sent (tag and payload bits), every tag table row (tag, merged flag,
 payload bits), weights, aggregates and completion flags for TAS. The TAS
 oracles do their payload arithmetic eagerly, so this checks the package's
 payload folds, formed only when read, against it. The round views must
 equal the oracles' eager snapshots bit for bit: ``known_after(r)`` for every
 round, also past the last one, and ``wrapup(k, r)`` for every node and
-round. On the tree and
+round. The package keeps flooding knowledge as bitmasks, so arrival rounds
+are derived from ``known_after``. On the tree and
 clustered schedules, which the oracles do not snapshot, ``wrapup(k, r)``
 must equal the wrap-up of a fresh table holding that prefix of node k's
 rows. Cases cover random geometric graphs of 2 to 60 nodes, their spanning
@@ -68,17 +69,38 @@ def same_agg(a, b):
     return np.array_equal(a.vec, b.vec) and np.array_equal(a.mat, b.mat)
 
 
+def arrival_rounds(res) -> np.ndarray:
+    """The round each record reached each node, read off the round views
+    (-1 where it never did)."""
+    arrival = np.full(res.known_after(0).shape, -1)
+    for r in range(res.rounds_run, -1, -1):
+        arrival[res.known_after(r)] = r
+    return arrival
+
+
 def assert_same_flooding(res, ref):
     assert_same_log(res.traffic, ref.traffic)
-    assert np.array_equal(res.known, ref.known)
+    assert np.array_equal(res.known_after(), ref.known)
     assert res.rounds_run == ref.rounds_run
+    with pytest.raises(ValueError):
+        res.known_after(-1)
+    every_round = range(res.rounds_run + 3)  # two rounds past the end give the final knowledge
     if isinstance(ref, oracle.PfResult):
         assert res.completion_round == ref.full_knowledge_round
+        for r in every_round:
+            assert np.array_equal(res.known_after(r), ref.history[min(r, ref.rounds_run)])
         return
-    assert np.array_equal(res.transmitted, ref.transmitted)
-    assert np.array_equal(res.arrival_round, ref.arrival_round)
+    n = res.traffic.n_nodes
+    records_sent = np.zeros(n, dtype=int)
+    for e in res.traffic.events:
+        records_sent[e.node] += e.tag_bits // n
+    assert np.array_equal(records_sent, ref.transmitted.sum(axis=1))
+    arrival = arrival_rounds(res)
+    assert np.array_equal(arrival, ref.arrival_round)
     # with equal arrival rounds this also equals run_mf's oracle
-    assert res.completion_round == (int(res.arrival_round.max()) if res.known.all() else None)
+    assert res.completion_round == (int(arrival.max()) if res.known_after().all() else None)
+    for r in every_round:
+        assert np.array_equal(res.known_after(r), (0 <= ref.arrival_round) & (ref.arrival_round <= r))
     for r, known in ref.snapshots.items():
         assert np.array_equal(res.known_after(r), known)
 
@@ -119,7 +141,7 @@ def assert_same_tas(res, sent, ref):
     for k in range(len(ref.tables)):
         final = res.wrapup(k)
         assert same_wrapup(final, ref.weights[k], ref.aggregates[k])
-        assert final[0].complete == ref.complete[k]
+        assert (final[0].c == 1.0).all() == ref.complete[k]
     for r, (weights, aggs) in ref.snapshots.items():
         assert all(same_wrapup(res.wrapup(k, r), weights[k], aggs[k]) for k in range(len(ref.tables)))
 
@@ -233,7 +255,7 @@ def test_tree_and_cluster_stages():
     assert [s.tolist() for s in stages[: tree.depth + 1]] == [
         tree.nodes_at_level(level).tolist() for level in range(tree.depth, -1, -1)
     ]
-    assert all(tree.children(v).size > 0 for s in stages[tree.depth + 1:] for v in s)
+    assert all((tree.parent == v).any() for s in stages[tree.depth + 1:] for v in s)  # senders with children
     topo = clustered(40, 6, substream(7, "clusters"))
     members, heads, again = topo.stages()
     assert heads.tolist() == again.tolist() == sorted(topo.heads.tolist())

@@ -1,6 +1,10 @@
 """Config handling, experiment runners, and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -14,6 +18,7 @@ from spsnet.experiments import (
     run_region,
     run_success_rate,
     run_tradeoff,
+    simulate,
     validate_config,
     wilson_interval,
 )
@@ -151,6 +156,7 @@ def test_run_region_simulation_default_box():
     widths = [hi - lo for lo, hi in result.box]
     assert widths == [2.0, 2.0]
     assert 0.0 <= result.volume <= 4.0
+    assert "rank" not in meta and "bounded" not in meta  # only a rank-deficient node reports them
 
 
 @pytest.mark.parametrize("protocol", ["full", "local", "tas"])
@@ -312,6 +318,32 @@ def test_cli_region_hand_example(tmp_path, capsys):
     assert lines[1] == "2.0,0,-1.0,1.0"
 
 
+@pytest.mark.parametrize("diffusion", [
+    {"protocol": "local"},
+    {"protocol": "mf", "rounds": 0},
+    {"protocol": "tas", "rounds": 0},
+    {"protocol": "consensus", "iterations": 0},
+])
+def test_cli_region_of_a_node_with_fewer_samples_than_parameters(tmp_path, capsys, diffusion):
+    # the designated node weighs its own sample only, one for n_p = 2, so the
+    # least-squares estimate does not exist: the default box is centred on the
+    # minimum-norm solution and the region is reported unbounded
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"seed": 3, "diffusion": diffusion}))
+    assert main(["region", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "region.json").read_text())
+    assert payload["meta"]["rank"] == 1
+    assert payload["meta"]["bounded"] is False
+    assert payload["member_count"] > 0
+    # the centre solves the normal equations and has no part along their null space
+    agg = simulate(ExperimentConfig({"seed": 3, "diffusion": diffusion})).aggregate(0)
+    mat0, vec0 = agg.mat[0], agg.vec[0]
+    center = np.mean(payload["box"], axis=1)
+    np.testing.assert_allclose(mat0 @ center, vec0, rtol=1e-9, atol=1e-9 * np.abs(vec0).max())
+    null = np.linalg.svd(mat0)[2][-1]
+    assert abs(null @ center) <= 1e-9 * np.linalg.norm(center)
+
+
 def test_cli_coverage_reproducible(tmp_path, capsys):
     cfg = dict(COVERAGE_CONFIG, trials=40)
     cfg_path = tmp_path / "cov.json"
@@ -381,6 +413,18 @@ def test_cli_traffic_predict(capsys):
     assert payload["mf_total_scalars"] == 8760
     assert payload["winner"] == "TAS"
     assert "critical_size" not in payload
+
+
+def test_traffic_predict_never_imports_jsonschema():
+    # a command that loads no config does not pay for the validator's import
+    code = ("import sys; from spsnet.cli import main; "
+            "assert main(['traffic-predict', '--N', '63']) == 0; "
+            "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "winner TAS" in proc.stdout
 
 
 def test_cli_error_paths(tmp_path, capsys):

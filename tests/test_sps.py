@@ -1,5 +1,6 @@
 """Sign-perturbed sums: aggregates, membership, tie handling, region grids."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,6 @@ from spsnet.model import FieldConfig, NoiseSpec, Samples, generate_measurements
 from spsnet.rng import derive_seed, substream
 from spsnet.sps import (
     AggregateSums,
-    RegionResult,
     SignMatrix,
     SingularMatrixError,
     WrapUpWeights,
@@ -224,8 +224,8 @@ def test_rank_above_draws_keys_only_on_ties():
 
 def test_wrapup_weights_clamping():
     w = WrapUpWeights(np.array([0.0, 1.0, 0.5]))
-    assert not w.complete
-    assert WrapUpWeights(np.ones(4)).complete
+    assert np.array_equal(w.c, [0.0, 1.0, 0.5])
+    assert np.array_equal(WrapUpWeights(np.ones(4)).c, np.ones(4))
     snapped = WrapUpWeights(np.array([1.0 + 5e-10, -5e-10]))
     assert snapped.c[0] == 1.0 and snapped.c[1] == 0.0
     with pytest.raises(ValueError):
@@ -317,17 +317,27 @@ def test_region_argument_validation():
     assert res.grid_shape == (2, 2, 2, 2)
 
 
+def decode_rle(runs, shape) -> np.ndarray:
+    """The mask a ``mask_rle`` encodes: alternating run lengths of the C-order
+    flattened mask, the first run False."""
+    flat = np.repeat(np.arange(len(runs)) % 2 == 1, runs)
+    assert flat.size == np.prod(shape)
+    return flat.reshape(shape)
+
+
 def test_region_json_roundtrip():
     samples, cfg = make_samples(43, 6)
     signs = draw_sign_matrix(8, 6, sign_seed=6)
     agg = batch_aggregate(samples, signs)
     box = [(p - 1, p + 1) for p in cfg.p_true]
     res = evaluate_region(agg, box, (9, 7), q=2, tie_seed=55)
-    back = RegionResult.from_json_dict(res.to_json_dict())
-    assert np.array_equal(res.member_mask, back.member_mask)
-    assert back.volume == res.volume
-    assert back.bounding_box == res.bounding_box
-    assert back.grid_shape == res.grid_shape
+    d = res.to_json_dict()
+    assert json.loads(json.dumps(d)) == d
+    assert np.array_equal(decode_rle(d["mask_rle"], d["grid_shape"]), res.member_mask)
+    assert d["volume"] == res.volume and d["member_count"] == res.member_count
+    assert d["bounding_box"] == [list(b) for b in res.bounding_box]
+    assert tuple(d["grid_shape"]) == res.grid_shape
+    assert (d["q"], d["m"], d["tie_seed"]) == (2, 8, 55)
     rows = res.csv_summary_rows()
     assert len(rows) == 2
     assert all(r[0] == res.volume for r in rows)
@@ -340,8 +350,9 @@ def test_region_empty_sentinel():
     assert res.member_count == 0
     assert res.volume == 0.0
     assert res.bounding_box is None
-    back = RegionResult.from_json_dict(res.to_json_dict())
-    assert back.bounding_box is None and back.member_count == 0
+    d = res.to_json_dict()
+    assert d["bounding_box"] is None and d["member_count"] == 0
+    assert not decode_rle(d["mask_rle"], d["grid_shape"]).any()
     rows = res.csv_summary_rows()
     assert rows[0][2] == "" and rows[0][3] == ""
 

@@ -5,11 +5,12 @@ The package now runs every protocol through one table,
 an aggregate on demand, the rounds run and the traffic log. This oracle keeps
 the old shape: one if/elif chain that runs the general-graph runner for every
 protocol on every topology and returns, per requested node, a (weights,
-aggregate) pair, with TAS from the eager runner in ``diffusion_oracle``,
-which wraps up every table before it returns. Tests require the table to
-reproduce it bit for bit on general graphs. One difference is on purpose: the oracle reports consensus
-weights clipped into [0, 1], while the consensus state is the sum weighted by
-the unclipped N * W^t; the table reports the unclipped weights.
+aggregate) pair, with PF and MF from the dense runners in ``diffusion_oracle``
+and TAS from its eager runner, which wraps up every table before it returns.
+Tests require the table to reproduce it bit for bit on general graphs. One
+difference is on purpose: the oracle reports consensus weights clipped into
+[0, 1], while the consensus state is the sum weighted by the unclipped
+N * W^t; the table reports the unclipped weights.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 import diffusion_oracle
-from spsnet.diffusion import run_consensus, run_mf, run_pf
+from spsnet.diffusion import run_consensus
 from spsnet.sps import batch_aggregate, local_aggregate, truncated_aggregate
 
 
@@ -36,7 +37,8 @@ def trial_state(protocol, graph, samples, signs, diff, nodes):
             out[k] = (c, local_aggregate(samples, k, signs.column(k)))
         return out, 0, None
     if protocol in ("pf", "mf"):
-        res = (run_pf if protocol == "pf" else run_mf)(graph, samples, max_rounds=diff["rounds"])
+        run = diffusion_oracle.run_pf if protocol == "pf" else diffusion_oracle.run_mf
+        res = run(graph, samples, max_rounds=diff["rounds"])
         out = {}
         for k in nodes:
             c = res.known[k].astype(float)
