@@ -26,9 +26,9 @@ and the sender's neighbours in the topology's graph then take it in:
 PF     sends every record it knows;          receivers add the records to
 MF     sends the records it knows and has    what they know
        not sent yet
-TAS    sends its local row (start-up), a     receivers distill the message
-       ``tas_aggregate`` message, or that    into their tag tables
-       message else the complete sum
+TAS    sends its local tag (start-up), a     receivers distill the tag
+       ``tas_aggregate`` tag, or that tag    into their tag tables
+       else the complete one
 
 On a general graph every node sends in every round; ``TreeTopology.stages()``
 and ``ClusteredTopology.stages()`` list the scripted sweeps. Flooding on a
@@ -37,7 +37,7 @@ sends its last round but never delivers it. Consensus is linear and runs on
 its own.
 
 Whose data a node holds is one Python ``int`` used as a bitmask, bit i for
-node i: a TAS tag names the nodes whose data its payload carries, and a
+node i: a TAS tag names the nodes whose data its message carries, and a
 flooding node keeps one mask of the records it knows and one of those it has
 sent. So a subset test is ``t & rem == t``, disjointness is ``not a & b``, a
 union is ``a | b``, and a 0/1 matrix (the tag matrix the wrap-up LP reads, or
@@ -55,19 +55,17 @@ asked for in advance. ``MfResult.known_after(r)`` is the knowledge after round
 r is delivered (a round past the last one gives the final knowledge),
 unpacked from the per-node masks the run keeps for each round.
 ``TasResult.wrapup(k, r)`` wraps up node k's table as round r sends, before
-that round is delivered: tag tables only grow and a stored payload never
-changes, so that table is a prefix of the final one, and the run records each
-table's row count per round. Nothing is wrapped up until it is read.
-``ConsensusResult.state(k, t)`` is node k's state after iteration t, stepped
-from the starting states only when it is read.
+that round is delivered: tag tables only grow, so that table is a prefix of
+the final one, and the run records each table's row count per round. Nothing
+is wrapped up until it is read. ``ConsensusResult.state(k, t)`` is node k's
+state after iteration t, stepped from the starting states only when it is
+read.
 
-A TAS run moves tags and references to payloads and does no payload
-arithmetic: traffic depends on the tags alone. Distillation, aggregation and
-the complete and start-up messages record each new payload as a ``Fold``, a
-base followed by the terms to add or subtract in scan order. A fold is formed
-once, when a wrap-up, a row's ``payload`` or a message's ``vec``/``mat``
-first reads it, with the copy and in-place sums an eager run makes at send
-time, so every read has the eager bits. Folds nobody reads are never formed.
+A TAS run moves tags only. Every message's payload is the sum of the local
+aggregates its tag names, so distillation, aggregation and traffic depend on
+the tags alone, and the wrap-up turns a table into the weights c. The
+aggregate a node would have assembled is c-weighted, so the SPS side builds it
+from c (``sps.tie_exact_aggregate``); the data never enter a TAS run.
 """
 
 from __future__ import annotations
@@ -158,76 +156,13 @@ class TrafficLog:
 # tag tables
 
 
-class Fold:
-    """Sums not formed yet: a copy of ``base``, then every term of ``terms``
-    added in order (subtracted with ``sub``).
-
-    Operands are ``AggregateSums`` or further folds, and none of them may
-    change afterwards. A fold is formed once, on the first read of its
-    ``vec`` or ``mat`` or of a row that stores it, with the ``copy`` and
-    ``iadd``/``isub`` calls an eager left fold makes, so its bits are the
-    eager ones. It then keeps its sums and drops its operands.
-    """
-
-    __slots__ = ("_ops", "_sums")
-
-    def __init__(self, base: AggregateSums | Fold, terms=(), sub: bool = False):
-        self._ops = (base, terms, sub)
-        self._sums: AggregateSums | None = None
-
-    @property
-    def vec(self) -> np.ndarray:
-        return _formed(self).vec
-
-    @property
-    def mat(self) -> np.ndarray:
-        return _formed(self).mat
-
-
-def _formed(payload) -> AggregateSums:
-    """The sums of a payload, forming first every fold it rests on that is
-    not formed yet. The walk keeps its own stack: fold chains grow with the
-    rounds and would overflow Python's recursion limit."""
-    if not isinstance(payload, Fold):
-        return payload
-    stack = [payload]
-    while stack:
-        fold = stack[-1]
-        if fold._sums is None:
-            base, terms, sub = fold._ops
-            waiting = [op for op in (base, *terms) if isinstance(op, Fold) and op._sums is None]
-            if waiting:
-                stack += waiting
-                continue
-            out = _sums_of(base).copy()
-            for term in terms:
-                if sub:
-                    out.isub(_sums_of(term))
-                else:
-                    out.iadd(_sums_of(term))
-            fold._sums, fold._ops = out, None
-        stack.pop()
-    return payload._sums
-
-
-def _sums_of(op) -> AggregateSums:
-    """The sums of an operand whose folds are all formed."""
-    return op._sums if isinstance(op, Fold) else op
-
-
 @dataclass(eq=False, slots=True)
 class TagRow:
-    """Stored row: tag (bitmask of the node ids the payload accounts for) +
-    payload, stored as ``AggregateSums`` or as a ``Fold`` that ``payload``
-    forms on its first read."""
+    """Stored row: a tag, the bitmask of the node ids whose data it accounts
+    for, and whether an outgoing aggregate has merged it."""
 
     tag: int
-    _payload: AggregateSums | Fold
     merged: bool = False
-
-    @property
-    def payload(self) -> AggregateSums:
-        return _formed(self._payload)
 
 
 def _unpack(masks, n_nodes: int) -> np.ndarray:
@@ -256,21 +191,23 @@ class TagTable:
     aggregation phases can start from fresh content. Rows are added only
     through ``append``, which also takes a collection of node ids and stores
     its mask, and which keeps ``covered``, the OR of every row's tag, and
-    ``disjoint``, whether those tags are pairwise disjoint.
+    ``disjoint``, whether those tags are pairwise disjoint. A table holds no
+    payload: ``local_payload`` and ``append``'s ``payload`` are accepted and
+    ignored.
     """
 
-    def __init__(self, owner: int, n_nodes: int, local_payload):
+    def __init__(self, owner: int, n_nodes: int, local_payload=None):
         if not 0 <= owner < n_nodes:
             raise ValueError("owner must be a valid node id")
         self.owner = owner
         self.n_nodes = n_nodes
-        self.rows: list[TagRow] = [TagRow(1 << owner, local_payload)]
+        self.rows: list[TagRow] = [TagRow(1 << owner)]
         self.covered = 1 << owner
         self.disjoint = True
         self._tags = {1 << owner}
         self._wrapup: tuple[bytes, np.ndarray | None] = (b"", None)  # last (tag matrix bytes, b)
 
-    def append(self, tag, payload) -> TagRow:
+    def append(self, tag, payload=None) -> TagRow:
         if not isinstance(tag, int):
             tag = _mask_of(tag)
         if tag <= 0:
@@ -279,7 +216,7 @@ class TagTable:
             raise ValueError("tag contains an unknown node id")
         if tag in self._tags:
             raise ValueError("duplicate tag")
-        row = TagRow(tag, payload)
+        row = TagRow(tag)
         self.rows.append(row)
         self._tags.add(tag)
         self.disjoint = self.disjoint and not tag & self.covered
@@ -297,128 +234,92 @@ def _cover(rows) -> tuple[int, bool]:
     return covered, bits == covered.bit_count()
 
 
-def tas_distill(table: TagTable, tag: int, payload: AggregateSums | Fold) -> TagRow | None:
-    """Reduce an incoming message against the stored rows and keep the rest.
+def tas_distill(table: TagTable, tag: int) -> TagRow | None:
+    """Reduce an incoming tag against the stored rows and keep the rest.
 
     Scanning stored rows in insertion order, every row whose tag is still a
-    subset of the remaining incoming tag is subtracted (tag and payload).
-    What is left is new information; it is appended as a row. A message whose
-    residual is empty carries nothing new and is discarded. (A residual never
-    repeats a stored tag: the scan would have subtracted that row.) A kept
-    row stores its payload as a ``Fold``: a copy of the incoming payload minus
-    the subtracted rows in scan order, formed when the row is first read. No
-    payload is touched here, and the incoming one is never mutated.
+    subset of the remaining incoming tag is subtracted. What is left is new
+    information; it is appended as a row. A message whose residual is empty
+    carries nothing new and is discarded. (A residual never repeats a stored
+    tag: the scan would have subtracted that row.)
 
     Two cases need no scan, read off the table's ``covered`` and ``disjoint``:
-    a tag sharing no node with ``covered`` is kept whole with nothing
-    subtracted, and when the table is disjoint, a tag that contains
-    ``covered`` has every row subtracted in row order (and is discarded when
-    it equals ``covered``). The scan would reach the same result.
+    a tag sharing no node with ``covered`` is kept whole, and when the table
+    is disjoint, a tag that contains ``covered`` keeps ``tag ^ covered`` (and
+    is discarded when it equals ``covered``). The scan would reach the same
+    result.
     """
     covered = table.covered
     if not tag & covered:
-        return table.append(tag, Fold(payload, (), sub=True)) if tag else None
+        return table.append(tag) if tag else None
     if table.disjoint and tag & covered == covered:
-        if tag == covered:
-            return None
-        return table.append(tag ^ covered, Fold(payload, [row._payload for row in table.rows], sub=True))
+        return table.append(tag ^ covered) if tag != covered else None
     remaining = tag
-    subtracted = []
     for row in table.rows:
         t = row.tag
         if t & remaining == t:
             remaining ^= t
-            subtracted.append(row._payload)
-    if not remaining:
-        return None
-    return table.append(remaining, Fold(payload, subtracted, sub=True))
+    return table.append(remaining) if remaining else None
 
 
-def tas_aggregate(table: TagTable) -> tuple[int, Fold] | None:
-    """Build one outgoing message from the table.
+def tas_aggregate(table: TagTable) -> int | None:
+    """Build one outgoing message's tag from the table.
 
-    The running pair starts from the first row never merged before (None when
+    The running tag starts from the first row never merged before (None when
     there is no such row, in which case the node stays silent). All rows are
     then scanned in insertion order and every row whose tag is disjoint from
-    the running tag is summed in and marked merged; the start row overlaps
-    itself, so it is not added twice. Rows overlapping the running tag are
-    skipped; resolving partial overlaps is the wrap-up's job. The payload is
-    a ``Fold``, formed on first read: a copy of the start row's payload plus
-    the merged rows' in scan order.
+    the running tag is merged in and marked merged; the start row overlaps
+    itself, so it is not merged twice. Rows overlapping the running tag are
+    skipped; resolving partial overlaps is the wrap-up's job.
     """
     start = next((r for r in table.rows if not r.merged), None)
     if start is None:
         return None
     tag = start.tag
     start.merged = True
-    merged = []
     for row in table.rows:
         if not tag & row.tag:
-            merged.append(row._payload)
             tag |= row.tag
             row.merged = True
-    return tag, Fold(start._payload, merged)
+    return tag
 
 
-def _complete_message(table: TagTable) -> tuple[int, Fold]:
-    """Sum of all stored rows; valid when tags are pairwise disjoint. The
-    payload is a ``Fold``, formed on first read: a copy of row 0's payload
-    plus every further row's in row order."""
+def _complete_message(table: TagTable) -> int:
+    """The union of all stored rows; valid when tags are pairwise disjoint."""
     if not table.disjoint:
         raise ValueError("complete message requires pairwise disjoint tags")
     for row in table.rows:
         row.merged = True
-    first, *rest = table.rows
-    return table.covered, Fold(first._payload, [row._payload for row in rest])
+    return table.covered
 
 
-def tas_wrapup(table: TagTable, n_rows: int | None = None) -> tuple[WrapUpWeights, AggregateSums]:
-    """Turn a table, or its first ``n_rows`` rows, into per-node weights and a
-    weighted aggregate.
+def tas_wrapup(table: TagTable, n_rows: int | None = None) -> WrapUpWeights:
+    """Turn a table, or its first ``n_rows`` rows, into per-node weights.
 
     When those rows' tags are pairwise disjoint every row is used with
     coefficient one, so covered nodes get weight exactly 1 (all ones when the
-    rows span the network, which also yields the exact full sum); c is then
-    unpacked from the covered mask without building a tag matrix. Overlapping
-    tags are resolved by the wrap-up LP; the resulting weights are clamped
-    into [0, 1] at tolerance 1e-9 and values within 1e-9 of 0 or 1 are
-    snapped exact. The coefficients b depend on the tag matrix alone: the
-    table keeps the last (tag matrix, read-only b) pair and reuses b while the
-    tag matrix it is asked for is unchanged. On both paths the aggregate is
-    rebuilt on every call: a copy of the first used row, then every further
-    used row added in row order. Reading the used rows' payloads forms every
-    fold they rest on that is not formed yet (see ``Fold``); the rest stay
-    unformed.
+    rows span the network); c is then unpacked from the covered mask without
+    building a tag matrix. Overlapping tags are resolved by the wrap-up LP;
+    the resulting weights are clamped into [0, 1] at tolerance 1e-9 and
+    values within 1e-9 of 0 or 1 are snapped exact. The coefficients b depend
+    on the tag matrix alone: the table keeps the last (tag matrix, read-only
+    b) pair and reuses b while the tag matrix it is asked for is unchanged.
     """
     rows = table.rows[:n_rows]
     covered, disjoint = _cover(rows)
     if disjoint:
-        coeffs = [1.0] * len(rows)
-        c = _unpack([covered], table.n_nodes)[0].astype(float)
-    else:
-        tags = _unpack([row.tag for row in rows], table.n_nodes)
-        key = tags.tobytes()
-        tagmat = tags.astype(float)
-        if table._wrapup[0] != key:
-            b, _ = solve_lp(LpProblem(tagmat))
-            b.flags.writeable = False
-            table._wrapup = (key, b)
-        b = table._wrapup[1]
-        coeffs = b.tolist()
-        c = b @ tagmat
-        c[np.abs(c) <= 1e-9] = 0.0
-        c[np.abs(c - 1.0) <= 1e-9] = 1.0
-    weights = WrapUpWeights(c)
-    agg = None
-    for coeff, row in zip(coeffs, rows):
-        if coeff == 0:
-            continue
-        term = row.payload if coeff == 1 else row.payload.scaled(coeff)
-        agg = term.copy() if agg is None else agg.iadd(term)
-    if agg is None:
-        first = rows[0].payload
-        agg = AggregateSums.zeros(first.m, first.n_p)
-    return weights, agg
+        return WrapUpWeights(_unpack([covered], table.n_nodes)[0].astype(float))
+    tags = _unpack([row.tag for row in rows], table.n_nodes)
+    key = tags.tobytes()
+    tagmat = tags.astype(float)
+    if table._wrapup[0] != key:
+        b, _ = solve_lp(LpProblem(tagmat))
+        b.flags.writeable = False
+        table._wrapup = (key, b)
+    c = table._wrapup[1] @ tagmat
+    c[np.abs(c) <= 1e-9] = 0.0
+    c[np.abs(c - 1.0) <= 1e-9] = 1.0
+    return WrapUpWeights(c)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +442,9 @@ class TasResult:
     rounds_run: int
     row_counts: dict[int, list[int]]
 
-    def wrapup(self, k: int, rnd: int | None = None) -> tuple[WrapUpWeights, AggregateSums]:
-        """Node k's weights and aggregate as round ``rnd`` sends, before it is
-        delivered; from the whole table when ``rnd`` is None."""
+    def wrapup(self, k: int, rnd: int | None = None) -> WrapUpWeights:
+        """Node k's weights as round ``rnd`` sends, before it is delivered;
+        from the whole table when ``rnd`` is None."""
         if not 0 <= k < len(self.tables):
             raise ValueError(f"node {k} is not in the network")
         if rnd is not None and rnd not in self.row_counts:
@@ -551,14 +452,12 @@ class TasResult:
         return tas_wrapup(self.tables[k], None if rnd is None else self.row_counts[rnd][k])
 
 
-def _local_row(table: TagTable) -> tuple[int, Fold]:
-    """The start-up message: a copy of row 0, which stays unmerged, formed on
-    first read."""
-    row = table.rows[0]
-    return row.tag, Fold(row._payload)
+def _local_row(table: TagTable) -> int:
+    """The start-up message: row 0's tag; the row stays unmerged."""
+    return table.rows[0].tag
 
 
-def _aggregate_or_complete(table: TagTable) -> tuple[int, Fold]:
+def _aggregate_or_complete(table: TagTable) -> int:
     """A fresh aggregate when there is one, else the complete sum again."""
     return tas_aggregate(table) or _complete_message(table)
 
@@ -567,16 +466,18 @@ def _tas(protocol: str, graph: Graph, stages, steps, samples, signs: SignMatrix,
          deliver_last=True) -> TasResult:
     """TAS along a schedule; stage i is round ``first_round + i``.
 
-    In each stage every sender builds its message with that stage's step (a
-    sender whose step gives None stays silent), and every table's row count
-    is recorded: a running count per table, bumped whenever distillation
-    keeps a row, copied once per stage. Each neighbour of a sender then
+    In each stage every sender builds its message's tag with that stage's
+    step (a sender whose step gives None stays silent), and every table's
+    row count is recorded: a running count per table, bumped whenever
+    distillation keeps a row, copied once per stage. Each neighbour of a sender then
     distills the message, hearing senders in ascending id order. Without
     ``deliver_last`` the final stage is sent but never delivered. Wrap-ups
     are left to the result.
     """
     n = graph.n_nodes
-    tables = _local_tables(samples, signs, n)
+    _check_samples(samples, n)
+    _check_signs(signs, n)
+    tables = [TagTable(k, n) for k in range(n)]
     _, d_agg = payload_sizes(samples.n_p, signs.m)
     traffic = TrafficLog(protocol, n)
     counts = [1] * n
@@ -585,15 +486,15 @@ def _tas(protocol: str, graph: Graph, stages, steps, samples, signs: SignMatrix,
         rnd = first_round + i
         msgs = []
         for s in senders.tolist():
-            msg = step(tables[s])
-            if msg is not None:
-                msgs.append((s, msg))
+            tag = step(tables[s])
+            if tag is not None:
+                msgs.append((s, tag))
                 traffic.record(rnd, s, d_agg, tag_bits=n)
         row_counts[rnd] = counts.copy()
         if deliver_last or i < len(stages) - 1:
-            for s, (tag, payload) in msgs:
+            for s, tag in msgs:
                 for k in graph.neighbors(s).tolist():
-                    if tas_distill(tables[k], tag, payload) is not None:
+                    if tas_distill(tables[k], tag) is not None:
                         counts[k] += 1
     return TasResult(tables, traffic, rnd, row_counts)
 
@@ -731,8 +632,7 @@ def run_consensus(graph: Graph, samples, signs: SignMatrix, iterations: int,
     """
     n = graph.n_nodes
     _check_samples(samples, n)
-    if signs.n_nodes != n:
-        raise ValueError("sign matrix width must match the node count")
+    _check_signs(signs, n)
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
     _, d_agg = payload_sizes(samples.n_p, signs.m)
@@ -750,12 +650,6 @@ def _check_samples(samples: Samples, n: int) -> None:
         raise ValueError(f"expected {n} samples, got {len(samples)}")
 
 
-def _local_tables(samples: Samples, signs: SignMatrix, n: int) -> list[TagTable]:
-    """One tag table per node, holding that node's local aggregate as row 0.
-
-    Node k's payload views slice k of ``local_aggregate_arrays``: the slices
-    do not overlap, so no two tables share payload memory.
-    """
-    _check_samples(samples, n)
-    vec, mat = local_aggregate_arrays(samples, signs)  # checks the sign matrix width
-    return [TagTable(k, n, AggregateSums._of_valid(vec[k], mat[k])) for k in range(n)]
+def _check_signs(signs: SignMatrix, n: int) -> None:
+    if signs.n_nodes != n:
+        raise ValueError("sign matrix width must match the node count")

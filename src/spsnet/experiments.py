@@ -48,6 +48,7 @@ from .sps import (
     local_aggregate,
     ls_estimate,
     membership,
+    tie_exact_aggregate,
     truncated_aggregate,
     z_values,
 )
@@ -314,7 +315,9 @@ class ProtocolRun:
     round r is delivered (a round past the last one gives the final
     knowledge), TAS the wrap-up as round r sends, and consensus the state
     after iteration r, with weights N * W^r. TAS and consensus raise
-    ValueError for a round that was not run.
+    ValueError for a round that was not run. A TAS aggregate is
+    ``tie_exact_aggregate`` of its weights; ``full``, PF and MF use
+    ``truncated_aggregate``.
     """
 
     weights: Callable[..., np.ndarray]
@@ -365,7 +368,8 @@ def _tas(bundle, samples, signs, diff):
     else:
         res = run_tas(bundle.graph, samples, signs, rounds=diff["rounds"])
     wrapup = functools.cache(res.wrapup)  # each (node, round) is wrapped up once, when first read
-    return ProtocolRun(lambda k, r=None: wrapup(k, r)[0].c, lambda k, r=None: wrapup(k, r)[1],
+    return ProtocolRun(lambda k, r=None: wrapup(k, r).c,
+                       lambda k, r=None: tie_exact_aggregate(samples, signs, wrapup(k, r)),
                        res.rounds_run, res.traffic)
 
 
@@ -486,7 +490,9 @@ def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
 
 
 def _consensus_checkpoints(limit: int) -> list[int]:
-    """Dense early, geometric later; always includes 4 and the limit."""
+    """Every iteration up to 16, geometric later; always includes the limit,
+    and 4 only when the limit is at least 4 (else ``avg_volume_at_4`` is
+    null)."""
     ts = set(range(1, min(16, limit) + 1))
     t = 16
     while t < limit:

@@ -1,10 +1,11 @@
 """Linear program behind the wrap-up step, and a dense simplex solver.
 
-A node's stored rows have 0/1 tags t_r over nodes and payloads that are exact
-linear combinations of per-node contributions. Choosing real row coefficients
-b_r turns the stored rows into a usable aggregate with per-node weights
-c_i = sum_r b_r t_{r,i}. The wrap-up wants as much data as possible without
-counting any node more than once:
+A node's stored rows have 0/1 tags t_r over nodes; row r stands for the sum
+of the per-node contributions its tag names. Choosing real row coefficients
+b_r gives per-node weights c_i = sum_r b_r t_{r,i}, which is what the wrap-up
+yields: the aggregate is then built from c (``sps.tie_exact_aggregate``). The
+wrap-up wants as much data as possible without counting any node more than
+once:
 
     maximize   sum_r b_r |t_r|     (== sum_i c_i)
     subject to 0 <= sum_r b_r t_{r,i} <= 1   for every node i.

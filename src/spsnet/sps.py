@@ -108,30 +108,6 @@ class AggregateSums:
     def n_p(self) -> int:
         return self.vec.shape[1]
 
-    @classmethod
-    def _of_valid(cls, vec: np.ndarray, mat: np.ndarray) -> "AggregateSums":
-        """Wrap float arrays already known to have matching shapes, unchecked."""
-        out = cls.__new__(cls)
-        out.vec = vec
-        out.mat = mat
-        return out
-
-    def copy(self) -> "AggregateSums":
-        return AggregateSums._of_valid(self.vec.copy(), self.mat.copy())
-
-    def iadd(self, other: "AggregateSums") -> "AggregateSums":
-        self.vec += other.vec
-        self.mat += other.mat
-        return self
-
-    def isub(self, other: "AggregateSums") -> "AggregateSums":
-        self.vec -= other.vec
-        self.mat -= other.mat
-        return self
-
-    def scaled(self, factor: float) -> "AggregateSums":
-        return AggregateSums(self.vec * factor, self.mat * factor)
-
     def allclose(self, other: "AggregateSums", rtol: float = 1e-9, atol: float = 1e-12) -> bool:
         return np.allclose(self.vec, other.vec, rtol=rtol, atol=atol) and np.allclose(
             self.mat, other.mat, rtol=rtol, atol=atol
@@ -170,6 +146,18 @@ def local_aggregate_arrays(samples: Samples, signs: SignMatrix) -> tuple[np.ndar
     return vec, mat
 
 
+def _checked_weights(samples: Samples, signs: SignMatrix, weights) -> np.ndarray:
+    """The weight vector c of ``weights`` (an array or WrapUpWeights), checked
+    against the number of samples and the sign matrix width."""
+    c = np.asarray(getattr(weights, "c", weights), dtype=float)
+    n = len(samples)
+    if c.shape != (n,):
+        raise ValueError(f"weights must have shape ({n},)")
+    if signs.n_nodes != n:
+        raise ValueError("sign matrix width must match the number of samples")
+    return c
+
+
 def truncated_aggregate(samples: Samples, signs: SignMatrix, weights) -> AggregateSums:
     """Weighted aggregate with per-node weights c_i.
 
@@ -177,16 +165,30 @@ def truncated_aggregate(samples: Samples, signs: SignMatrix, weights) -> Aggrega
     complete-data aggregate, a one-hot vector reproduces one node's local
     aggregate, zeros give the degenerate zero payload.
     """
-    c = np.asarray(getattr(weights, "c", weights), dtype=float)
-    n = len(samples)
-    if c.shape != (n,):
-        raise ValueError(f"weights must have shape ({n},)")
-    if signs.n_nodes != n:
-        raise ValueError("sign matrix width must match the number of samples")
+    c = _checked_weights(samples, signs, weights)
     phi, y = samples.phi, samples.y
     coeff = signs.entries.astype(float) * c[None, :]
     vec = coeff @ (phi * y[:, None])
     mat = np.einsum("ji,ik,il->jkl", coeff, phi, phi)
+    return AggregateSums(vec, mat)
+
+
+def tie_exact_aggregate(samples: Samples, signs: SignMatrix, weights) -> AggregateSums:
+    """Weighted aggregate whose sign-flipped rows are exact flips of row 0.
+
+    Each row is formed from elementwise products, ``(A * c)[:, :, None] *
+    (phi * y)[None]`` and the ``phi phi^T`` analogue, and reduced over nodes
+    in one fixed order, the same for every row. Flipping a sign is exact, so
+    a row whose signs equal +-row 0 on every node with c_i != 0 comes out
+    exactly +-row 0, and the tie between its Z value and Z_0 is decided by
+    the tie-break, not by rounding. ``truncated_aggregate``'s matrix product
+    rounds rows differently and can break such ties.
+    """
+    c = _checked_weights(samples, signs, weights)
+    phi, y = samples.phi, samples.y
+    coeff = signs.entries * c  # (m, N)
+    vec = (coeff[:, :, None] * (phi * y[:, None])[None]).sum(axis=1)
+    mat = (coeff[:, :, None, None] * (phi[:, :, None] * phi[:, None, :])[None]).sum(axis=1)
     return AggregateSums(vec, mat)
 
 

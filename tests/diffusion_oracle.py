@@ -5,8 +5,8 @@ engine and every TAS variant through another. These oracles keep the old
 shape: ``run_pf``, ``run_mf`` and ``run_tas`` each own a round loop, and the
 tree and clustered runners each script their stages and receivers by hand.
 Tests require the engines to log the same events in the same order and to
-reproduce knowledge, arrival rounds, every tag table and every weight and
-aggregate bit for bit. The oracles also keep the eager snapshots the package
+reproduce knowledge, arrival rounds, every tag table's tags and every weight
+bit for bit (TAS aggregates: see below). The oracles also keep the eager snapshots the package
 first took: a copy of the knowledge after each requested round, and for TAS
 the wrap-up of every requested node as each requested round sends. The TAS
 oracles wrap up every table before they return. The package instead answers
@@ -15,11 +15,13 @@ prefixes, and wraps up nothing until it is read. Flooding here keeps the
 dense (N, N) knowledge, transmitted and arrival-round arrays the package
 first kept; the package keeps one bitmask per node and round instead.
 
-TAS payloads here are eager: ``tas_distill``, ``tas_aggregate`` and
-``_complete_message`` below are the package's bodies from before it recorded
-payloads as folds formed on first read. They copy, add and subtract arrays as
-the run goes, and every TAS oracle lists the messages it sent, so tests check
-the package's folds against this arithmetic bit for bit.
+TAS here carries payloads, eagerly: ``PayloadTable`` rows hold a tag and a
+payload, and ``tas_distill``, ``tas_aggregate``, ``_complete_message`` and
+``tas_wrapup`` below are the package's bodies from before it moved tags only.
+They add and subtract payloads as the run goes, and every TAS oracle lists the
+messages it sent. The package runs TAS on tags alone and builds a node's
+aggregate from its weights, so tests require the same tags, merge flags,
+traffic and weights bit for bit, and aggregates close to these.
 """
 
 from __future__ import annotations
@@ -28,17 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spsnet.diffusion import (
-    TagTable,
-    TrafficLog,
-    _check_samples,
-    _cover,
-    _local_tables,
-    payload_sizes,
-    tas_wrapup,
-)
-from spsnet.sps import AggregateSums, SignMatrix
+from spsnet.diffusion import TrafficLog, _check_samples, _cover, _unpack, payload_sizes
+from spsnet.lp import LpProblem, solve_lp
+from spsnet.sps import AggregateSums, SignMatrix, WrapUpWeights, local_aggregate_arrays
 from spsnet.topology import ClusteredTopology, Graph, TreeTopology, diameter
+from tas_oracle import minus, plus, scaled
 
 
 @dataclass(eq=False)
@@ -71,7 +67,7 @@ class TasResult:
     """A TAS run with its final wrap-up already done, and every message it
     sent as (tag, payload), in sending order."""
 
-    tables: list[TagTable]
+    tables: list[PayloadTable]
     traffic: TrafficLog
     weights: np.ndarray
     aggregates: list[AggregateSums]
@@ -81,9 +77,38 @@ class TasResult:
     snapshots: dict[int, tuple[np.ndarray, list[AggregateSums]]] = field(default_factory=dict)
 
 
-def tas_distill(table: TagTable, tag: int, payload: AggregateSums):
-    """Subtract the stored subset rows in scan order from a copy of the
-    payload, and append the residual when its tag is not empty."""
+@dataclass(eq=False)
+class PayloadRow:
+    tag: int
+    payload: AggregateSums
+    merged: bool = False
+
+
+class PayloadTable:
+    """A tag table as the package first kept it: ``int`` tags, each row with
+    its payload; row 0 is the owner's local row."""
+
+    def __init__(self, owner: int, n_nodes: int, local_payload: AggregateSums):
+        self.owner = owner
+        self.n_nodes = n_nodes
+        self.rows = [PayloadRow(1 << owner, local_payload)]
+        self._wrapup = (b"", None)  # last (tag matrix bytes, b)
+
+    def append(self, tag: int, payload: AggregateSums) -> PayloadRow:
+        row = PayloadRow(tag, payload)
+        self.rows.append(row)
+        return row
+
+
+def _local_tables(samples, signs: SignMatrix, n: int) -> list[PayloadTable]:
+    _check_samples(samples, n)
+    vec, mat = local_aggregate_arrays(samples, signs)
+    return [PayloadTable(k, n, AggregateSums(vec[k], mat[k])) for k in range(n)]
+
+
+def tas_distill(table: PayloadTable, tag: int, payload: AggregateSums):
+    """Subtract the stored subset rows in scan order from the payload, and
+    append the residual when its tag is not empty."""
     remaining = tag
     subtracted = []
     for row in table.rows:
@@ -93,38 +118,70 @@ def tas_distill(table: TagTable, tag: int, payload: AggregateSums):
             subtracted.append(row.payload)
     if not remaining:
         return None
-    residual = payload.copy()
+    residual = payload
     for known in subtracted:
-        residual.isub(known)
+        residual = minus(residual, known)
     return table.append(remaining, residual)
 
 
-def tas_aggregate(table: TagTable):
-    """A copy of the first never-merged row plus every disjoint row in scan order."""
+def tas_aggregate(table: PayloadTable):
+    """The first never-merged row plus every disjoint row in scan order."""
     start = next((r for r in table.rows if not r.merged), None)
     if start is None:
         return None
     tag = start.tag
-    data = start.payload.copy()
+    data = start.payload
     start.merged = True
     for row in table.rows:
         if not tag & row.tag:
-            data.iadd(row.payload)
+            data = plus(data, row.payload)
             tag |= row.tag
             row.merged = True
     return tag, data
 
 
-def _complete_message(table: TagTable):
-    """A copy of row 0 plus every further row; the tags must be disjoint."""
+def _complete_message(table: PayloadTable):
+    """Row 0 plus every further row; the tags must be disjoint."""
     covered, disjoint = _cover(table.rows)
     if not disjoint:
         raise ValueError("complete message requires pairwise disjoint tags")
     data = None
     for row in table.rows:
-        data = row.payload.copy() if data is None else data.iadd(row.payload)
+        data = row.payload if data is None else plus(data, row.payload)
         row.merged = True
     return covered, data
+
+
+def tas_wrapup(table: PayloadTable, n_rows: int | None = None) -> tuple[WrapUpWeights, AggregateSums]:
+    """Weights and the b-weighted sum of the payloads of the first ``n_rows``
+    rows: b is all ones when their tags are disjoint, else the wrap-up LP's,
+    reused while the tag matrix is unchanged."""
+    rows = table.rows[:n_rows]
+    covered, disjoint = _cover(rows)
+    if disjoint:
+        coeffs = [1.0] * len(rows)
+        c = _unpack([covered], table.n_nodes)[0].astype(float)
+    else:
+        tags = _unpack([row.tag for row in rows], table.n_nodes)
+        key = tags.tobytes()
+        tagmat = tags.astype(float)
+        if table._wrapup[0] != key:
+            table._wrapup = (key, solve_lp(LpProblem(tagmat))[0])
+        b = table._wrapup[1]
+        coeffs = b.tolist()
+        c = b @ tagmat
+        c[np.abs(c) <= 1e-9] = 0.0
+        c[np.abs(c - 1.0) <= 1e-9] = 1.0
+    agg = None
+    for coeff, row in zip(coeffs, rows):
+        if coeff == 0:
+            continue
+        term = row.payload if coeff == 1 else scaled(row.payload, coeff)
+        agg = term if agg is None else plus(agg, term)
+    if agg is None:
+        first = rows[0].payload
+        agg = AggregateSums.zeros(first.m, first.n_p)
+    return WrapUpWeights(c), agg
 
 
 def _wrapup_all(tables, nodes=None):
@@ -385,7 +442,7 @@ def run_tas(
 
     outbox: dict[int, tuple[int, AggregateSums]] = {}
     for k in range(n):
-        outbox[k] = (tables[k].rows[0].tag, tables[k].rows[0].payload.copy())
+        outbox[k] = (tables[k].rows[0].tag, tables[k].rows[0].payload)
         traffic.record(0, k, d_agg, tag_bits=n)
     messages = list(outbox.values())
     if 0 in wanted:
@@ -505,7 +562,7 @@ def run_tas_clustered(topo: ClusteredTopology, samples, signs: SignMatrix) -> Ta
         if v in head_set:
             continue
         row = tables[v].rows[0]
-        msgs.append((v, int(topo.heads[topo.assignment[v]]), (row.tag, row.payload.copy())))
+        msgs.append((v, int(topo.heads[topo.assignment[v]]), (row.tag, row.payload)))
         traffic.record(1, v, d_agg, tag_bits=n)
     messages = [msg for _, _, msg in msgs]
     for _, h, (tag, payload) in msgs:

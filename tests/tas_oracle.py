@@ -1,16 +1,21 @@
-"""Eager TAS distillation and tag-matrix wrap-up over plain sets.
+"""Eager TAS distillation and tag-matrix wrap-up over plain sets, with payloads.
 
-The package stores each tag as an ``int`` bitmask, works out a message's
-residual tag before it touches a payload, reads the covered mask and
-disjointness of a table's rows off the OR and bit counts of their tags, and
-reads a disjoint table's weights off that mask. These oracles keep tags as ``frozenset``s in a minimal table of
-their own and do the same steps the direct way: distillation copies and
-subtracts before it knows whether the residual is kept, coverage and the tag
-matrix walk every tag node by node, and every wrap-up builds the tag matrix.
-So the package's bit logic is checked against plain set algebra. Tests
-require the package to make the same decisions (on decoded masks) and to
-reproduce every payload, weight and aggregate bit for bit, with the same
-number of LP solves.
+The package stores each tag as an ``int`` bitmask, keeps no payload, reads
+the covered mask and disjointness of a table's rows off the OR and bit counts
+of their tags, and reads a disjoint table's weights off that mask; the
+aggregate is built from the weights (``sps.tie_exact_aggregate``). These
+oracles keep tags as ``frozenset``s in a minimal table of their own, carry a
+payload with every row, and do the same steps the direct way: distillation
+subtracts the stored payloads before it knows whether the residual is kept,
+coverage and the tag matrix walk every tag node by node, and every wrap-up
+builds the tag matrix and sums the b-weighted payloads. So the package's bit
+logic is checked against plain set algebra. Tests require the package to
+make the same decisions (on decoded masks) and to reach the same weights bit
+for bit, with the same number of LP solves, and the oracle's aggregate to be
+close to the one built from those weights.
+
+``plus``, ``minus`` and ``scaled`` are the payload arithmetic the package
+once did in place; each returns a new aggregate with the same bits.
 """
 
 from dataclasses import dataclass
@@ -20,6 +25,18 @@ import numpy as np
 from spsnet import diffusion
 from spsnet.lp import LpProblem
 from spsnet.sps import AggregateSums, WrapUpWeights
+
+
+def plus(a: AggregateSums, b: AggregateSums) -> AggregateSums:
+    return AggregateSums(a.vec + b.vec, a.mat + b.mat)
+
+
+def minus(a: AggregateSums, b: AggregateSums) -> AggregateSums:
+    return AggregateSums(a.vec - b.vec, a.mat - b.mat)
+
+
+def scaled(a: AggregateSums, factor: float) -> AggregateSums:
+    return AggregateSums(a.vec * factor, a.mat * factor)
 
 
 def mask(*nodes: int) -> int:
@@ -74,11 +91,11 @@ def tag_matrix(table) -> np.ndarray:
 
 def tas_distill(table, tag: frozenset, payload: AggregateSums):
     remaining = set(tag)
-    residual = payload.copy()
+    residual = payload
     for row in table.rows:
         if row.tag <= remaining:
             remaining -= row.tag
-            residual.isub(row.payload)
+            residual = minus(residual, row.payload)
     if not remaining:
         return None
     ftag = frozenset(remaining)
@@ -110,8 +127,8 @@ def tas_wrapup(table) -> tuple[WrapUpWeights, AggregateSums]:
     for coeff, row in zip(b, table.rows):
         if coeff == 0:
             continue
-        term = row.payload.scaled(coeff) if coeff != 1 else row.payload.copy()
-        agg = term if agg is None else agg.iadd(term)
+        term = scaled(row.payload, coeff) if coeff != 1 else row.payload
+        agg = term if agg is None else plus(agg, term)
     if agg is None:
         first = table.rows[0].payload
         agg = AggregateSums.zeros(first.m, first.n_p)

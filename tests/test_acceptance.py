@@ -39,7 +39,7 @@ from spsnet.sps import (
     WrapUpWeights,
     draw_sign_matrix,
     evaluate_region,
-    local_aggregate,
+    tie_exact_aggregate,
     truncated_aggregate,
 )
 from spsnet.topology import clustered, complete_binary_tree, random_geometric, spanning_tree
@@ -169,11 +169,12 @@ def test_criterion_09_wrapup_lp_against_oracle():
     positions = substream(1113, "pos").uniform(0, 1, (4, 2))
     samples = generate_measurements(positions, fc, substream(1113, "noise"))
     signs = draw_sign_matrix(5, 4, derive_seed(1113, "signs"))
-    table = TagTable(owner=0, n_nodes=4, local_payload=local_aggregate(samples, 0, signs.column(0)))
+    table = TagTable(owner=0, n_nodes=4)
     for i in (1, 2, 3):
-        table.append(1 << i, local_aggregate(samples, i, signs.column(i)))
-    weights, _ = tas_wrapup(table)
+        table.append(1 << i)
+    weights = tas_wrapup(table)
     assert np.array_equal(weights.c, np.ones(4))
+    assert tie_exact_aggregate(samples, signs, weights).allclose(truncated_aggregate(samples, signs, np.ones(4)))
 
     # (ii) simplex optimum equals the vertex-enumeration oracle on 1000 tables
     # (iii) and the realized weights always land in [0, 1]

@@ -1,6 +1,7 @@
 """Diffusion protocols: tag tables, flooding, TAS, consensus, traffic accounting."""
 
 import csv
+import functools
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from spsnet.diffusion import (
     tas_wrapup,
 )
 from spsnet.diffusion import _complete_message
-from tas_oracle import mask, nodes
+import diffusion_oracle
+from tas_oracle import mask, nodes, plus
 from spsnet.model import FieldConfig, NoiseSpec, generate_measurements
 from spsnet.rng import substream
 from spsnet.sps import (
@@ -39,6 +41,7 @@ from spsnet.sps import (
     batch_aggregate,
     draw_sign_matrix,
     local_aggregate,
+    tie_exact_aggregate,
     truncated_aggregate,
 )
 from spsnet.topology import (
@@ -88,24 +91,12 @@ def round_totals(log):
     return out
 
 
-def plus(*aggs):
-    """A new aggregate: the sum of the given ones, in order."""
-    total = aggs[0].copy()
-    for agg in aggs[1:]:
-        total.iadd(agg)
-    return total
-
-
-def final_wrapups(res):
-    """(weights matrix, aggregates, completion flags) of every node's final wrap-up."""
-    wrapups = [res.wrapup(k) for k in range(len(res.tables))]
-    return (np.array([w.c for w, _ in wrapups]), [agg for _, agg in wrapups],
-            np.array([(w.c == 1.0).all() for w, _ in wrapups]))
-
-
-def marker_payload(value, m=2):
-    """Tiny aggregate whose every entry is ``value`` (payload arithmetic probe)."""
-    return AggregateSums(np.full((m, 1), value), np.full((m, 1, 1), value))
+def final_wrapups(res, samples=None, signs=None):
+    """(weights matrix, aggregates built from the weights, completion flags) of
+    every node's final wrap-up; the aggregates are None without the data."""
+    weights = np.array([res.wrapup(k).c for k in range(len(res.tables))])
+    aggs = None if samples is None else [tie_exact_aggregate(samples, signs, c) for c in weights]
+    return weights, aggs, (weights == 1.0).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,137 +196,131 @@ def test_traffic_log_csv_text(tmp_path):
 
 
 def test_tag_table_basics():
-    table = TagTable(owner=2, n_nodes=5, local_payload=marker_payload(1.0))
+    table = TagTable(owner=2, n_nodes=5)
     assert table.rows[0].tag == mask(2)
-    table.append(mask(0, 1), marker_payload(2.0))
+    table.append(mask(0, 1))
     assert diffusion._cover(table.rows) == (mask(0, 1, 2), True)
     mat = diffusion._unpack([r.tag for r in table.rows], table.n_nodes)
     assert mat.shape == (2, 5)
     assert np.array_equal(mat[0], [0, 0, 1, 0, 0])
     assert np.array_equal(mat[1], [1, 1, 0, 0, 0])
     with pytest.raises(ValueError):
-        table.append(0, marker_payload(0.0))
+        table.append(0)
     with pytest.raises(ValueError):
-        table.append(mask(0, 1), marker_payload(3.0))  # duplicate tag
+        table.append(mask(0, 1))  # duplicate tag
     with pytest.raises(ValueError):
-        table.append(mask(9), marker_payload(3.0))
+        table.append(mask(9))
     with pytest.raises(ValueError):
-        TagTable(owner=7, n_nodes=5, local_payload=marker_payload(0.0))
+        TagTable(owner=7, n_nodes=5)
 
 
 def test_distill_subtracts_known_rows():
-    # node values are powers of two so payload sums identify tags exactly
-    val = lambda tag: float(sum(2 ** i for i in tag))
-    table = TagTable(owner=0, n_nodes=11, local_payload=marker_payload(val({0})))
-    table.append(mask(1, 6), marker_payload(val({1, 6})))
-
-    incoming_tag = mask(0, 1, 6, 7, 10)
-    incoming = marker_payload(val(nodes(incoming_tag)))
-    row = tas_distill(table, incoming_tag, incoming)
+    table = TagTable(owner=0, n_nodes=11)
+    table.append(mask(1, 6))
+    row = tas_distill(table, mask(0, 1, 6, 7, 10))
     assert row is not None
     assert row.tag == mask(7, 10)
-    assert np.allclose(row.payload.vec, val({7, 10}))
-    assert np.allclose(row.payload.mat, val({7, 10}))
-    # the incoming message itself is left untouched
-    assert np.all(incoming.vec == val(nodes(incoming_tag)))
     assert len(table.rows) == 3
 
 
 def test_distill_discards_redundant_messages():
-    table = TagTable(owner=0, n_nodes=6, local_payload=marker_payload(1.0))
-    table.append(mask(1), marker_payload(2.0))
+    table = TagTable(owner=0, n_nodes=6)
+    table.append(mask(1))
     # residual empty: everything already stored
-    assert tas_distill(table, mask(0, 1), marker_payload(3.0)) is None
+    assert tas_distill(table, mask(0, 1)) is None
     # residual duplicates an existing tag
-    assert tas_distill(table, mask(0, 1), marker_payload(3.0)) is None
+    assert tas_distill(table, mask(0, 1)) is None
     assert len(table.rows) == 2
 
 
 def test_distill_keeps_partial_overlaps_intact():
-    table = TagTable(owner=0, n_nodes=6, local_payload=marker_payload(1.0))
-    table.append(mask(3, 5), marker_payload(40.0))
-    row = tas_distill(table, mask(3, 4), marker_payload(24.0))
+    table = TagTable(owner=0, n_nodes=6)
+    table.append(mask(3, 5))
+    row = tas_distill(table, mask(3, 4))
     # no stored tag is a subset, so the message is stored unmodified
     assert row.tag == mask(3, 4)
-    assert np.all(row.payload.vec == 24.0)
 
 
 def test_aggregate_walkthrough_and_restart():
-    # seven-row table: {0},{2},{5},{1,6},{3},{4,6},{1,4} with power-of-two payloads
-    val = lambda tag: float(sum(2 ** i for i in tag))
-    tags = [{0}, {2}, {5}, {1, 6}, {3}, {4, 6}, {1, 4}]
-    table = TagTable(owner=0, n_nodes=7, local_payload=marker_payload(val(tags[0])))
-    for tag in tags[1:]:
-        table.append(mask(*tag), marker_payload(val(tag)))
+    # seven-row table: {0},{2},{5},{1,6},{3},{4,6},{1,4}
+    table = TagTable(owner=0, n_nodes=7)
+    for tag in [{2}, {5}, {1, 6}, {3}, {4, 6}, {1, 4}]:
+        table.append(mask(*tag))
 
-    first = tas_aggregate(table)
-    assert first is not None
-    tag1, data1 = first
     # rows 0..4 merge; {4,6} and {1,4} overlap the running tag and are skipped
-    assert tag1 == mask(0, 1, 2, 3, 5, 6)
-    assert np.allclose(data1.vec, val(nodes(tag1)))
+    assert tas_aggregate(table) == mask(0, 1, 2, 3, 5, 6)
     assert [r.merged for r in table.rows] == [True, True, True, True, True, False, False]
 
     # second message restarts from the first never-merged row ({4,6}) and
     # re-merges every disjoint row from the top
-    tag2, data2 = tas_aggregate(table)
-    assert tag2 == mask(0, 2, 3, 4, 5, 6)
-    assert np.allclose(data2.vec, val(nodes(tag2)))
+    assert tas_aggregate(table) == mask(0, 2, 3, 4, 5, 6)
     assert [r.merged for r in table.rows] == [True, True, True, True, True, True, False]
 
-    tag3, data3 = tas_aggregate(table)
-    assert tag3 == mask(0, 1, 2, 3, 4, 5)
-    assert np.allclose(data3.vec, val(nodes(tag3)))
+    assert tas_aggregate(table) == mask(0, 1, 2, 3, 4, 5)
 
     # everything merged: the node falls silent
     assert tas_aggregate(table) is None
 
 
 def test_complete_message_requires_disjoint_tags():
-    table = TagTable(owner=0, n_nodes=4, local_payload=marker_payload(1.0))
-    table.append(mask(1, 2), marker_payload(6.0))
-    tag, data = _complete_message(table)
-    assert tag == mask(0, 1, 2)
-    assert np.all(data.vec == 7.0)
-    overlapping = TagTable(owner=0, n_nodes=4, local_payload=marker_payload(1.0))
-    overlapping.append(mask(0, 1), marker_payload(3.0))
+    table = TagTable(owner=0, n_nodes=4)
+    table.append(mask(1, 2))
+    assert _complete_message(table) == mask(0, 1, 2)
+    assert all(r.merged for r in table.rows)
+    overlapping = TagTable(owner=0, n_nodes=4)
+    overlapping.append(mask(0, 1))
     with pytest.raises(ValueError):
         _complete_message(overlapping)
 
 
+def payload_reference(samples, signs, tags):
+    """An eager oracle table holding the given tags (the first names its owner
+    alone), each row carrying the sum of its nodes' local aggregates, as a TAS
+    run would have formed it."""
+    def local_sum(tag):
+        return functools.reduce(plus, [local_aggregate(samples, i, signs.column(i)) for i in sorted(nodes(tag))])
+
+    first, *rest = tags
+    table = diffusion_oracle.PayloadTable(first.bit_length() - 1, len(samples), local_sum(first))
+    for tag in rest:
+        table.append(tag, local_sum(tag))
+    return table
+
+
 def test_wrapup_disjoint_covering_table():
     _, samples, signs = make_network(60, 4, graph=complete_graph(4))
-    locals_ = [local_aggregate(samples, i, signs.column(i)) for i in range(4)]
-    table = TagTable(owner=0, n_nodes=4, local_payload=locals_[0].copy())
-    table.append(mask(1), locals_[1].copy())
-    table.append(mask(2, 3), plus(locals_[2], locals_[3]))
-    weights, agg = tas_wrapup(table)
+    table = TagTable(owner=0, n_nodes=4)
+    table.append(mask(1))
+    table.append(mask(2, 3))
+    weights = tas_wrapup(table)
     assert (weights.c == 1.0).all()
-    assert agg.allclose(batch_aggregate(samples, signs))
+    assert tie_exact_aggregate(samples, signs, weights).allclose(batch_aggregate(samples, signs))
 
 
 def test_wrapup_overlapping_rows_uses_lp():
     _, samples, signs = make_network(61, 4, graph=complete_graph(4))
-    locals_ = [local_aggregate(samples, i, signs.column(i)) for i in range(4)]
-    table = TagTable(owner=0, n_nodes=4, local_payload=locals_[0].copy())
-    table.append(mask(1, 2), plus(locals_[1], locals_[2]))
-    table.append(mask(2, 3), plus(locals_[2], locals_[3]))
-    weights, agg = tas_wrapup(table)
+    tags = [mask(0), mask(1, 2), mask(2, 3)]
+    table = TagTable(owner=0, n_nodes=4)
+    for tag in tags[1:]:
+        table.append(tag)
+    weights = tas_wrapup(table)
     c = weights.c
     assert c[0] == 1.0
     assert c[2] == pytest.approx(1.0, abs=1e-9)
     assert c[1] + c[3] == pytest.approx(1.0, abs=1e-9)
     assert np.all((c >= 0.0) & (c <= 1.0))
-    # the returned payload is exactly the c-weighted data combination
-    assert agg.allclose(truncated_aggregate(samples, signs, c))
+    # the payload sum the eager wrap-up forms is the c-weighted data combination
+    ref_weights, ref_agg = diffusion_oracle.tas_wrapup(payload_reference(samples, signs, tags))
+    assert np.array_equal(ref_weights.c, c)
+    assert ref_agg.allclose(tie_exact_aggregate(samples, signs, weights))
 
 
 def test_wrapup_local_only_table():
     _, samples, signs = make_network(62, 3, graph=complete_graph(3))
-    table = TagTable(owner=1, n_nodes=3, local_payload=local_aggregate(samples, 1, signs.column(1)))
-    weights, agg = tas_wrapup(table)
+    weights = tas_wrapup(TagTable(owner=1, n_nodes=3))
     assert np.array_equal(weights.c, [0.0, 1.0, 0.0])
-    assert agg.allclose(local_aggregate(samples, 1, signs.column(1)))
+    # a one-hot weight vector gives node 1's local aggregate exactly
+    assert same_aggregate(tie_exact_aggregate(samples, signs, weights), local_aggregate(samples, 1, signs.column(1)))
 
 
 def count_lp_calls(monkeypatch) -> list:
@@ -361,50 +346,43 @@ def same_aggregate(a, b) -> bool:
     return np.array_equal(a.vec, b.vec) and np.array_equal(a.mat, b.mat)
 
 
-def overlapping_table(locals_):
-    table = TagTable(owner=0, n_nodes=len(locals_), local_payload=locals_[0].copy())
-    table.append(mask(1, 2), plus(locals_[1], locals_[2]))
-    table.append(mask(2, 3), plus(locals_[2], locals_[3]))
+def overlapping_table(n_nodes):
+    table = TagTable(owner=0, n_nodes=n_nodes)
+    table.append(mask(1, 2))
+    table.append(mask(2, 3))
     return table
 
 
 def test_wrapup_reuses_lp_solution_while_tags_are_unchanged(monkeypatch):
     calls = count_lp_calls(monkeypatch)
-    _, samples, signs = make_network(63, 5, graph=complete_graph(5))
-    locals_ = [local_aggregate(samples, i, signs.column(i)) for i in range(5)]
-    table = overlapping_table(locals_)
-    w1, agg1 = tas_wrapup(table)
-    w2, agg2 = tas_wrapup(table)
+    table = overlapping_table(5)
+    w1 = tas_wrapup(table)
+    w2 = tas_wrapup(table)
     assert len(calls) == 1
-    assert np.array_equal(w1.c, w2.c) and same_aggregate(agg1, agg2)
-    assert agg1 is not agg2 and agg1.vec is not agg2.vec  # snapshots share no payload
+    assert np.array_equal(w1.c, w2.c)
+    assert w1.c is not w2.c  # each wrap-up returns weights of its own
     assert not table._wrapup[1].flags.writeable
 
     # a newly distilled row changes the tag matrix and forces a re-solve
-    assert tas_distill(table, mask(0, 3, 4), plus(locals_[0], locals_[3], locals_[4])) is not None
-    w3, agg3 = tas_wrapup(table)
+    assert tas_distill(table, mask(0, 3, 4)) is not None
+    w3 = tas_wrapup(table)
     assert len(calls) == 2
     assert w3.c[4] == 1.0
-    assert agg3.allclose(truncated_aggregate(samples, signs, w3.c))
 
     # a message with nothing new leaves the tags, and the solution, as they were
-    assert tas_distill(table, mask(1, 2), plus(locals_[1], locals_[2])) is None
+    assert tas_distill(table, mask(1, 2)) is None
     tas_wrapup(table)
     assert len(calls) == 2
 
 
 def test_wrapup_from_reused_solution_equals_fresh_table():
-    _, samples, signs = make_network(64, 4, graph=complete_graph(4))
-    locals_ = [local_aggregate(samples, i, signs.column(i)) for i in range(4)]
-    table = overlapping_table(locals_)
+    table = overlapping_table(4)
     tas_wrapup(table)
-    w_reused, agg_reused = tas_wrapup(table)
-    fresh = TagTable(owner=0, n_nodes=4, local_payload=table.rows[0].payload)
+    w_reused = tas_wrapup(table)
+    fresh = TagTable(owner=0, n_nodes=4)
     for row in table.rows[1:]:
-        fresh.append(row.tag, row.payload)
-    w_fresh, agg_fresh = tas_wrapup(fresh)
-    assert np.array_equal(w_reused.c, w_fresh.c)
-    assert same_aggregate(agg_reused, agg_fresh)
+        fresh.append(row.tag)
+    assert np.array_equal(w_reused.c, tas_wrapup(fresh).c)
 
 
 def test_tas_snapshots_with_reused_solutions_equal_uncached_run(monkeypatch):
@@ -424,9 +402,8 @@ def test_tas_snapshots_with_reused_solutions_equal_uncached_run(monkeypatch):
     monkeypatch.setattr(diffusion, "tas_wrapup", uncached_wrapup)
     uncached, uncached_calls = run()
     assert 0 < cached_calls < uncached_calls
-    for (w, agg), (w_ref, agg_ref) in zip(cached, uncached, strict=True):
+    for w, w_ref in zip(cached, uncached, strict=True):
         assert np.array_equal(w.c, w_ref.c)
-        assert same_aggregate(agg, agg_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +562,7 @@ def test_tas_complete_graph_single_round():
     graph, samples, signs = make_network(100, 6, m=5, graph=complete_graph(6))
     res = run_tas(graph, samples, signs)  # diameter 1
     assert res.rounds_run == 1
-    weights, aggs, complete = final_wrapups(res)
+    weights, aggs, complete = final_wrapups(res, samples, signs)
     assert complete.all()
     assert np.all(weights == 1.0)
     full = batch_aggregate(samples, signs)
@@ -609,15 +586,17 @@ def test_tas_single_node_zero_rounds():
 
 
 def test_tas_tag_sum_consistency():
-    # every stored row's payload must equal the sum of its tagged locals
+    # in the eager run that carries payloads, every stored row's payload is the
+    # sum of its tagged locals, so the tags the package keeps say it all
     graph, samples, signs = make_network(102, 12, m=3)
     locals_ = [local_aggregate(samples, i, signs.column(i)) for i in range(12)]
-    res = run_tas(graph, samples, signs, rounds=diameter(graph) + 1)
-    for table in res.tables:
-        for row in table.rows:
-            expected = AggregateSums.zeros(3, 2)
-            for i in nodes(row.tag):
-                expected.iadd(locals_[i])
+    rounds = diameter(graph) + 1
+    res = run_tas(graph, samples, signs, rounds=rounds)
+    eager = diffusion_oracle.run_tas(graph, samples, signs, rounds=rounds)
+    for table, eager_table in zip(res.tables, eager.tables, strict=True):
+        assert [row.tag for row in table.rows] == [row.tag for row in eager_table.rows]
+        for row in eager_table.rows:
+            expected = functools.reduce(plus, [locals_[i] for i in sorted(nodes(row.tag))])
             assert row.payload.allclose(expected, rtol=1e-9, atol=1e-12)
 
 
@@ -627,7 +606,7 @@ def test_tas_diameter_rounds_full_sum_or_valid_partial():
         graph, samples, signs = make_network(105 + i, 13, m=4)
         res = run_tas(graph, samples, signs)  # rounds = diameter
         full = batch_aggregate(samples, signs)
-        weights, aggs, complete = final_wrapups(res)
+        weights, aggs, complete = final_wrapups(res, samples, signs)
         assert np.all((weights >= 0.0) & (weights <= 1.0))
         for k in range(13):
             if complete[k]:
@@ -651,14 +630,12 @@ def test_tas_snapshots_wrap_up_requested_nodes():
     graph, samples, signs = make_network(110, 9, m=3)
     rounds = diameter(graph)
     res = run_tas(graph, samples, signs, rounds=rounds)
-    w0, agg0 = res.wrapup(2, 0)
+    w0 = res.wrapup(2, 0)
     assert np.array_equal(w0.c, np.eye(9)[2])  # before any exchange
-    assert agg0.allclose(local_aggregate(samples, 2, signs.column(2)))
+    assert same_aggregate(tie_exact_aggregate(samples, signs, w0), local_aggregate(samples, 2, signs.column(2)))
     # the last round is sent but never delivered: its view is the final table
     for k in (2, 5):
-        (w_end, agg_end), (w, agg) = res.wrapup(k, rounds), res.wrapup(k)
-        assert np.array_equal(w_end.c, w.c)
-        assert same_aggregate(agg_end, agg)
+        assert np.array_equal(res.wrapup(k, rounds).c, res.wrapup(k).c)
 
 
 def test_tas_wrapup_rejects_unknown_nodes_and_rounds():
@@ -681,7 +658,7 @@ def test_tas_tree_hand_trace_and_formula():
     _, d_agg = payload_sizes(2, 4)
     res = run_tas_tree(tree, samples, signs)
     assert res.traffic.total_scalars == 5 * d_agg
-    _, aggs, complete = final_wrapups(res)
+    _, aggs, complete = final_wrapups(res, samples, signs)
     assert complete.all()
     full = batch_aggregate(samples, signs)
     for k in range(4):
@@ -699,7 +676,7 @@ def test_tas_tree_matches_census_formula():
         graph, samples, signs = make_network(115 + i, 30, m=5)
         tree = spanning_tree(graph)
         res = run_tas_tree(tree, samples, signs)
-        _, aggs, complete = final_wrapups(res)
+        _, aggs, complete = final_wrapups(res, samples, signs)
         assert complete.all()
         expected = traffic_tas_tree(tree.level_counts, tree.childless_counts, 2, 5)
         assert res.traffic.total_scalars == expected
@@ -715,7 +692,7 @@ def test_tas_clustered_formula_and_exactness():
     res = run_tas_clustered(topo, samples, signs)
     assert res.traffic.total_scalars == 12 * d_agg
     assert res.traffic.total_scalars == traffic_tas_clustered(10, 2, 2, 3)
-    _, aggs, complete = final_wrapups(res)
+    _, aggs, complete = final_wrapups(res, samples, signs)
     assert complete.all()
     full = batch_aggregate(samples, signs)
     for k in range(10):
@@ -731,15 +708,14 @@ def test_tas_clustered_single_cluster():
     assert final_wrapups(res)[2].all()
 
 
-def counting_payload_arithmetic(mp) -> list:
-    """Make ``AggregateSums.copy``, ``iadd`` and ``isub`` append their name per call to the list returned."""
+def counting_payloads(mp) -> list:
+    """Make every ``AggregateSums`` construction, and every call of diffusion's
+    ``local_aggregate_arrays``, append a name to the list returned."""
     calls = []
-    for name in ("copy", "iadd", "isub"):
-        def counting(self, *args, _name=name, _method=getattr(AggregateSums, name)):
-            calls.append(_name)
-            return _method(self, *args)
-
-        mp.setattr(AggregateSums, name, counting)
+    post_init = AggregateSums.__post_init__
+    arrays = diffusion.local_aggregate_arrays
+    mp.setattr(AggregateSums, "__post_init__", lambda self: calls.append("AggregateSums") or post_init(self))
+    mp.setattr(diffusion, "local_aggregate_arrays", lambda *a: calls.append("local_aggregate_arrays") or arrays(*a))
     return calls
 
 
@@ -749,15 +725,15 @@ def test_scheduled_tas_runs_form_no_payload_until_a_wrapup_is_read():
     topo = clustered(140, 20, substream(131, "clusters"))
     _, c_samples, c_signs = make_network(131, 140, m=5, graph=topo.graph())
     with pytest.MonkeyPatch.context() as mp:
-        calls = counting_payload_arithmetic(mp)
+        calls = counting_payloads(mp)
         res = run_tas_tree(tree, samples, signs)
         c_res = run_tas_clustered(topo, c_samples, c_signs)
-        assert calls == []
         assert res.traffic.total_scalars == traffic_tas_tree(tree.level_counts, tree.childless_counts, 2, 5)
         assert c_res.traffic.total_scalars == traffic_tas_clustered(140, 20, 2, 5)
-        _, agg = res.wrapup(0)
-        assert "copy" in calls  # a read forms what it needs
-    assert agg.allclose(batch_aggregate(samples, signs))
+        weights = res.wrapup(0)
+        assert (weights.c == 1.0).all() and (c_res.wrapup(7).c == 1.0).all()
+        assert calls == []  # neither the runs nor their wrap-ups form a payload
+    assert tie_exact_aggregate(samples, signs, weights).allclose(batch_aggregate(samples, signs))
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +789,8 @@ def test_consensus_initial_state_and_traffic():
     graph, samples, signs = make_network(131, 8, m=3)
     res = run_consensus(graph, samples, signs, iterations=0)
     for k in range(8):
-        expected = local_aggregate(samples, k, signs.column(k)).scaled(8.0)
+        local = local_aggregate(samples, k, signs.column(k))
+        expected = AggregateSums(8.0 * local.vec, 8.0 * local.mat)
         assert res.state(k).allclose(expected)
     assert res.traffic.total_scalars == 0
     _, d_agg = payload_sizes(2, 3)

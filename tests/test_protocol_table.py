@@ -2,10 +2,12 @@
 rounds and traffic for every protocol on every topology kind.
 
 The contract the test relies on is that node k's aggregate is the sum of the
-local terms weighted by ``weights(k)``, whatever the protocol. On
-general graphs the table must reproduce the old coverage dispatch
-(``trial_oracle``) bit for bit; on trees and clustered deployments it must run
-the scheduled simulators, whose totals have closed forms.
+local terms weighted by ``weights(k)``, whatever the protocol. A TAS aggregate
+is exactly ``tie_exact_aggregate`` of its weights. On general graphs the
+table must reproduce the old coverage dispatch (``trial_oracle``) bit for bit,
+except that a TAS aggregate need only be close to the oracle's payload sum;
+on trees and clustered deployments it must run the scheduled simulators,
+whose totals have closed forms.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from spsnet.diffusion import CONSENSUS_SCHEMES, run_consensus  # noqa: E402
 from spsnet.experiments import PROTOCOLS, build_topology, run_protocol  # noqa: E402
 from spsnet.model import FieldConfig, NoiseSpec, generate_measurements  # noqa: E402
 from spsnet.rng import substream  # noqa: E402
-from spsnet.sps import draw_sign_matrix, truncated_aggregate  # noqa: E402
+from spsnet.sps import draw_sign_matrix, tie_exact_aggregate, truncated_aggregate  # noqa: E402
 
 
 def bundle_for(kind, n_nodes, seed, depth=2, n_clusters=3):
@@ -48,6 +50,15 @@ def same_agg(a, b):
     return np.array_equal(a.vec, b.vec) and np.array_equal(a.mat, b.mat)
 
 
+def assert_weighted_sum(run, protocol, samples, signs, k, r=None):
+    """Node k's aggregate at round r is the weighted sum of the local terms;
+    for TAS, exactly the tie-exact builder's."""
+    weights, agg = run.weights(k, r), run.aggregate(k, r)
+    assert truncated_aggregate(samples, signs, weights).allclose(agg)
+    if protocol == "tas":
+        assert same_agg(agg, tie_exact_aggregate(samples, signs, weights))
+
+
 @pytest.mark.parametrize("protocol", list(PROTOCOLS))
 @pytest.mark.parametrize("kind,n_nodes,rounds", [
     ("rgg", 12, 1), ("rgg", 25, None), ("binary", 7, None), ("clustered", 10, 1),
@@ -60,7 +71,7 @@ def test_aggregate_is_the_weighted_sum_of_local_terms(protocol, kind, n_nodes, r
         run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds))
         for k in range(n):
             assert run.weights(k).shape == (n,)
-            assert truncated_aggregate(samples, signs, run.weights(k)).allclose(run.aggregate(k))
+            assert_weighted_sum(run, protocol, samples, signs, k)
 
 
 def test_consensus_weights_are_unclipped():
@@ -97,7 +108,11 @@ def test_table_matches_the_old_dispatch_on_general_graphs(kind, n_nodes, seed, r
             eff = run_consensus(bundle.graph, samples, signs, diff["iterations"], scheme).effective_weights()
         for k in nodes:
             c, agg = state[k]
-            assert same_agg(run.aggregate(k), agg)
+            if protocol == "tas":  # the oracle sums payloads; the table builds from the weights
+                assert run.aggregate(k).allclose(agg)
+                assert same_agg(run.aggregate(k), tie_exact_aggregate(samples, signs, run.weights(k)))
+            else:
+                assert same_agg(run.aggregate(k), agg)
             if protocol == "consensus":
                 assert np.array_equal(run.weights(k), eff[k])
                 assert np.array_equal(np.clip(run.weights(k), 0.0, 1.0), c)
@@ -147,11 +162,11 @@ def test_aggregates_are_built_only_when_read(monkeypatch):
     bundle = bundle_for("rgg", 10, 3)
     samples, signs = data_for(bundle, 3)
     built = []
-    for name in ("batch_aggregate", "truncated_aggregate", "local_aggregate"):
+    for name in ("batch_aggregate", "truncated_aggregate", "local_aggregate", "tie_exact_aggregate"):
         original = getattr(experiments, name)
         monkeypatch.setattr(experiments, name,
                             lambda *a, _f=original, _n=name, **kw: built.append(_n) or _f(*a, **kw))
-    for protocol in ("full", "local", "pf", "mf"):
+    for protocol in ("full", "local", "pf", "mf", "tas"):
         run_protocol(bundle, samples, signs, diffusion_cfg(protocol, 1))
     assert built == []
     run = run_protocol(bundle, samples, signs, diffusion_cfg("full"))
@@ -161,6 +176,10 @@ def test_aggregates_are_built_only_when_read(monkeypatch):
     run = run_protocol(bundle, samples, signs, diffusion_cfg("mf", 1))
     run.aggregate(3)
     assert built == ["truncated_aggregate"]
+    built.clear()
+    run = run_protocol(bundle, samples, signs, diffusion_cfg("tas", 1))
+    run.aggregate(3)
+    assert built == ["tie_exact_aggregate"]
 
 
 def test_unknown_protocol_is_rejected():
@@ -184,7 +203,7 @@ def test_tas_wraps_up_only_the_requested_nodes(monkeypatch):
         first = [(run.weights(k), run.aggregate(k)) for k in (5, 2)]
         again = [(run.weights(k), run.aggregate(k)) for k in (2, 5)]
         assert calls == [(5, None), (2, None)]  # each node's final table, once, on its first read
-        assert first[0][1] is again[1][1] and first[1][1] is again[0][1]
+        assert same_agg(first[0][1], again[1][1]) and same_agg(first[1][1], again[0][1])
         with pytest.raises(ValueError, match="not in the network"):
             run.aggregate(bundle.graph.n_nodes)
 
@@ -200,7 +219,7 @@ def test_every_round_reads_the_weighted_sum_of_local_terms(protocol, kind, n_nod
     for r in range(int(scheduled_tas), run.rounds + 1):
         for k in range(n):
             assert run.weights(k, r).shape == (n,)
-            assert truncated_aggregate(samples, signs, run.weights(k, r)).allclose(run.aggregate(k, r))
+            assert_weighted_sum(run, protocol, samples, signs, k, r)
     later = run.rounds + 3
     if protocol in ("tas", "consensus"):
         for rnd in (-1, run.rounds + 1) + ((0,) if scheduled_tas else ()):

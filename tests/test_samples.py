@@ -1,8 +1,9 @@
 """Samples as arrays: the vectorised model and the batched local aggregates.
 
 ``generate_measurements`` builds every regressor row with column products
-and every measurement with one ``np.vecdot``; the runners build all local
-aggregates with one broadcast product. Region membership breaks exact ties
+and every measurement with one ``np.vecdot``; consensus builds all local
+aggregates with one broadcast product, and a TAS node's aggregate before it
+hears anything is ``tie_exact_aggregate`` of a one-hot weight vector. Region membership breaks exact ties
 at random, so any last-bit change would move region cells: these tests hold
 both paths to the per-node oracle bit for bit. The ``vecdot`` equality rests
 on numpy rounding each row of ``vecdot`` as the 1-D ``phi @ p`` it replaced;
@@ -16,7 +17,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import model_oracle  # noqa: E402
-from spsnet.diffusion import run_consensus, run_tas, run_tas_clustered, run_tas_tree  # noqa: E402
+from spsnet.diffusion import run_consensus, run_tas  # noqa: E402
+from spsnet.experiments import TopologyBundle, run_protocol  # noqa: E402
 from spsnet.model import (  # noqa: E402
     NOISE_KINDS,
     REGRESSOR_FAMILIES,
@@ -25,7 +27,7 @@ from spsnet.model import (  # noqa: E402
     generate_measurements,
 )
 from spsnet.rng import substream  # noqa: E402
-from spsnet.sps import draw_sign_matrix, local_aggregate, local_aggregate_arrays  # noqa: E402
+from spsnet.sps import draw_sign_matrix, local_aggregate, local_aggregate_arrays, tie_exact_aggregate  # noqa: E402
 from spsnet.topology import clustered, random_geometric, spanning_tree  # noqa: E402
 
 
@@ -74,11 +76,11 @@ def test_batched_locals_equal_local_aggregate(seed, n_nodes, n_p, m):
     graph, samples, signs = _network(seed, n_nodes, n_p, m)
     vec, mat = local_aggregate_arrays(samples, signs)
     assert vec.shape == (n_nodes, m, n_p) and mat.shape == (n_nodes, m, n_p, n_p)
-    tables = run_tas(graph, samples, signs, rounds=0).tables
+    tas = run_tas(graph, samples, signs, rounds=0)
     for k in range(n_nodes):
         one = local_aggregate(samples, k, signs.column(k))
         assert np.array_equal(vec[k], one.vec) and np.array_equal(mat[k], one.mat)
-        row0 = tables[k].rows[0].payload
+        row0 = tie_exact_aggregate(samples, signs, tas.wrapup(k, 0))
         assert np.array_equal(row0.vec, one.vec) and np.array_equal(row0.mat, one.mat)
     # consensus starts from N times the locals, the same multiplies as before
     res = run_consensus(graph, samples, signs, iterations=0)
@@ -94,42 +96,32 @@ def test_batched_locals_reject_mismatched_signs():
         local_aggregate_arrays(samples, draw_sign_matrix(4, 5, sign_seed=1))
 
 
-def _row0_payloads(tables):
-    return [tables[k].rows[0].payload for k in range(len(tables))]
-
-
 def test_local_payloads_share_no_memory():
+    # a TAS node's aggregate as the first round sends is its local one, built
+    # on every read: no two nodes' aggregates share memory
     graph, samples, signs = _network(6, 12)
     tree = spanning_tree(graph)
     topo = clustered(12, 3, substream(6, "clusters"))
     runs = {
-        "tas": run_tas(graph, samples, signs, rounds=0).tables,
-        "tas-tree": run_tas_tree(tree, samples, signs).tables,
-        "tas-clustered": run_tas_clustered(topo, samples, signs).tables,
+        "tas": (TopologyBundle("rgg", graph, None, None, graph.positions), 0),
+        "tas-tree": (TopologyBundle("tree", tree.graph(), tree, None, graph.positions), 1),
+        "tas-clustered": (TopologyBundle("clustered", topo.graph(), None, topo, graph.positions), 1),
     }
-    for name, tables in runs.items():
-        payloads = _row0_payloads(tables)
-        before = [(p.vec.copy(), p.mat.copy()) for p in payloads]
+    for name, (bundle, first) in runs.items():
+        run = run_protocol(bundle, samples, signs, {"protocol": "tas", "rounds": 0})
+        payloads = [run.aggregate(k, first) for k in range(12)]
         for k, target in enumerate(payloads):
+            one = local_aggregate(samples, k, signs.column(k))
+            assert np.array_equal(target.vec, one.vec) and np.array_equal(target.mat, one.mat), name
             for other in payloads[k + 1:]:
                 assert not np.shares_memory(target.vec, other.vec), name
                 assert not np.shares_memory(target.mat, other.mat), name
-        # adding into one node's payload leaves every other node's unchanged
-        payloads[4].iadd(payloads[4].copy())
+        before = [(p.vec.copy(), p.mat.copy()) for p in payloads]
+        # adding into one node's payload leaves every other node's, and a new read, unchanged
+        payloads[4].vec += payloads[4].vec
+        assert np.array_equal(run.aggregate(4, first).vec, before[4][0]), name
         for k, p in enumerate(payloads):
             if k == 4:
                 assert np.array_equal(p.vec, 2 * before[k][0]), name
             else:
                 assert np.array_equal(p.vec, before[k][0]) and np.array_equal(p.mat, before[k][1]), name
-
-
-def test_aggregate_copy_is_an_independent_aggregate():
-    _, samples, signs = _network(7, 4)
-    one = local_aggregate(samples, 2, signs.column(2))
-    twin = one.copy()
-    assert type(twin) is type(one) and twin.m == one.m and twin.n_p == one.n_p
-    assert np.array_equal(twin.vec, one.vec) and np.array_equal(twin.mat, one.mat)
-    assert not np.shares_memory(twin.vec, one.vec) and not np.shares_memory(twin.mat, one.mat)
-    twin.vec[0, 0] += 1.0
-    twin.mat[0, 0, 0] += 1.0
-    assert twin.vec[0, 0] != one.vec[0, 0] and twin.mat[0, 0, 0] != one.mat[0, 0, 0]

@@ -21,6 +21,7 @@ from spsnet.sps import (
     ls_estimate,
     membership,
     rank_above,
+    tie_exact_aggregate,
     truncated_aggregate,
     z_values,
 )
@@ -90,22 +91,24 @@ def test_local_aggregate_hand_values():
 def test_sum_of_locals_equals_batch():
     samples, _ = make_samples(21, 9, n_p=3)
     signs = draw_sign_matrix(6, 9, sign_seed=2)
-    total = local_aggregate(samples, 0, signs.column(0))
-    for i in range(1, 9):
-        total.iadd(local_aggregate(samples, i, signs.column(i)))
+    locals_ = [local_aggregate(samples, i, signs.column(i)) for i in range(9)]
+    total = AggregateSums(sum(a.vec for a in locals_), sum(a.mat for a in locals_))
     assert total.allclose(batch_aggregate(samples, signs))
+    assert total.allclose(tie_exact_aggregate(samples, signs, np.ones(9)))
 
 
 def test_aggregate_algebra():
+    # both builders are linear in the weights; zero weights give the zero payload
     samples, _ = make_samples(22, 4)
     signs = draw_sign_matrix(3, 4, sign_seed=5)
     a = local_aggregate(samples, 0, signs.column(0))
     b = local_aggregate(samples, 1, signs.column(1))
-    assert a.copy().iadd(b).allclose(b.copy().iadd(a))
     zero = AggregateSums.zeros(3, 2)
-    assert a.copy().iadd(zero).allclose(a)
-    assert a.scaled(2.0).allclose(a.copy().iadd(a))
-    assert a.copy().iadd(b).isub(b).allclose(a)
+    for build in (truncated_aggregate, tie_exact_aggregate):
+        assert build(samples, signs, [1.0, 1.0, 0.0, 0.0]).allclose(AggregateSums(a.vec + b.vec, a.mat + b.mat))
+        assert build(samples, signs, [0.5, 0.0, 0.0, 0.0]).allclose(AggregateSums(0.5 * a.vec, 0.5 * a.mat))
+        assert build(samples, signs, np.zeros(4)).allclose(zero)
+        assert zero.allclose(build(samples, signs, np.zeros(4)))
     assert (a.m, a.n_p) == (3, 2)
 
 
@@ -124,6 +127,26 @@ def test_truncated_aggregate_weight_cases():
     assert wrapped.allclose(batch_aggregate(samples, signs))
     with pytest.raises(ValueError):
         truncated_aggregate(samples, signs, np.ones(6))
+
+
+def test_tie_exact_aggregate_weight_cases():
+    samples, _ = make_samples(23, 7)
+    signs = draw_sign_matrix(4, 7, sign_seed=9)
+    assert tie_exact_aggregate(samples, signs, np.ones(7)).allclose(batch_aggregate(samples, signs))
+    for k in range(7):  # a one-hot vector gives a node's local aggregate bit for bit
+        one = tie_exact_aggregate(samples, signs, np.eye(7)[k])
+        local = local_aggregate(samples, k, signs.column(k))
+        assert np.array_equal(one.vec, local.vec) and np.array_equal(one.mat, local.mat)
+    zero = tie_exact_aggregate(samples, signs, np.zeros(7))
+    assert np.all(zero.vec == 0.0) and np.all(zero.mat == 0.0)
+    c = np.linspace(0.0, 1.0, 7)
+    wrapped = tie_exact_aggregate(samples, signs, WrapUpWeights(c))
+    assert np.array_equal(wrapped.vec, tie_exact_aggregate(samples, signs, c).vec)
+    assert wrapped.allclose(truncated_aggregate(samples, signs, c))
+    with pytest.raises(ValueError):
+        tie_exact_aggregate(samples, signs, np.ones(6))
+    with pytest.raises(ValueError):
+        tie_exact_aggregate(samples, draw_sign_matrix(4, 6, sign_seed=9), np.ones(7))
 
 
 # ---------------------------------------------------------------------------

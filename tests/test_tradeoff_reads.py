@@ -3,6 +3,8 @@ at round r, and consensus steps its states only when they are read.
 
 ``tradeoff_oracle`` keeps the study's old three read loops and the eager
 consensus loop with its snapshots; the package must equal both bit for bit.
+Its TAS reads come from the eager payload-carrying runner, whose payload sums
+must be close to the aggregates built from the weights.
 The traffic log keeps per-round totals, which must equal a scan of its events.
 """
 
@@ -46,10 +48,11 @@ def tradeoff_config(seed, n_nodes, n_p, m, grid, n_seeds, node_sample, rounds, m
 def test_tradeoff_equals_the_three_loop_oracle(seed, n_nodes, n_p, m, grid, n_seeds, node_sample, rounds,
                                                max_iterations, mf_lengths_differ):
     config = tradeoff_config(seed, n_nodes, n_p, m, grid, n_seeds, node_sample, rounds, max_iterations)
-    expected, curves = tradeoff_oracle.run_tradeoff(config)
+    expected, curves, tas_reads = tradeoff_oracle.run_tradeoff(config)
     # the step extension of shorter curves runs when MF curves differ in length
     assert (len({len(c) for c in curves["mf"]}) > 1) == mf_lengths_differ
     assert run_tradeoff(config).to_json_dict() == expected.to_json_dict()
+    assert tas_reads and all(agg.allclose(payload_sum) for agg, payload_sum in tas_reads)
 
 
 def consensus_case(seed, n_nodes, n_p=2, m=3):

@@ -5,19 +5,31 @@ protocol table, node k at round r, in one loop, and steps consensus states
 only when they are read. These oracles keep the old shape: ``run_tradeoff``
 reads MF knowledge, TAS wrap-ups and consensus snapshots in three loops of
 their own, and ``eager_consensus`` steps every node through every iteration
-up front and copies the states it was told to keep. Tests require the
-package's record and every consensus state to equal these bit for bit.
+up front and copies the states it was told to keep. TAS comes from the eager
+runner in ``diffusion_oracle``, which carries payloads: a read's region is
+evaluated on ``tie_exact_aggregate`` of the oracle's weights, as the package
+does, and the oracle's payload sum is returned next to it for the test to
+compare. Tests require the package's record and every consensus state to
+equal these bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from spsnet.diffusion import consensus_weights, payload_sizes, run_mf, run_tas
+import diffusion_oracle
+from spsnet.diffusion import consensus_weights, payload_sizes, run_mf
 from spsnet.experiments import ExperimentRecord, _consensus_checkpoints, _region_volume
 from spsnet.model import generate_measurements
 from spsnet.rng import derive_seed, substream
-from spsnet.sps import AggregateSums, batch_aggregate, draw_sign_matrix, local_aggregate_arrays, truncated_aggregate
+from spsnet.sps import (
+    AggregateSums,
+    batch_aggregate,
+    draw_sign_matrix,
+    local_aggregate_arrays,
+    tie_exact_aggregate,
+    truncated_aggregate,
+)
 from spsnet.topology import diameter, random_geometric
 
 
@@ -54,7 +66,8 @@ def eager_consensus(graph, samples, signs, iterations, scheme="metropolis", snap
 
 
 def run_tradeoff(config):
-    """The three-loop study: (record, per-seed curves by protocol)."""
+    """The three-loop study: (record, per-seed curves by protocol, and every
+    TAS read as (aggregate built from the weights, eager payload sum))."""
     seed = config.seed
     tcfg = config.topology()
     n = int(tcfg["n_nodes"])
@@ -68,6 +81,7 @@ def run_tradeoff(config):
 
     curves = {"mf": [], "tas": [], "consensus-metropolis": [], "consensus-perron": []}
     full_volumes = []
+    tas_reads = []
 
     for s in range(n_seeds):
         graph = random_geometric(n, substream(seed, "topology", s), radius=tcfg.get("radius"))
@@ -95,13 +109,16 @@ def run_tradeoff(config):
         curves["mf"].append(curve)
 
         rounds_tas = pars["rounds"] if pars["rounds"] is not None else diameter(graph) + 2
-        tas = run_tas(graph, samples, signs, rounds=rounds_tas)
+        tas = diffusion_oracle.run_tas(graph, samples, signs, rounds=rounds_tas,
+                                       snapshot_rounds=range(rounds_tas + 1), wrapup_nodes=sample_nodes)
         curve = []
         for r in range(0, rounds_tas + 1):
-            vols = [
-                _region_volume(tas.wrapup(k, r)[1], region, q, derive_seed(seed, "rt", s, "tas", r, k))
-                for k in sample_nodes
-            ]
+            weights, payload_sums = tas.snapshots[r]
+            vols = []
+            for k in sample_nodes:
+                agg = tie_exact_aggregate(samples, signs, weights[k])
+                tas_reads.append((agg, payload_sums[k]))
+                vols.append(_region_volume(agg, region, q, derive_seed(seed, "rt", s, "tas", r, k)))
             scal = tas.traffic.total_through_round(r) / n
             curve.append((r, float(scal), float(np.mean(vols))))
         curves["tas"].append(curve)
@@ -179,4 +196,4 @@ def run_tradeoff(config):
         summary=summary,
         config_hash=config.config_hash,
     )
-    return record, curves
+    return record, curves, tas_reads

@@ -7,10 +7,12 @@ the old shape: one if/elif chain that runs the general-graph runner for every
 protocol on every topology and returns, per requested node, a (weights,
 aggregate) pair, with PF and MF from the dense runners in ``diffusion_oracle``
 and TAS from its eager runner, which wraps up every table before it returns.
-Tests require the table to reproduce it bit for bit on general graphs. One
-difference is on purpose: the oracle reports consensus weights clipped into
+Tests require the table to reproduce it bit for bit on general graphs. Two
+differences are on purpose: the oracle reports consensus weights clipped into
 [0, 1], while the consensus state is the sum weighted by the unclipped
-N * W^t; the table reports the unclipped weights.
+N * W^t, and the table reports the unclipped weights; and a TAS aggregate
+here is the eager payload sum, while the table builds it from the weights
+with ``tie_exact_aggregate``, so the two agree only within rounding.
 """
 
 from __future__ import annotations
