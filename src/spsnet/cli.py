@@ -184,7 +184,7 @@ def _cmd_diffuse(args) -> int:
         (("diffusion", "scheme"), args.scheme),
     ]
     config = _load_config(args, overrides)
-    run = simulate(config)
+    run, _, _ = simulate(config)
     out = _out_dir(config)
     traffic = run.traffic
     n = traffic.n_nodes

@@ -17,7 +17,8 @@ sums)                    a tag, the set of nodes whose data the payload
 consensus                every node averages its neighbors' running
                          aggregates under a doubly stochastic mixing matrix;
                          initial states are scaled by N so the fixed point is
-                         the full sum.
+                         the full sum. After t iterations node k holds the
+                         aggregate weighted by row k of N * W^t.
 
 PF, MF and TAS run along a schedule: a list of sender sets, one per stage
 (round). In a stage every sender builds one message with its protocol's step,
@@ -57,15 +58,16 @@ unpacked from the per-node masks the run keeps for each round.
 ``TasResult.wrapup(k, r)`` wraps up node k's table as round r sends, before
 that round is delivered: tag tables only grow, so that table is a prefix of
 the final one, and the run records each table's row count per round. Nothing
-is wrapped up until it is read. ``ConsensusResult.state(k, t)`` is node k's
-state after iteration t, stepped from the starting states only when it is
-read.
+is wrapped up until it is read. ``ConsensusResult.effective_weights(t)`` is
+N * W^t, whose row k is node k's weights after iteration t, stepped from the
+identity only when it is read.
 
-A TAS run moves tags only. Every message's payload is the sum of the local
-aggregates its tag names, so distillation, aggregation and traffic depend on
-the tags alone, and the wrap-up turns a table into the weights c. The
-aggregate a node would have assembled is c-weighted, so the SPS side builds it
-from c (``sps.tie_exact_aggregate``); the data never enter a TAS run.
+No run reads the data, only their shapes. A TAS message's payload is the sum
+of the local aggregates its tag names, so distillation, aggregation and
+traffic depend on the tags alone, and the wrap-up turns a table into the
+weights c; flooding knowledge is 0/1 weights, and consensus is linear, so its
+states are the N * W^t-weighted sums. The aggregate a node would have
+assembled is c-weighted, so the SPS side builds it from c.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ import numpy as np
 
 from .lp import LpProblem, solve_lp
 from .model import Samples
-from .sps import AggregateSums, SignMatrix, WrapUpWeights, local_aggregate_arrays
+from .sps import SignMatrix, WrapUpWeights
 from .topology import ClusteredTopology, DisconnectedGraphError, Graph, TreeTopology, diameter
 
 
@@ -577,45 +579,36 @@ def consensus_weights(graph: Graph, scheme: str = "metropolis") -> np.ndarray:
 
 @dataclass(eq=False)
 class ConsensusResult:
-    """A consensus run, read on demand: ``state(k, t)`` is node k's running
-    aggregate after iteration t (the last one when t is None).
+    """A consensus run, read on demand: ``effective_weights(t)`` is N * W^t,
+    whose row k is node k's weight vector after iteration t (the last one
+    when t is None).
 
-    States are stepped only when read, from one cursor ``(t, vec, mat)``: a
-    read steps the cursor forward with the same two ``einsum`` calls an eager
-    run makes, and a read before the cursor restarts it from ``initial``, the
-    N-scaled local aggregates. Reads in iteration order therefore step each
-    iteration once, with the eager bits, and the result holds the starting
-    states and one stepped state. An iteration that was not run raises
-    ValueError.
+    W^t is stepped only when read, from one cursor ``(t, W^t)``: a read steps
+    the cursor forward with one ``einsum`` per iteration, and a read before
+    the cursor restarts it from the identity. Reads in iteration order
+    therefore step each iteration once. No BLAS call is made, so the bits do
+    not depend on the kernel OpenBLAS picks for the CPU. An iteration that was
+    not run raises ValueError.
     """
 
     mixing: np.ndarray
-    initial: tuple[np.ndarray, np.ndarray]
     traffic: TrafficLog
     iterations: int
-    _cursor: tuple[int, np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
-
-    def _iteration(self, iteration: int | None) -> int:
-        t = self.iterations if iteration is None else iteration
-        if not 0 <= t <= self.iterations:
-            raise ValueError(f"iteration {t} was not run")
-        return t
-
-    def state(self, k: int, iteration: int | None = None) -> AggregateSums:
-        t = self._iteration(iteration)
-        if self._cursor is None or self._cursor[0] > t:
-            self._cursor = (0, *self.initial)
-        i, vec, mat = self._cursor
-        for _ in range(t - i):
-            vec = np.einsum("kj,jab->kab", self.mixing, vec)
-            mat = np.einsum("kj,jabc->kabc", self.mixing, mat)
-        self._cursor = (t, vec, mat)
-        return AggregateSums(vec[k].copy(), mat[k].copy())
+    _cursor: tuple[int, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def effective_weights(self, iteration: int | None = None) -> np.ndarray:
         """c[k, i] = N * (W^t)[k, i], the weight of node i's data at node k."""
+        t = self.iterations if iteration is None else iteration
+        if not 0 <= t <= self.iterations:
+            raise ValueError(f"iteration {t} was not run")
         n = self.mixing.shape[0]
-        return n * np.linalg.matrix_power(self.mixing, self._iteration(iteration))
+        if self._cursor is None or self._cursor[0] > t:
+            self._cursor = (0, np.eye(n))
+        i, power = self._cursor
+        for _ in range(t - i):
+            power = np.einsum("kj,ji->ki", self.mixing, power)
+        self._cursor = (t, power)
+        return n * power
 
 
 def run_consensus(graph: Graph, samples, signs: SignMatrix, iterations: int,
@@ -626,9 +619,8 @@ def run_consensus(graph: Graph, samples, signs: SignMatrix, iterations: int,
     averaging equals the full-network sum. Every node transmits its state
     every iteration: traffic after t iterations is exactly t * N aggregate
     payloads, logged as one event per node per iteration. The run builds the
-    mixing matrix and the starting states and logs the traffic; the result
-    steps the states only when they are read, and the state of node k after
-    iteration t equals the truncated aggregate with weights N * (W^t)[k, :].
+    mixing matrix and logs the traffic; node k's state after iteration t is
+    the aggregate with weights N * (W^t)[k, :], which the result gives.
     """
     n = graph.n_nodes
     _check_samples(samples, n)
@@ -637,12 +629,11 @@ def run_consensus(graph: Graph, samples, signs: SignMatrix, iterations: int,
         raise ValueError("iterations must be non-negative")
     _, d_agg = payload_sizes(samples.n_p, signs.m)
     w = consensus_weights(graph, scheme)
-    vec, mat = local_aggregate_arrays(samples, signs)
     traffic = TrafficLog(f"consensus-{scheme}", n)
     for t in range(1, iterations + 1):
         for k in range(n):
             traffic.record(t, k, d_agg, tag_bits=0)
-    return ConsensusResult(w, (n * vec, n * mat), traffic, iterations)
+    return ConsensusResult(w, traffic, iterations)
 
 
 def _check_samples(samples: Samples, n: int) -> None:

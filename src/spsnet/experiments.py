@@ -307,47 +307,53 @@ def build_topology(seed: int, tcfg: dict) -> TopologyBundle:
 @dataclass(eq=False)
 class ProtocolRun:
     """One protocol run as the SPS test sees it: ``weights(k, r)`` is node k's
-    weight vector c at round r, ``aggregate(k, r)`` builds node k's c-weighted
-    aggregate sums on demand, and ``traffic`` is empty for ``full`` and
+    weight vector c at round r, ``builder`` turns a data draw and c into the
+    c-weighted aggregate sums, and ``traffic`` is empty for ``full`` and
     ``local``, which ignore r.
 
     ``r=None`` reads the end of the run. PF and MF read the knowledge after
     round r is delivered (a round past the last one gives the final
-    knowledge), TAS the wrap-up as round r sends, and consensus the state
-    after iteration r, with weights N * W^r. TAS and consensus raise
-    ValueError for a round that was not run. A TAS aggregate is
-    ``tie_exact_aggregate`` of its weights; ``full``, PF and MF use
-    ``truncated_aggregate``.
+    knowledge), TAS the wrap-up as round r sends, and consensus the weights
+    N * W^r after iteration r. TAS and consensus raise ValueError for a round
+    that was not run. The weights never read the data, so one run serves
+    every draw on its topology. TAS and consensus build with
+    ``tie_exact_aggregate``, ``local`` with its node's ``local_aggregate``
+    (the same bits), and ``full``, PF and MF with ``truncated_aggregate``.
     """
 
     weights: Callable[..., np.ndarray]
-    aggregate: Callable[..., AggregateSums]
+    builder: Callable[..., AggregateSums]
     rounds: int
     traffic: TrafficLog
+
+    def aggregate(self, samples: Samples, signs: SignMatrix, k: int, r: int | None = None) -> AggregateSums:
+        """Node k's aggregate sums of this draw at round r."""
+        return self.builder(samples, signs, self.weights(k, r))
+
+
+def _own_aggregate(samples, signs, c):
+    """``local_aggregate`` of the one node whose weight is nonzero."""
+    (k,) = np.flatnonzero(c)
+    return local_aggregate(samples, k, signs.column(k))
 
 
 def _full(bundle, samples, signs, diff):
     n = bundle.graph.n_nodes
-    agg = functools.cache(lambda: batch_aggregate(samples, signs))
-    return ProtocolRun(lambda k, r=None: np.ones(n), lambda k, r=None: agg(), 0, TrafficLog("full", n))
+    return ProtocolRun(lambda k, r=None: np.ones(n), truncated_aggregate, 0, TrafficLog("full", n))
 
 
 def _local(bundle, samples, signs, diff):
     n = bundle.graph.n_nodes
-    return ProtocolRun(lambda k, r=None: np.eye(n)[k],
-                       lambda k, r=None: local_aggregate(samples, k, signs.column(k)), 0, TrafficLog("local", n))
+    return ProtocolRun(lambda k, r=None: np.eye(n)[k], _own_aggregate, 0, TrafficLog("local", n))
 
 
-def _knowledge(res, samples, signs):
-    def weights(k, r=None):
-        return res.known_after(r)[k].astype(float)
-
-    return ProtocolRun(weights, lambda k, r=None: truncated_aggregate(samples, signs, weights(k, r)),
+def _knowledge(res):
+    return ProtocolRun(lambda k, r=None: res.known_after(r)[k].astype(float), truncated_aggregate,
                        res.rounds_run, res.traffic)
 
 
 def _pf(bundle, samples, signs, diff):
-    return _knowledge(run_pf(bundle.graph, samples, max_rounds=diff["rounds"]), samples, signs)
+    return _knowledge(run_pf(bundle.graph, samples, max_rounds=diff["rounds"]))
 
 
 def _mf(bundle, samples, signs, diff):
@@ -357,7 +363,7 @@ def _mf(bundle, samples, signs, diff):
         res = run_mf_clustered(bundle.clusters, samples)
     else:
         res = run_mf(bundle.graph, samples, max_rounds=diff["rounds"])
-    return _knowledge(res, samples, signs)
+    return _knowledge(res)
 
 
 def _tas(bundle, samples, signs, diff):
@@ -368,15 +374,13 @@ def _tas(bundle, samples, signs, diff):
     else:
         res = run_tas(bundle.graph, samples, signs, rounds=diff["rounds"])
     wrapup = functools.cache(res.wrapup)  # each (node, round) is wrapped up once, when first read
-    return ProtocolRun(lambda k, r=None: wrapup(k, r).c,
-                       lambda k, r=None: tie_exact_aggregate(samples, signs, wrapup(k, r)),
-                       res.rounds_run, res.traffic)
+    return ProtocolRun(lambda k, r=None: wrapup(k, r).c, tie_exact_aggregate, res.rounds_run, res.traffic)
 
 
 def _consensus(bundle, samples, signs, diff):
     res = run_consensus(bundle.graph, samples, signs, iterations=diff["iterations"], scheme=diff["scheme"])
     weights = functools.cache(res.effective_weights)  # N * W^r, once per round read
-    return ProtocolRun(lambda k, r=None: weights(r)[k], res.state, res.iterations, res.traffic)
+    return ProtocolRun(lambda k, r=None: weights(r)[k], tie_exact_aggregate, res.iterations, res.traffic)
 
 
 # Entries look their runners up by module-level name at call time, so a
@@ -385,12 +389,13 @@ PROTOCOLS = {"full": _full, "local": _local, "pf": _pf, "mf": _mf, "tas": _tas, 
 
 
 def run_protocol(bundle: TopologyBundle, samples: Samples, signs: SignMatrix, diff: dict) -> ProtocolRun:
-    """Run the protocol ``diff["protocol"]`` names on one data draw.
+    """Run the protocol ``diff["protocol"]`` names on one data draw, which
+    only sizes the payloads.
 
     On tree and binary bundles MF and TAS run the tree's schedule, on
     clustered bundles the clusters' one, and ``diffusion.rounds`` is ignored.
     Every other case runs the general-graph runner. TAS wraps up a node's
-    table on the first read of its weights or aggregate.
+    table on the first read of its weights.
     """
     protocol = diff["protocol"]
     if protocol not in PROTOCOLS:
@@ -398,14 +403,14 @@ def run_protocol(bundle: TopologyBundle, samples: Samples, signs: SignMatrix, di
     return PROTOCOLS[protocol](bundle, samples, signs, diff)
 
 
-def simulate(config: ExperimentConfig) -> ProtocolRun:
-    """The configured protocol on the data of coverage trial 0, as the
-    ``region`` and ``diffuse`` subcommands run it."""
+def simulate(config: ExperimentConfig) -> tuple[ProtocolRun, Samples, SignMatrix]:
+    """The configured protocol and the data of coverage trial 0, as the
+    ``region`` and ``diffuse`` subcommands run them."""
     seed = config.seed
     bundle = build_topology(seed, config.topology())
     samples = generate_measurements(bundle.positions, config.field_config(), substream(seed, "noise", 0))
     signs = draw_sign_matrix(config.sps_params()[0], bundle.graph.n_nodes, derive_seed(seed, "signs", 0))
-    return run_protocol(bundle, samples, signs, config.diffusion())
+    return run_protocol(bundle, samples, signs, config.diffusion()), samples, signs
 
 
 def _designated_node(config: ExperimentConfig, n_nodes: int) -> int:
@@ -427,10 +432,12 @@ def _region_volume(agg, region, q, tie_seed) -> float:
 def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
     """Monte Carlo estimate of the confidence region's coverage of p_true.
 
-    Each trial redraws noise and signs (topology and regressors stay fixed),
-    runs the configured protocol, and tests membership of the true parameter
-    at the designated node (all nodes with ``all_nodes``). Region volumes are
-    evaluated per row only when the region section asks for it.
+    Each trial is one deployment: it redraws noise and signs (topology and
+    regressors stay fixed), runs the configured protocol and logs its
+    traffic, builds the designated node's aggregate (every node's with
+    ``all_nodes``) from its weights, and tests membership of the true
+    parameter. Nodes with equal weights share one aggregate. Region volumes
+    are evaluated per row only when the region section asks for it.
     """
     seed = config.seed
     bundle = build_topology(seed, config.topology())
@@ -449,8 +456,13 @@ def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
         signs = draw_sign_matrix(m, n, derive_seed(seed, "signs", trial))
         run = run_protocol(bundle, samples, signs, diff)
         per_node = run.traffic.per_node_totals
+        built = {}  # one aggregate per distinct weight vector: ``full`` builds once
         for k in nodes:
-            c, agg = run.weights(k), run.aggregate(k)
+            c = run.weights(k)
+            key = c.tobytes()
+            if key not in built:
+                built[key] = run.aggregate(samples, signs, k)
+            agg = built[key]
             covers = membership(z_values(agg, fc.p_true), q, substream(seed, "ties", trial, k))
             covers_by_node[k] += covers
             volume = (_region_volume(agg, region, q, derive_seed(seed, "region-ties", trial, k))
@@ -554,7 +566,8 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
             run = run_protocol(bundle, samples, signs, diff)
             curve = []
             for r in range(run.rounds + 1) if rounds is None else rounds:
-                vols = [_region_volume(run.aggregate(k, r), region, q, derive_seed(seed, "rt", s, label, r, k))
+                vols = [_region_volume(run.aggregate(samples, signs, k, r), region, q,
+                                       derive_seed(seed, "rt", s, label, r, k))
                         for k in sample_nodes]
                 curve.append((r, run.traffic.total_through_round(r) / n, float(np.mean(vols))))
             curves.setdefault(name, []).append(curve)
@@ -723,8 +736,8 @@ def run_region(config: ExperimentConfig) -> tuple[RegionResult, dict]:
         m = signs.m
         meta = {"source": "data", "n_nodes": len(samples)}
     else:
-        run = simulate(config)
-        agg = run.aggregate(_designated_node(config, run.traffic.n_nodes))
+        run, samples, signs = simulate(config)
+        agg = run.aggregate(samples, signs, _designated_node(config, run.traffic.n_nodes))
         meta = {"source": "simulation", "n_nodes": run.traffic.n_nodes,
                 "protocol": config.diffusion()["protocol"]}
     region = config.region_params()

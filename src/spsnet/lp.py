@@ -58,9 +58,10 @@ class LpProblem:
         return self.tags.sum(axis=1)
 
 
-def solve_lp(
-    problem: LpProblem, tol: float = 1e-9, max_iterations: int | None = None
-) -> tuple[np.ndarray, float]:
+TOL = 1e-9  # pivot, optimality and ratio-tie tolerance of ``solve_lp``
+
+
+def solve_lp(problem: LpProblem, max_iterations: int | None = None) -> tuple[np.ndarray, float]:
     """Optimal basic solution of the wrap-up LP.
 
     Returns (b, objective). The coefficients b are free reals; internally the
@@ -75,7 +76,7 @@ def solve_lp(
     a = np.block([[t_t, -t_t], [-t_t, t_t]])
     rhs = np.concatenate([np.ones(n), np.zeros(n)])
     cost = np.concatenate([problem.weights, -problem.weights])
-    x = _simplex_max(a, rhs, cost, tol=tol, max_iterations=max_iterations)
+    x = _simplex_max(a, rhs, cost, tol=TOL, max_iterations=max_iterations)
     b = x[:r] - x[r : 2 * r]
     return b, float(problem.weights @ b)
 

@@ -131,21 +131,6 @@ def local_aggregate(samples: Samples, node: int, sign_column) -> AggregateSums:
     )
 
 
-def local_aggregate_arrays(samples: Samples, signs: SignMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Every node's ``local_aggregate`` stacked: vec (N, m, n_p), mat (N, m, n_p, n_p).
-
-    One broadcast product per array, made of the elementwise multiplies
-    ``local_aggregate`` makes, so slice k has the bits of node k's sums.
-    """
-    if signs.n_nodes != len(samples):
-        raise ValueError("sign matrix width must match the number of samples")
-    phi, y = samples.phi, samples.y
-    col = signs.entries.T.astype(float)  # (N, m): node k's sign column in row k
-    vec = col[:, :, None] * (phi * y[:, None])[:, None, :]
-    mat = col[:, :, None, None] * (phi[:, :, None] * phi[:, None, :])[:, None, :, :]
-    return vec, mat
-
-
 def _checked_weights(samples: Samples, signs: SignMatrix, weights) -> np.ndarray:
     """The weight vector c of ``weights`` (an array or WrapUpWeights), checked
     against the number of samples and the sign matrix width."""
@@ -431,16 +416,19 @@ def evaluate_region(
     )
 
 
-def ls_estimate(agg: AggregateSums, max_condition: float = 1e12) -> np.ndarray:
+MAX_CONDITION = 1e12  # the largest condition number ``ls_estimate`` solves at
+
+
+def ls_estimate(agg: AggregateSums) -> np.ndarray:
     """Least-squares parameter from the unperturbed sums: solve mat_0 p = vec_0.
 
     Raises SingularMatrixError (with the condition number) when mat_0 is
-    singular or its condition number exceeds ``max_condition``.
+    singular or its condition number exceeds ``MAX_CONDITION``.
     """
     mat0 = agg.mat[0]
     vec0 = agg.vec[0]
     cond = np.linalg.cond(mat0)
-    if not np.isfinite(cond) or cond > max_condition:
+    if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise SingularMatrixError(
             f"normal-equations matrix is ill-conditioned (cond={cond:.3e})"
         )

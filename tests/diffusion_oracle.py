@@ -21,7 +21,9 @@ payload, and ``tas_distill``, ``tas_aggregate``, ``_complete_message`` and
 They add and subtract payloads as the run goes, and every TAS oracle lists the
 messages it sent. The package runs TAS on tags alone and builds a node's
 aggregate from its weights, so tests require the same tags, merge flags,
-traffic and weights bit for bit, and aggregates close to these.
+traffic and weights bit for bit, and aggregates close to these. The payloads
+start from ``local_aggregate_arrays``, every node's local sums stacked, which
+the package no longer needs.
 """
 
 from __future__ import annotations
@@ -32,9 +34,24 @@ import numpy as np
 
 from spsnet.diffusion import TrafficLog, _check_samples, _cover, _unpack, payload_sizes
 from spsnet.lp import LpProblem, solve_lp
-from spsnet.sps import AggregateSums, SignMatrix, WrapUpWeights, local_aggregate_arrays
+from spsnet.sps import AggregateSums, SignMatrix, WrapUpWeights
 from spsnet.topology import ClusteredTopology, Graph, TreeTopology, diameter
 from tas_oracle import minus, plus, scaled
+
+
+def local_aggregate_arrays(samples, signs: SignMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's ``local_aggregate`` stacked: vec (N, m, n_p), mat (N, m, n_p, n_p).
+
+    One broadcast product per array, made of the elementwise multiplies
+    ``local_aggregate`` makes, so slice k has the bits of node k's sums.
+    """
+    if signs.n_nodes != len(samples):
+        raise ValueError("sign matrix width must match the number of samples")
+    phi, y = samples.phi, samples.y
+    col = signs.entries.T.astype(float)  # (N, m): node k's sign column in row k
+    vec = col[:, :, None] * (phi * y[:, None])[:, None, :]
+    mat = col[:, :, None, None] * (phi[:, :, None] * phi[:, None, :])[:, None, :, :]
+    return vec, mat
 
 
 @dataclass(eq=False)

@@ -33,6 +33,7 @@ from spsnet.diffusion import (
 )
 from spsnet.diffusion import _complete_message
 import diffusion_oracle
+import tradeoff_oracle
 from tas_oracle import mask, nodes, plus
 from spsnet.model import FieldConfig, NoiseSpec, generate_measurements
 from spsnet.rng import substream
@@ -709,13 +710,11 @@ def test_tas_clustered_single_cluster():
 
 
 def counting_payloads(mp) -> list:
-    """Make every ``AggregateSums`` construction, and every call of diffusion's
-    ``local_aggregate_arrays``, append a name to the list returned."""
+    """Make every ``AggregateSums`` construction append a name to the list
+    returned."""
     calls = []
     post_init = AggregateSums.__post_init__
-    arrays = diffusion.local_aggregate_arrays
     mp.setattr(AggregateSums, "__post_init__", lambda self: calls.append("AggregateSums") or post_init(self))
-    mp.setattr(diffusion, "local_aggregate_arrays", lambda *a: calls.append("local_aggregate_arrays") or arrays(*a))
     return calls
 
 
@@ -788,10 +787,11 @@ def test_consensus_weights_properties():
 def test_consensus_initial_state_and_traffic():
     graph, samples, signs = make_network(131, 8, m=3)
     res = run_consensus(graph, samples, signs, iterations=0)
+    assert np.array_equal(res.effective_weights(), 8.0 * np.eye(8))
     for k in range(8):
         local = local_aggregate(samples, k, signs.column(k))
-        expected = AggregateSums(8.0 * local.vec, 8.0 * local.mat)
-        assert res.state(k).allclose(expected)
+        state = tie_exact_aggregate(samples, signs, res.effective_weights()[k])
+        assert np.array_equal(state.vec, 8.0 * local.vec) and np.array_equal(state.mat, 8.0 * local.mat)
     assert res.traffic.total_scalars == 0
     _, d_agg = payload_sizes(2, 3)
     res5 = run_consensus(graph, samples, signs, iterations=5)
@@ -810,16 +810,19 @@ def test_consensus_converges_to_full_sum():
     full = batch_aggregate(samples, signs)
     scale = max(np.abs(full.vec).max(), np.abs(full.mat).max())
     for k in range(20):
-        state = res.state(k)
+        state = tie_exact_aggregate(samples, signs, res.effective_weights()[k])
         err = max(np.abs(state.vec - full.vec).max(), np.abs(state.mat - full.mat).max())
         assert err / scale < 1e-6
 
 
 def test_consensus_state_equals_effective_weight_aggregate():
+    """The states an eager run steps through the data are the aggregates the
+    weights N * W^t imply, whichever builder forms them."""
     graph, samples, signs = make_network(133, 10, m=3)
     res = run_consensus(graph, samples, signs, iterations=6, scheme="perron")
+    eager = tradeoff_oracle.eager_consensus(graph, samples, signs, 6, "perron", snapshot_iters=(2, 6))
     for t in (2, 6):
         eff = res.effective_weights(t)
         for k in range(10):
-            implied = truncated_aggregate(samples, signs, eff[k])
-            assert res.state(k, t).allclose(implied, rtol=1e-9, atol=1e-9)
+            for build in (truncated_aggregate, tie_exact_aggregate):
+                assert eager.state(k, t).allclose(build(samples, signs, eff[k]), rtol=1e-9, atol=1e-9)

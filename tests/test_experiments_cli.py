@@ -336,7 +336,8 @@ def test_cli_region_of_a_node_with_fewer_samples_than_parameters(tmp_path, capsy
     assert payload["meta"]["bounded"] is False
     assert payload["member_count"] > 0
     # the centre solves the normal equations and has no part along their null space
-    agg = simulate(ExperimentConfig({"seed": 3, "diffusion": diffusion})).aggregate(0)
+    run, samples, signs = simulate(ExperimentConfig({"seed": 3, "diffusion": diffusion}))
+    agg = run.aggregate(samples, signs, 0)
     mat0, vec0 = agg.mat[0], agg.vec[0]
     center = np.mean(payload["box"], axis=1)
     np.testing.assert_allclose(mat0 @ center, vec0, rtol=1e-9, atol=1e-9 * np.abs(vec0).max())

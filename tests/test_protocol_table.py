@@ -2,12 +2,16 @@
 rounds and traffic for every protocol on every topology kind.
 
 The contract the test relies on is that node k's aggregate is the sum of the
-local terms weighted by ``weights(k)``, whatever the protocol. A TAS aggregate
-is exactly ``tie_exact_aggregate`` of its weights. On general graphs the
-table must reproduce the old coverage dispatch (``trial_oracle``) bit for bit,
-except that a TAS aggregate need only be close to the oracle's payload sum;
-on trees and clustered deployments it must run the scheduled simulators,
-whose totals have closed forms.
+local terms weighted by ``weights(k)``, whatever the protocol: it is exactly
+the run's builder applied to the weights, ``tie_exact_aggregate`` for TAS
+and consensus (and, bit for bit, for ``local``, which builds its node's
+``local_aggregate``) and ``truncated_aggregate`` for the rest. On
+general graphs the table must reproduce the old coverage dispatch
+(``trial_oracle``) bit for bit, except that a TAS or consensus aggregate need
+only be close to the oracle's payload sum or stepped state; on trees and
+clustered deployments it must run the scheduled simulators, whose totals have
+closed forms. ``run_coverage`` runs the protocol once per trial and builds
+each distinct weight vector once per trial.
 """
 
 import numpy as np
@@ -50,13 +54,17 @@ def same_agg(a, b):
     return np.array_equal(a.vec, b.vec) and np.array_equal(a.mat, b.mat)
 
 
+TIE_EXACT = ("local", "tas", "consensus")  # the protocols with ``tie_exact_aggregate``'s bits
+BUILDERS = {"local": "local_aggregate", "tas": "tie_exact_aggregate", "consensus": "tie_exact_aggregate"}
+
+
 def assert_weighted_sum(run, protocol, samples, signs, k, r=None):
-    """Node k's aggregate at round r is the weighted sum of the local terms;
-    for TAS, exactly the tie-exact builder's."""
-    weights, agg = run.weights(k, r), run.aggregate(k, r)
+    """Node k's aggregate at round r is the weighted sum of the local terms,
+    and exactly its builder's."""
+    weights, agg = run.weights(k, r), run.aggregate(samples, signs, k, r)
     assert truncated_aggregate(samples, signs, weights).allclose(agg)
-    if protocol == "tas":
-        assert same_agg(agg, tie_exact_aggregate(samples, signs, weights))
+    build = tie_exact_aggregate if protocol in TIE_EXACT else truncated_aggregate
+    assert same_agg(agg, build(samples, signs, weights))
 
 
 @pytest.mark.parametrize("protocol", list(PROTOCOLS))
@@ -108,11 +116,12 @@ def test_table_matches_the_old_dispatch_on_general_graphs(kind, n_nodes, seed, r
             eff = run_consensus(bundle.graph, samples, signs, diff["iterations"], scheme).effective_weights()
         for k in nodes:
             c, agg = state[k]
-            if protocol == "tas":  # the oracle sums payloads; the table builds from the weights
-                assert run.aggregate(k).allclose(agg)
-                assert same_agg(run.aggregate(k), tie_exact_aggregate(samples, signs, run.weights(k)))
+            got = run.aggregate(samples, signs, k)
+            if protocol in ("tas", "consensus"):  # the oracle sums payloads or steps states
+                assert got.allclose(agg)
+                assert same_agg(got, tie_exact_aggregate(samples, signs, run.weights(k)))
             else:
-                assert same_agg(run.aggregate(k), agg)
+                assert same_agg(got, agg)
             if protocol == "consensus":
                 assert np.array_equal(run.weights(k), eff[k])
                 assert np.array_equal(np.clip(run.weights(k), 0.0, 1.0), c)
@@ -162,24 +171,48 @@ def test_aggregates_are_built_only_when_read(monkeypatch):
     bundle = bundle_for("rgg", 10, 3)
     samples, signs = data_for(bundle, 3)
     built = []
-    for name in ("batch_aggregate", "truncated_aggregate", "local_aggregate", "tie_exact_aggregate"):
+    for name in ("batch_aggregate", "truncated_aggregate", "tie_exact_aggregate", "local_aggregate"):
         original = getattr(experiments, name)
         monkeypatch.setattr(experiments, name,
                             lambda *a, _f=original, _n=name, **kw: built.append(_n) or _f(*a, **kw))
-    for protocol in ("full", "local", "pf", "mf", "tas"):
+    for protocol in PROTOCOLS:
         run_protocol(bundle, samples, signs, diffusion_cfg(protocol, 1))
     assert built == []
-    run = run_protocol(bundle, samples, signs, diffusion_cfg("full"))
-    assert all(run.aggregate(k) is run.aggregate(0) for k in range(10))
-    assert built == ["batch_aggregate"]  # once per run, not once per node
-    built.clear()
-    run = run_protocol(bundle, samples, signs, diffusion_cfg("mf", 1))
-    run.aggregate(3)
-    assert built == ["truncated_aggregate"]
-    built.clear()
-    run = run_protocol(bundle, samples, signs, diffusion_cfg("tas", 1))
-    run.aggregate(3)
-    assert built == ["tie_exact_aggregate"]
+    for protocol in PROTOCOLS:
+        run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, 1))
+        for k in (3, 3, 0):
+            run.aggregate(samples, signs, k)
+        assert built == [BUILDERS.get(protocol, "truncated_aggregate")] * 3, protocol  # once per read
+        built.clear()
+
+
+def test_coverage_runs_each_protocol_once_per_trial(monkeypatch):
+    """Each coverage trial is one deployment: it runs the protocol once and
+    builds each distinct weight vector once, so ``full`` builds one aggregate
+    for all nodes."""
+    calls = []
+    for name in ("run_pf", "run_mf", "run_tas", "run_consensus", "run_tas_tree", "run_mf_tree",
+                 "run_tas_clustered", "run_mf_clustered", "truncated_aggregate"):
+        original = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw))
+    cases = [("rgg", "pf", "run_pf"), ("rgg", "mf", "run_mf"), ("rgg", "tas", "run_tas"),
+             ("rgg", "consensus", "run_consensus"), ("tree", "tas", "run_tas_tree"),
+             ("binary", "mf", "run_mf_tree"), ("clustered", "tas", "run_tas_clustered"),
+             ("clustered", "mf", "run_mf_clustered"), ("rgg", "full", None)]
+    for kind, protocol, runner in cases:
+        config = experiments.ExperimentConfig({
+            "seed": 6, "trials": 5, "all_nodes": True,
+            "topology": {"kind": kind, "n_nodes": 12, "depth": 2, "n_clusters": 3},
+            "diffusion": {"protocol": protocol, "rounds": 2},
+        })
+        record = experiments.run_coverage(config)
+        assert sorted({row[0] for row in record.rows}) == list(range(5))
+        if runner is None:
+            assert calls == ["truncated_aggregate"] * 5, (kind, protocol)
+        else:
+            assert [c for c in calls if c != "truncated_aggregate"] == [runner] * 5, (kind, protocol)
+        calls.clear()
 
 
 def test_unknown_protocol_is_rejected():
@@ -200,12 +233,12 @@ def test_tas_wraps_up_only_the_requested_nodes(monkeypatch):
         calls.clear()
         run = run_protocol(bundle, samples, signs, diffusion_cfg("tas"))
         assert calls == []  # nothing is wrapped up until it is read
-        first = [(run.weights(k), run.aggregate(k)) for k in (5, 2)]
-        again = [(run.weights(k), run.aggregate(k)) for k in (2, 5)]
+        first = [(run.weights(k), run.aggregate(samples, signs, k)) for k in (5, 2)]
+        again = [(run.weights(k), run.aggregate(samples, signs, k)) for k in (2, 5)]
         assert calls == [(5, None), (2, None)]  # each node's final table, once, on its first read
         assert same_agg(first[0][1], again[1][1]) and same_agg(first[1][1], again[0][1])
         with pytest.raises(ValueError, match="not in the network"):
-            run.aggregate(bundle.graph.n_nodes)
+            run.aggregate(samples, signs, bundle.graph.n_nodes)
 
 
 @pytest.mark.parametrize("protocol", list(PROTOCOLS))
@@ -226,12 +259,12 @@ def test_every_round_reads_the_weighted_sum_of_local_terms(protocol, kind, n_nod
             with pytest.raises(ValueError, match="not run"):
                 run.weights(0, rnd)
             with pytest.raises(ValueError, match="not run"):
-                run.aggregate(0, rnd)
+                run.aggregate(samples, signs, 0, rnd)
     else:  # full and local ignore the round; flooding past its last round is final knowledge
         for k in range(n):
             assert np.array_equal(run.weights(k, later), run.weights(k))
-            assert same_agg(run.aggregate(k, later), run.aggregate(k))
+            assert same_agg(run.aggregate(samples, signs, k, later), run.aggregate(samples, signs, k))
     if protocol != "tas":  # TAS on a schedule delivers its last round after it sends
         for k in range(n):
             assert np.array_equal(run.weights(k, run.rounds), run.weights(k))
-            assert same_agg(run.aggregate(k, run.rounds), run.aggregate(k))
+            assert same_agg(run.aggregate(samples, signs, k, run.rounds), run.aggregate(samples, signs, k))

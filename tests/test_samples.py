@@ -1,9 +1,10 @@
 """Samples as arrays: the vectorised model and the batched local aggregates.
 
 ``generate_measurements`` builds every regressor row with column products
-and every measurement with one ``np.vecdot``; consensus builds all local
-aggregates with one broadcast product, and a TAS node's aggregate before it
-hears anything is ``tie_exact_aggregate`` of a one-hot weight vector. Region membership breaks exact ties
+and every measurement with one ``np.vecdot``; the test oracles build all
+local aggregates with one broadcast product, and a TAS node's aggregate
+before it hears anything, or a consensus node's before the first iteration,
+is ``tie_exact_aggregate`` of a (scaled) one-hot weight vector. Region membership breaks exact ties
 at random, so any last-bit change would move region cells: these tests hold
 both paths to the per-node oracle bit for bit. The ``vecdot`` equality rests
 on numpy rounding each row of ``vecdot`` as the 1-D ``phi @ p`` it replaced;
@@ -17,6 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import model_oracle  # noqa: E402
+from diffusion_oracle import local_aggregate_arrays  # noqa: E402
 from spsnet.diffusion import run_consensus, run_tas  # noqa: E402
 from spsnet.experiments import TopologyBundle, run_protocol  # noqa: E402
 from spsnet.model import (  # noqa: E402
@@ -27,7 +29,7 @@ from spsnet.model import (  # noqa: E402
     generate_measurements,
 )
 from spsnet.rng import substream  # noqa: E402
-from spsnet.sps import draw_sign_matrix, local_aggregate, local_aggregate_arrays, tie_exact_aggregate  # noqa: E402
+from spsnet.sps import draw_sign_matrix, local_aggregate, tie_exact_aggregate  # noqa: E402
 from spsnet.topology import clustered, random_geometric, spanning_tree  # noqa: E402
 
 
@@ -86,7 +88,7 @@ def test_batched_locals_equal_local_aggregate(seed, n_nodes, n_p, m):
     res = run_consensus(graph, samples, signs, iterations=0)
     for k in range(n_nodes):
         one = local_aggregate(samples, k, signs.column(k))
-        state = res.state(k, 0)
+        state = tie_exact_aggregate(samples, signs, res.effective_weights(0)[k])
         assert np.array_equal(state.vec, n_nodes * one.vec) and np.array_equal(state.mat, n_nodes * one.mat)
 
 
@@ -109,7 +111,7 @@ def test_local_payloads_share_no_memory():
     }
     for name, (bundle, first) in runs.items():
         run = run_protocol(bundle, samples, signs, {"protocol": "tas", "rounds": 0})
-        payloads = [run.aggregate(k, first) for k in range(12)]
+        payloads = [run.aggregate(samples, signs, k, first) for k in range(12)]
         for k, target in enumerate(payloads):
             one = local_aggregate(samples, k, signs.column(k))
             assert np.array_equal(target.vec, one.vec) and np.array_equal(target.mat, one.mat), name
@@ -119,7 +121,7 @@ def test_local_payloads_share_no_memory():
         before = [(p.vec.copy(), p.mat.copy()) for p in payloads]
         # adding into one node's payload leaves every other node's, and a new read, unchanged
         payloads[4].vec += payloads[4].vec
-        assert np.array_equal(run.aggregate(4, first).vec, before[4][0]), name
+        assert np.array_equal(run.aggregate(samples, signs, 4, first).vec, before[4][0]), name
         for k, p in enumerate(payloads):
             if k == 4:
                 assert np.array_equal(p.vec, 2 * before[k][0]), name

@@ -7,7 +7,7 @@ aggregate is then ``tie_exact_aggregate`` of its weights, which keeps a sign
 row that equals +-row 0 on the weighted nodes an exact +-copy of row 0, so
 the tie between Z_j and Z_0 goes to the tie-break and not to rounding. The
 benchmark's trade-off reference stores such ties, and the replay below checks
-that TAS reproduces them.
+that TAS, and consensus built the same way from its weights, reproduce them.
 """
 
 import importlib.util
@@ -97,12 +97,15 @@ def load_workloads(monkeypatch):
 def test_tas_rows_replay_the_tradeoff_reference(round_, tmp_path, monkeypatch):
     """Rounds 2 and 4 of the stored trade-off reference hold TAS reads whose
     ties a matrix-product aggregate breaks; built from the weights, every
-    ``tas`` row passes the benchmark's own reference comparison."""
+    ``tas`` row passes the benchmark's own reference comparison, and so does
+    every consensus row, built from N * W^t."""
     workloads = load_workloads(monkeypatch)
     workload = workloads.Tradeoff()
     reference = json.loads((workloads.REFERENCE_DIR / f"{workload.name}.json").read_text())
     assert reference["workload_seed"] == 1
     (config,) = workload.build(reference["workload_seed"], round_, str(tmp_path))
-    rows = [row for row in run_tradeoff(config).rows if row[0] == "tas"]
-    ref_rows = [row for row in reference["rounds"][round_] if row[0] == "tas"]
-    assert rows and workload.compare_reference(rows, ref_rows) == []
+    record = run_tradeoff(config)
+    for protocol in ("tas", "consensus-metropolis", "consensus-perron"):
+        rows = [row for row in record.rows if row[0] == protocol]
+        ref_rows = [row for row in reference["rounds"][round_] if row[0] == protocol]
+        assert rows and workload.compare_reference(rows, ref_rows) == [], protocol

@@ -1,10 +1,11 @@
 """The trade-off study reads every protocol through the protocol table, node k
-at round r, and consensus steps its states only when they are read.
+at round r, and consensus steps its weights N * W^t only when they are read.
 
 ``tradeoff_oracle`` keeps the study's old three read loops and the eager
-consensus loop with its snapshots; the package must equal both bit for bit.
-Its TAS reads come from the eager payload-carrying runner, whose payload sums
-must be close to the aggregates built from the weights.
+consensus loop with its snapshots; the package's record and consensus weights
+must equal them bit for bit. Its TAS reads come from the eager
+payload-carrying runner, and its consensus states are stepped through the
+data; both must be close to the aggregates built from the weights.
 The traffic log keeps per-round totals, which must equal a scan of its events.
 """
 
@@ -24,7 +25,7 @@ from spsnet.diffusion import CONSENSUS_SCHEMES, TrafficLog, run_consensus  # noq
 from spsnet.experiments import ExperimentConfig, run_tradeoff  # noqa: E402
 from spsnet.model import FieldConfig, NoiseSpec, generate_measurements  # noqa: E402
 from spsnet.rng import substream  # noqa: E402
-from spsnet.sps import draw_sign_matrix  # noqa: E402
+from spsnet.sps import draw_sign_matrix, tie_exact_aggregate  # noqa: E402
 from spsnet.topology import random_geometric  # noqa: E402
 
 
@@ -48,11 +49,11 @@ def tradeoff_config(seed, n_nodes, n_p, m, grid, n_seeds, node_sample, rounds, m
 def test_tradeoff_equals_the_three_loop_oracle(seed, n_nodes, n_p, m, grid, n_seeds, node_sample, rounds,
                                                max_iterations, mf_lengths_differ):
     config = tradeoff_config(seed, n_nodes, n_p, m, grid, n_seeds, node_sample, rounds, max_iterations)
-    expected, curves, tas_reads = tradeoff_oracle.run_tradeoff(config)
+    expected, curves, reads = tradeoff_oracle.run_tradeoff(config)
     # the step extension of shorter curves runs when MF curves differ in length
     assert (len({len(c) for c in curves["mf"]}) > 1) == mf_lengths_differ
     assert run_tradeoff(config).to_json_dict() == expected.to_json_dict()
-    assert tas_reads and all(agg.allclose(payload_sum) for agg, payload_sum in tas_reads)
+    assert reads and all(agg.allclose(eager) for agg, eager in reads)
 
 
 def consensus_case(seed, n_nodes, n_p=2, m=3):
@@ -65,7 +66,9 @@ def consensus_case(seed, n_nodes, n_p=2, m=3):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(0, 9), st.sampled_from(CONSENSUS_SCHEMES),
        st.data())
-def test_consensus_states_equal_the_eager_loop_in_any_read_order(seed, n_nodes, iterations, scheme, data):
+def test_consensus_weights_equal_the_eager_loop_in_any_read_order(seed, n_nodes, iterations, scheme, data):
+    """Weights equal the eager W^t bit for bit; the aggregates they build are
+    close to the states the eager loop steps through the data."""
     graph, samples, signs = consensus_case(seed, n_nodes)
     eager = tradeoff_oracle.eager_consensus(graph, samples, signs, iterations, scheme,
                                             snapshot_iters=range(iterations + 1))
@@ -73,8 +76,9 @@ def test_consensus_states_equal_the_eager_loop_in_any_read_order(seed, n_nodes, 
     reads = [(t, k) for t in range(iterations + 1) for k in range(n_nodes)]
     reads = data.draw(st.permutations(reads)) + [(iterations, 0), (0, n_nodes - 1), (None, 1)]
     for t, k in reads:
-        got, want = res.state(k, t), eager.state(k, t)
-        assert np.array_equal(got.vec, want.vec) and np.array_equal(got.mat, want.mat)
+        got = res.effective_weights(t)[k]
+        assert np.array_equal(got, eager.weights(t)[k])
+        assert tie_exact_aggregate(samples, signs, got).allclose(eager.state(k, t))
 
 
 def test_reads_in_iteration_order_step_each_iteration_once(monkeypatch):
@@ -84,14 +88,13 @@ def test_reads_in_iteration_order_step_each_iteration_once(monkeypatch):
     einsum = np.einsum
     monkeypatch.setattr(np, "einsum", lambda *a, **kw: steps.append(a[0]) or einsum(*a, **kw))
     for t in (0, 3, 3, 7, 12):
-        for k in range(9):
-            res.state(k, t)
-    res.state(4)
-    assert len(steps) == 2 * 12
-    res.state(0, 2)  # an earlier iteration restarts from the starting states
-    assert len(steps) == 2 * 14
+        res.effective_weights(t)
+    res.effective_weights()
+    assert steps == ["kj,ji->ki"] * 12
+    res.effective_weights(2)  # an earlier iteration restarts from the identity
+    assert len(steps) == 14
     with pytest.raises(ValueError, match="not run"):
-        res.state(0, 13)
+        res.effective_weights(13)
 
 
 def scanned_csv(protocol, n_nodes, events) -> bytes:

@@ -1,16 +1,17 @@
 """The trade-off study and the consensus runner as the package first wrote them.
 
 The package now reads every protocol of the trade-off study through the
-protocol table, node k at round r, in one loop, and steps consensus states
-only when they are read. These oracles keep the old shape: ``run_tradeoff``
-reads MF knowledge, TAS wrap-ups and consensus snapshots in three loops of
-their own, and ``eager_consensus`` steps every node through every iteration
-up front and copies the states it was told to keep. TAS comes from the eager
-runner in ``diffusion_oracle``, which carries payloads: a read's region is
-evaluated on ``tie_exact_aggregate`` of the oracle's weights, as the package
-does, and the oracle's payload sum is returned next to it for the test to
-compare. Tests require the package's record and every consensus state to
-equal these bit for bit.
+protocol table, node k at round r, in one loop, and builds every consensus
+aggregate from the weights N * W^t, stepped only when they are read. These
+oracles keep the old shape: ``run_tradeoff`` reads MF knowledge, TAS wrap-ups
+and consensus snapshots in three loops of their own, and ``eager_consensus``
+steps every node's state, and W^t, through every iteration up front and
+copies the ones it was told to keep. TAS comes from the eager runner in
+``diffusion_oracle``, which carries payloads. A TAS or consensus read's region
+is evaluated on ``tie_exact_aggregate`` of the oracle's weights, as the
+package does, and the oracle's payload sum or stepped state is returned next
+to it for the test to compare. Tests require the package's record and every
+consensus weight to equal these bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from spsnet.sps import (
     AggregateSums,
     batch_aggregate,
     draw_sign_matrix,
-    local_aggregate_arrays,
     tie_exact_aggregate,
     truncated_aggregate,
 )
@@ -34,40 +34,47 @@ from spsnet.topology import diameter, random_geometric
 
 
 class EagerConsensus:
-    """Every state the run was told to keep, and the final one."""
+    """Every state and weight matrix N * W^t the run was told to keep, and the
+    final ones."""
 
-    def __init__(self, vec, mat, iterations, snapshots):
-        self.vec, self.mat, self.iterations, self.snapshots = vec, mat, iterations, snapshots
+    def __init__(self, vec, mat, power, iterations, snapshots):
+        self.vec, self.mat, self.power, self.iterations, self.snapshots = vec, mat, power, iterations, snapshots
 
     def state(self, k: int, iteration: int | None = None) -> AggregateSums:
         if iteration is None:
             return AggregateSums(self.vec[k].copy(), self.mat[k].copy())
-        v, m = self.snapshots[iteration]
+        v, m, _ = self.snapshots[iteration]
         return AggregateSums(v[k].copy(), m[k].copy())
+
+    def weights(self, iteration: int | None = None) -> np.ndarray:
+        power = self.power if iteration is None else self.snapshots[iteration][2]
+        return len(power) * power
 
 
 def eager_consensus(graph, samples, signs, iterations, scheme="metropolis", snapshot_iters=()) -> EagerConsensus:
-    """Step all states from N times the local aggregates through every
-    iteration, copying the states at ``snapshot_iters``."""
+    """Step all states from N times the local aggregates, and W^t from the
+    identity, through every iteration, copying both at ``snapshot_iters``."""
     n = graph.n_nodes
     w = consensus_weights(graph, scheme)
-    vec, mat = local_aggregate_arrays(samples, signs)
-    vec, mat = n * vec, n * mat
+    vec, mat = diffusion_oracle.local_aggregate_arrays(samples, signs)
+    vec, mat, power = n * vec, n * mat, np.eye(n)
     wanted = set(int(t) for t in snapshot_iters)
     snapshots = {}
     if 0 in wanted:
-        snapshots[0] = (vec.copy(), mat.copy())
+        snapshots[0] = (vec.copy(), mat.copy(), power.copy())
     for t in range(1, iterations + 1):
         vec = np.einsum("kj,jab->kab", w, vec)
         mat = np.einsum("kj,jabc->kabc", w, mat)
+        power = np.einsum("kj,ji->ki", w, power)
         if t in wanted:
-            snapshots[t] = (vec.copy(), mat.copy())
-    return EagerConsensus(vec, mat, iterations, snapshots)
+            snapshots[t] = (vec.copy(), mat.copy(), power.copy())
+    return EagerConsensus(vec, mat, power, iterations, snapshots)
 
 
 def run_tradeoff(config):
     """The three-loop study: (record, per-seed curves by protocol, and every
-    TAS read as (aggregate built from the weights, eager payload sum))."""
+    TAS and consensus read as (aggregate built from the weights, eager payload
+    sum or stepped state)."""
     seed = config.seed
     tcfg = config.topology()
     n = int(tcfg["n_nodes"])
@@ -81,7 +88,7 @@ def run_tradeoff(config):
 
     curves = {"mf": [], "tas": [], "consensus-metropolis": [], "consensus-perron": []}
     full_volumes = []
-    tas_reads = []
+    reads = []
 
     for s in range(n_seeds):
         graph = random_geometric(n, substream(seed, "topology", s), radius=tcfg.get("radius"))
@@ -117,7 +124,7 @@ def run_tradeoff(config):
             vols = []
             for k in sample_nodes:
                 agg = tie_exact_aggregate(samples, signs, weights[k])
-                tas_reads.append((agg, payload_sums[k]))
+                reads.append((agg, payload_sums[k]))
                 vols.append(_region_volume(agg, region, q, derive_seed(seed, "rt", s, "tas", r, k)))
             scal = tas.traffic.total_through_round(r) / n
             curve.append((r, float(scal), float(np.mean(vols))))
@@ -127,10 +134,11 @@ def run_tradeoff(config):
             res = eager_consensus(graph, samples, signs, checkpoints[-1], scheme, snapshot_iters=checkpoints)
             curve = []
             for t in checkpoints:
-                vols = [
-                    _region_volume(res.state(k, t), region, q, derive_seed(seed, "rt", s, scheme, t, k))
-                    for k in sample_nodes
-                ]
+                vols = []
+                for k in sample_nodes:
+                    agg = tie_exact_aggregate(samples, signs, res.weights(t)[k])
+                    reads.append((agg, res.state(k, t)))
+                    vols.append(_region_volume(agg, region, q, derive_seed(seed, "rt", s, scheme, t, k)))
                 curve.append((t, float(t * d_agg), float(np.mean(vols))))
             curves[f"consensus-{scheme}"].append(curve)
 
@@ -196,4 +204,4 @@ def run_tradeoff(config):
         summary=summary,
         config_hash=config.config_hash,
     )
-    return record, curves, tas_reads
+    return record, curves, reads

@@ -11,8 +11,9 @@ Tests require the table to reproduce it bit for bit on general graphs. Two
 differences are on purpose: the oracle reports consensus weights clipped into
 [0, 1], while the consensus state is the sum weighted by the unclipped
 N * W^t, and the table reports the unclipped weights; and a TAS aggregate
-here is the eager payload sum, while the table builds it from the weights
-with ``tie_exact_aggregate``, so the two agree only within rounding.
+here is the eager payload sum, and a consensus aggregate the state stepped
+through the data, while the table builds both from the weights with
+``tie_exact_aggregate``, so they agree only within rounding.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 import diffusion_oracle
+import tradeoff_oracle
 from spsnet.diffusion import run_consensus
 from spsnet.sps import batch_aggregate, local_aggregate, truncated_aggregate
 
@@ -52,7 +54,8 @@ def trial_state(protocol, graph, samples, signs, diff, nodes):
         return out, res.rounds_run, res.traffic
     if protocol == "consensus":
         res = run_consensus(graph, samples, signs, iterations=diff["iterations"], scheme=diff["scheme"])
-        eff = res.effective_weights()
-        out = {k: (np.clip(eff[k], 0.0, 1.0), res.state(k)) for k in nodes}
+        eager = tradeoff_oracle.eager_consensus(graph, samples, signs, diff["iterations"], diff["scheme"])
+        eff = eager.weights()
+        out = {k: (np.clip(eff[k], 0.0, 1.0), eager.state(k)) for k in nodes}
         return out, res.iterations, res.traffic
     raise ValueError(f"unknown protocol {protocol!r}")
