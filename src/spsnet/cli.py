@@ -36,7 +36,7 @@ from .experiments import (
     run_tradeoff,
     simulate,
 )
-from .topology import diameter, save_topology
+from .topology import ConnectivityError, diameter, save_topology
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -325,11 +325,12 @@ def _cmd_traffic_predict(args) -> int:
 
 
 def _user_errors() -> tuple[type[Exception], ...]:
-    """The errors ``main`` reports as ``error: ...``. A config validation
-    error can only come from a loaded ``jsonschema``, so a command that loads
-    no config never imports it."""
+    """The errors ``main`` reports as ``error: ...``, among them a random
+    deployment that does not connect. A config validation error can only come
+    from a loaded ``jsonschema``, so a command that loads no config never
+    imports it."""
     schema = sys.modules.get("jsonschema")
-    return (ValueError, KeyError, OSError) + ((schema.ValidationError,) if schema else ())
+    return (ValueError, KeyError, OSError, ConnectivityError) + ((schema.ValidationError,) if schema else ())
 
 
 def main(argv=None) -> int:

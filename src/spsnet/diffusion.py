@@ -52,15 +52,15 @@ each receiver hears a stage's senders in id order, and a stage's messages
 are delivered before the next stage starts.
 
 A finished run answers for any node and round after the fact, so nothing is
-asked for in advance. ``MfResult.known_after(r)`` is the knowledge after round
-r is delivered (a round past the last one gives the final knowledge),
-unpacked from the per-node masks the run keeps for each round.
-``TasResult.wrapup(k, r)`` wraps up node k's table as round r sends, before
-that round is delivered: tag tables only grow, so that table is a prefix of
-the final one, and the run records each table's row count per round. Nothing
-is wrapped up until it is read. ``ConsensusResult.effective_weights(t)`` is
-N * W^t, whose row k is node k's weights after iteration t, stepped from the
-identity only when it is read.
+asked for in advance. Every result has one read, ``weights(k, r)``, node k's
+weight vector c at round r (None: the end of the run), and a ``rounds_run``.
+``MfResult`` unpacks node k's mask of the knowledge after round r is
+delivered (a round past the last one gives the final knowledge).
+``TasResult`` wraps up node k's table as round r sends, before that round is
+delivered: tag tables only grow, so that table is a prefix of the final one,
+and the run records each table's row count per round. Nothing is wrapped up
+until it is read, and each prefix once. ``ConsensusResult`` gives row k of
+N * W^t after iteration t, stepped from the identity only when it is read.
 
 No run reads the data, only their shapes. A TAS message's payload is the sum
 of the local aggregates its tag names, so distillation, aggregation and
@@ -80,7 +80,7 @@ import numpy as np
 
 from .lp import LpProblem, solve_lp
 from .model import Samples
-from .sps import SignMatrix, WrapUpWeights
+from .sps import SignMatrix
 from .topology import ClusteredTopology, DisconnectedGraphError, Graph, TreeTopology, diameter
 
 
@@ -167,6 +167,11 @@ class TagRow:
     merged: bool = False
 
 
+def _check_node(k: int, n_nodes: int) -> None:
+    if not 0 <= k < n_nodes:
+        raise ValueError(f"node {k} is not in the network")
+
+
 def _unpack(masks, n_nodes: int) -> np.ndarray:
     """0/1 uint8 matrix with one row per bitmask: column i is bit i."""
     nbytes = (n_nodes + 7) // 8
@@ -207,7 +212,6 @@ class TagTable:
         self.covered = 1 << owner
         self.disjoint = True
         self._tags = {1 << owner}
-        self._wrapup: tuple[bytes, np.ndarray | None] = (b"", None)  # last (tag matrix bytes, b)
 
     def append(self, tag, payload=None) -> TagRow:
         if not isinstance(tag, int):
@@ -295,33 +299,28 @@ def _complete_message(table: TagTable) -> int:
     return table.covered
 
 
-def tas_wrapup(table: TagTable, n_rows: int | None = None) -> WrapUpWeights:
-    """Turn a table, or its first ``n_rows`` rows, into per-node weights.
+def tas_wrapup(table: TagTable, n_rows: int | None = None) -> np.ndarray:
+    """The per-node weights c of a table, or of its first ``n_rows`` rows.
 
     When those rows' tags are pairwise disjoint every row is used with
     coefficient one, so covered nodes get weight exactly 1 (all ones when the
     rows span the network); c is then unpacked from the covered mask without
-    building a tag matrix. Overlapping tags are resolved by the wrap-up LP;
-    the resulting weights are clamped into [0, 1] at tolerance 1e-9 and
-    values within 1e-9 of 0 or 1 are snapped exact. The coefficients b depend
-    on the tag matrix alone: the table keeps the last (tag matrix, read-only
-    b) pair and reuses b while the tag matrix it is asked for is unchanged.
+    building a tag matrix. Overlapping tags are resolved by the wrap-up LP,
+    solved afresh on every call; values within 1e-9 of 0 or 1 are snapped
+    exact, and a weight further than 1e-9 outside [0, 1] raises ValueError.
     """
     rows = table.rows[:n_rows]
     covered, disjoint = _cover(rows)
     if disjoint:
-        return WrapUpWeights(_unpack([covered], table.n_nodes)[0].astype(float))
-    tags = _unpack([row.tag for row in rows], table.n_nodes)
-    key = tags.tobytes()
-    tagmat = tags.astype(float)
-    if table._wrapup[0] != key:
-        b, _ = solve_lp(LpProblem(tagmat))
-        b.flags.writeable = False
-        table._wrapup = (key, b)
-    c = table._wrapup[1] @ tagmat
+        return _unpack([covered], table.n_nodes)[0].astype(float)
+    tagmat = _unpack([row.tag for row in rows], table.n_nodes).astype(float)
+    b, _ = solve_lp(LpProblem(tagmat))
+    c = b @ tagmat
     c[np.abs(c) <= 1e-9] = 0.0
     c[np.abs(c - 1.0) <= 1e-9] = 1.0
-    return WrapUpWeights(c)
+    if np.any(c < 0.0) or np.any(c > 1.0):
+        raise ValueError("wrap-up weights must lie in [0, 1] (within 1e-9)")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +330,24 @@ def tas_wrapup(table: TagTable, n_rows: int | None = None) -> WrapUpWeights:
 @dataclass(eq=False)
 class MfResult:
     """A flooding run: ``masks[r][k]``, an ``int`` bitmask like a TAS tag, has
-    bit i set when node k holds node i's record after round r is delivered."""
+    bit i set when node k holds node i's record after round r is delivered.
+
+    Knowledge with no rounds is one list of masks: ``full`` is every node
+    knowing every record, ``local`` every node knowing its own.
+    """
 
     masks: list[list[int]]
     traffic: TrafficLog
     rounds_run: int
 
-    def known_after(self, rnd: int | None = None) -> np.ndarray:
-        """Who knows which record after round ``rnd`` (0: own records only),
-        as (N, N) bools; None or a round past the last gives the final state."""
+    def weights(self, k: int, rnd: int | None = None) -> np.ndarray:
+        """Node k's 0/1 weights after round ``rnd`` (0: its own record only);
+        None or a round past the last gives the final knowledge."""
         if rnd is not None and rnd < 0:
             raise ValueError(f"round {rnd} was not run")
         masks = self.masks[self.rounds_run if rnd is None else min(rnd, self.rounds_run)]
-        return _unpack(masks, len(masks)).view(bool)
+        _check_node(k, len(masks))
+        return _unpack([masks[k]], len(masks))[0].astype(float)
 
     @property
     def completion_round(self) -> int | None:
@@ -443,15 +447,26 @@ class TasResult:
     traffic: TrafficLog
     rounds_run: int
     row_counts: dict[int, list[int]]
+    _weights: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
-    def wrapup(self, k: int, rnd: int | None = None) -> WrapUpWeights:
-        """Node k's weights as round ``rnd`` sends, before it is delivered;
-        from the whole table when ``rnd`` is None."""
-        if not 0 <= k < len(self.tables):
-            raise ValueError(f"node {k} is not in the network")
+    def weights(self, k: int, rnd: int | None = None) -> np.ndarray:
+        """Node k's wrap-up weights as round ``rnd`` sends, before it is
+        delivered; from the whole table when ``rnd`` is None.
+
+        The read-only c is kept per (node, row count): tables only grow and
+        tags never repeat, so a prefix length fixes the tag matrix, and a
+        round in which the table did not grow solves no LP.
+        """
+        _check_node(k, len(self.tables))
         if rnd is not None and rnd not in self.row_counts:
             raise ValueError(f"round {rnd} was not run")
-        return tas_wrapup(self.tables[k], None if rnd is None else self.row_counts[rnd][k])
+        table = self.tables[k]
+        key = (k, len(table.rows) if rnd is None else self.row_counts[rnd][k])
+        if key not in self._weights:
+            c = tas_wrapup(table, key[1])
+            c.flags.writeable = False
+            self._weights[key] = c
+        return self._weights[key]
 
 
 def _local_row(table: TagTable) -> int:
@@ -579,36 +594,39 @@ def consensus_weights(graph: Graph, scheme: str = "metropolis") -> np.ndarray:
 
 @dataclass(eq=False)
 class ConsensusResult:
-    """A consensus run, read on demand: ``effective_weights(t)`` is N * W^t,
-    whose row k is node k's weight vector after iteration t (the last one
-    when t is None).
+    """A consensus run, read on demand: ``weights(k, t)`` is row k of
+    N * W^t, node k's weight vector after iteration t (the last one when t is
+    None).
 
-    W^t is stepped only when read, from one cursor ``(t, W^t)``: a read steps
-    the cursor forward with one ``einsum`` per iteration, and a read before
-    the cursor restarts it from the identity. Reads in iteration order
-    therefore step each iteration once. No BLAS call is made, so the bits do
-    not depend on the kernel OpenBLAS picks for the CPU. An iteration that was
-    not run raises ValueError.
+    W^t is stepped only when read, from one cursor ``(t, W^t, N * W^t)``: a
+    read at the cursor's t costs one row, a later read steps the cursor
+    forward with one ``einsum`` per iteration, and an earlier one restarts it
+    from the identity. Reads in iteration order therefore step each iteration
+    once. No BLAS call is made, so the bits do not depend on the kernel
+    OpenBLAS picks for the CPU. An iteration that was not run raises
+    ValueError.
     """
 
     mixing: np.ndarray
     traffic: TrafficLog
-    iterations: int
-    _cursor: tuple[int, np.ndarray] | None = field(default=None, init=False, repr=False)
+    rounds_run: int
+    _cursor: tuple[int, np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
-    def effective_weights(self, iteration: int | None = None) -> np.ndarray:
-        """c[k, i] = N * (W^t)[k, i], the weight of node i's data at node k."""
-        t = self.iterations if iteration is None else iteration
-        if not 0 <= t <= self.iterations:
+    def weights(self, k: int, iteration: int | None = None) -> np.ndarray:
+        """c[i] = N * (W^t)[k, i], the weight of node i's data at node k; read-only."""
+        t = self.rounds_run if iteration is None else iteration
+        if not 0 <= t <= self.rounds_run:
             raise ValueError(f"iteration {t} was not run")
         n = self.mixing.shape[0]
-        if self._cursor is None or self._cursor[0] > t:
-            self._cursor = (0, np.eye(n))
-        i, power = self._cursor
-        for _ in range(t - i):
-            power = np.einsum("kj,ji->ki", self.mixing, power)
-        self._cursor = (t, power)
-        return n * power
+        _check_node(k, n)
+        if self._cursor is None or self._cursor[0] != t:
+            i, power = (0, np.eye(n)) if self._cursor is None or self._cursor[0] > t else self._cursor[:2]
+            for _ in range(t - i):
+                power = np.einsum("kj,ji->ki", self.mixing, power)
+            scaled = n * power
+            scaled.flags.writeable = False
+            self._cursor = (t, power, scaled)
+        return self._cursor[2][k]
 
 
 def run_consensus(graph: Graph, samples, signs: SignMatrix, iterations: int,
@@ -620,7 +638,7 @@ def run_consensus(graph: Graph, samples, signs: SignMatrix, iterations: int,
     every iteration: traffic after t iterations is exactly t * N aggregate
     payloads, logged as one event per node per iteration. The run builds the
     mixing matrix and logs the traffic; node k's state after iteration t is
-    the aggregate with weights N * (W^t)[k, :], which the result gives.
+    the aggregate with weights N * (W^t)[k, :], which ``weights(k, t)`` gives.
     """
     n = graph.n_nodes
     _check_samples(samples, n)

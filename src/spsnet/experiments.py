@@ -24,6 +24,7 @@ import numpy as np
 from .analysis import traffic_mf_tree, traffic_tas_tree
 from .diffusion import (
     CONSENSUS_SCHEMES,
+    MfResult,
     TrafficLog,
     payload_sizes,
     run_consensus,
@@ -38,6 +39,7 @@ from .diffusion import (
 from .model import FieldConfig, NoiseSpec, Samples, generate_measurements
 from .rng import derive_seed, substream
 from .sps import (
+    MAX_GRID_DIM,
     AggregateSums,
     RegionResult,
     SignMatrix,
@@ -307,9 +309,9 @@ def build_topology(seed: int, tcfg: dict) -> TopologyBundle:
 @dataclass(eq=False)
 class ProtocolRun:
     """One protocol run as the SPS test sees it: ``weights(k, r)`` is node k's
-    weight vector c at round r, ``builder`` turns a data draw and c into the
-    c-weighted aggregate sums, and ``traffic`` is empty for ``full`` and
-    ``local``, which ignore r.
+    weight vector c at round r, the run result's own read; ``builder`` turns a
+    data draw and c into the c-weighted aggregate sums, and ``traffic`` is
+    empty for ``full`` and ``local``, which have no rounds.
 
     ``r=None`` reads the end of the run. PF and MF read the knowledge after
     round r is delivered (a round past the last one gives the final
@@ -339,21 +341,16 @@ def _own_aggregate(samples, signs, c):
 
 def _full(bundle, samples, signs, diff):
     n = bundle.graph.n_nodes
-    return ProtocolRun(lambda k, r=None: np.ones(n), truncated_aggregate, 0, TrafficLog("full", n))
+    return MfResult([[(1 << n) - 1] * n], TrafficLog("full", n), 0), truncated_aggregate
 
 
 def _local(bundle, samples, signs, diff):
     n = bundle.graph.n_nodes
-    return ProtocolRun(lambda k, r=None: np.eye(n)[k], _own_aggregate, 0, TrafficLog("local", n))
-
-
-def _knowledge(res):
-    return ProtocolRun(lambda k, r=None: res.known_after(r)[k].astype(float), truncated_aggregate,
-                       res.rounds_run, res.traffic)
+    return MfResult([[1 << k for k in range(n)]], TrafficLog("local", n), 0), _own_aggregate
 
 
 def _pf(bundle, samples, signs, diff):
-    return _knowledge(run_pf(bundle.graph, samples, max_rounds=diff["rounds"]))
+    return run_pf(bundle.graph, samples, max_rounds=diff["rounds"]), truncated_aggregate
 
 
 def _mf(bundle, samples, signs, diff):
@@ -363,7 +360,7 @@ def _mf(bundle, samples, signs, diff):
         res = run_mf_clustered(bundle.clusters, samples)
     else:
         res = run_mf(bundle.graph, samples, max_rounds=diff["rounds"])
-    return _knowledge(res)
+    return res, truncated_aggregate
 
 
 def _tas(bundle, samples, signs, diff):
@@ -373,34 +370,36 @@ def _tas(bundle, samples, signs, diff):
         res = run_tas_clustered(bundle.clusters, samples, signs)
     else:
         res = run_tas(bundle.graph, samples, signs, rounds=diff["rounds"])
-    wrapup = functools.cache(res.wrapup)  # each (node, round) is wrapped up once, when first read
-    return ProtocolRun(lambda k, r=None: wrapup(k, r).c, tie_exact_aggregate, res.rounds_run, res.traffic)
+    return res, tie_exact_aggregate
 
 
 def _consensus(bundle, samples, signs, diff):
     res = run_consensus(bundle.graph, samples, signs, iterations=diff["iterations"], scheme=diff["scheme"])
-    weights = functools.cache(res.effective_weights)  # N * W^r, once per round read
-    return ProtocolRun(lambda k, r=None: weights(r)[k], tie_exact_aggregate, res.iterations, res.traffic)
+    return res, tie_exact_aggregate
 
 
-# Entries look their runners up by module-level name at call time, so a
-# patched module binding (as a tracer installs) reaches every protocol.
+# Each entry runs its protocol and returns (result, builder of its aggregates).
+# Entries look their runners and builders up by module-level name at call
+# time, so a patched module binding (as a tracer installs) reaches every
+# protocol.
 PROTOCOLS = {"full": _full, "local": _local, "pf": _pf, "mf": _mf, "tas": _tas, "consensus": _consensus}
 
 
 def run_protocol(bundle: TopologyBundle, samples: Samples, signs: SignMatrix, diff: dict) -> ProtocolRun:
     """Run the protocol ``diff["protocol"]`` names on one data draw, which
-    only sizes the payloads.
+    only sizes the payloads, and hand the SPS test its result's
+    ``weights``, ``rounds_run`` and ``traffic`` with the protocol's builder.
 
     On tree and binary bundles MF and TAS run the tree's schedule, on
     clustered bundles the clusters' one, and ``diffusion.rounds`` is ignored.
     Every other case runs the general-graph runner. TAS wraps up a node's
-    table on the first read of its weights.
+    table on the first read of its weights at a round.
     """
     protocol = diff["protocol"]
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    return PROTOCOLS[protocol](bundle, samples, signs, diff)
+    res, builder = PROTOCOLS[protocol](bundle, samples, signs, diff)
+    return ProtocolRun(res.weights, builder, res.rounds_run, res.traffic)
 
 
 def simulate(config: ExperimentConfig) -> tuple[ProtocolRun, Samples, SignMatrix]:
@@ -531,8 +530,8 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
     tcfg = config.topology()
     n = int(tcfg["n_nodes"])
     fc = config.field_config()
-    if fc.n_p > 3:
-        raise ValueError("trade-off study evaluates regions; n_p must be at most 3")
+    if fc.n_p > MAX_GRID_DIM:
+        raise ValueError(f"trade-off study evaluates regions; n_p must be at most {MAX_GRID_DIM}")
     m, q = config.sps_params()
     region = config.region_params(fc.p_true)
     pars = config.tradeoff_params()

@@ -132,9 +132,9 @@ def local_aggregate(samples: Samples, node: int, sign_column) -> AggregateSums:
 
 
 def _checked_weights(samples: Samples, signs: SignMatrix, weights) -> np.ndarray:
-    """The weight vector c of ``weights`` (an array or WrapUpWeights), checked
-    against the number of samples and the sign matrix width."""
-    c = np.asarray(getattr(weights, "c", weights), dtype=float)
+    """The weight vector c as a float array, checked against the number of
+    samples and the sign matrix width."""
+    c = np.asarray(weights, dtype=float)
     n = len(samples)
     if c.shape != (n,):
         raise ValueError(f"weights must have shape ({n},)")
@@ -146,9 +146,9 @@ def _checked_weights(samples: Samples, signs: SignMatrix, weights) -> np.ndarray
 def truncated_aggregate(samples: Samples, signs: SignMatrix, weights) -> AggregateSums:
     """Weighted aggregate with per-node weights c_i.
 
-    ``weights`` is a length-N array (or WrapUpWeights); all-ones reproduces the
-    complete-data aggregate, a one-hot vector reproduces one node's local
-    aggregate, zeros give the degenerate zero payload.
+    ``weights`` is a length-N array; all-ones reproduces the complete-data
+    aggregate, a one-hot vector reproduces one node's local aggregate, zeros
+    give the degenerate zero payload.
     """
     c = _checked_weights(samples, signs, weights)
     phi, y = samples.phi, samples.y
@@ -180,27 +180,6 @@ def tie_exact_aggregate(samples: Samples, signs: SignMatrix, weights) -> Aggrega
 def batch_aggregate(samples: Samples, signs: SignMatrix) -> AggregateSums:
     """Complete-data aggregate (all weights one)."""
     return truncated_aggregate(samples, signs, np.ones(len(samples)))
-
-
-@dataclass(eq=False)
-class WrapUpWeights:
-    """Per-node contribution weights c in [0, 1]^N.
-
-    Values within 1e-9 outside the box are clamped; anything further out is
-    rejected. c_i = 1 means node i's data contributes exactly once, fractional
-    values mean partial use, 0 means unused.
-    """
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("weights must be one-dimensional")
-        tol = 1e-9
-        if np.any(c < -tol) or np.any(c > 1 + tol):
-            raise ValueError("weights must lie in [0, 1] (within 1e-9)")
-        self.c = np.clip(c, 0.0, 1.0)
 
 
 def z_values(agg: AggregateSums, p) -> np.ndarray:
@@ -348,13 +327,15 @@ def _encode_rle(flat: np.ndarray) -> list[int]:
     return runs
 
 
+MAX_GRID_DIM = 3  # the most parameter dimensions ``evaluate_region`` grids
+
+
 def evaluate_region(
     agg: AggregateSums,
     box,
     grid_per_dim,
     q: int,
     tie_seed: int,
-    allow_high_dim: bool = False,
 ) -> RegionResult:
     """Evaluate region membership on a dense grid of cell centers.
 
@@ -363,8 +344,8 @@ def evaluate_region(
     (n_cells, m) block of uniforms from ``SeedSequence(tie_seed)``: row i is
     the tie stream of cell i in C order. The block is drawn only when some
     cell has Z_j == Z_0; cells without a tie never read it, so the result is
-    bit-reproducible either way. Dimensions above 3 are rejected unless
-    ``allow_high_dim`` is set, because the grid size explodes.
+    bit-reproducible either way. Dimensions above ``MAX_GRID_DIM`` are
+    rejected, because the grid size explodes.
     """
     n_p = agg.n_p
     box = [(float(lo), float(hi)) for lo, hi in box]
@@ -372,10 +353,10 @@ def evaluate_region(
         raise ValueError(f"box must have {n_p} dimensions")
     if any(hi <= lo for lo, hi in box):
         raise ValueError("box must have positive extent in every dimension")
-    if n_p > 3 and not allow_high_dim:
+    if n_p > MAX_GRID_DIM:
         raise ValueError(
-            f"grid evaluation over {n_p} dimensions is rejected by default "
-            "(cell count grows exponentially); pass allow_high_dim=True to override"
+            f"grid evaluation over {n_p} dimensions is not supported: n_p must be at most "
+            f"{MAX_GRID_DIM} (the cell count grows exponentially)"
         )
     if np.isscalar(grid_per_dim):
         shape = (int(grid_per_dim),) * n_p

@@ -119,12 +119,10 @@ def bfs_levels(adjacency: np.ndarray, root: int) -> np.ndarray:
     return level
 
 
-def random_geometric(
-    n_nodes: int,
-    rng: np.random.Generator,
-    max_retries: int = 100,
-    radius: float | None = None,
-) -> Graph:
+MAX_RETRIES = 100  # deployments ``random_geometric`` draws before giving up
+
+
+def random_geometric(n_nodes: int, rng: np.random.Generator, radius: float | None = None) -> Graph:
     """Connected random geometric graph on the unit square.
 
     Positions are uniform; nodes within ``radius`` (default: comm_radius(N))
@@ -132,7 +130,8 @@ def random_geometric(
     planar (N, N) coordinate differences, which are the products and the add
     a sum of squared difference vectors makes, so no (N, N, 2) array is
     built. Redraws positions until the graph is connected, up to
-    ``max_retries`` attempts (the retry count is logged, not returned).
+    ``MAX_RETRIES`` attempts (the retry count is logged, not returned), then
+    raises ConnectivityError.
     """
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
@@ -140,7 +139,7 @@ def random_geometric(
         radius = comm_radius(n_nodes)
     elif radius <= 0:
         raise ValueError("radius must be positive")
-    for attempt in range(1, max_retries + 1):
+    for attempt in range(1, MAX_RETRIES + 1):
         pos = rng.uniform(0.0, 1.0, size=(n_nodes, 2))
         dx = np.subtract.outer(pos[:, 0], pos[:, 0])
         dy = np.subtract.outer(pos[:, 1], pos[:, 1])
@@ -154,7 +153,7 @@ def random_geometric(
                 logger.debug("random_geometric: connected after %d attempts", attempt)
             return Graph(adjacency=adj, positions=pos, radius=radius)
     raise ConnectivityError(
-        f"no connected deployment of {n_nodes} nodes in {max_retries} attempts"
+        f"no connected deployment of {n_nodes} nodes in {MAX_RETRIES} attempts"
     )
 
 

@@ -34,9 +34,9 @@ import numpy as np
 
 from spsnet.diffusion import TrafficLog, _check_samples, _cover, _unpack, payload_sizes
 from spsnet.lp import LpProblem, solve_lp
-from spsnet.sps import AggregateSums, SignMatrix, WrapUpWeights
+from spsnet.sps import AggregateSums, SignMatrix
 from spsnet.topology import ClusteredTopology, Graph, TreeTopology, diameter
-from tas_oracle import minus, plus, scaled
+from tas_oracle import WrapUpWeights, minus, plus, scaled
 
 
 def local_aggregate_arrays(samples, signs: SignMatrix) -> tuple[np.ndarray, np.ndarray]:

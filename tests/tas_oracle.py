@@ -24,7 +24,29 @@ import numpy as np
 
 from spsnet import diffusion
 from spsnet.lp import LpProblem
-from spsnet.sps import AggregateSums, WrapUpWeights
+from spsnet.sps import AggregateSums
+
+
+@dataclass(eq=False)
+class WrapUpWeights:
+    """Per-node contribution weights c in [0, 1]^N, the wrap-up's result type
+    before the package returned a plain array.
+
+    Values within 1e-9 outside the box are clamped; anything further out is
+    rejected. c_i = 1 means node i's data contributes exactly once, fractional
+    values mean partial use, 0 means unused.
+    """
+
+    c: np.ndarray
+
+    def __post_init__(self):
+        c = np.asarray(self.c, dtype=float)
+        if c.ndim != 1:
+            raise ValueError("weights must be one-dimensional")
+        tol = 1e-9
+        if np.any(c < -tol) or np.any(c > 1 + tol):
+            raise ValueError("weights must lie in [0, 1] (within 1e-9)")
+        self.c = np.clip(c, 0.0, 1.0)
 
 
 def plus(a: AggregateSums, b: AggregateSums) -> AggregateSums:

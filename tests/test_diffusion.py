@@ -15,6 +15,7 @@ from spsnet.analysis import (
 )
 from spsnet.diffusion import (
     TagTable,
+    TasResult,
     TrafficEvent,
     TrafficLog,
     consensus_weights,
@@ -35,6 +36,7 @@ from spsnet.diffusion import _complete_message
 import diffusion_oracle
 import tradeoff_oracle
 from tas_oracle import mask, nodes, plus
+from weight_rows import knowledge, weight_matrix
 from spsnet.model import FieldConfig, NoiseSpec, generate_measurements
 from spsnet.rng import substream
 from spsnet.sps import (
@@ -95,7 +97,7 @@ def round_totals(log):
 def final_wrapups(res, samples=None, signs=None):
     """(weights matrix, aggregates built from the weights, completion flags) of
     every node's final wrap-up; the aggregates are None without the data."""
-    weights = np.array([res.wrapup(k).c for k in range(len(res.tables))])
+    weights = weight_matrix(res)
     aggs = None if samples is None else [tie_exact_aggregate(samples, signs, c) for c in weights]
     return weights, aggs, (weights == 1.0).all(axis=1)
 
@@ -294,7 +296,7 @@ def test_wrapup_disjoint_covering_table():
     table.append(mask(1))
     table.append(mask(2, 3))
     weights = tas_wrapup(table)
-    assert (weights.c == 1.0).all()
+    assert (weights == 1.0).all()
     assert tie_exact_aggregate(samples, signs, weights).allclose(batch_aggregate(samples, signs))
 
 
@@ -304,8 +306,7 @@ def test_wrapup_overlapping_rows_uses_lp():
     table = TagTable(owner=0, n_nodes=4)
     for tag in tags[1:]:
         table.append(tag)
-    weights = tas_wrapup(table)
-    c = weights.c
+    c = tas_wrapup(table)
     assert c[0] == 1.0
     assert c[2] == pytest.approx(1.0, abs=1e-9)
     assert c[1] + c[3] == pytest.approx(1.0, abs=1e-9)
@@ -313,13 +314,13 @@ def test_wrapup_overlapping_rows_uses_lp():
     # the payload sum the eager wrap-up forms is the c-weighted data combination
     ref_weights, ref_agg = diffusion_oracle.tas_wrapup(payload_reference(samples, signs, tags))
     assert np.array_equal(ref_weights.c, c)
-    assert ref_agg.allclose(tie_exact_aggregate(samples, signs, weights))
+    assert ref_agg.allclose(tie_exact_aggregate(samples, signs, c))
 
 
 def test_wrapup_local_only_table():
     _, samples, signs = make_network(62, 3, graph=complete_graph(3))
     weights = tas_wrapup(TagTable(owner=1, n_nodes=3))
-    assert np.array_equal(weights.c, [0.0, 1.0, 0.0])
+    assert np.array_equal(weights, [0.0, 1.0, 0.0])
     # a one-hot weight vector gives node 1's local aggregate exactly
     assert same_aggregate(tie_exact_aggregate(samples, signs, weights), local_aggregate(samples, 1, signs.column(1)))
 
@@ -337,12 +338,6 @@ def count_lp_calls(monkeypatch) -> list:
     return calls
 
 
-def uncached_wrapup(table, n_rows=None):
-    """tas_wrapup with the table's remembered LP solution cleared first."""
-    table._wrapup = (b"", None)
-    return tas_wrapup(table, n_rows)
-
-
 def same_aggregate(a, b) -> bool:
     return np.array_equal(a.vec, b.vec) and np.array_equal(a.mat, b.mat)
 
@@ -354,57 +349,78 @@ def overlapping_table(n_nodes):
     return table
 
 
+def test_wrapup_weights_clamping(monkeypatch):
+    """Weights within 1e-9 of [0, 1] are snapped into it; further out raises."""
+    table = overlapping_table(4)  # rows {0}, {1, 2}, {2, 3}
+    for b, expected in (([1.0 + 5e-10, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0]),
+                        ([1.0, 1.0, -5e-10], [1.0, 1.0, 1.0, 0.0]),
+                        ([1.0, 0.5, 0.5], [1.0, 0.5, 1.0, 0.5])):
+        monkeypatch.setattr(diffusion, "solve_lp", lambda problem, b=b: (np.array(b), None))
+        assert np.array_equal(tas_wrapup(table), expected)
+    for b in ([1.0, 1.1, 0.0], [1.0, -0.01, 0.0]):
+        monkeypatch.setattr(diffusion, "solve_lp", lambda problem, b=b: (np.array(b), None))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            tas_wrapup(table)
+
+
+def growing_result():
+    """A one-table TAS result whose overlapping table has 1, 3 and 3 rows as
+    rounds 0, 1 and 2 send, and a fourth row at the end."""
+    table = overlapping_table(5)
+    res = TasResult([table], TrafficLog("tas", 1), 2, {0: [1], 1: [3], 2: [3]})
+    assert tas_distill(table, mask(0, 3, 4)) is not None
+    return res
+
+
 def test_wrapup_reuses_lp_solution_while_tags_are_unchanged(monkeypatch):
     calls = count_lp_calls(monkeypatch)
-    table = overlapping_table(5)
-    w1 = tas_wrapup(table)
-    w2 = tas_wrapup(table)
+    res = growing_result()
+    assert np.array_equal(res.weights(0, 0), [1.0, 0.0, 0.0, 0.0, 0.0])  # one row: no LP
+    assert len(calls) == 0
+    w1 = res.weights(0, 1)
     assert len(calls) == 1
-    assert np.array_equal(w1.c, w2.c)
-    assert w1.c is not w2.c  # each wrap-up returns weights of its own
-    assert not table._wrapup[1].flags.writeable
-
-    # a newly distilled row changes the tag matrix and forces a re-solve
-    assert tas_distill(table, mask(0, 3, 4)) is not None
-    w3 = tas_wrapup(table)
-    assert len(calls) == 2
-    assert w3.c[4] == 1.0
-
-    # a message with nothing new leaves the tags, and the solution, as they were
-    assert tas_distill(table, mask(1, 2)) is None
-    tas_wrapup(table)
+    assert res.weights(0, 1) is w1  # a second read of (k, r) solves no LP
+    assert res.weights(0, 2) is w1  # nor does a round in which the table did not grow
+    assert len(calls) == 1
+    w_end = res.weights(0)  # the row distilled later changes the tag matrix
+    assert len(calls) == 2 and w_end[4] == 1.0
+    # a message with nothing new leaves the table, and the memo, as they were
+    assert tas_distill(res.tables[0], mask(1, 2)) is None
+    assert res.weights(0) is w_end
     assert len(calls) == 2
 
 
 def test_wrapup_from_reused_solution_equals_fresh_table():
-    table = overlapping_table(4)
-    tas_wrapup(table)
-    w_reused = tas_wrapup(table)
-    fresh = TagTable(owner=0, n_nodes=4)
-    for row in table.rows[1:]:
-        fresh.append(row.tag)
-    assert np.array_equal(w_reused.c, tas_wrapup(fresh).c)
+    res = growing_result()
+    table = res.tables[0]
+    for rnd in (1, 2, None):
+        c = res.weights(0, rnd)
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0] = 0.5
+        fresh = TagTable(owner=0, n_nodes=5)
+        n_rows = len(table.rows) if rnd is None else res.row_counts[rnd][0]
+        for row in table.rows[1:n_rows]:
+            fresh.append(row.tag)
+        assert c.tobytes() == tas_wrapup(fresh).tobytes()
 
 
 def test_tas_snapshots_with_reused_solutions_equal_uncached_run(monkeypatch):
     graph, samples, signs = make_network(113, 16, m=3)
     rounds = diameter(graph) + 3  # the last rounds leave most tables unchanged
+    res = run_tas(graph, samples, signs, rounds=rounds)
+    reads = [(k, rnd) for rnd in [*range(rounds + 1), None] for k in range(16)]
 
-    def run():
-        """Every node's wrap-up as each round sends, rounds in order, then the
-        final ones, with the number of LP solves they took."""
-        calls = count_lp_calls(monkeypatch)
-        res = run_tas(graph, samples, signs, rounds=rounds)
-        views = [res.wrapup(k, rnd) for rnd in range(rounds + 1) for k in range(16)]
-        views += [res.wrapup(k) for k in range(16)]
-        return views, len(calls)
-
-    cached, cached_calls = run()
-    monkeypatch.setattr(diffusion, "tas_wrapup", uncached_wrapup)
-    uncached, uncached_calls = run()
-    assert 0 < cached_calls < uncached_calls
-    for w, w_ref in zip(cached, uncached, strict=True):
-        assert np.array_equal(w.c, w_ref.c)
+    calls = count_lp_calls(monkeypatch)
+    memoised = [res.weights(k, rnd) for k, rnd in reads]
+    memo_calls = len(calls)
+    again = [res.weights(k, rnd) for k, rnd in reads]
+    assert len(calls) == memo_calls
+    fresh = [tas_wrapup(res.tables[k], None if rnd is None else res.row_counts[rnd][k]) for k, rnd in reads]
+    assert 0 < memo_calls < len(calls) - memo_calls
+    for c, c_again, c_fresh in zip(memoised, again, fresh, strict=True):
+        assert c is c_again
+        assert c.tobytes() == c_fresh.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +435,7 @@ def test_pf_complete_graph_trace():
     assert res.rounds_run == 2  # one extra round to observe no growth
     # round 1: 5 own records; round 2: everyone rebroadcasts all 5
     assert round_totals(res.traffic) == {1: 5 * d_rec, 2: 25 * d_rec}
-    assert res.known_after().all()
+    assert knowledge(res).all()
 
 
 def test_pf_path_trace():
@@ -438,7 +454,7 @@ def test_mf_complete_graph_trace():
     assert res.completion_round == 1
     assert res.traffic.total_scalars == 25 * d_rec
     assert round_totals(res.traffic) == {1: 5 * d_rec, 2: 20 * d_rec}
-    assert res.known_after().all()
+    assert knowledge(res).all()
     # every node sent each of the 5 records once
     assert np.array_equal(res.traffic.per_node_totals, [5 * d_rec] * 5)
 
@@ -465,7 +481,7 @@ def test_mf_never_retransmits():
     for i in range(5):
         graph, samples, signs = make_network(75 + i, 15)
         res = run_mf(graph, samples)
-        assert res.known_after().all()
+        assert knowledge(res).all()
         # each node pays for every distinct record it sent exactly once: a
         # run to quiescence sends every record it knows, so all 15
         sent = np.zeros(15, dtype=int)
@@ -490,20 +506,19 @@ def test_pf_dominates_mf_and_both_complete_at_diameter():
 def test_mf_snapshots_and_arrival_rounds():
     graph, samples, signs = make_network(85, 12)
     res = run_mf(graph, samples)
-    assert res.known_after(0).dtype == bool
-    assert np.array_equal(res.known_after(0), np.eye(12, dtype=bool))
-    prev = res.known_after(0)
+    assert np.array_equal(weight_matrix(res, 0), np.eye(12))
+    prev = knowledge(res, 0)
     for r in range(1, res.rounds_run + 1):
-        cur = res.known_after(r)
+        cur = knowledge(res, r)
         assert np.all(prev <= cur)  # knowledge only grows
         assert cur.all() == (res.completion_round is not None and r >= res.completion_round)
         prev = cur
-    assert np.array_equal(prev, res.known_after())
+    assert np.array_equal(prev, knowledge(res))
     # rounds past quiescence give the final state
-    assert np.array_equal(res.known_after(19), res.known_after())
-    assert res.known_after()[3].all()
+    assert np.array_equal(knowledge(res, 19), knowledge(res))
+    assert (res.weights(3) == 1.0).all()
     with pytest.raises(ValueError):
-        res.known_after(-1)
+        res.weights(3, -1)
 
 
 def test_mf_tree_hand_traces():
@@ -512,13 +527,13 @@ def test_mf_tree_hand_traces():
     chain = TreeTopology(parent=np.array([-1, 0, 1]))  # path rooted at one end
     res = run_mf_tree(chain, samples)
     assert res.traffic.total_scalars == 7 * d_rec
-    assert res.known_after().all()
+    assert knowledge(res).all()
 
     _, samples4, _ = make_network(87, 4, graph=complete_graph(4))
     tree = TreeTopology(parent=np.array([-1, 0, 0, 1]))
     res4 = run_mf_tree(tree, samples4)
     assert res4.traffic.total_scalars == 10 * d_rec
-    assert res4.known_after().all()
+    assert knowledge(res4).all()
     assert res4.traffic.total_scalars == traffic_mf_tree(
         tree.level_counts, tree.childless_counts, 2, 2
     )
@@ -529,7 +544,7 @@ def test_mf_tree_matches_census_formula():
         graph, samples, signs = make_network(90 + i, 30)
         tree = spanning_tree(graph)
         res = run_mf_tree(tree, samples)
-        assert res.known_after().all()
+        assert knowledge(res).all()
         expected = traffic_mf_tree(tree.level_counts, tree.childless_counts, 2, 2)
         assert res.traffic.total_scalars == expected
 
@@ -538,7 +553,7 @@ def test_mf_clustered_matches_formula():
     topo = clustered(20, 4, substream(95, "clusters"))
     _, samples, signs = make_network(95, 20, graph=topo.graph())
     res = run_mf_clustered(topo, samples)
-    assert res.known_after().all()
+    assert knowledge(res).all()
     assert res.completion_round == 3
     assert res.traffic.total_scalars == traffic_mf_clustered(20, 4, 2, 2)
 
@@ -550,8 +565,8 @@ def test_mf_clustered_reports_the_round_knowledge_completes():
         topo = clustered(20, n_clusters, substream(95, "clusters"))
         _, samples, _ = make_network(95, 20, graph=topo.graph())
         res = run_mf_clustered(topo, samples)
-        assert res.known_after().all() and res.rounds_run == 3
-        assert res.known_after(2).all() and not res.known_after(1).all()  # the last record arrives at 2
+        assert knowledge(res).all() and res.rounds_run == 3
+        assert knowledge(res, 2).all() and not knowledge(res, 1).all()  # the last record arrives at 2
         assert res.completion_round == 2
 
 
@@ -631,12 +646,12 @@ def test_tas_snapshots_wrap_up_requested_nodes():
     graph, samples, signs = make_network(110, 9, m=3)
     rounds = diameter(graph)
     res = run_tas(graph, samples, signs, rounds=rounds)
-    w0 = res.wrapup(2, 0)
-    assert np.array_equal(w0.c, np.eye(9)[2])  # before any exchange
+    w0 = res.weights(2, 0)
+    assert np.array_equal(w0, np.eye(9)[2])  # before any exchange
     assert same_aggregate(tie_exact_aggregate(samples, signs, w0), local_aggregate(samples, 2, signs.column(2)))
     # the last round is sent but never delivered: its view is the final table
     for k in (2, 5):
-        assert np.array_equal(res.wrapup(k, rounds).c, res.wrapup(k).c)
+        assert np.array_equal(res.weights(k, rounds), res.weights(k))
 
 
 def test_tas_wrapup_rejects_unknown_nodes_and_rounds():
@@ -644,13 +659,13 @@ def test_tas_wrapup_rejects_unknown_nodes_and_rounds():
     res = run_tas(graph, samples, signs, rounds=1)
     for k in (9, -1, 12):
         with pytest.raises(ValueError, match="not in the network"):
-            res.wrapup(k)
+            res.weights(k)
     for rnd in (-1, 2):
         with pytest.raises(ValueError, match="was not run"):
-            res.wrapup(2, rnd)
+            res.weights(2, rnd)
     tree = run_tas_tree(TreeTopology(parent=np.array([-1, 0, 0])), *make_network(110, 3)[1:])
     with pytest.raises(ValueError, match="was not run"):
-        tree.wrapup(0, 0)  # scheduled rounds start at 1
+        tree.weights(0, 0)  # scheduled rounds start at 1
 
 
 def test_tas_tree_hand_trace_and_formula():
@@ -729,8 +744,8 @@ def test_scheduled_tas_runs_form_no_payload_until_a_wrapup_is_read():
         c_res = run_tas_clustered(topo, c_samples, c_signs)
         assert res.traffic.total_scalars == traffic_tas_tree(tree.level_counts, tree.childless_counts, 2, 5)
         assert c_res.traffic.total_scalars == traffic_tas_clustered(140, 20, 2, 5)
-        weights = res.wrapup(0)
-        assert (weights.c == 1.0).all() and (c_res.wrapup(7).c == 1.0).all()
+        weights = res.weights(0)
+        assert (weights == 1.0).all() and (c_res.weights(7) == 1.0).all()
         assert calls == []  # neither the runs nor their wrap-ups form a payload
     assert tie_exact_aggregate(samples, signs, weights).allclose(batch_aggregate(samples, signs))
 
@@ -787,10 +802,10 @@ def test_consensus_weights_properties():
 def test_consensus_initial_state_and_traffic():
     graph, samples, signs = make_network(131, 8, m=3)
     res = run_consensus(graph, samples, signs, iterations=0)
-    assert np.array_equal(res.effective_weights(), 8.0 * np.eye(8))
+    assert np.array_equal(weight_matrix(res), 8.0 * np.eye(8))
     for k in range(8):
         local = local_aggregate(samples, k, signs.column(k))
-        state = tie_exact_aggregate(samples, signs, res.effective_weights()[k])
+        state = tie_exact_aggregate(samples, signs, res.weights(k))
         assert np.array_equal(state.vec, 8.0 * local.vec) and np.array_equal(state.mat, 8.0 * local.mat)
     assert res.traffic.total_scalars == 0
     _, d_agg = payload_sizes(2, 3)
@@ -810,7 +825,7 @@ def test_consensus_converges_to_full_sum():
     full = batch_aggregate(samples, signs)
     scale = max(np.abs(full.vec).max(), np.abs(full.mat).max())
     for k in range(20):
-        state = tie_exact_aggregate(samples, signs, res.effective_weights()[k])
+        state = tie_exact_aggregate(samples, signs, res.weights(k))
         err = max(np.abs(state.vec - full.vec).max(), np.abs(state.mat - full.mat).max())
         assert err / scale < 1e-6
 
@@ -822,7 +837,6 @@ def test_consensus_state_equals_effective_weight_aggregate():
     res = run_consensus(graph, samples, signs, iterations=6, scheme="perron")
     eager = tradeoff_oracle.eager_consensus(graph, samples, signs, 6, "perron", snapshot_iters=(2, 6))
     for t in (2, 6):
-        eff = res.effective_weights(t)
         for k in range(10):
             for build in (truncated_aggregate, tie_exact_aggregate):
-                assert eager.state(k, t).allclose(build(samples, signs, eff[k]), rtol=1e-9, atol=1e-9)
+                assert eager.state(k, t).allclose(build(samples, signs, res.weights(k, t)), rtol=1e-9, atol=1e-9)

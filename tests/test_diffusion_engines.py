@@ -8,25 +8,28 @@ message's tag, every tag table row (tag, merged flag), weights and completion
 flags for TAS. The TAS oracles carry payloads and do their arithmetic
 eagerly; the package moves tags only, and the aggregate built from its
 weights with ``tie_exact_aggregate`` must be close to the oracle's. The round
-views must equal the oracles' eager snapshots: ``known_after(r)`` bit for bit
-for every round, also past the last one, and ``wrapup(k, r)`` for every node
-and round (weights bit for bit, aggregates close). The package keeps
-flooding knowledge as bitmasks, so arrival rounds are derived from
-``known_after``. On the tree and clustered schedules, which the oracles do
-not snapshot, ``wrapup(k, r)`` must equal the wrap-up of a fresh table
-holding that prefix of node k's rows. Cases cover random geometric graphs of 2 to 60 nodes, their spanning
+views must equal the oracles' eager snapshots: every node's flooding
+``weights(k, r)`` stacked into the knowledge matrix bit for bit for every
+round, also past the last one, and TAS ``weights(k, r)`` for every node and
+round (weights bit for bit, aggregates close). The package keeps flooding
+knowledge as bitmasks, so arrival rounds are derived from the stacked
+weights. On the tree and clustered schedules, which the oracles do not
+snapshot, ``weights(k, r)`` must equal the wrap-up of a fresh table holding
+that prefix of node k's rows. Cases cover random geometric graphs of 2 to 60 nodes, their spanning
 trees, complete binary trees and clustered deployments with one cluster, N/4
 clusters and one node per cluster.
 
 Two things differ from the oracles on purpose. Every MF result reports as
 ``completion_round`` the first round after which all nodes know every record,
 also on the tree and clustered schedules (the oracles report the last
-stage there). And a TAS result wraps up nothing until ``wrapup`` is called,
-where the oracles wrap up every table before they return.
+stage there). And a TAS result wraps up nothing until ``weights`` is called,
+and each prefix of a table once, where the oracles wrap up every table
+before they return.
 """
 
 import numpy as np
 import pytest
+from weight_rows import knowledge
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -66,23 +69,23 @@ def assert_same_log(log, ref):
 def arrival_rounds(res) -> np.ndarray:
     """The round each record reached each node, read off the round views
     (-1 where it never did)."""
-    arrival = np.full(res.known_after(0).shape, -1)
+    arrival = np.full((res.traffic.n_nodes,) * 2, -1)
     for r in range(res.rounds_run, -1, -1):
-        arrival[res.known_after(r)] = r
+        arrival[knowledge(res, r)] = r
     return arrival
 
 
 def assert_same_flooding(res, ref):
     assert_same_log(res.traffic, ref.traffic)
-    assert np.array_equal(res.known_after(), ref.known)
+    assert np.array_equal(knowledge(res), ref.known)
     assert res.rounds_run == ref.rounds_run
     with pytest.raises(ValueError):
-        res.known_after(-1)
+        res.weights(0, -1)
     every_round = range(res.rounds_run + 3)  # two rounds past the end give the final knowledge
     if isinstance(ref, oracle.PfResult):
         assert res.completion_round == ref.full_knowledge_round
         for r in every_round:
-            assert np.array_equal(res.known_after(r), ref.history[min(r, ref.rounds_run)])
+            assert np.array_equal(knowledge(res, r), ref.history[min(r, ref.rounds_run)])
         return
     n = res.traffic.n_nodes
     records_sent = np.zeros(n, dtype=int)
@@ -92,16 +95,16 @@ def assert_same_flooding(res, ref):
     arrival = arrival_rounds(res)
     assert np.array_equal(arrival, ref.arrival_round)
     # with equal arrival rounds this also equals run_mf's oracle
-    assert res.completion_round == (int(arrival.max()) if res.known_after().all() else None)
+    assert res.completion_round == (int(arrival.max()) if knowledge(res).all() else None)
     for r in every_round:
-        assert np.array_equal(res.known_after(r), (0 <= ref.arrival_round) & (ref.arrival_round <= r))
+        assert np.array_equal(knowledge(res, r), (0 <= ref.arrival_round) & (ref.arrival_round <= r))
     for r, known in ref.snapshots.items():
-        assert np.array_equal(res.known_after(r), known)
+        assert np.array_equal(knowledge(res, r), known)
 
 
 def same_wrapup(got, weights, agg, samples, signs):
     """Equal weights, and the aggregate built from them close to the oracle's."""
-    return np.array_equal(got.c, weights) and tie_exact_aggregate(samples, signs, got).allclose(agg)
+    return np.array_equal(got, weights) and tie_exact_aggregate(samples, signs, got).allclose(agg)
 
 
 def run_recording(run, *args):
@@ -132,11 +135,11 @@ def assert_same_tas(res, sent, ref, samples, signs):
     for table, ref_table in zip(res.tables, ref.tables, strict=True):
         assert [(r.tag, r.merged) for r in table.rows] == [(r.tag, r.merged) for r in ref_table.rows]
     for k in range(len(ref.tables)):
-        final = res.wrapup(k)
+        final = res.weights(k)
         assert same_wrapup(final, ref.weights[k], ref.aggregates[k], samples, signs)
-        assert (final.c == 1.0).all() == ref.complete[k]
+        assert (final == 1.0).all() == ref.complete[k]
     for r, (weights, aggs) in ref.snapshots.items():
-        assert all(same_wrapup(res.wrapup(k, r), weights[k], aggs[k], samples, signs)
+        assert all(same_wrapup(res.weights(k, r), weights[k], aggs[k], samples, signs)
                    for k in range(len(ref.tables)))
 
 
@@ -148,7 +151,7 @@ def assert_prefix_wrapups(res):
             fresh = diffusion.TagTable(k, table.n_nodes)
             for row in table.rows[1:counts[k]]:
                 fresh.append(row.tag)
-            assert np.array_equal(res.wrapup(k, r).c, diffusion.tas_wrapup(fresh).c)
+            assert np.array_equal(res.weights(k, r), diffusion.tas_wrapup(fresh))
 
 
 @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
@@ -234,9 +237,10 @@ def test_tas_runs_wrap_up_only_what_is_read(net, runner, data):
         rounds = st.none() | st.sampled_from(sorted(res.row_counts))
         reads = data.draw(st.lists(st.tuples(st.integers(0, n - 1), rounds), min_size=1, max_size=4))
         for k, rnd in reads:
-            res.wrapup(k, rnd)
-        # one wrap-up per read, of the prefix the round saw
-        assert calls == [(k, None if rnd is None else res.row_counts[rnd][k]) for k, rnd in reads]
+            res.weights(k, rnd)
+        # one wrap-up per prefix read, on its first read
+        prefixes = [(k, len(res.tables[k].rows) if rnd is None else res.row_counts[rnd][k]) for k, rnd in reads]
+        assert calls == list(dict.fromkeys(prefixes))
     assert_same_tas(res, sent, ref_run(*args), samples, signs)
 
 

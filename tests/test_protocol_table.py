@@ -21,6 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import trial_oracle  # noqa: E402
+from weight_rows import weight_matrix  # noqa: E402
 from spsnet import diffusion, experiments  # noqa: E402
 from spsnet.analysis import (  # noqa: E402
     traffic_mf_clustered,
@@ -88,7 +89,7 @@ def test_consensus_weights_are_unclipped():
     run = run_protocol(bundle, samples, signs, diffusion_cfg("consensus", iterations=4))
     weights = np.array([run.weights(k) for k in range(30)])
     assert weights.max() > 1.0  # N * W^t exceeds one on this graph
-    assert np.array_equal(weights, run_consensus(bundle.graph, samples, signs, 4).effective_weights())
+    assert np.array_equal(weights, weight_matrix(run_consensus(bundle.graph, samples, signs, 4)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -113,7 +114,7 @@ def test_table_matches_the_old_dispatch_on_general_graphs(kind, n_nodes, seed, r
             assert run.traffic.events == traffic.events
             assert np.array_equal(run.traffic.per_node_totals, traffic.per_node_totals)
         if protocol == "consensus":
-            eff = run_consensus(bundle.graph, samples, signs, diff["iterations"], scheme).effective_weights()
+            eff = weight_matrix(run_consensus(bundle.graph, samples, signs, diff["iterations"], scheme))
         for k in nodes:
             c, agg = state[k]
             got = run.aggregate(samples, signs, k)
@@ -226,7 +227,8 @@ def test_tas_wraps_up_only_the_requested_nodes(monkeypatch):
     calls = []
     original = diffusion.tas_wrapup
     monkeypatch.setattr(diffusion, "tas_wrapup",
-                        lambda table, n_rows=None: calls.append((table.owner, n_rows)) or original(table, n_rows))
+                        lambda table, n_rows=None: calls.append((table.owner, n_rows == len(table.rows)))
+                        or original(table, n_rows))
     for kind, n_nodes in (("rgg", 12), ("tree", 12), ("binary", 15), ("clustered", 12)):
         bundle = bundle_for(kind, n_nodes, 1, depth=3)
         samples, signs = data_for(bundle, 1)
@@ -235,10 +237,20 @@ def test_tas_wraps_up_only_the_requested_nodes(monkeypatch):
         assert calls == []  # nothing is wrapped up until it is read
         first = [(run.weights(k), run.aggregate(samples, signs, k)) for k in (5, 2)]
         again = [(run.weights(k), run.aggregate(samples, signs, k)) for k in (2, 5)]
-        assert calls == [(5, None), (2, None)]  # each node's final table, once, on its first read
+        assert calls == [(5, True), (2, True)]  # each node's final table, once, on its first read
         assert same_agg(first[0][1], again[1][1]) and same_agg(first[1][1], again[0][1])
         with pytest.raises(ValueError, match="not in the network"):
             run.aggregate(samples, signs, bundle.graph.n_nodes)
+
+
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+def test_every_protocol_rejects_unknown_nodes(protocol):
+    bundle = bundle_for("rgg", 8, 2)
+    samples, signs = data_for(bundle, 2)
+    run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds=1))
+    for k in (-1, 8, 12):
+        with pytest.raises(ValueError, match="not in the network"):
+            run.weights(k)
 
 
 @pytest.mark.parametrize("protocol", list(PROTOCOLS))

@@ -82,13 +82,13 @@ def test_batched_locals_equal_local_aggregate(seed, n_nodes, n_p, m):
     for k in range(n_nodes):
         one = local_aggregate(samples, k, signs.column(k))
         assert np.array_equal(vec[k], one.vec) and np.array_equal(mat[k], one.mat)
-        row0 = tie_exact_aggregate(samples, signs, tas.wrapup(k, 0))
+        row0 = tie_exact_aggregate(samples, signs, tas.weights(k, 0))
         assert np.array_equal(row0.vec, one.vec) and np.array_equal(row0.mat, one.mat)
     # consensus starts from N times the locals, the same multiplies as before
     res = run_consensus(graph, samples, signs, iterations=0)
     for k in range(n_nodes):
         one = local_aggregate(samples, k, signs.column(k))
-        state = tie_exact_aggregate(samples, signs, res.effective_weights(0)[k])
+        state = tie_exact_aggregate(samples, signs, res.weights(k, 0))
         assert np.array_equal(state.vec, n_nodes * one.vec) and np.array_equal(state.mat, n_nodes * one.mat)
 
 

@@ -13,7 +13,6 @@ from spsnet.sps import (
     AggregateSums,
     SignMatrix,
     SingularMatrixError,
-    WrapUpWeights,
     batch_aggregate,
     draw_sign_matrix,
     evaluate_region,
@@ -123,8 +122,6 @@ def test_truncated_aggregate_weight_cases():
     )
     zero = truncated_aggregate(samples, signs, np.zeros(7))
     assert np.all(zero.vec == 0.0) and np.all(zero.mat == 0.0)
-    wrapped = truncated_aggregate(samples, signs, WrapUpWeights(np.ones(7)))
-    assert wrapped.allclose(batch_aggregate(samples, signs))
     with pytest.raises(ValueError):
         truncated_aggregate(samples, signs, np.ones(6))
 
@@ -140,9 +137,7 @@ def test_tie_exact_aggregate_weight_cases():
     zero = tie_exact_aggregate(samples, signs, np.zeros(7))
     assert np.all(zero.vec == 0.0) and np.all(zero.mat == 0.0)
     c = np.linspace(0.0, 1.0, 7)
-    wrapped = tie_exact_aggregate(samples, signs, WrapUpWeights(c))
-    assert np.array_equal(wrapped.vec, tie_exact_aggregate(samples, signs, c).vec)
-    assert wrapped.allclose(truncated_aggregate(samples, signs, c))
+    assert tie_exact_aggregate(samples, signs, c).allclose(truncated_aggregate(samples, signs, c))
     with pytest.raises(ValueError):
         tie_exact_aggregate(samples, signs, np.ones(6))
     with pytest.raises(ValueError):
@@ -245,20 +240,6 @@ def test_rank_above_draws_keys_only_on_ties():
 # weights
 
 
-def test_wrapup_weights_clamping():
-    w = WrapUpWeights(np.array([0.0, 1.0, 0.5]))
-    assert np.array_equal(w.c, [0.0, 1.0, 0.5])
-    assert np.array_equal(WrapUpWeights(np.ones(4)).c, np.ones(4))
-    snapped = WrapUpWeights(np.array([1.0 + 5e-10, -5e-10]))
-    assert snapped.c[0] == 1.0 and snapped.c[1] == 0.0
-    with pytest.raises(ValueError):
-        WrapUpWeights(np.array([1.1]))
-    with pytest.raises(ValueError):
-        WrapUpWeights(np.array([-0.01]))
-    with pytest.raises(ValueError):
-        WrapUpWeights(np.zeros((2, 2)))
-
-
 # ---------------------------------------------------------------------------
 # region evaluation
 
@@ -334,10 +315,8 @@ def test_region_argument_validation():
         evaluate_region(agg, [(-1, 1)], 4, q=2, tie_seed=0)
     big = AggregateSums.zeros(4, 4)
     box4 = [(-1, 1)] * 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at most 3"):
         evaluate_region(big, box4, 2, q=1, tie_seed=0)
-    res = evaluate_region(big, box4, 2, q=1, tie_seed=0, allow_high_dim=True)
-    assert res.grid_shape == (2, 2, 2, 2)
 
 
 def decode_rle(runs, shape) -> np.ndarray:

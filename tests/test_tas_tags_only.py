@@ -80,7 +80,7 @@ def test_tas_runs_do_not_read_the_data(kind, n_nodes, seed):
         assert [(r.tag, r.merged) for r in a.rows] == [(r.tag, r.merged) for r in b.rows]
     for k in range(n):
         for r in [*first.row_counts, None]:
-            assert np.array_equal(first.wrapup(k, r).c, second.wrapup(k, r).c)
+            assert np.array_equal(first.weights(k, r), second.weights(k, r))
 
 
 def load_workloads(monkeypatch):

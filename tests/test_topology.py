@@ -101,7 +101,7 @@ def test_random_geometric_radius_override():
     with pytest.raises(ValueError):
         random_geometric(10, substream(8, "topology"), radius=0.0)
     with pytest.raises(ConnectivityError):
-        random_geometric(50, substream(8, "topology"), radius=1e-4, max_retries=3)
+        random_geometric(50, substream(8, "topology"), radius=1e-4)
 
 
 def test_tree_topology_validation():

@@ -76,7 +76,7 @@ def test_consensus_weights_equal_the_eager_loop_in_any_read_order(seed, n_nodes,
     reads = [(t, k) for t in range(iterations + 1) for k in range(n_nodes)]
     reads = data.draw(st.permutations(reads)) + [(iterations, 0), (0, n_nodes - 1), (None, 1)]
     for t, k in reads:
-        got = res.effective_weights(t)[k]
+        got = res.weights(k, t)
         assert np.array_equal(got, eager.weights(t)[k])
         assert tie_exact_aggregate(samples, signs, got).allclose(eager.state(k, t))
 
@@ -88,13 +88,14 @@ def test_reads_in_iteration_order_step_each_iteration_once(monkeypatch):
     einsum = np.einsum
     monkeypatch.setattr(np, "einsum", lambda *a, **kw: steps.append(a[0]) or einsum(*a, **kw))
     for t in (0, 3, 3, 7, 12):
-        res.effective_weights(t)
-    res.effective_weights()
+        for k in range(9):
+            res.weights(k, t)
+    res.weights(4)
     assert steps == ["kj,ji->ki"] * 12
-    res.effective_weights(2)  # an earlier iteration restarts from the identity
+    res.weights(0, 2)  # an earlier iteration restarts from the identity
     assert len(steps) == 14
     with pytest.raises(ValueError, match="not run"):
-        res.effective_weights(13)
+        res.weights(0, 13)
 
 
 def scanned_csv(protocol, n_nodes, events) -> bytes:

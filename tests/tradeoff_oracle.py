@@ -106,10 +106,9 @@ def run_tradeoff(config):
         mf = run_mf(graph, samples)
         curve = []
         for r in range(0, mf.rounds_run + 1):
-            known = mf.known_after(r)
             vols = []
             for k in sample_nodes:
-                agg = truncated_aggregate(samples, signs, known[k].astype(float))
+                agg = truncated_aggregate(samples, signs, mf.weights(k, r))
                 vols.append(_region_volume(agg, region, q, derive_seed(seed, "rt", s, "mf", r, k)))
             scal = mf.traffic.total_through_round(r) / n
             curve.append((r, float(scal), float(np.mean(vols))))

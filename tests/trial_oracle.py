@@ -57,5 +57,5 @@ def trial_state(protocol, graph, samples, signs, diff, nodes):
         eager = tradeoff_oracle.eager_consensus(graph, samples, signs, diff["iterations"], diff["scheme"])
         eff = eager.weights()
         out = {k: (np.clip(eff[k], 0.0, 1.0), eager.state(k)) for k in nodes}
-        return out, res.iterations, res.traffic
+        return out, res.rounds_run, res.traffic
     raise ValueError(f"unknown protocol {protocol!r}")
