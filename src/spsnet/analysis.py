@@ -58,22 +58,21 @@ def traffic_tas_tree(level_counts, childless_counts, n_p: int, m: int) -> int:
 def traffic_mf_tree(level_counts, childless_counts, n_p: int, m: int) -> int:
     """Exact scalar total for modified flooding on a rooted tree.
 
-    Each node forwards its subtree on the forward sweep and, if it has
-    children at a middle level, the rest of the network on the backward
-    sweep; telescoping the subtree sizes against the forward totals leaves
+    Each node forwards its subtree on the forward sweep and, if it is a
+    non-root node with children, the rest of the network on the backward
+    sweep. So the root sends N records, every other node with children N, and
+    every other childless node its own one:
 
-        N + level_counts[L]
-          + N * sum_{l=1}^{L-1} (level_counts[l] - childless_counts[l])
-          + sum_{l=1}^{L-1} childless_counts[l]
+        N * (1 + sum_{l=1}^{L} (level_counts[l] - childless_counts[l]))
+          + sum_{l=1}^{L} childless_counts[l]
 
-    records of n_p + 1 scalars. The formula assumes the two sweeps are
-    distinct, i.e. depth >= 1; a single isolated root transmits exactly once,
-    which this expression does not cover.
+    records of n_p + 1 scalars. A one-node tree (L = 0) is its root alone,
+    which sends its one record once.
     """
     lam, bar = _validate_census(level_counts, childless_counts)
     n = int(lam.sum())
     d_rec, _ = payload_sizes(n_p, m)
-    records = n + int(lam[-1]) + n * int((lam[1:-1] - bar[1:-1]).sum()) + int(bar[1:-1].sum())
+    records = n * (1 + int((lam[1:] - bar[1:]).sum())) + int(bar[1:].sum())
     return records * d_rec
 
 
@@ -137,42 +136,22 @@ def critical_size(n_p: int, m: int) -> float:
 
 
 @dataclass(frozen=True)
-class TrafficPrediction:
-    """One protocol's exact scalar bill on one topology."""
+class Comparison:
+    """The exact MF and TAS scalar totals on one topology; binary comparisons
+    also carry the crossover size."""
 
-    protocol: str
     topology: str
     n_nodes: int
-    payload_scalars: int
-    payload_count: int
-
-    @property
-    def total_scalars(self) -> int:
-        return self.payload_scalars * self.payload_count
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    predictions: tuple[TrafficPrediction, ...]
-    winner: str
+    mf: int
+    tas: int
     critical_size: float | None = None
 
-    def by_protocol(self, protocol: str) -> TrafficPrediction:
-        for p in self.predictions:
-            if p.protocol == protocol:
-                return p
-        raise KeyError(protocol)
-
-
-def _report(preds, crit=None) -> ComparisonReport:
-    totals = [p.total_scalars for p in preds]
-    best = min(totals)
-    winners = [p.protocol for p in preds if p.total_scalars == best]
-    return ComparisonReport(
-        predictions=tuple(preds),
-        winner=winners[0] if len(winners) == 1 else "tie",
-        critical_size=crit,
-    )
+    @property
+    def winner(self) -> str:
+        """"mf" or "tas", whichever moves fewer scalars, or "tie"."""
+        if self.mf == self.tas:
+            return "tie"
+        return "mf" if self.mf < self.tas else "tas"
 
 
 def compare(
@@ -184,42 +163,29 @@ def compare(
     childless_counts=None,
     n_nodes: int | None = None,
     n_clusters: int | None = None,
-) -> ComparisonReport:
+) -> Comparison:
     """Predicted MF/TAS totals for one topology, plus the winner.
 
     kind is one of "binary" (give depth), "tree" (give the census arrays) or
-    "clustered" (give n_nodes and n_clusters). Binary reports also carry the
-    crossover size.
+    "clustered" (give n_nodes and n_clusters). Binary comparisons also carry
+    the crossover size. n_p and m are checked before the topology arguments.
     """
-    d_rec, d_agg = payload_sizes(n_p, m)
+    payload_sizes(n_p, m)
     if kind == "binary":
         if depth is None:
             raise ValueError("binary comparison needs depth")
         n = _binary_size(depth)
-        preds = [
-            TrafficPrediction("mf", "binary", n, d_rec, traffic_mf_binary(depth, n_p, m) // d_rec),
-            TrafficPrediction("tas", "binary", n, d_agg, traffic_tas_binary(depth, n_p, m) // d_agg),
-        ]
-        return _report(preds, critical_size(n_p, m))
+        return Comparison("binary", n, traffic_mf_binary(depth, n_p, m), traffic_tas_binary(depth, n_p, m),
+                          critical_size(n_p, m))
     if kind == "tree":
         if level_counts is None or childless_counts is None:
             raise ValueError("tree comparison needs the census arrays")
         n = int(np.asarray(level_counts).sum())
-        preds = [
-            TrafficPrediction("mf", "tree", n, d_rec,
-                              traffic_mf_tree(level_counts, childless_counts, n_p, m) // d_rec),
-            TrafficPrediction("tas", "tree", n, d_agg,
-                              traffic_tas_tree(level_counts, childless_counts, n_p, m) // d_agg),
-        ]
-        return _report(preds)
+        return Comparison("tree", n, traffic_mf_tree(level_counts, childless_counts, n_p, m),
+                          traffic_tas_tree(level_counts, childless_counts, n_p, m))
     if kind == "clustered":
         if n_nodes is None or n_clusters is None:
             raise ValueError("clustered comparison needs n_nodes and n_clusters")
-        preds = [
-            TrafficPrediction("mf", "clustered", n_nodes, d_rec,
-                              traffic_mf_clustered(n_nodes, n_clusters, n_p, m) // d_rec),
-            TrafficPrediction("tas", "clustered", n_nodes, d_agg,
-                              traffic_tas_clustered(n_nodes, n_clusters, n_p, m) // d_agg),
-        ]
-        return _report(preds)
+        return Comparison("clustered", n_nodes, traffic_mf_clustered(n_nodes, n_clusters, n_p, m),
+                          traffic_tas_clustered(n_nodes, n_clusters, n_p, m))
     raise ValueError(f"unknown topology kind {kind!r}")

@@ -299,25 +299,23 @@ def _cmd_traffic_predict(args) -> int:
             childless_counts=bundle.tree.childless_counts,
         )
 
-    tas = report.by_protocol("tas")
-    mf = report.by_protocol("mf")
     if args.format == "json":
         payload = {
-            "topology": tas.topology,
-            "n_nodes": tas.n_nodes,
+            "topology": report.topology,
+            "n_nodes": report.n_nodes,
             "n_p": n_p,
             "m": m,
-            "tas_total_scalars": tas.total_scalars,
-            "mf_total_scalars": mf.total_scalars,
+            "tas_total_scalars": report.tas,
+            "mf_total_scalars": report.mf,
             "winner": report.winner.upper(),
         }
         if report.critical_size is not None:
             payload["critical_size"] = report.critical_size
         print(json.dumps(payload, sort_keys=True))
         return 0
-    print(f"topology {tas.topology} n_nodes {tas.n_nodes} n_p {n_p} m {m}")
-    print(f"TAS {tas.total_scalars}")
-    print(f"MF {mf.total_scalars}")
+    print(f"topology {report.topology} n_nodes {report.n_nodes} n_p {n_p} m {m}")
+    print(f"TAS {report.tas}")
+    print(f"MF {report.mf}")
     if report.critical_size is not None:
         print(f"critical_size {report.critical_size:.3f}")
     print(f"winner {report.winner.upper()}")

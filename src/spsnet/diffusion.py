@@ -59,8 +59,9 @@ delivered (a round past the last one gives the final knowledge).
 ``TasResult`` wraps up node k's table as round r sends, before that round is
 delivered: tag tables only grow, so that table is a prefix of the final one,
 and the run records each table's row count per round. Nothing is wrapped up
-until it is read, and each prefix once. ``ConsensusResult`` gives row k of
-N * W^t after iteration t, stepped from the identity only when it is read.
+until it is read, and each read wraps up its prefix afresh. ``ConsensusResult``
+gives row k of N * W^t after iteration t, stepped from the identity only when
+it is read.
 
 No run reads the data, only their shapes. A TAS message's payload is the sum
 of the local aggregates its tag names, so distillation, aggregation and
@@ -447,26 +448,19 @@ class TasResult:
     traffic: TrafficLog
     rounds_run: int
     row_counts: dict[int, list[int]]
-    _weights: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def weights(self, k: int, rnd: int | None = None) -> np.ndarray:
         """Node k's wrap-up weights as round ``rnd`` sends, before it is
         delivered; from the whole table when ``rnd`` is None.
 
-        The read-only c is kept per (node, row count): tables only grow and
-        tags never repeat, so a prefix length fixes the tag matrix, and a
-        round in which the table did not grow solves no LP.
+        Tables only grow and tags never repeat, so the table a round sent is
+        the first ``row_counts[rnd][k]`` rows of the final one; every read
+        wraps that prefix up with ``tas_wrapup``.
         """
         _check_node(k, len(self.tables))
         if rnd is not None and rnd not in self.row_counts:
             raise ValueError(f"round {rnd} was not run")
-        table = self.tables[k]
-        key = (k, len(table.rows) if rnd is None else self.row_counts[rnd][k])
-        if key not in self._weights:
-            c = tas_wrapup(table, key[1])
-            c.flags.writeable = False
-            self._weights[key] = c
-        return self._weights[key]
+        return tas_wrapup(self.tables[k], None if rnd is None else self.row_counts[rnd][k])
 
 
 def _local_row(table: TagTable) -> int:
@@ -598,8 +592,8 @@ class ConsensusResult:
     N * W^t, node k's weight vector after iteration t (the last one when t is
     None).
 
-    W^t is stepped only when read, from one cursor ``(t, W^t, N * W^t)``: a
-    read at the cursor's t costs one row, a later read steps the cursor
+    W^t is stepped only when read, from one cursor ``(t, W^t)``: a read at
+    the cursor's t scales row k of W^t by N, a later read steps the cursor
     forward with one ``einsum`` per iteration, and an earlier one restarts it
     from the identity. Reads in iteration order therefore step each iteration
     once. No BLAS call is made, so the bits do not depend on the kernel
@@ -610,23 +604,21 @@ class ConsensusResult:
     mixing: np.ndarray
     traffic: TrafficLog
     rounds_run: int
-    _cursor: tuple[int, np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _cursor: tuple[int, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def weights(self, k: int, iteration: int | None = None) -> np.ndarray:
-        """c[i] = N * (W^t)[k, i], the weight of node i's data at node k; read-only."""
+        """c[i] = N * (W^t)[k, i], the weight of node i's data at node k."""
         t = self.rounds_run if iteration is None else iteration
         if not 0 <= t <= self.rounds_run:
             raise ValueError(f"iteration {t} was not run")
         n = self.mixing.shape[0]
         _check_node(k, n)
         if self._cursor is None or self._cursor[0] != t:
-            i, power = (0, np.eye(n)) if self._cursor is None or self._cursor[0] > t else self._cursor[:2]
+            i, power = (0, np.eye(n)) if self._cursor is None or self._cursor[0] > t else self._cursor
             for _ in range(t - i):
                 power = np.einsum("kj,ji->ki", self.mixing, power)
-            scaled = n * power
-            scaled.flags.writeable = False
-            self._cursor = (t, power, scaled)
-        return self._cursor[2][k]
+            self._cursor = (t, power)
+        return n * self._cursor[1][k]
 
 
 def run_consensus(graph: Graph, samples, signs: SignMatrix, iterations: int,

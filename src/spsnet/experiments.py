@@ -145,6 +145,10 @@ class ExperimentConfig:
     def __init__(self, raw: dict):
         validate_config(raw)
         self.raw = copy.deepcopy(raw)
+        topo = self.topology()
+        if topo["kind"] == "clustered" and topo["n_clusters"] > topo["n_nodes"]:
+            raise ValueError(f"topology.n_clusters ({topo['n_clusters']}) must not exceed "
+                             f"topology.n_nodes ({topo['n_nodes']})")
 
     @property
     def config_hash(self) -> str:
@@ -309,9 +313,10 @@ def build_topology(seed: int, tcfg: dict) -> TopologyBundle:
 @dataclass(eq=False)
 class ProtocolRun:
     """One protocol run as the SPS test sees it: ``weights(k, r)`` is node k's
-    weight vector c at round r, the run result's own read; ``builder`` turns a
-    data draw and c into the c-weighted aggregate sums, and ``traffic`` is
-    empty for ``full`` and ``local``, which have no rounds.
+    weight vector c at round r, the run result's own read; ``builder(samples,
+    signs, c)`` turns a data draw and c into the c-weighted aggregate sums, the
+    one way an aggregate is built; and ``traffic`` is empty for ``full`` and
+    ``local``, which have no rounds.
 
     ``r=None`` reads the end of the run. PF and MF read the knowledge after
     round r is delivered (a round past the last one gives the final
@@ -327,10 +332,6 @@ class ProtocolRun:
     builder: Callable[..., AggregateSums]
     rounds: int
     traffic: TrafficLog
-
-    def aggregate(self, samples: Samples, signs: SignMatrix, k: int, r: int | None = None) -> AggregateSums:
-        """Node k's aggregate sums of this draw at round r."""
-        return self.builder(samples, signs, self.weights(k, r))
 
 
 def _own_aggregate(samples, signs, c):
@@ -393,7 +394,7 @@ def run_protocol(bundle: TopologyBundle, samples: Samples, signs: SignMatrix, di
     On tree and binary bundles MF and TAS run the tree's schedule, on
     clustered bundles the clusters' one, and ``diffusion.rounds`` is ignored.
     Every other case runs the general-graph runner. TAS wraps up a node's
-    table on the first read of its weights at a round.
+    table on each read of its weights, and builds nothing before.
     """
     protocol = diff["protocol"]
     if protocol not in PROTOCOLS:
@@ -433,10 +434,11 @@ def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
 
     Each trial is one deployment: it redraws noise and signs (topology and
     regressors stay fixed), runs the configured protocol and logs its
-    traffic, builds the designated node's aggregate (every node's with
-    ``all_nodes``) from its weights, and tests membership of the true
-    parameter. Nodes with equal weights share one aggregate. Region volumes
-    are evaluated per row only when the region section asks for it.
+    traffic, reads the designated node's weights c once (every node's with
+    ``all_nodes``), builds its aggregate and its ``c_*`` columns from that c,
+    and tests membership of the true parameter. Nodes with equal weights
+    share one aggregate. Region volumes are evaluated per row only when the
+    region section asks for it.
     """
     seed = config.seed
     bundle = build_topology(seed, config.topology())
@@ -460,7 +462,7 @@ def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
             c = run.weights(k)
             key = c.tobytes()
             if key not in built:
-                built[key] = run.aggregate(samples, signs, k)
+                built[key] = run.builder(samples, signs, c)
             agg = built[key]
             covers = membership(z_values(agg, fc.p_true), q, substream(seed, "ties", trial, k))
             covers_by_node[k] += covers
@@ -517,14 +519,14 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
 
     For every seed: one data draw on a fresh random geometric network, then
     MF, TAS and both consensus schemes run through the protocol table, and
-    the region volume of every sampled node's aggregate is measured at each
-    round read (every round for MF and TAS, the checkpoints for consensus)
-    with ``aggregate(k, r)``; traffic per node is the log's total through
-    round r over N. Rows are (protocol, round, avg scalars per node, avg
-    volume) averaged over seeds and sampled nodes, a shorter curve held at
+    the region volume of every sampled node's aggregate, built from
+    ``weights(k, r)``, is measured at each round read (every round for MF and
+    TAS, the checkpoints for consensus); traffic per node is the log's total
+    through round r over N. Rows are (protocol, round, avg scalars per node,
+    avg volume) averaged over seeds and sampled nodes, a shorter curve held at
     its last point; the summary locates the consensus iteration bracket whose
     mean volume first matches full diffusion and the per-node scalars this
-    costs.
+    costs. A ``topology.kind`` other than ``rgg`` raises ValueError.
     """
     seed = config.seed
     tcfg = config.topology()
@@ -532,6 +534,9 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
     fc = config.field_config()
     if fc.n_p > MAX_GRID_DIM:
         raise ValueError(f"trade-off study evaluates regions; n_p must be at most {MAX_GRID_DIM}")
+    if tcfg["kind"] != "rgg":
+        raise ValueError(f"trade-off study draws random geometric deployments; "
+                         f"topology.kind must be 'rgg', not {tcfg['kind']!r}")
     m, q = config.sps_params()
     region = config.region_params(fc.p_true)
     pars = config.tradeoff_params()
@@ -565,7 +570,7 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
             run = run_protocol(bundle, samples, signs, diff)
             curve = []
             for r in range(run.rounds + 1) if rounds is None else rounds:
-                vols = [_region_volume(run.aggregate(samples, signs, k, r), region, q,
+                vols = [_region_volume(run.builder(samples, signs, run.weights(k, r)), region, q,
                                        derive_seed(seed, "rt", s, label, r, k))
                         for k in sample_nodes]
                 curve.append((r, run.traffic.total_through_round(r) / n, float(np.mean(vols))))
@@ -736,7 +741,7 @@ def run_region(config: ExperimentConfig) -> tuple[RegionResult, dict]:
         meta = {"source": "data", "n_nodes": len(samples)}
     else:
         run, samples, signs = simulate(config)
-        agg = run.aggregate(samples, signs, _designated_node(config, run.traffic.n_nodes))
+        agg = run.builder(samples, signs, run.weights(_designated_node(config, run.traffic.n_nodes)))
         meta = {"source": "simulation", "n_nodes": run.traffic.n_nodes,
                 "protocol": config.diffusion()["protocol"]}
     region = config.region_params()

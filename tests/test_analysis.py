@@ -13,8 +13,11 @@ from spsnet.analysis import (
     traffic_tas_clustered,
     traffic_tas_tree,
 )
-from spsnet.diffusion import payload_sizes
-from spsnet.topology import complete_binary_tree
+from spsnet.diffusion import payload_sizes, run_mf_tree, run_tas_tree
+from spsnet.model import FieldConfig, NoiseSpec, generate_measurements
+from spsnet.rng import derive_seed, substream
+from spsnet.sps import draw_sign_matrix
+from spsnet.topology import complete_binary_tree, random_geometric, spanning_tree
 
 
 def test_census_validation():
@@ -58,6 +61,30 @@ def test_binary_helpers_match_general_census():
         traffic_tas_binary(0, 2, 10)
     with pytest.raises(ValueError):
         traffic_mf_binary(-1, 2, 10)
+
+
+def test_census_formulas_equal_the_simulators_on_every_small_tree():
+    """Complete binary trees of depth 0 to 5 (the one-node tree first) and BFS
+    trees of random deployments of 2 to 40 nodes, at every n_p in 1..3 and m
+    in 2..12: each simulated total is the census formula and ``compare``'s."""
+    trees = [complete_binary_tree(depth) for depth in range(6)]
+    trees += [spanning_tree(random_geometric(n, substream(2, "census", n))) for n in range(2, 41)]
+    for i, tree in enumerate(trees):
+        n = tree.n_nodes
+        lam, bar = tree.level_counts, tree.childless_counts
+        positions = substream(2, "census-positions", i).uniform(0, 1, (n, 2))
+        for n_p in (1, 2, 3):
+            fc = FieldConfig(n_p=n_p, p_true=np.zeros(n_p), noise=NoiseSpec(scale=0.1))
+            samples = generate_measurements(positions, fc, substream(2, "census-noise", i, n_p))
+            for m in range(2, 13):
+                signs = draw_sign_matrix(m, n, derive_seed(2, "census-signs", i, n_p, m))
+                case = (n, tree.depth, n_p, m)
+                tas = run_tas_tree(tree, samples, signs).traffic.total_scalars
+                mf = run_mf_tree(tree, samples).traffic.total_scalars
+                assert tas == traffic_tas_tree(lam, bar, n_p, m), case
+                assert mf == traffic_mf_tree(lam, bar, n_p, m), case
+                report = compare("tree", n_p, m, level_counts=lam, childless_counts=bar)
+                assert (report.tas, report.mf, report.n_nodes) == (tas, mf, n), case
 
 
 def test_binary_crossover_totals():
@@ -106,29 +133,27 @@ def test_compare_reports():
     rep4 = compare("binary", 2, 10, depth=4)
     assert rep4.winner == "mf"
     assert rep4.critical_size == pytest.approx(48.95829710142188)
-    assert rep4.by_protocol("mf").total_scalars == 1443
-    assert rep4.by_protocol("tas").total_scalars == 2250
-    assert rep4.by_protocol("mf").n_nodes == 31
+    assert rep4.mf == 1443
+    assert rep4.tas == 2250
+    assert rep4.n_nodes == 31 and rep4.topology == "binary"
 
     rep5 = compare("binary", 2, 10, depth=5)
     assert rep5.winner == "tas"
 
     tree = compare("tree", 2, 10, level_counts=[1, 2, 1], childless_counts=[0, 1, 1])
     assert tree.winner == "mf"
-    assert tree.by_protocol("tas").payload_count == 5
+    assert tree.tas == 5 * payload_sizes(2, 10)[1]
     assert tree.critical_size is None
 
     clus = compare("clustered", 2, 10, n_nodes=140, n_clusters=20)
     assert clus.winner == "tas"
-    assert clus.by_protocol("mf").total_scalars == 8760
+    assert clus.mf == 8760
 
     # 6 nodes, 2 clusters, n_p=1, m=2: both protocols bill exactly 32 scalars
     tie = compare("clustered", 1, 2, n_nodes=6, n_clusters=2)
-    assert tie.by_protocol("mf").total_scalars == tie.by_protocol("tas").total_scalars == 32
+    assert tie.mf == tie.tas == 32
     assert tie.winner == "tie"
 
-    with pytest.raises(KeyError):
-        rep4.by_protocol("pf")
     with pytest.raises(ValueError):
         compare("binary", 2, 10)
     with pytest.raises(ValueError):

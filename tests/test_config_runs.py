@@ -4,7 +4,8 @@ The property test draws small configs over every topology kind, protocol,
 round setting, noise kind and parameter dimension, and runs ``coverage``,
 ``region`` and ``diffuse`` on each through ``cli.main``. A config the schema
 accepts must exit 0, or exit 1 with one of the ``error:`` lines the README
-lists for configs that cannot run. The draws also reach configs the schema
+lists for configs that cannot run, among them a clustered deployment with
+more clusters than nodes, which ``ExperimentConfig`` refuses at load. The draws also reach configs the schema
 refuses (``model.n_x`` other than 2, one-node ``rgg`` and ``tree``
 deployments), which must exit 1 with the validation error. No command may
 raise. The regression tests below pin each failure the property test found.
@@ -19,7 +20,7 @@ import jsonschema
 import pytest
 
 from spsnet.cli import main
-from spsnet.experiments import validate_config
+from spsnet.experiments import ExperimentConfig, validate_config
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -27,7 +28,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 # the error lines a schema-valid config may end with (README, "Command line")
 DOCUMENTED_ERRORS = (
     r"no connected deployment of \d+ nodes in 100 attempts",
-    r"need 1 <= n_clusters <= n_nodes",
+    r"topology\.n_clusters \(\d+\) must not exceed topology\.n_nodes \(\d+\)",
 )
 
 
@@ -138,3 +139,18 @@ def test_one_node_random_deployments_fail_validation(tmp_path, topology):
     for kind in ("complete", "binary", "clustered"):  # these build a one-node network
         validate_config({"seed": 1, "topology": {"kind": kind, "n_nodes": 1}})
     validate_config({"seed": 1, "topology": {"kind": "tree", "n_nodes": 2}})
+
+
+def test_more_clusters_than_nodes_is_refused_at_load(tmp_path):
+    config = {"seed": 4, "topology": {"kind": "clustered", "n_nodes": 25, "n_clusters": 30}}
+    message = "topology.n_clusters (30) must not exceed topology.n_nodes (25)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(config)
+    for command in ("coverage", "region", "diffuse", "topology"):
+        assert run_cli(command, config, tmp_path) == (1, f"error: {message}\n")
+    # only a clustered deployment reads n_clusters, and one node per cluster runs
+    ExperimentConfig({"seed": 4, "topology": {"kind": "rgg", "n_nodes": 25, "n_clusters": 30}})
+    valid = ExperimentConfig({"seed": 4, "topology": {"kind": "clustered", "n_nodes": 25, "n_clusters": 25}})
+    assert valid.config_hash == "ff113e3c0d5a"  # the check leaves the hash of a valid config as it was
+    assert run_cli("coverage", {"seed": 4, "trials": 1, "topology": {"kind": "clustered", "n_clusters": 20}},
+                   tmp_path)[0] == 0

@@ -23,8 +23,8 @@ Two things differ from the oracles on purpose. Every MF result reports as
 ``completion_round`` the first round after which all nodes know every record,
 also on the tree and clustered schedules (the oracles report the last
 stage there). And a TAS result wraps up nothing until ``weights`` is called,
-and each prefix of a table once, where the oracles wrap up every table
-before they return.
+and then the prefix of a table that call reads, where the oracles wrap up
+every table before they return.
 """
 
 import numpy as np
@@ -238,9 +238,8 @@ def test_tas_runs_wrap_up_only_what_is_read(net, runner, data):
         reads = data.draw(st.lists(st.tuples(st.integers(0, n - 1), rounds), min_size=1, max_size=4))
         for k, rnd in reads:
             res.weights(k, rnd)
-        # one wrap-up per prefix read, on its first read
-        prefixes = [(k, len(res.tables[k].rows) if rnd is None else res.row_counts[rnd][k]) for k, rnd in reads]
-        assert calls == list(dict.fromkeys(prefixes))
+        # one wrap-up per read, of the prefix the round sent (None: the whole table)
+        assert calls == [(k, None if rnd is None else res.row_counts[rnd][k]) for k, rnd in reads]
     assert_same_tas(res, sent, ref_run(*args), samples, signs)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from weight_rows import aggregate
 from spsnet.analysis import traffic_tas_binary
 from spsnet.cli import main
 from spsnet.experiments import (
@@ -224,6 +226,19 @@ def test_run_tradeoff_smoke():
     assert protocols == {"full", "mf", "tas", "consensus-metropolis", "consensus-perron"}
 
 
+@pytest.mark.parametrize("kind", ["tree", "complete", "binary", "clustered"])
+def test_run_tradeoff_rejects_every_kind_but_rgg(tmp_path, capsys, kind):
+    config = dict(TRADEOFF_CONFIG, topology={"kind": kind, "n_nodes": 10})
+    message = f"trade-off study draws random geometric deployments; topology.kind must be 'rgg', not '{kind}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_tradeoff(ExperimentConfig(config))
+    cfg_path = tmp_path / "to.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["tradeoff", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "tradeoff.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -337,7 +352,7 @@ def test_cli_region_of_a_node_with_fewer_samples_than_parameters(tmp_path, capsy
     assert payload["member_count"] > 0
     # the centre solves the normal equations and has no part along their null space
     run, samples, signs = simulate(ExperimentConfig({"seed": 3, "diffusion": diffusion}))
-    agg = run.aggregate(samples, signs, 0)
+    agg = aggregate(run, samples, signs, 0)
     mat0, vec0 = agg.mat[0], agg.vec[0]
     center = np.mean(payload["box"], axis=1)
     np.testing.assert_allclose(mat0 @ center, vec0, rtol=1e-9, atol=1e-9 * np.abs(vec0).max())
@@ -396,7 +411,7 @@ def test_cli_tradeoff_smoke(tmp_path, capsys):
     assert (tmp_path / "tradeoff.csv").exists()
 
 
-def test_cli_traffic_predict(capsys):
+def test_cli_traffic_predict(tmp_path, capsys):
     assert main(["traffic-predict", "--N", "63"]) == 0
     out = capsys.readouterr().out
     assert "TAS 4650" in out
@@ -414,6 +429,12 @@ def test_cli_traffic_predict(capsys):
     assert payload["mf_total_scalars"] == 8760
     assert payload["winner"] == "TAS"
     assert "critical_size" not in payload
+
+    # a one-node tree: the root sends its one record (3 scalars) and one aggregate (50)
+    cfg_path = tmp_path / "one-node.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "topology": {"kind": "binary", "depth": 0}}))
+    assert main(["traffic-predict", "--topology", "tree", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == "topology tree n_nodes 1 n_p 2 m 10\nTAS 50\nMF 3\nwinner MF\n"
 
 
 def test_traffic_predict_never_imports_jsonschema():

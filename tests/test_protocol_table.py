@@ -1,5 +1,5 @@
-"""The protocol table: one dispatch hands the SPS test weights, aggregates,
-rounds and traffic for every protocol on every topology kind.
+"""The protocol table: one dispatch hands the SPS test weights, an aggregate
+builder, rounds and traffic for every protocol on every topology kind.
 
 The contract the test relies on is that node k's aggregate is the sum of the
 local terms weighted by ``weights(k)``, whatever the protocol: it is exactly
@@ -21,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import trial_oracle  # noqa: E402
-from weight_rows import weight_matrix  # noqa: E402
+from weight_rows import aggregate, weight_matrix  # noqa: E402
 from spsnet import diffusion, experiments  # noqa: E402
 from spsnet.analysis import (  # noqa: E402
     traffic_mf_clustered,
@@ -62,7 +62,7 @@ BUILDERS = {"local": "local_aggregate", "tas": "tie_exact_aggregate", "consensus
 def assert_weighted_sum(run, protocol, samples, signs, k, r=None):
     """Node k's aggregate at round r is the weighted sum of the local terms,
     and exactly its builder's."""
-    weights, agg = run.weights(k, r), run.aggregate(samples, signs, k, r)
+    weights, agg = run.weights(k, r), aggregate(run, samples, signs, k, r)
     assert truncated_aggregate(samples, signs, weights).allclose(agg)
     build = tie_exact_aggregate if protocol in TIE_EXACT else truncated_aggregate
     assert same_agg(agg, build(samples, signs, weights))
@@ -117,7 +117,7 @@ def test_table_matches_the_old_dispatch_on_general_graphs(kind, n_nodes, seed, r
             eff = weight_matrix(run_consensus(bundle.graph, samples, signs, diff["iterations"], scheme))
         for k in nodes:
             c, agg = state[k]
-            got = run.aggregate(samples, signs, k)
+            got = aggregate(run, samples, signs, k)
             if protocol in ("tas", "consensus"):  # the oracle sums payloads or steps states
                 assert got.allclose(agg)
                 assert same_agg(got, tie_exact_aggregate(samples, signs, run.weights(k)))
@@ -182,7 +182,7 @@ def test_aggregates_are_built_only_when_read(monkeypatch):
     for protocol in PROTOCOLS:
         run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, 1))
         for k in (3, 3, 0):
-            run.aggregate(samples, signs, k)
+            aggregate(run, samples, signs, k)
         assert built == [BUILDERS.get(protocol, "truncated_aggregate")] * 3, protocol  # once per read
         built.clear()
 
@@ -216,6 +216,28 @@ def test_coverage_runs_each_protocol_once_per_trial(monkeypatch):
         calls.clear()
 
 
+def test_coverage_reads_each_nodes_weights_once_per_trial(monkeypatch):
+    """A coverage row's aggregate and its ``c_*`` columns come from one read."""
+    reads = []
+    original = experiments.run_protocol
+
+    def counting(*args, **kwargs):
+        run = original(*args, **kwargs)
+        weights = run.weights
+        run.weights = lambda k, r=None: reads.append(k) or weights(k, r)
+        return run
+
+    monkeypatch.setattr(experiments, "run_protocol", counting)
+    for protocol in PROTOCOLS:
+        config = experiments.ExperimentConfig({
+            "seed": 6, "trials": 3, "all_nodes": True, "topology": {"kind": "rgg", "n_nodes": 8},
+            "diffusion": {"protocol": protocol, "rounds": 1},
+        })
+        experiments.run_coverage(config)
+        assert reads == list(range(8)) * 3, protocol
+        reads.clear()
+
+
 def test_unknown_protocol_is_rejected():
     bundle = bundle_for("rgg", 5, 0)
     samples, signs = data_for(bundle, 0)
@@ -227,7 +249,7 @@ def test_tas_wraps_up_only_the_requested_nodes(monkeypatch):
     calls = []
     original = diffusion.tas_wrapup
     monkeypatch.setattr(diffusion, "tas_wrapup",
-                        lambda table, n_rows=None: calls.append((table.owner, n_rows == len(table.rows)))
+                        lambda table, n_rows=None: calls.append((table.owner, n_rows is None))
                         or original(table, n_rows))
     for kind, n_nodes in (("rgg", 12), ("tree", 12), ("binary", 15), ("clustered", 12)):
         bundle = bundle_for(kind, n_nodes, 1, depth=3)
@@ -235,12 +257,12 @@ def test_tas_wraps_up_only_the_requested_nodes(monkeypatch):
         calls.clear()
         run = run_protocol(bundle, samples, signs, diffusion_cfg("tas"))
         assert calls == []  # nothing is wrapped up until it is read
-        first = [(run.weights(k), run.aggregate(samples, signs, k)) for k in (5, 2)]
-        again = [(run.weights(k), run.aggregate(samples, signs, k)) for k in (2, 5)]
-        assert calls == [(5, True), (2, True)]  # each node's final table, once, on its first read
-        assert same_agg(first[0][1], again[1][1]) and same_agg(first[1][1], again[0][1])
+        first = [aggregate(run, samples, signs, k) for k in (5, 2)]
+        again = [aggregate(run, samples, signs, k) for k in (2, 5)]
+        assert calls == [(5, True), (2, True), (2, True), (5, True)]  # each read, the node's whole table
+        assert same_agg(first[0], again[1]) and same_agg(first[1], again[0])
         with pytest.raises(ValueError, match="not in the network"):
-            run.aggregate(samples, signs, bundle.graph.n_nodes)
+            aggregate(run, samples, signs, bundle.graph.n_nodes)
 
 
 @pytest.mark.parametrize("protocol", list(PROTOCOLS))
@@ -271,12 +293,12 @@ def test_every_round_reads_the_weighted_sum_of_local_terms(protocol, kind, n_nod
             with pytest.raises(ValueError, match="not run"):
                 run.weights(0, rnd)
             with pytest.raises(ValueError, match="not run"):
-                run.aggregate(samples, signs, 0, rnd)
+                aggregate(run, samples, signs, 0, rnd)
     else:  # full and local ignore the round; flooding past its last round is final knowledge
         for k in range(n):
             assert np.array_equal(run.weights(k, later), run.weights(k))
-            assert same_agg(run.aggregate(samples, signs, k, later), run.aggregate(samples, signs, k))
+            assert same_agg(aggregate(run, samples, signs, k, later), aggregate(run, samples, signs, k))
     if protocol != "tas":  # TAS on a schedule delivers its last round after it sends
         for k in range(n):
             assert np.array_equal(run.weights(k, run.rounds), run.weights(k))
-            assert same_agg(run.aggregate(samples, signs, k, run.rounds), run.aggregate(samples, signs, k))
+            assert same_agg(aggregate(run, samples, signs, k, run.rounds), aggregate(run, samples, signs, k))

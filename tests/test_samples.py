@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import model_oracle  # noqa: E402
 from diffusion_oracle import local_aggregate_arrays  # noqa: E402
+from weight_rows import aggregate  # noqa: E402
 from spsnet.diffusion import run_consensus, run_tas  # noqa: E402
 from spsnet.experiments import TopologyBundle, run_protocol  # noqa: E402
 from spsnet.model import (  # noqa: E402
@@ -111,7 +112,7 @@ def test_local_payloads_share_no_memory():
     }
     for name, (bundle, first) in runs.items():
         run = run_protocol(bundle, samples, signs, {"protocol": "tas", "rounds": 0})
-        payloads = [run.aggregate(samples, signs, k, first) for k in range(12)]
+        payloads = [aggregate(run, samples, signs, k, first) for k in range(12)]
         for k, target in enumerate(payloads):
             one = local_aggregate(samples, k, signs.column(k))
             assert np.array_equal(target.vec, one.vec) and np.array_equal(target.mat, one.mat), name
@@ -121,7 +122,7 @@ def test_local_payloads_share_no_memory():
         before = [(p.vec.copy(), p.mat.copy()) for p in payloads]
         # adding into one node's payload leaves every other node's, and a new read, unchanged
         payloads[4].vec += payloads[4].vec
-        assert np.array_equal(run.aggregate(samples, signs, 4, first).vec, before[4][0]), name
+        assert np.array_equal(aggregate(run, samples, signs, 4, first).vec, before[4][0]), name
         for k, p in enumerate(payloads):
             if k == 4:
                 assert np.array_equal(p.vec, 2 * before[k][0]), name

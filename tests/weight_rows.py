@@ -1,5 +1,6 @@
 """Whole weight matrices for tests: a run result answers one node at a time,
-through ``weights(k, r)``, and these stack every node's answer."""
+through ``weights(k, r)``, and these stack every node's answer. ``aggregate``
+reads one node's weights and builds its aggregate, as the runners do."""
 
 import numpy as np
 
@@ -13,3 +14,9 @@ def knowledge(res, r=None) -> np.ndarray:
     """A flooding run's knowledge after round r as (N, N) bools: row k is the
     records node k holds."""
     return weight_matrix(res, r).astype(bool)
+
+
+def aggregate(run, samples, signs, k, r=None):
+    """Node k's aggregate sums at round r of a ``ProtocolRun``: its builder
+    applied to ``weights(k, r)``."""
+    return run.builder(samples, signs, run.weights(k, r))
