@@ -196,12 +196,13 @@ class TagTable:
     (bit i is node i). Row 0 is always the owner's local row, tag
     ``1 << owner``. Tags never repeat within a table. The table records which
     rows have already been merged into an outgoing aggregate so later
-    aggregation phases can start from fresh content. Rows are added only
-    through ``append``, which also takes a collection of node ids and stores
-    its mask, and which keeps ``covered``, the OR of every row's tag, and
-    ``disjoint``, whether those tags are pairwise disjoint. A table holds no
-    payload: ``local_payload`` and ``append``'s ``payload`` are accepted and
-    ignored.
+    aggregation phases can start from fresh content. Rows are added through
+    ``append``, which checks the tag (and also takes a collection of node ids
+    and stores its mask), or, for the residuals ``tas_distill`` keeps, through
+    ``_store`` without the checks. Both keep ``covered``, the OR of every
+    row's tag, and ``disjoint``, whether those tags are pairwise disjoint. A
+    table holds no payload: ``local_payload`` and ``append``'s ``payload``
+    are accepted and ignored.
     """
 
     def __init__(self, owner: int, n_nodes: int, local_payload=None):
@@ -223,6 +224,11 @@ class TagTable:
             raise ValueError("tag contains an unknown node id")
         if tag in self._tags:
             raise ValueError("duplicate tag")
+        return self._store(tag)
+
+    def _store(self, tag: int) -> TagRow:
+        """Add a row whose tag passes ``append``'s checks, as every residual
+        ``tas_distill`` keeps does by construction."""
         row = TagRow(tag)
         self.rows.append(row)
         self._tags.add(tag)
@@ -248,7 +254,9 @@ def tas_distill(table: TagTable, tag: int) -> TagRow | None:
     subset of the remaining incoming tag is subtracted. What is left is new
     information; it is appended as a row. A message whose residual is empty
     carries nothing new and is discarded. (A residual never repeats a stored
-    tag: the scan would have subtracted that row.)
+    tag: the scan would have subtracted that row.) The incoming tag must be a
+    message tag of the same network, a mask over the table's node ids; the
+    residual, a nonzero subset of it, is stored without ``append``'s checks.
 
     Two cases need no scan, read off the table's ``covered`` and ``disjoint``:
     a tag sharing no node with ``covered`` is kept whole, and when the table
@@ -258,15 +266,15 @@ def tas_distill(table: TagTable, tag: int) -> TagRow | None:
     """
     covered = table.covered
     if not tag & covered:
-        return table.append(tag) if tag else None
+        return table._store(tag) if tag else None
     if table.disjoint and tag & covered == covered:
-        return table.append(tag ^ covered) if tag != covered else None
+        return table._store(tag ^ covered) if tag != covered else None
     remaining = tag
     for row in table.rows:
         t = row.tag
         if t & remaining == t:
             remaining ^= t
-    return table.append(remaining) if remaining else None
+    return table._store(remaining) if remaining else None
 
 
 def tas_aggregate(table: TagTable) -> int | None:

@@ -514,6 +514,16 @@ def _consensus_checkpoints(limit: int) -> list[int]:
     return sorted(ts)
 
 
+def _rgg_topology(config: ExperimentConfig, study: str) -> dict:
+    """The ``topology`` section of a study that draws its own random geometric
+    deployments; any other ``kind`` raises ValueError."""
+    tcfg = config.topology()
+    if tcfg["kind"] != "rgg":
+        raise ValueError(f"{study} study draws random geometric deployments; "
+                         f"topology.kind must be 'rgg', not {tcfg['kind']!r}")
+    return tcfg
+
+
 def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
     """Average region volume against average per-node traffic, per round.
 
@@ -529,14 +539,11 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
     costs. A ``topology.kind`` other than ``rgg`` raises ValueError.
     """
     seed = config.seed
-    tcfg = config.topology()
-    n = int(tcfg["n_nodes"])
     fc = config.field_config()
     if fc.n_p > MAX_GRID_DIM:
         raise ValueError(f"trade-off study evaluates regions; n_p must be at most {MAX_GRID_DIM}")
-    if tcfg["kind"] != "rgg":
-        raise ValueError(f"trade-off study draws random geometric deployments; "
-                         f"topology.kind must be 'rgg', not {tcfg['kind']!r}")
+    tcfg = _rgg_topology(config, "trade-off")
+    n = int(tcfg["n_nodes"])
     m, q = config.sps_params()
     region = config.region_params(fc.p_true)
     pars = config.tradeoff_params()
@@ -644,9 +651,13 @@ def run_success_rate(config: ExperimentConfig) -> ExperimentRecord:
     deployments. Per realization the two scheduled simulators run once and
     their totals are checked against the census formulas exactly; the n_p
     sweep then evaluates the (verified) formulas on the same census, since
-    only the payload sizes change with n_p.
+    only the payload sizes change with n_p. The sizes come from
+    ``success_rate.n_nodes``; of ``topology`` only ``radius`` is read (the
+    default scales with each size), and a ``topology.kind`` other than
+    ``rgg`` raises ValueError.
     """
     seed = config.seed
+    tcfg = _rgg_topology(config, "success-rate")
     pars = config.success_rate_params()
     m, _ = config.sps_params()
     n_list = [int(v) for v in pars["n_nodes"]]
@@ -665,7 +676,7 @@ def run_success_rate(config: ExperimentConfig) -> ExperimentRecord:
     for n_nodes in n_list:
         wins = {n_p: 0 for n_p in np_list}
         for r in range(realizations):
-            g = random_geometric(n_nodes, substream(seed, "topology", n_nodes, r))
+            g = random_geometric(n_nodes, substream(seed, "topology", n_nodes, r), radius=tcfg["radius"])
             tree = spanning_tree(g)
             lam = tree.level_counts
             bar = tree.childless_counts

@@ -120,16 +120,18 @@ def bfs_levels(adjacency: np.ndarray, root: int) -> np.ndarray:
 
 
 MAX_RETRIES = 100  # deployments ``random_geometric`` draws before giving up
+RGG_BLOCK_ROWS = 64  # adjacency rows per block: 256 KB per float temporary at N=500
 
 
 def random_geometric(n_nodes: int, rng: np.random.Generator, radius: float | None = None) -> Graph:
     """Connected random geometric graph on the unit square.
 
     Positions are uniform; nodes within ``radius`` (default: comm_radius(N))
-    of each other are adjacent: ``dx*dx + dy*dy <= radius**2`` on the two
-    planar (N, N) coordinate differences, which are the products and the add
-    a sum of squared difference vectors makes, so no (N, N, 2) array is
-    built. Redraws positions until the graph is connected, up to
+    of each other are adjacent: ``dx*dx + dy*dy <= radius**2``, the products
+    and the add a sum of squared difference vectors makes. The comparison is
+    written straight into the bool adjacency, ``RGG_BLOCK_ROWS`` rows at a
+    time, so the float temporaries take O(N * RGG_BLOCK_ROWS) memory, not
+    O(N**2). Redraws positions until the graph is connected, up to
     ``MAX_RETRIES`` attempts (the retry count is logged, not returned), then
     raises ConnectivityError.
     """
@@ -139,14 +141,17 @@ def random_geometric(n_nodes: int, rng: np.random.Generator, radius: float | Non
         radius = comm_radius(n_nodes)
     elif radius <= 0:
         raise ValueError("radius must be positive")
+    adj = np.empty((n_nodes, n_nodes), dtype=bool)
     for attempt in range(1, MAX_RETRIES + 1):
         pos = rng.uniform(0.0, 1.0, size=(n_nodes, 2))
-        dx = np.subtract.outer(pos[:, 0], pos[:, 0])
-        dy = np.subtract.outer(pos[:, 1], pos[:, 1])
-        dx *= dx
-        dy *= dy
-        dx += dy
-        adj = dx <= radius ** 2
+        for i in range(0, n_nodes, RGG_BLOCK_ROWS):
+            block = slice(i, i + RGG_BLOCK_ROWS)
+            dx = np.subtract.outer(pos[block, 0], pos[:, 0])
+            dy = np.subtract.outer(pos[block, 1], pos[:, 1])
+            dx *= dx
+            dy *= dy
+            dx += dy
+            np.less_equal(dx, radius ** 2, out=adj[block])
         np.fill_diagonal(adj, False)
         if (bfs_levels(adj, 0) >= 0).all():
             if attempt > 1:

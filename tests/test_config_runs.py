@@ -2,13 +2,15 @@
 
 The property test draws small configs over every topology kind, protocol,
 round setting, noise kind and parameter dimension, and runs ``coverage``,
-``region`` and ``diffuse`` on each through ``cli.main``. A config the schema
-accepts must exit 0, or exit 1 with one of the ``error:`` lines the README
-lists for configs that cannot run, among them a clustered deployment with
-more clusters than nodes, which ``ExperimentConfig`` refuses at load. The draws also reach configs the schema
-refuses (``model.n_x`` other than 2, one-node ``rgg`` and ``tree``
-deployments), which must exit 1 with the validation error. No command may
-raise. The regression tests below pin each failure the property test found.
+``region``, ``diffuse`` and ``success-rate`` on each through ``cli.main``.
+A config the schema accepts must exit 0, or exit 1 with one of the
+``error:`` lines the README lists for configs that cannot run, among them a
+clustered deployment with more clusters than nodes, which
+``ExperimentConfig`` refuses at load, and ``success-rate`` on any kind but
+``rgg``. The draws also reach configs the schema refuses (``model.n_x``
+other than 2, one-node ``rgg`` and ``tree`` deployments), which must exit 1
+with the validation error. No command may raise. The regression tests below
+pin each failure the property test found.
 """
 
 import contextlib
@@ -29,6 +31,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 DOCUMENTED_ERRORS = (
     r"no connected deployment of \d+ nodes in 100 attempts",
     r"topology\.n_clusters \(\d+\) must not exceed topology\.n_nodes \(\d+\)",
+    r"success-rate study draws random geometric deployments; topology\.kind must be 'rgg', not '\w+'",
 )
 
 
@@ -77,6 +80,9 @@ def small_configs(draw):
         "sps": {"m": m, "q": draw(st.integers(1, m - 1))},
         "diffusion": diffusion,
         "region": {"grid_per_dim": draw(st.integers(1, 6))},
+        "success_rate": {"n_nodes": draw(st.lists(st.integers(2, 30), min_size=1, max_size=2)),
+                         "n_p": draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)),
+                         "realizations": draw(st.integers(1, 3))},
     }
 
 
@@ -92,21 +98,39 @@ def run_cli(command, config, tmp_path):
     return rc, err.getvalue()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(small_configs())
-def test_a_small_config_runs_or_fails_with_a_documented_error(tmp_path_factory, config):
-    tmp_path = tmp_path_factory.mktemp("config")
+def check_runs(config, commands, tmp_path):
+    """Each command exits 0 or with a documented error (the validation error
+    for a config the schema refuses); ``success-rate`` refuses every kind but
+    ``rgg``."""
     valid = schema_valid(config)
-    for command in ("coverage", "region", "diffuse"):
+    kind = config["topology"]["kind"]
+    for command in commands:
         rc, err = run_cli(command, config, tmp_path)
-        if valid and rc == 0:
+        if valid and rc == 0 and (command != "success-rate" or kind == "rgg"):
             continue
         assert rc == 1 and err.startswith("error: "), (command, rc, err)
         if valid:
             message = err.splitlines()[0].removeprefix("error: ")
             assert any(re.fullmatch(p, message) for p in DOCUMENTED_ERRORS), (command, message)
+            if command == "success-rate" and kind != "rgg" and "n_clusters" not in message:
+                assert message.endswith(f"topology.kind must be 'rgg', not '{kind}'"), message
         else:
             assert "Failed validating" in err, (command, err)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_configs())
+def test_a_small_config_runs_or_fails_with_a_documented_error(tmp_path_factory, config):
+    check_runs(config, ("coverage", "region", "diffuse", "success-rate"), tmp_path_factory.mktemp("config"))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(small_configs(), st.sampled_from([None, 0.01, 0.3, 1.5]))
+def test_success_rate_on_a_drawn_rgg_config_runs_or_fails_with_a_documented_error(
+        tmp_path_factory, config, radius):
+    # the drawn kinds are mostly not rgg, which the study refuses before drawing
+    config["topology"] = {"kind": "rgg"} if radius is None else {"kind": "rgg", "radius": radius}
+    check_runs(config, ("success-rate",), tmp_path_factory.mktemp("config"))
 
 
 @pytest.mark.parametrize("command", ["coverage", "region", "topology"])
@@ -116,6 +140,17 @@ def test_a_deployment_that_cannot_connect_is_a_user_error(tmp_path, command):
     assert rc == 1
     assert err == "error: no connected deployment of 30 nodes in 100 attempts\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["complete", "tree", "binary", "clustered"])
+def test_success_rate_refuses_a_topology_it_does_not_draw(tmp_path, kind):
+    config = {"seed": 1, "topology": {"kind": kind, "n_nodes": 30, "n_clusters": 3},
+              "success_rate": {"n_nodes": [8], "n_p": [2], "realizations": 2}}
+    assert run_cli("success-rate", config, tmp_path) == (
+        1, f"error: success-rate study draws random geometric deployments; "
+           f"topology.kind must be 'rgg', not '{kind}'\n")
+    config["topology"] = {"kind": "rgg", "n_nodes": 30, "radius": 1.5}
+    assert run_cli("success-rate", config, tmp_path) == (0, "")
 
 
 @pytest.mark.parametrize("n_x", [1, 3])

@@ -24,7 +24,7 @@ from spsnet.experiments import (
     validate_config,
     wilson_interval,
 )
-from spsnet.topology import comm_radius
+from spsnet.topology import ConnectivityError, comm_radius
 
 
 def test_config_schema_validation():
@@ -194,6 +194,17 @@ def test_run_success_rate_smoke():
     assert all(0.0 <= r <= 1.0 for r in record.summary["rates"].values())
     assert len(record.rows) == 2
     assert record.columns == ["n_nodes", "n_p", "realizations", "tas_wins", "success_rate"]
+
+
+def test_success_rate_reads_only_the_kind_and_radius_of_the_topology():
+    study = {"n_nodes": [8, 16], "n_p": [2, 3], "realizations": 3}
+    plain = run_success_rate(ExperimentConfig({"seed": 13, "success_rate": study}))
+    # a topology section shared with the trade-off study: sizes still come from success_rate
+    shared = run_success_rate(ExperimentConfig(
+        {"seed": 13, "topology": {"kind": "rgg", "n_nodes": 50}, "success_rate": study}))
+    assert shared.rows == plain.rows and shared.summary == plain.summary
+    with pytest.raises(ConnectivityError):
+        run_success_rate(ExperimentConfig({"seed": 13, "topology": {"radius": 0.01}, "success_rate": study}))
 
 
 TRADEOFF_CONFIG = {

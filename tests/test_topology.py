@@ -1,6 +1,7 @@
 """Graphs, trees and clusters: construction, censuses, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,21 @@ def test_random_geometric_radius_override():
         random_geometric(10, substream(8, "topology"), radius=0.0)
     with pytest.raises(ConnectivityError):
         random_geometric(50, substream(8, "topology"), radius=1e-4)
+
+
+def test_random_geometric_draws_without_dense_float_temporaries():
+    # row blocks keep the float temporaries at O(N * RGG_BLOCK_ROWS): about
+    # 2.7 MB at N=1000 with the 1 MB bool adjacency; (N, N) coordinate
+    # differences would take 18 MB
+    rng = substream(3, "topology", 1000)
+    tracemalloc.start()
+    try:
+        g = random_geometric(1000, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_nodes == 1000
+    assert peak < 6 * 2**20
 
 
 def test_tree_topology_validation():

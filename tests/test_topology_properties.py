@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import topology_oracle as oracle  # noqa: E402
 from spsnet.rng import substream  # noqa: E402
 from spsnet.topology import (  # noqa: E402
+    RGG_BLOCK_ROWS as B,
     Graph,
     TreeTopology,
     bfs_levels,
@@ -26,11 +27,15 @@ from spsnet.topology import (  # noqa: E402
     spanning_tree,
 )
 
-SIZES = st.integers(2, 60) | st.sampled_from([63, 64, 65, 130, 257, 500])
+# the adjacency is drawn in blocks of B rows: sizes at the block edges end
+# on a full block or on a last block of a single row
+SIZES = st.integers(2, 60) | st.sampled_from([B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 130, 257, 500])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(SIZES, st.floats(1.0, 4.0), st.integers(0, 2**32 - 1))
+@example(B + 1, 1.0, 0)
+@example(2 * B + 1, 1.0, 0)
 def test_rgg_adjacency_equals_the_difference_vector_formula(n_nodes, scale, seed):
     radius = min(scale * comm_radius(n_nodes), 1.5)
     g = random_geometric(n_nodes, substream(seed, "rgg"), radius=radius)
