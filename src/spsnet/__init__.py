@@ -9,175 +9,7 @@ distribution-free coverage from whatever share of the data reached it. Every
 transmitted scalar is counted, closed-form traffic totals mirror the
 simulators exactly, and batch experiment runners reproduce the coverage and
 volume-versus-traffic studies from the command line.
+
+The package root binds no names: import each one from the module that
+defines it, for example ``from spsnet.diffusion import run_tas``.
 """
-
-from .analysis import (
-    Comparison,
-    compare,
-    critical_size,
-    traffic_mf_binary,
-    traffic_mf_clustered,
-    traffic_mf_tree,
-    traffic_tas_binary,
-    traffic_tas_clustered,
-    traffic_tas_tree,
-)
-from .diffusion import (
-    CONSENSUS_SCHEMES,
-    ConsensusResult,
-    MfResult,
-    TagRow,
-    TagTable,
-    TasResult,
-    TrafficEvent,
-    TrafficLog,
-    consensus_weights,
-    payload_sizes,
-    run_consensus,
-    run_mf,
-    run_mf_clustered,
-    run_mf_tree,
-    run_pf,
-    run_tas,
-    run_tas_clustered,
-    run_tas_tree,
-    tas_aggregate,
-    tas_distill,
-    tas_wrapup,
-)
-from .experiments import (
-    TOOL_VERSION,
-    ExperimentConfig,
-    ExperimentRecord,
-    build_topology,
-    run_coverage,
-    run_region,
-    run_success_rate,
-    run_tradeoff,
-    validate_config,
-    wilson_interval,
-)
-from .lp import LpProblem, SimplexError, solve_lp
-from .model import (
-    NOISE_KINDS,
-    REGRESSOR_FAMILIES,
-    FieldConfig,
-    NoiseSpec,
-    Samples,
-    generate_measurements,
-    regressors,
-)
-from .rng import derive_seed, substream
-from .sps import (
-    AggregateSums,
-    RegionResult,
-    SignMatrix,
-    SingularMatrixError,
-    batch_aggregate,
-    draw_sign_matrix,
-    evaluate_region,
-    local_aggregate,
-    ls_estimate,
-    membership,
-    tie_exact_aggregate,
-    truncated_aggregate,
-    z_values,
-)
-from .topology import (
-    ClusteredTopology,
-    ConnectivityError,
-    DisconnectedGraphError,
-    Graph,
-    TreeTopology,
-    bfs_levels,
-    clustered,
-    comm_radius,
-    complete_binary_tree,
-    diameter,
-    random_geometric,
-    save_topology,
-    spanning_tree,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AggregateSums",
-    "CONSENSUS_SCHEMES",
-    "ClusteredTopology",
-    "Comparison",
-    "ConnectivityError",
-    "ConsensusResult",
-    "DisconnectedGraphError",
-    "ExperimentConfig",
-    "ExperimentRecord",
-    "FieldConfig",
-    "Graph",
-    "LpProblem",
-    "MfResult",
-    "NOISE_KINDS",
-    "NoiseSpec",
-    "REGRESSOR_FAMILIES",
-    "RegionResult",
-    "Samples",
-    "SignMatrix",
-    "SimplexError",
-    "SingularMatrixError",
-    "TOOL_VERSION",
-    "TagRow",
-    "TagTable",
-    "TasResult",
-    "TrafficEvent",
-    "TrafficLog",
-    "TreeTopology",
-    "batch_aggregate",
-    "bfs_levels",
-    "build_topology",
-    "clustered",
-    "comm_radius",
-    "compare",
-    "complete_binary_tree",
-    "consensus_weights",
-    "critical_size",
-    "derive_seed",
-    "diameter",
-    "draw_sign_matrix",
-    "evaluate_region",
-    "generate_measurements",
-    "local_aggregate",
-    "ls_estimate",
-    "membership",
-    "payload_sizes",
-    "random_geometric",
-    "regressors",
-    "run_consensus",
-    "run_coverage",
-    "run_mf",
-    "run_mf_clustered",
-    "run_mf_tree",
-    "run_pf",
-    "run_region",
-    "run_success_rate",
-    "run_tas",
-    "run_tas_clustered",
-    "run_tas_tree",
-    "run_tradeoff",
-    "save_topology",
-    "solve_lp",
-    "spanning_tree",
-    "substream",
-    "tas_aggregate",
-    "tas_distill",
-    "tas_wrapup",
-    "traffic_mf_binary",
-    "traffic_mf_clustered",
-    "traffic_mf_tree",
-    "traffic_tas_binary",
-    "traffic_tas_clustered",
-    "traffic_tas_tree",
-    "tie_exact_aggregate",
-    "truncated_aggregate",
-    "validate_config",
-    "wilson_interval",
-    "z_values",
-]

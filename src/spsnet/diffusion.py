@@ -74,15 +74,18 @@ assembled is c-weighted, so the SPS side builds it from c.
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .lp import LpProblem, solve_lp
+from .lp import LpProblem, SimplexError, solve_lp
 from .model import Samples
 from .sps import SignMatrix
 from .topology import ClusteredTopology, DisconnectedGraphError, Graph, TreeTopology, diameter
+
+logger = logging.getLogger(__name__)
 
 
 def payload_sizes(n_p: int, m: int) -> tuple[int, int]:
@@ -316,20 +319,37 @@ def tas_wrapup(table: TagTable, n_rows: int | None = None) -> np.ndarray:
     rows span the network); c is then unpacked from the covered mask without
     building a tag matrix. Overlapping tags are resolved by the wrap-up LP,
     solved afresh on every call; values within 1e-9 of 0 or 1 are snapped
-    exact, and a weight further than 1e-9 outside [0, 1] raises ValueError.
+    exact.
+
+    When the LP raises ``SimplexError`` or gives a weight further than 1e-9
+    outside [0, 1], the wrap-up falls back to the 0/1 weights of the rows
+    whose tags miss every row taken before, in insertion order, and logs one
+    WARNING naming the owner, the row count and the reason. Those weights
+    read the tags only, so coverage stays exact; only the region grows.
     """
     rows = table.rows[:n_rows]
     covered, disjoint = _cover(rows)
     if disjoint:
         return _unpack([covered], table.n_nodes)[0].astype(float)
     tagmat = _unpack([row.tag for row in rows], table.n_nodes).astype(float)
-    b, _ = solve_lp(LpProblem(tagmat))
-    c = b @ tagmat
-    c[np.abs(c) <= 1e-9] = 0.0
-    c[np.abs(c - 1.0) <= 1e-9] = 1.0
-    if np.any(c < 0.0) or np.any(c > 1.0):
-        raise ValueError("wrap-up weights must lie in [0, 1] (within 1e-9)")
-    return c
+    try:
+        b, _ = solve_lp(LpProblem(tagmat))
+    except SimplexError as err:
+        reason = str(err)
+    else:
+        c = b @ tagmat
+        c[np.abs(c) <= 1e-9] = 0.0
+        c[np.abs(c - 1.0) <= 1e-9] = 1.0
+        if ((0.0 <= c) & (c <= 1.0)).all():
+            return c
+        reason = "a weight lies more than 1e-9 outside [0, 1]"
+    logger.warning("tas_wrapup: node %d, %d rows: %s; using the disjoint rows' 0/1 weights",
+                   table.owner, len(rows), reason)
+    taken = 0
+    for row in rows:
+        if not row.tag & taken:
+            taken |= row.tag
+    return _unpack([taken], table.n_nodes)[0].astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -45,14 +45,6 @@ class LpProblem:
         self.tags = t.astype(float)
 
     @property
-    def n_rows(self) -> int:
-        return self.tags.shape[0]
-
-    @property
-    def n_nodes(self) -> int:
-        return self.tags.shape[1]
-
-    @property
     def weights(self) -> np.ndarray:
         """Objective coefficients: nodes covered per row."""
         return self.tags.sum(axis=1)

@@ -49,7 +49,8 @@ class Graph:
         adj = np.asarray(self.adjacency, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be square")
-        if not np.array_equal(adj, adj.T):
+        rows, cols = np.nonzero(adj)  # row-major: each row's ids ascending, rows in order
+        if not adj[cols, rows].all():  # every edge's reverse, without an (N, N) transpose copy
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(adj)):
             raise ValueError("self-loops are not allowed")
@@ -58,7 +59,6 @@ class Graph:
             self.positions = np.asarray(self.positions, dtype=float)
             if self.positions.shape[0] != adj.shape[0]:
                 raise ValueError("positions must match the node count")
-        _, cols = np.nonzero(adj)  # row-major: each row's ids ascending, rows in order
         ends = np.cumsum(adj.sum(axis=1)).tolist()
         self._neighbors = [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
 

@@ -104,6 +104,18 @@ def coverage(table) -> frozenset:
     return frozenset(out)
 
 
+def disjoint_rows_weights(table) -> np.ndarray:
+    """The wrap-up's fallback: 0/1 weights of the nodes named by the rows
+    whose tags miss every row taken before, in insertion order."""
+    taken: set = set()
+    for row in table.rows:
+        if not taken & row.tag:
+            taken |= row.tag
+    c = np.zeros(table.n_nodes)
+    c[sorted(taken)] = 1.0
+    return c
+
+
 def tag_matrix(table) -> np.ndarray:
     t = np.zeros((len(table.rows), table.n_nodes), dtype=np.uint8)
     for r, row in enumerate(table.rows):

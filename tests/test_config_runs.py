@@ -2,14 +2,14 @@
 
 The property test draws small configs over every topology kind, protocol,
 round setting, noise kind and parameter dimension, and runs ``coverage``,
-``region``, ``diffuse`` and ``success-rate`` on each through ``cli.main``.
-A config the schema accepts must exit 0, or exit 1 with one of the
-``error:`` lines the README lists for configs that cannot run, among them a
-clustered deployment with more clusters than nodes, which
-``ExperimentConfig`` refuses at load, and ``success-rate`` on any kind but
-``rgg``. The draws also reach configs the schema refuses (``model.n_x``
-other than 2, one-node ``rgg`` and ``tree`` deployments), which must exit 1
-with the validation error. No command may raise. The regression tests below
+``region``, ``diffuse``, ``tradeoff`` and ``success-rate`` on each through
+``cli.main``. A config the schema accepts must exit 0, or exit 1 with one of
+the ``error:`` lines the README lists for configs that cannot run, among them
+a clustered deployment with more clusters than nodes, which
+``ExperimentConfig`` refuses at load, and ``tradeoff`` or ``success-rate`` on
+any kind but ``rgg``. The draws also reach configs the schema refuses
+(``model.n_x`` other than 2, one-node ``rgg`` and ``tree`` deployments),
+which must exit 1 with the validation error. No command may raise. The regression tests below
 pin each failure the property test found.
 """
 
@@ -31,8 +31,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 DOCUMENTED_ERRORS = (
     r"no connected deployment of \d+ nodes in 100 attempts",
     r"topology\.n_clusters \(\d+\) must not exceed topology\.n_nodes \(\d+\)",
+    r"trade-off study draws random geometric deployments; topology\.kind must be 'rgg', not '\w+'",
     r"success-rate study draws random geometric deployments; topology\.kind must be 'rgg', not '\w+'",
 )
+RGG_STUDIES = ("tradeoff", "success-rate")  # they draw their own rgg deployments
 
 
 def schema_valid(config) -> bool:
@@ -86,6 +88,15 @@ def small_configs(draw):
     }
 
 
+# a one-seed trade-off study, small enough to run on every drawn config
+tradeoff_sections = st.fixed_dictionaries({
+    "n_seeds": st.just(1),
+    "max_iterations": st.integers(1, 4),
+    "node_sample": st.none() | st.integers(1, 3),
+    "rounds": st.none() | st.integers(0, 2),
+})
+
+
 def run_cli(command, config, tmp_path):
     """(exit code, stderr) of one subcommand on ``config``; an exception fails
     the test. The streams are redirected by hand, as a Hypothesis test cannot
@@ -100,37 +111,40 @@ def run_cli(command, config, tmp_path):
 
 def check_runs(config, commands, tmp_path):
     """Each command exits 0 or with a documented error (the validation error
-    for a config the schema refuses); ``success-rate`` refuses every kind but
-    ``rgg``."""
+    for a config the schema refuses); ``tradeoff`` and ``success-rate`` refuse
+    every kind but ``rgg``."""
     valid = schema_valid(config)
     kind = config["topology"]["kind"]
     for command in commands:
         rc, err = run_cli(command, config, tmp_path)
-        if valid and rc == 0 and (command != "success-rate" or kind == "rgg"):
+        if valid and rc == 0 and (command not in RGG_STUDIES or kind == "rgg"):
             continue
         assert rc == 1 and err.startswith("error: "), (command, rc, err)
         if valid:
             message = err.splitlines()[0].removeprefix("error: ")
             assert any(re.fullmatch(p, message) for p in DOCUMENTED_ERRORS), (command, message)
-            if command == "success-rate" and kind != "rgg" and "n_clusters" not in message:
+            if command in RGG_STUDIES and kind != "rgg" and "n_clusters" not in message:
                 assert message.endswith(f"topology.kind must be 'rgg', not '{kind}'"), message
         else:
             assert "Failed validating" in err, (command, err)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(small_configs())
-def test_a_small_config_runs_or_fails_with_a_documented_error(tmp_path_factory, config):
-    check_runs(config, ("coverage", "region", "diffuse", "success-rate"), tmp_path_factory.mktemp("config"))
+@given(small_configs(), tradeoff_sections)
+def test_a_small_config_runs_or_fails_with_a_documented_error(tmp_path_factory, config, tradeoff):
+    config["tradeoff"] = tradeoff
+    check_runs(config, ("coverage", "region", "diffuse", "tradeoff", "success-rate"),
+               tmp_path_factory.mktemp("config"))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(small_configs(), st.sampled_from([None, 0.01, 0.3, 1.5]))
+@given(small_configs(), tradeoff_sections, st.sampled_from([None, 0.01, 0.3, 1.5]))
 def test_success_rate_on_a_drawn_rgg_config_runs_or_fails_with_a_documented_error(
-        tmp_path_factory, config, radius):
-    # the drawn kinds are mostly not rgg, which the study refuses before drawing
+        tmp_path_factory, config, tradeoff, radius):
+    config["tradeoff"] = tradeoff
+    # the drawn kinds are mostly not rgg, which the studies refuse before drawing
     config["topology"] = {"kind": "rgg"} if radius is None else {"kind": "rgg", "radius": radius}
-    check_runs(config, ("success-rate",), tmp_path_factory.mktemp("config"))
+    check_runs(config, RGG_STUDIES, tmp_path_factory.mktemp("config"))
 
 
 @pytest.mark.parametrize("command", ["coverage", "region", "topology"])

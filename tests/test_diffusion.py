@@ -33,6 +33,7 @@ from spsnet.diffusion import (
     tas_wrapup,
 )
 from spsnet.diffusion import _complete_message
+from spsnet.lp import SimplexError
 import diffusion_oracle
 import tradeoff_oracle
 from tas_oracle import mask, nodes, plus
@@ -349,18 +350,47 @@ def overlapping_table(n_nodes):
     return table
 
 
-def test_wrapup_weights_clamping(monkeypatch):
-    """Weights within 1e-9 of [0, 1] are snapped into it; further out raises."""
+def test_wrapup_weights_clamping(monkeypatch, caplog):
+    """Weights within 1e-9 of [0, 1] are snapped into it; further out falls
+    back to the disjoint rows' 0/1 weights, with a warning."""
     table = overlapping_table(4)  # rows {0}, {1, 2}, {2, 3}
     for b, expected in (([1.0 + 5e-10, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0]),
                         ([1.0, 1.0, -5e-10], [1.0, 1.0, 1.0, 0.0]),
                         ([1.0, 0.5, 0.5], [1.0, 0.5, 1.0, 0.5])):
         monkeypatch.setattr(diffusion, "solve_lp", lambda problem, b=b: (np.array(b), None))
         assert np.array_equal(tas_wrapup(table), expected)
+    assert not caplog.records
     for b in ([1.0, 1.1, 0.0], [1.0, -0.01, 0.0]):
         monkeypatch.setattr(diffusion, "solve_lp", lambda problem, b=b: (np.array(b), None))
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            tas_wrapup(table)
+        caplog.clear()
+        assert np.array_equal(tas_wrapup(table), [1.0, 1.0, 1.0, 0.0])  # rows {0} and {1, 2}
+        assert [(r.name, r.levelname) for r in caplog.records] == [("spsnet.diffusion", "WARNING")]
+        assert "node 0, 3 rows: a weight lies more than 1e-9 outside [0, 1]" in caplog.text
+
+
+def test_wrapup_falls_back_to_disjoint_rows_when_the_lp_fails(monkeypatch, caplog):
+    """A failed solve gives the 0/1 weights of the rows that miss every row
+    taken before, in insertion order, and one warning; the solver is asked once."""
+    table = TagTable(owner=2, n_nodes=6)
+    for tag in (mask(1, 3), mask(3, 4), mask(4, 5), mask(0, 3)):
+        table.append(tag)  # rows {2}, {1, 3}, {3, 4}, {4, 5}, {0, 3}
+
+    calls = []
+
+    def failing(problem):
+        calls.append(problem.tags.shape)
+        raise SimplexError("simplex did not converge within 7 iterations")
+
+    monkeypatch.setattr(diffusion, "solve_lp", failing)
+    c = tas_wrapup(table)
+    assert calls == [(5, 6)]
+    assert np.array_equal(c, [0.0, 1.0, 1.0, 1.0, 1.0, 1.0])  # rows {2}, {1, 3}, {4, 5}
+    assert [(r.name, r.levelname) for r in caplog.records] == [("spsnet.diffusion", "WARNING")]
+    assert ("node 2, 5 rows: simplex did not converge within 7 iterations; "
+            "using the disjoint rows' 0/1 weights") in caplog.text
+    caplog.clear()
+    assert np.array_equal(tas_wrapup(table, 3), [0.0, 1.0, 1.0, 1.0, 0.0, 0.0])  # a prefix: rows {2}, {1, 3}
+    assert "node 2, 3 rows" in caplog.text
 
 
 def growing_result():

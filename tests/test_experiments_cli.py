@@ -15,6 +15,7 @@ from weight_rows import aggregate
 from spsnet.analysis import traffic_tas_binary
 from spsnet.cli import main
 from spsnet.experiments import (
+    TOOL_VERSION,
     ExperimentConfig,
     run_coverage,
     run_region,
@@ -25,6 +26,12 @@ from spsnet.experiments import (
     wilson_interval,
 )
 from spsnet.topology import ConnectivityError, comm_radius
+
+
+def test_records_are_stamped_with_the_package_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert TOOL_VERSION == tomllib.load(fh)["project"]["version"]
 
 
 def test_config_schema_validation():

@@ -1,13 +1,13 @@
-"""The package's exports: ``spsnet.__all__`` names exactly the public objects
-``spsnet/__init__.py`` binds, so no export dangles and none is left out."""
+"""The package root binds no public name but its submodules: every name is
+imported from the module that defines it, so no list of re-exports can grow
+back or dangle."""
 
 import types
 
 import spsnet
 
 
-def test_all_is_exactly_the_public_names_the_package_binds():
-    bound = {name for name, value in vars(spsnet).items()
-             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(spsnet.__all__) == len(set(spsnet.__all__))
-    assert set(spsnet.__all__) == bound  # so every exported name resolves
+def test_the_package_root_binds_only_submodules():
+    for name, value in vars(spsnet).items():
+        if not name.startswith("_"):
+            assert isinstance(value, types.ModuleType) and value.__name__ == f"spsnet.{name}", name

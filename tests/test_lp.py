@@ -31,7 +31,7 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         LpProblem(np.array([[1, 0], [0, 0]]))
     p = LpProblem(np.array([[1, 1, 0], [0, 1, 0]]))
-    assert p.n_rows == 2 and p.n_nodes == 3
+    assert p.tags.shape == (2, 3)
     assert np.array_equal(p.weights, [2, 1])
 
 
