@@ -83,15 +83,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=tuple(PROTOCOLS))
     p.add_argument("--all-nodes", action="store_true", dest="all_nodes",
                    help="evaluate membership at every node, not just the designated one")
-    p.set_defaults(func=_cmd_coverage)
+    p.set_defaults(func=_cmd_study, runner=run_coverage)
 
     p = sub.add_parser("tradeoff", parents=[common],
                        help="averaged volume-versus-traffic curves per protocol")
-    p.set_defaults(func=_cmd_tradeoff)
+    p.set_defaults(func=_cmd_study, runner=run_tradeoff)
 
     p = sub.add_parser("success-rate", parents=[common],
                        help="fraction of random trees where TAS moves fewer scalars than MF")
-    p.set_defaults(func=_cmd_success_rate)
+    p.set_defaults(func=_cmd_study, runner=run_success_rate)
 
     p = sub.add_parser("traffic-predict", parents=[common],
                        help="closed-form traffic totals for a topology, no simulation")
@@ -236,36 +236,19 @@ def _cmd_region(args) -> int:
     return 0
 
 
-def _cmd_coverage(args) -> int:
+def _cmd_study(args) -> int:
+    """coverage, tradeoff or success-rate: run the study, write its record
+    under the record's name, print the summary and any per-size rates."""
     overrides = [
-        (("trials",), args.trials),
-        (("diffusion", "protocol"), args.protocol),
-        (("all_nodes",), True if args.all_nodes else None),
+        (("trials",), getattr(args, "trials", None)),
+        (("diffusion", "protocol"), getattr(args, "protocol", None)),
+        (("all_nodes",), True if getattr(args, "all_nodes", False) else None),
     ]
     config = _load_config(args, overrides)
-    record = run_coverage(config)
-    path = _write_record(record, config, args, "coverage")
+    record = args.runner(config)
+    path = _write_record(record, config, args, record.name)
     _print_summary(record.summary)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_tradeoff(args) -> int:
-    config = _load_config(args)
-    record = run_tradeoff(config)
-    path = _write_record(record, config, args, "tradeoff")
-    _print_summary(record.summary)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_success_rate(args) -> int:
-    config = _load_config(args)
-    record = run_success_rate(config)
-    path = _write_record(record, config, args, "success_rate")
-    flat = {k: v for k, v in record.summary.items() if not isinstance(v, dict)}
-    _print_summary(flat)
-    for key, rate in sorted(record.summary["rates"].items()):
+    for key, rate in sorted(record.summary.get("rates", {}).items()):
         print(f"rate[{key}]={rate:.3f}")
     print(f"wrote {path}")
     return 0

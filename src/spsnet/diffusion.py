@@ -200,10 +200,11 @@ class TagTable:
     ``1 << owner``. Tags never repeat within a table. The table records which
     rows have already been merged into an outgoing aggregate so later
     aggregation phases can start from fresh content. Rows are added through
-    ``append``, which checks the tag (and also takes a collection of node ids
-    and stores its mask), or, for the residuals ``tas_distill`` keeps, through
-    ``_store`` without the checks. Both keep ``covered``, the OR of every
-    row's tag, and ``disjoint``, whether those tags are pairwise disjoint. A
+    ``append``, which checks the tag against the network and, by a scan of
+    the rows, against every stored tag (and also takes a collection of node
+    ids and stores its mask), or, for the residuals ``tas_distill`` keeps,
+    through ``_store`` without the checks. Both keep ``covered``, the OR of
+    every row's tag, and ``disjoint``, whether those tags are pairwise disjoint. A
     table holds no payload: ``local_payload`` and ``append``'s ``payload``
     are accepted and ignored.
     """
@@ -216,7 +217,6 @@ class TagTable:
         self.rows: list[TagRow] = [TagRow(1 << owner)]
         self.covered = 1 << owner
         self.disjoint = True
-        self._tags = {1 << owner}
 
     def append(self, tag, payload=None) -> TagRow:
         if not isinstance(tag, int):
@@ -225,7 +225,7 @@ class TagTable:
             raise ValueError("a tag must name at least one node")
         if tag >> self.n_nodes:
             raise ValueError("tag contains an unknown node id")
-        if tag in self._tags:
+        if any(row.tag == tag for row in self.rows):
             raise ValueError("duplicate tag")
         return self._store(tag)
 
@@ -234,20 +234,9 @@ class TagTable:
         ``tas_distill`` keeps does by construction."""
         row = TagRow(tag)
         self.rows.append(row)
-        self._tags.add(tag)
         self.disjoint = self.disjoint and not tag & self.covered
         self.covered |= tag
         return row
-
-
-def _cover(rows) -> tuple[int, bool]:
-    """(mask of the nodes the rows' tags name, whether those tags are pairwise
-    disjoint): disjoint exactly when the tags' bit counts add up to the mask's."""
-    covered = bits = 0
-    for row in rows:
-        covered |= row.tag
-        bits += row.tag.bit_count()
-    return covered, bits == covered.bit_count()
 
 
 def tas_distill(table: TagTable, tag: int) -> TagRow | None:
@@ -314,41 +303,40 @@ def _complete_message(table: TagTable) -> int:
 def tas_wrapup(table: TagTable, n_rows: int | None = None) -> np.ndarray:
     """The per-node weights c of a table, or of its first ``n_rows`` rows.
 
-    When those rows' tags are pairwise disjoint every row is used with
-    coefficient one, so covered nodes get weight exactly 1 (all ones when the
-    rows span the network); c is then unpacked from the covered mask without
-    building a tag matrix. Overlapping tags are resolved by the wrap-up LP,
-    solved afresh on every call; values within 1e-9 of 0 or 1 are snapped
-    exact.
+    One pass over those rows, in insertion order, takes each row whose tag
+    misses every row taken before. When it takes every row, the tags are
+    pairwise disjoint and every row is used with coefficient one: c is the
+    0/1 mask of the taken rows (all ones when they span the network), read
+    without building a tag matrix. Otherwise the wrap-up LP resolves the
+    overlapping tags, solved afresh on every call; values within 1e-9 of 0
+    or 1 are snapped exact.
 
     When the LP raises ``SimplexError`` or gives a weight further than 1e-9
-    outside [0, 1], the wrap-up falls back to the 0/1 weights of the rows
-    whose tags miss every row taken before, in insertion order, and logs one
-    WARNING naming the owner, the row count and the reason. Those weights
-    read the tags only, so coverage stays exact; only the region grows.
+    outside [0, 1], the wrap-up falls back to the same mask of taken rows and
+    logs one WARNING naming the owner, the row count and the reason. Those
+    weights read the tags only, so coverage stays exact; only the region grows.
     """
     rows = table.rows[:n_rows]
-    covered, disjoint = _cover(rows)
-    if disjoint:
-        return _unpack([covered], table.n_nodes)[0].astype(float)
-    tagmat = _unpack([row.tag for row in rows], table.n_nodes).astype(float)
-    try:
-        b, _ = solve_lp(LpProblem(tagmat))
-    except SimplexError as err:
-        reason = str(err)
-    else:
-        c = b @ tagmat
-        c[np.abs(c) <= 1e-9] = 0.0
-        c[np.abs(c - 1.0) <= 1e-9] = 1.0
-        if ((0.0 <= c) & (c <= 1.0)).all():
-            return c
-        reason = "a weight lies more than 1e-9 outside [0, 1]"
-    logger.warning("tas_wrapup: node %d, %d rows: %s; using the disjoint rows' 0/1 weights",
-                   table.owner, len(rows), reason)
-    taken = 0
+    taken = kept = 0
     for row in rows:
         if not row.tag & taken:
             taken |= row.tag
+            kept += 1
+    if kept < len(rows):
+        tagmat = _unpack([row.tag for row in rows], table.n_nodes).astype(float)
+        try:
+            b, _ = solve_lp(LpProblem(tagmat))
+        except SimplexError as err:
+            reason = str(err)
+        else:
+            c = b @ tagmat
+            c[np.abs(c) <= 1e-9] = 0.0
+            c[np.abs(c - 1.0) <= 1e-9] = 1.0
+            if ((0.0 <= c) & (c <= 1.0)).all():
+                return c
+            reason = "a weight lies more than 1e-9 outside [0, 1]"
+        logger.warning("tas_wrapup: node %d, %d rows: %s; using the disjoint rows' 0/1 weights",
+                       table.owner, len(rows), reason)
     return _unpack([taken], table.n_nodes)[0].astype(float)
 
 

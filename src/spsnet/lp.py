@@ -25,7 +25,8 @@ import numpy as np
 
 
 class SimplexError(RuntimeError):
-    """Simplex failed: iteration budget exhausted or internal inconsistency."""
+    """Simplex failed: iteration budget exhausted, a basic value gone
+    negative, or internal inconsistency."""
 
 
 @dataclass(eq=False)
@@ -87,6 +88,12 @@ def _simplex_max(
     and subtract of a row-by-row elimination, so x matches it bit for bit.
     That must hold: b drives the weights c, and a last-bit change in c moves
     region cells and the benchmark's reference rows.
+
+    A minimum ratio below -tol means rounding has already left a basic value
+    negative, which a primal simplex never allows; the pivot would push the
+    tableau further from feasibility, so the solve raises ``SimplexError``
+    there instead of drifting to the iteration cap, which stays the backstop
+    against cycling.
     """
     n_rows, n_struct = a.shape
     n_cols = n_struct + n_rows
@@ -101,7 +108,7 @@ def _simplex_max(
     reduced[:n_struct] = cost
     basis = np.arange(n_struct, n_struct + n_rows)
 
-    for _ in range(max_iterations):
+    for pivot in range(max_iterations):
         enter = int((reduced > tol).argmax())  # Bland: lowest index
         if not reduced[enter] > tol:
             x = np.zeros(n_cols)
@@ -113,6 +120,8 @@ def _simplex_max(
             raise SimplexError("unbounded direction found; the wrap-up LP is bounded, so this is a bug")
         ratios = tableau[pos, -1] / f[pos]
         best = ratios.min()
+        if best < -tol:
+            raise SimplexError(f"lost primal feasibility at pivot {pivot} (step {best:.2g})")
         ties = pos[abs(ratios - best) <= tol * max(1.0, best)]
         leave = int(ties[basis[ties].argmin()])  # Bland: lowest basic index
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spsnet.diffusion import TrafficLog, _check_samples, _cover, _unpack, payload_sizes
+from spsnet.diffusion import TrafficLog, _check_samples, _unpack, payload_sizes
 from spsnet.lp import LpProblem, solve_lp
 from spsnet.sps import AggregateSums, SignMatrix
 from spsnet.topology import ClusteredTopology, Graph, TreeTopology, diameter
@@ -115,6 +115,17 @@ class PayloadTable:
         row = PayloadRow(tag, payload)
         self.rows.append(row)
         return row
+
+
+def _cover(rows) -> tuple[int, bool]:
+    """(mask of the nodes the rows' tags name, whether those tags are pairwise
+    disjoint): disjoint exactly when the tags' bit counts add up to the mask's.
+    The package's own copy, as it first read both off a table's rows."""
+    covered = bits = 0
+    for row in rows:
+        covered |= row.tag
+        bits += row.tag.bit_count()
+    return covered, bits == covered.bit_count()
 
 
 def _local_tables(samples, signs: SignMatrix, n: int) -> list[PayloadTable]:

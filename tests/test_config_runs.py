@@ -45,9 +45,14 @@ def schema_valid(config) -> bool:
     return True
 
 
+KINDS = ("rgg", "complete", "tree", "binary", "clustered")
+
+
 @st.composite
-def small_configs(draw):
-    kind = draw(st.sampled_from(["rgg", "complete", "tree", "binary", "clustered"]))
+def small_configs(draw, kind=None):
+    """A small config of the given topology kind, or of a drawn one."""
+    if kind is None:
+        kind = draw(st.sampled_from(KINDS))
     n_nodes = draw(st.integers(1, 30))
     topology = {"kind": kind, "n_nodes": n_nodes}
     if kind == "binary":
@@ -129,9 +134,11 @@ def check_runs(config, commands, tmp_path):
             assert "Failed validating" in err, (command, err)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(small_configs(), tradeoff_sections)
-def test_a_small_config_runs_or_fails_with_a_documented_error(tmp_path_factory, config, tradeoff):
+@pytest.mark.parametrize("kind", KINDS)  # twelve configs of every kind, whatever the draw order
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), tradeoff=tradeoff_sections)
+def test_a_small_config_runs_or_fails_with_a_documented_error(tmp_path_factory, kind, data, tradeoff):
+    config = data.draw(small_configs(kind))
     config["tradeoff"] = tradeoff
     check_runs(config, ("coverage", "region", "diffuse", "tradeoff", "success-rate"),
                tmp_path_factory.mktemp("config"))

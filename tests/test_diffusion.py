@@ -203,7 +203,7 @@ def test_tag_table_basics():
     table = TagTable(owner=2, n_nodes=5)
     assert table.rows[0].tag == mask(2)
     table.append(mask(0, 1))
-    assert diffusion._cover(table.rows) == (mask(0, 1, 2), True)
+    assert diffusion_oracle._cover(table.rows) == (table.covered, table.disjoint) == (mask(0, 1, 2), True)
     mat = diffusion._unpack([r.tag for r in table.rows], table.n_nodes)
     assert mat.shape == (2, 5)
     assert np.array_equal(mat[0], [0, 0, 1, 0, 0])

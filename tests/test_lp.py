@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lp_oracle import wrapup_lp_optimum
-from spsnet.diffusion import _unpack, run_tas
-from spsnet.lp import LpProblem, solve_lp
+from spsnet.diffusion import _unpack, run_tas, tas_wrapup
+from spsnet.lp import LpProblem, SimplexError, solve_lp
 from spsnet.model import FieldConfig, generate_measurements
 from spsnet.rng import substream
 from spsnet.sps import draw_sign_matrix
@@ -130,3 +130,36 @@ def test_simplex_matches_highs_on_tas_tables():
         _, obj = solve_lp(LpProblem(tags))
         assert obj == pytest.approx(highs_optimum(tags), abs=1e-9), f"node {table.owner}"
     assert overlapping > 30
+
+
+@pytest.fixture(scope="module")
+def drifting_table():
+    """Node 25's table on a 300-node random geometric graph: a 153-row wrap-up
+    LP on which the dense tableau loses primal feasibility."""
+    graph = random_geometric(300, substream(1, "t", 300))
+    cfg = FieldConfig(n_p=3, p_true=np.array([1, -0.5, 0.25]))
+    samples = generate_measurements(graph.positions, cfg, substream(1, "n"))
+    table = run_tas(graph, samples, draw_sign_matrix(10, 300, 3)).tables[25]
+    assert len(table.rows) == 153
+    return table
+
+
+def test_a_drifting_tableau_falls_back_where_it_breaks(drifting_table, caplog):
+    tags = _unpack([r.tag for r in drifting_table.rows], drifting_table.n_nodes).astype(float)
+    # the guard fires near pivot 2,900, long before the cap of 151,600
+    with pytest.raises(SimplexError, match=r"^lost primal feasibility at pivot \d+ \(step -"):
+        solve_lp(LpProblem(tags), max_iterations=3_000)
+    taken = 0
+    for row in drifting_table.rows:
+        if not row.tag & taken:
+            taken |= row.tag
+    c = tas_wrapup(drifting_table)
+    assert np.array_equal(c, _unpack([taken], drifting_table.n_nodes)[0]) and c.sum() == 147
+    assert [(r.name, r.levelname) for r in caplog.records] == [("spsnet.diffusion", "WARNING")]
+    assert "node 25, 153 rows: lost primal feasibility at pivot" in caplog.text
+
+
+def test_highs_solves_the_drifting_table(drifting_table):
+    # the optimum the fallback's 147 falls short of
+    tags = _unpack([r.tag for r in drifting_table.rows], drifting_table.n_nodes).astype(float)
+    assert highs_optimum(tags) == pytest.approx(196, abs=1e-9)

@@ -2,7 +2,10 @@
 
 The wrap-up coefficients b set the region weights, so a last-bit change in b
 can move region cells. The package's pivot must therefore reproduce the
-row-loop oracle's b bit for bit, and fail at the same iteration cap.
+row-loop oracle's b bit for bit, and fail at the same iteration cap. The
+package also stops where a ratio test finds a negative step, which the oracle
+does not check; on random tables and on the tables of a 100-node TAS run,
+where every solve succeeds, that guard must change no bit.
 """
 
 import numpy as np
@@ -13,7 +16,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import simplex_oracle  # noqa: E402
 from spsnet import lp  # noqa: E402
+from spsnet.diffusion import _unpack, run_tas  # noqa: E402
 from spsnet.lp import LpProblem, SimplexError, solve_lp  # noqa: E402
+from spsnet.model import FieldConfig, generate_measurements  # noqa: E402
+from spsnet.rng import substream  # noqa: E402
+from spsnet.sps import draw_sign_matrix  # noqa: E402
+from spsnet.topology import random_geometric  # noqa: E402
 
 KINDS = ("random", "nested", "duplicate-columns", "duplicate-rows", "neighbourhoods")
 
@@ -81,6 +89,19 @@ def test_pivot_matches_row_loop_bit_for_bit(tags):
     (b, obj), (b_oracle, obj_oracle) = solve_both(tags)
     assert np.array_equal(b, b_oracle)
     assert obj == obj_oracle
+
+
+def test_pivot_matches_row_loop_on_every_table_of_a_tas_run():
+    # 100 nodes, n_p = 3 and m = 10, the size of criterion 12's trade-off study
+    graph = random_geometric(100, substream(1116, "topology"))
+    cfg = FieldConfig(n_p=3, p_true=np.array([1.0, -0.5, 0.25]))
+    samples = generate_measurements(graph.positions, cfg, substream(1116, "noise"))
+    overlapping = [t for t in run_tas(graph, samples, draw_sign_matrix(10, 100, 1116)).tables if not t.disjoint]
+    assert len(overlapping) == 100  # no table of this run is disjoint
+    for table in overlapping:
+        tags = _unpack([r.tag for r in table.rows], table.n_nodes).astype(float)
+        (b, obj), (b_oracle, obj_oracle) = solve_both(tags)
+        assert np.array_equal(b, b_oracle) and obj == obj_oracle, f"node {table.owner}"
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

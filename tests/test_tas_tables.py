@@ -31,7 +31,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import tas_oracle  # noqa: E402
 from spsnet import diffusion  # noqa: E402
-from spsnet.diffusion import TagTable, _cover, tas_distill, tas_wrapup  # noqa: E402
+from spsnet.diffusion import TagTable, tas_distill, tas_wrapup  # noqa: E402
+from diffusion_oracle import _cover  # noqa: E402
 from tas_oracle import SetTable, mask, nodes  # noqa: E402
 from spsnet.lp import SimplexError  # noqa: E402
 from spsnet.model import Samples  # noqa: E402
