@@ -12,8 +12,10 @@ sums)                    a tag, the set of nodes whose data the payload
                          contains. Reception runs a distillation step that
                          subtracts already-known content, aggregation merges
                          disjoint rows into one outgoing message, and a final
-                         wrap-up turns the stored rows into per-node weights
-                         via a small linear program.
+                         wrap-up turns the stored rows into per-node weights:
+                         the greedy disjoint rows' 0/1 mask whenever those
+                         rows cover every node the table names, otherwise a
+                         small linear program, then that mask as a fallback.
 consensus                every node averages its neighbors' running
                          aggregates under a doubly stochastic mixing matrix;
                          initial states are scaled by N so the fixed point is
@@ -304,10 +306,11 @@ def tas_wrapup(table: TagTable, n_rows: int | None = None) -> np.ndarray:
     """The per-node weights c of a table, or of its first ``n_rows`` rows.
 
     One pass over those rows, in insertion order, takes each row whose tag
-    misses every row taken before. When it takes every row, the tags are
-    pairwise disjoint and every row is used with coefficient one: c is the
-    0/1 mask of the taken rows (all ones when they span the network), read
-    without building a tag matrix. Otherwise the wrap-up LP resolves the
+    misses every row taken before, and ORs every tag into ``covered``. When
+    the taken rows cover every node the rows name, c is the 0/1 mask of the
+    taken rows (all ones when they span the network), read without building
+    a tag matrix: each c_i is at most 1 and is 0 off ``covered``, so that
+    mask is the LP's unique optimum. Otherwise the wrap-up LP resolves the
     overlapping tags, solved afresh on every call; values within 1e-9 of 0
     or 1 are snapped exact.
 
@@ -317,12 +320,12 @@ def tas_wrapup(table: TagTable, n_rows: int | None = None) -> np.ndarray:
     weights read the tags only, so coverage stays exact; only the region grows.
     """
     rows = table.rows[:n_rows]
-    taken = kept = 0
+    taken = covered = 0
     for row in rows:
         if not row.tag & taken:
             taken |= row.tag
-            kept += 1
-    if kept < len(rows):
+        covered |= row.tag
+    if taken != covered:
         tagmat = _unpack([row.tag for row in rows], table.n_nodes).astype(float)
         try:
             b, _ = solve_lp(LpProblem(tagmat))
@@ -366,12 +369,6 @@ class MfResult:
         _check_node(k, len(masks))
         return _unpack([masks[k]], len(masks))[0].astype(float)
 
-    @property
-    def completion_round(self) -> int | None:
-        """The first round after which every node knew every record, or None."""
-        full = (1 << len(self.masks[0])) - 1
-        return next((r for r, masks in enumerate(self.masks) if masks.count(full) == len(masks)), None)
-
 
 def _flood(protocol: str, graph: Graph, stages, samples, plain=False, until_quiet=False) -> MfResult:
     """Flooding along a schedule; stage s (from 1) is round s.
@@ -409,10 +406,9 @@ def run_pf(graph: Graph, samples, max_rounds: int | None = None) -> MfResult:
     """Plain flooding: every node rebroadcasts everything it knows each round.
 
     Stops after the first round that adds no knowledge anywhere (or at
-    ``max_rounds``); the round at which knowledge first became complete
-    everywhere is ``completion_round``. Traffic dominates modified flooding
-    round by round because the transmitted set always contains the rows MF
-    would send.
+    ``max_rounds``); ``masks`` shows the round at which knowledge first
+    became complete everywhere. Traffic dominates modified flooding round by
+    round because the transmitted set always contains the rows MF would send.
     """
     cap = max_rounds if max_rounds is not None else graph.n_nodes + 2
     return _flood("pf", graph, _every_node(graph, cap), samples, plain=True, until_quiet=True)

@@ -464,7 +464,8 @@ def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
             if key not in built:
                 built[key] = run.builder(samples, signs, c)
             agg = built[key]
-            covers = membership(z_values(agg, fc.p_true), q, substream(seed, "ties", trial, k))
+            covers = membership(z_values(agg, fc.p_true), q,
+                                lambda: substream(seed, "ties", trial, k).uniform(size=m))
             covers_by_node[k] += covers
             volume = (_region_volume(agg, region, q, derive_seed(seed, "region-ties", trial, k))
                       if region["evaluate"] else "")
@@ -741,8 +742,7 @@ def run_region(config: ExperimentConfig) -> tuple[RegionResult, dict]:
     m, q = config.sps_params()
     if "data" in config.raw:
         data = config.raw["data"]
-        y = np.asarray(data["y"], dtype=float)
-        samples = Samples(np.zeros((y.size, 0)), data["phi"], y)
+        samples = Samples(data["phi"], data["y"])
         if "signs" in data:
             signs = SignMatrix(np.asarray(data["signs"], dtype=int))
         else:

@@ -11,9 +11,9 @@ region construction needs, so several noise families are provided, including
 a discrete one that produces exact ties.
 
 ``generate_measurements`` returns one read-only ``Samples`` value holding
-every node's data as arrays: ``positions`` (N, n_x), ``phi`` (N, n_p) and
-``y`` (N,), row i for node i. It builds them without per-node Python for the
-polynomial basis, with the bits of a node-by-node ``phi_i @ p_true``.
+every node's data as arrays: ``phi`` (N, n_p) and ``y`` (N,), row i for
+node i. It builds them without per-node Python for the polynomial basis,
+with the bits of a node-by-node ``phi_i @ p_true``.
 """
 
 from __future__ import annotations
@@ -88,27 +88,24 @@ class FieldConfig:
 
 @dataclass(frozen=True, eq=False)
 class Samples:
-    """Every node's position, regressor and measurement, row i for node i.
+    """Every node's regressor and measurement, row i for node i.
 
-    ``positions`` has shape (N, n_x), ``phi`` (N, n_p) and ``y`` (N,). The
-    arrays are private float copies marked read-only, so a ``Samples`` value
-    can be shared by any number of runs and aggregates.
+    ``phi`` has shape (N, n_p) and ``y`` (N,). The arrays are private float
+    copies marked read-only, so a ``Samples`` value can be shared by any
+    number of runs and aggregates.
     """
 
-    positions: np.ndarray
     phi: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        for name in ("positions", "phi", "y"):
+        for name in ("phi", "y"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         n = self.y.shape[0] if self.y.ndim == 1 else -1
         if n < 1 or self.phi.ndim != 2 or self.phi.shape[0] != n:
             raise ValueError("phi must be (N, n_p) with one measurement y per row, N >= 1")
-        if self.positions.ndim != 2 or self.positions.shape[0] != n:
-            raise ValueError("positions must be (N, n_x) with one row per measurement")
         if not np.isfinite(self.y).all():
             raise ValueError("measurements must be finite")
         if not np.isfinite(self.phi).all():
@@ -181,4 +178,4 @@ def generate_measurements(positions, config: FieldConfig, rng: np.random.Generat
     if phi.shape[0] == 0:
         raise ValueError("at least one position is required")
     noise = config.noise.sample(rng, phi.shape[0])
-    return Samples(positions=positions, phi=phi, y=np.vecdot(phi, config.p_true) + noise)
+    return Samples(phi=phi, y=np.vecdot(phi, config.p_true) + noise)

@@ -108,11 +108,6 @@ class AggregateSums:
     def n_p(self) -> int:
         return self.vec.shape[1]
 
-    def allclose(self, other: "AggregateSums", rtol: float = 1e-9, atol: float = 1e-12) -> bool:
-        return np.allclose(self.vec, other.vec, rtol=rtol, atol=atol) and np.allclose(
-            self.mat, other.mat, rtol=rtol, atol=atol
-        )
-
     @classmethod
     def zeros(cls, m: int, n_p: int) -> "AggregateSums":
         return cls(np.zeros((m, n_p)), np.zeros((m, n_p, n_p)))
@@ -236,29 +231,29 @@ def rank_above(z: np.ndarray, keys) -> np.ndarray:
     above, and a tied row ranks above when its key is larger. Independent
     uniform keys make every ordering of a tied group equally likely, which
     keeps the region's coverage exact even where exact ties occur. ``z`` has
-    shape (m, ...); ``keys`` is an array of the same shape, or a function
-    returning one, called only when some row ties with row 0.
+    shape (m, ...); ``keys`` is a function returning an array of the same
+    shape, called only when some row ties with row 0.
     """
     above = z[1:] > z[0]
     tied = z[1:] == z[0]
     if tied.any():
-        u = keys() if callable(keys) else keys
+        u = keys()
         above |= tied & (u[1:] > u[0])
     return above.sum(axis=0)
 
 
-def membership(z, q: int, tie_rng: np.random.Generator) -> bool:
+def membership(z, q: int, keys) -> bool:
     """Is a point with these Z values inside the confidence region?
 
     True iff, after ranking with uniform tie-breaking, at least q of the
     perturbed values lie strictly above Z_0, i.e. Z_0 is not among the q
-    largest. Consumes exactly m uniforms from ``tie_rng``.
+    largest. ``keys`` returns the point's m uniform tie keys and is called
+    only when some Z_j ties Z_0, as in ``rank_above``.
     """
     z = np.asarray(z, dtype=float)
-    m = z.shape[0]
-    if not 1 <= q <= m - 1:
+    if not 1 <= q <= z.shape[0] - 1:
         raise ValueError("q must satisfy 1 <= q <= m-1")
-    return bool(rank_above(z, tie_rng.uniform(size=m)) >= q)
+    return bool(rank_above(z, keys) >= q)
 
 
 @dataclass(eq=False)

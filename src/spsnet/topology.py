@@ -197,7 +197,10 @@ class TreeTopology:
             raise ValueError("parent array contains a cycle or unreachable node")
         self.level = level
         self._n_children = np.bincount(self.parent + 1, minlength=n + 1)[1:]
-        self._graph: Graph | None = None
+        adj = np.zeros((n, n), dtype=bool)
+        child = np.flatnonzero(self.parent >= 0)
+        adj[child, self.parent[child]] = True
+        self._graph = Graph(adjacency=adj | adj.T)
 
     @property
     def n_nodes(self) -> int:
@@ -240,14 +243,7 @@ class TreeTopology:
         return forward + backward
 
     def graph(self) -> Graph:
-        """Every node linked to its parent; built on the first call, the same
-        object after that."""
-        if self._graph is None:
-            n = self.n_nodes
-            adj = np.zeros((n, n), dtype=bool)
-            child = np.flatnonzero(self.parent >= 0)
-            adj[child, self.parent[child]] = True
-            self._graph = Graph(adjacency=adj | adj.T)
+        """Every node linked to its parent; built once, with the tree."""
         return self._graph
 
     def to_json_dict(self) -> dict:
@@ -342,6 +338,13 @@ class ClusteredTopology:
         for c, h in enumerate(self.heads):
             if self.assignment[h] != c:
                 raise ValueError("each head must belong to its own cluster")
+        n = self.n_nodes
+        adj = np.zeros((n, n), dtype=bool)
+        adj[np.arange(n), self.heads[self.assignment]] = True
+        adj[np.ix_(self.heads, self.heads)] = True
+        adj |= adj.T
+        np.fill_diagonal(adj, False)
+        self._graph = Graph(adjacency=adj)
 
     @property
     def n_nodes(self) -> int:
@@ -368,14 +371,9 @@ class ClusteredTopology:
         return [np.flatnonzero(~is_head), heads, heads]
 
     def graph(self) -> Graph:
-        """Members linked to their head, heads linked pairwise."""
-        n = self.n_nodes
-        adj = np.zeros((n, n), dtype=bool)
-        adj[np.arange(n), self.heads[self.assignment]] = True
-        adj[np.ix_(self.heads, self.heads)] = True
-        adj |= adj.T
-        np.fill_diagonal(adj, False)
-        return Graph(adjacency=adj)
+        """Members linked to their head, heads linked pairwise; built once,
+        with the partition."""
+        return self._graph
 
     def to_json_dict(self) -> dict:
         return {
@@ -447,11 +445,10 @@ def diameter(graph: Graph) -> int:
     return worst
 
 
-def save_topology(topo, path, dot_path=None) -> None:
-    """Write a topology JSON file (and optionally its DOT rendering)."""
+def save_topology(topo, path, dot_path) -> None:
+    """Write a topology JSON file and its DOT rendering."""
     with open(path, "w") as fh:
         json.dump(topo.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if dot_path is not None:
-        with open(dot_path, "w") as fh:
-            fh.write(topo.to_dot())
+    with open(dot_path, "w") as fh:
+        fh.write(topo.to_dot())

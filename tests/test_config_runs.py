@@ -7,10 +7,13 @@ round setting, noise kind and parameter dimension, and runs ``coverage``,
 the ``error:`` lines the README lists for configs that cannot run, among them
 a clustered deployment with more clusters than nodes, which
 ``ExperimentConfig`` refuses at load, and ``tradeoff`` or ``success-rate`` on
-any kind but ``rgg``. The draws also reach configs the schema refuses
-(``model.n_x`` other than 2, one-node ``rgg`` and ``tree`` deployments),
-which must exit 1 with the validation error. No command may raise. The regression tests below
-pin each failure the property test found.
+any kind but ``rgg``. The ``rgg`` and ``tree`` draws have 2 or more nodes,
+``model.n_x`` 2 and a radius of 1.5 or 0.3, so that most of them connect and
+run; the fixed tests below cover a deployment that cannot connect and the
+one-node and off-the-plane configs the schema refuses. The other kinds' draws
+still reach ``model.n_x`` other than 2, which must exit 1 with the validation
+error. No command may raise. The regression tests below pin each failure the
+property test found.
 """
 
 import contextlib
@@ -53,14 +56,15 @@ def small_configs(draw, kind=None):
     """A small config of the given topology kind, or of a drawn one."""
     if kind is None:
         kind = draw(st.sampled_from(KINDS))
-    n_nodes = draw(st.integers(1, 30))
+    drawn = kind in ("rgg", "tree")  # random geometric deployments, which must connect
+    n_nodes = draw(st.integers(2 if drawn else 1, 30))
     topology = {"kind": kind, "n_nodes": n_nodes}
     if kind == "binary":
         topology["depth"] = draw(st.integers(0, 3))
     elif kind == "clustered":
         topology["n_clusters"] = draw(st.integers(1, 8))
-    elif kind in ("rgg", "tree"):
-        topology["radius"] = draw(st.sampled_from([0.01, 0.3, 1.5]))
+    elif drawn:
+        topology["radius"] = draw(st.sampled_from([1.5, 0.3]))
     size = 2 ** (topology["depth"] + 1) - 1 if kind == "binary" else n_nodes
     m = draw(st.integers(2, 12))
     diffusion = {
@@ -79,7 +83,7 @@ def small_configs(draw, kind=None):
         "topology": topology,
         "model": {
             "n_p": draw(st.integers(1, 3)),
-            "n_x": draw(st.sampled_from([2] * 8 + [1, 3])),
+            "n_x": 2 if drawn else draw(st.sampled_from([2] * 8 + [1, 3])),
             "regressor_family": draw(st.sampled_from(["polynomial-basis", "seeded-random"])),
             "noise": {"kind": draw(st.sampled_from(["gaussian", "uniform", "laplace", "two-point"])),
                       "scale": draw(st.sampled_from([0.0, 0.1, 1.0]))},
@@ -145,7 +149,7 @@ def test_a_small_config_runs_or_fails_with_a_documented_error(tmp_path_factory, 
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(small_configs(), tradeoff_sections, st.sampled_from([None, 0.01, 0.3, 1.5]))
+@given(small_configs(), tradeoff_sections, st.sampled_from([1.5, 0.3, None]))
 def test_success_rate_on_a_drawn_rgg_config_runs_or_fails_with_a_documented_error(
         tmp_path_factory, config, tradeoff, radius):
     config["tradeoff"] = tradeoff
@@ -154,9 +158,11 @@ def test_success_rate_on_a_drawn_rgg_config_runs_or_fails_with_a_documented_erro
     check_runs(config, RGG_STUDIES, tmp_path_factory.mktemp("config"))
 
 
-@pytest.mark.parametrize("command", ["coverage", "region", "topology"])
+@pytest.mark.parametrize("command", ["coverage", "region", "topology", *RGG_STUDIES])
 def test_a_deployment_that_cannot_connect_is_a_user_error(tmp_path, command):
-    config = {"seed": 1, "topology": {"kind": "rgg", "n_nodes": 30, "radius": 0.01}}
+    config = {"seed": 1, "topology": {"kind": "rgg", "n_nodes": 30, "radius": 0.01},
+              "success_rate": {"n_nodes": [30], "n_p": [2], "realizations": 1},
+              "tradeoff": {"n_seeds": 1, "max_iterations": 1}}
     rc, err = run_cli(command, config, tmp_path)
     assert rc == 1
     assert err == "error: no connected deployment of 30 nodes in 100 attempts\n"

@@ -19,10 +19,10 @@ that prefix of node k's rows. Cases cover random geometric graphs of 2 to 60 nod
 trees, complete binary trees and clustered deployments with one cluster, N/4
 clusters and one node per cluster.
 
-Two things differ from the oracles on purpose. Every MF result reports as
-``completion_round`` the first round after which all nodes know every record,
-also on the tree and clustered schedules (the oracles report the last
-stage there). And a TAS result wraps up nothing until ``weights`` is called,
+Two things differ from the oracles on purpose. Every MF result's
+``completion_round``, read off its masks, is the first round after which all
+nodes know every record, also on the tree and clustered schedules (the
+oracles report the last stage there). And a TAS result wraps up nothing until ``weights`` is called,
 and then the prefix of a table that call reads, where the oracles wrap up
 every table before they return.
 """
@@ -35,6 +35,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import diffusion_oracle as oracle  # noqa: E402
+from result_checks import completion_round, sums_close  # noqa: E402
 from spsnet import diffusion  # noqa: E402
 from spsnet.model import FieldConfig, NoiseSpec, generate_measurements  # noqa: E402
 from spsnet.rng import substream  # noqa: E402
@@ -83,7 +84,7 @@ def assert_same_flooding(res, ref):
         res.weights(0, -1)
     every_round = range(res.rounds_run + 3)  # two rounds past the end give the final knowledge
     if isinstance(ref, oracle.PfResult):
-        assert res.completion_round == ref.full_knowledge_round
+        assert completion_round(res) == ref.full_knowledge_round
         for r in every_round:
             assert np.array_equal(knowledge(res, r), ref.history[min(r, ref.rounds_run)])
         return
@@ -95,7 +96,7 @@ def assert_same_flooding(res, ref):
     arrival = arrival_rounds(res)
     assert np.array_equal(arrival, ref.arrival_round)
     # with equal arrival rounds this also equals run_mf's oracle
-    assert res.completion_round == (int(arrival.max()) if knowledge(res).all() else None)
+    assert completion_round(res) == (int(arrival.max()) if knowledge(res).all() else None)
     for r in every_round:
         assert np.array_equal(knowledge(res, r), (0 <= ref.arrival_round) & (ref.arrival_round <= r))
     for r, known in ref.snapshots.items():
@@ -104,7 +105,7 @@ def assert_same_flooding(res, ref):
 
 def same_wrapup(got, weights, agg, samples, signs):
     """Equal weights, and the aggregate built from them close to the oracle's."""
-    return np.array_equal(got, weights) and tie_exact_aggregate(samples, signs, got).allclose(agg)
+    return np.array_equal(got, weights) and sums_close(tie_exact_aggregate(samples, signs, got), agg)
 
 
 def run_recording(run, *args):

@@ -55,7 +55,7 @@ def exact_coverage(weights_of, phi, size, signs) -> list[list[Fraction]]:
     hits = None
     for s in range(2 ** N):
         y = phi @ P_TRUE + PATTERNS[s] * size
-        reads = weights_of(Samples(np.zeros((N, 0)), phi, y))
+        reads = weights_of(Samples(phi, y))
         hits = hits or [[0] * m for _ in reads]
         for read, c in zip(hits, reads):
             key = c.tobytes()

@@ -79,34 +79,32 @@ def test_field_config_validation():
 
 
 def test_samples_validation():
-    pos, phi, y = [[0.0, 0.0], [1.0, 1.0]], [[1.0, 2.0], [3.0, 4.0]], [0.5, -1.0]
-    samples = Samples(positions=pos, phi=phi, y=y)
+    phi, y = [[1.0, 2.0], [3.0, 4.0]], [0.5, -1.0]
+    samples = Samples(phi=phi, y=y)
     assert len(samples) == 2 and samples.n_p == 2
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            Samples(positions=pos, phi=phi, y=[0.5, bad])
+            Samples(phi=phi, y=[0.5, bad])
         with pytest.raises(ValueError):
-            Samples(positions=pos, phi=[[1.0, 2.0], [bad, 4.0]], y=y)
+            Samples(phi=[[1.0, 2.0], [bad, 4.0]], y=y)
     with pytest.raises(ValueError):
-        Samples(positions=pos, phi=[[1.0, 2.0]], y=y)  # one regressor row per measurement
+        Samples(phi=[[1.0, 2.0]], y=y)  # one regressor row per measurement
     with pytest.raises(ValueError):
-        Samples(positions=pos[:1], phi=phi, y=y)  # one position per measurement
+        Samples(phi=np.zeros((0, 1)), y=np.zeros(0))
     with pytest.raises(ValueError):
-        Samples(positions=np.zeros((0, 2)), phi=np.zeros((0, 1)), y=np.zeros(0))
-    with pytest.raises(ValueError):
-        Samples(positions=pos, phi=[1.0, 2.0], y=y)  # phi must be two-dimensional
+        Samples(phi=[1.0, 2.0], y=y)  # phi must be two-dimensional
 
 
 def test_samples_arrays_are_read_only_copies():
-    pos, phi, y = np.zeros((3, 2)), np.ones((3, 2)), np.arange(3.0)
-    samples = Samples(positions=pos, phi=phi, y=y)
-    for name in ("positions", "phi", "y"):
+    phi, y = np.ones((3, 2)), np.arange(3.0)
+    samples = Samples(phi=phi, y=y)
+    for name in ("phi", "y"):
         arr = getattr(samples, name)
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 7.0
     # the caller's arrays stay writable and unshared
-    assert pos.flags.writeable and phi.flags.writeable and y.flags.writeable
+    assert phi.flags.writeable and y.flags.writeable
     y[0] = 5.0
     assert samples.y[0] == 0.0
     cfg = FieldConfig(n_p=2, p_true=np.array([1.0, 2.0]))
@@ -121,7 +119,6 @@ def test_generate_measurements_noiseless_matches_field():
     samples = generate_measurements(positions, cfg, substream(3, "noise"))
     assert len(samples) == 8
     assert samples.phi.shape == (8, 3) and samples.y.shape == (8,)
-    assert np.array_equal(samples.positions, positions)
     for phi, y in zip(samples.phi, samples.y):
         assert y == pytest.approx(float(phi @ cfg.p_true), abs=1e-12)
 

@@ -21,6 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import trial_oracle  # noqa: E402
+from result_checks import sums_close  # noqa: E402
 from weight_rows import aggregate, weight_matrix  # noqa: E402
 from spsnet import diffusion, experiments  # noqa: E402
 from spsnet.analysis import (  # noqa: E402
@@ -32,8 +33,8 @@ from spsnet.analysis import (  # noqa: E402
 from spsnet.diffusion import CONSENSUS_SCHEMES, run_consensus  # noqa: E402
 from spsnet.experiments import PROTOCOLS, build_topology, run_protocol  # noqa: E402
 from spsnet.model import FieldConfig, NoiseSpec, generate_measurements  # noqa: E402
-from spsnet.rng import substream  # noqa: E402
-from spsnet.sps import draw_sign_matrix, tie_exact_aggregate, truncated_aggregate  # noqa: E402
+from spsnet.rng import derive_seed, substream  # noqa: E402
+from spsnet.sps import draw_sign_matrix, tie_exact_aggregate, truncated_aggregate, z_values  # noqa: E402
 
 
 def bundle_for(kind, n_nodes, seed, depth=2, n_clusters=3):
@@ -63,7 +64,7 @@ def assert_weighted_sum(run, protocol, samples, signs, k, r=None):
     """Node k's aggregate at round r is the weighted sum of the local terms,
     and exactly its builder's."""
     weights, agg = run.weights(k, r), aggregate(run, samples, signs, k, r)
-    assert truncated_aggregate(samples, signs, weights).allclose(agg)
+    assert sums_close(truncated_aggregate(samples, signs, weights), agg)
     build = tie_exact_aggregate if protocol in TIE_EXACT else truncated_aggregate
     assert same_agg(agg, build(samples, signs, weights))
 
@@ -119,7 +120,7 @@ def test_table_matches_the_old_dispatch_on_general_graphs(kind, n_nodes, seed, r
             c, agg = state[k]
             got = aggregate(run, samples, signs, k)
             if protocol in ("tas", "consensus"):  # the oracle sums payloads or steps states
-                assert got.allclose(agg)
+                assert sums_close(got, agg)
                 assert same_agg(got, tie_exact_aggregate(samples, signs, run.weights(k)))
             else:
                 assert same_agg(got, agg)
@@ -236,6 +237,36 @@ def test_coverage_reads_each_nodes_weights_once_per_trial(monkeypatch):
         experiments.run_coverage(config)
         assert reads == list(range(8)) * 3, protocol
         reads.clear()
+
+
+@pytest.mark.parametrize("protocol,rounds,tied", [("local", None, "all"), ("mf", 1, "some"), ("full", None, "none")])
+def test_coverage_breaks_ties_with_the_trials_tie_stream(protocol, rounds, tied):
+    """Where some Z_j ties Z_0 at p_true, a coverage row's ``covers_truth`` is
+    decided by m uniform keys drawn from ``substream(seed, "ties", trial, k)``:
+    here the keys are drawn eagerly in every trial and the rank is taken by
+    hand, with the trial's data, signs and protocol run rebuilt from their
+    own substreams."""
+    seed, trials, m, q = 3, 40, 10, 1
+    config = experiments.ExperimentConfig({
+        "seed": seed, "trials": trials, "topology": {"kind": "rgg", "n_nodes": 20},
+        "model": {"n_p": 2}, "sps": {"m": m, "q": q},
+        "diffusion": {"protocol": protocol, "rounds": rounds},
+    })
+    record = experiments.run_coverage(config)
+    bundle = build_topology(seed, config.topology())
+    fc = config.field_config()
+    n_tied = 0
+    for trial, k, *_, covers, _, _, _ in record.rows:
+        samples = generate_measurements(bundle.positions, fc, substream(seed, "noise", trial))
+        signs = draw_sign_matrix(m, 20, derive_seed(seed, "signs", trial))
+        run = run_protocol(bundle, samples, signs, config.diffusion())
+        z = z_values(run.builder(samples, signs, run.weights(k)), fc.p_true)
+        keys = substream(seed, "ties", trial, k).uniform(size=m)
+        tie = z[1:] == z[0]
+        n_tied += bool(tie.any())
+        assert covers == int(((z[1:] > z[0]) | (tie & (keys[1:] > keys[0]))).sum() >= q), trial
+    assert len(record.rows) == trials
+    assert {"all": n_tied == trials, "some": 0 < n_tied < trials, "none": n_tied == 0}[tied], n_tied
 
 
 def test_unknown_protocol_is_rejected():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import grid_oracle
+from result_checks import sums_close
 from spsnet.model import FieldConfig, NoiseSpec, Samples, generate_measurements
 from spsnet.rng import derive_seed, substream
 from spsnet.sps import (
@@ -39,7 +40,7 @@ def make_samples(seed, n_nodes, n_p=2, scale=0.1):
 
 def two_node_hand_aggregate():
     """N=2, phi=(1) both, y=(1,-1), perturbed signs (+1,-1): Z0=4p^2, Z1=4."""
-    samples = Samples(positions=[[0.0, 0.0], [1.0, 1.0]], phi=[[1.0], [1.0]], y=[1.0, -1.0])
+    samples = Samples(phi=[[1.0], [1.0]], y=[1.0, -1.0])
     signs = SignMatrix(np.array([[1, 1], [1, -1]]))
     return batch_aggregate(samples, signs)
 
@@ -78,12 +79,12 @@ def test_perturbed_rows_average_out():
 
 
 def test_local_aggregate_hand_values():
-    s = Samples(positions=[[0, 0]], phi=[[1.0, 0.0]], y=[2.0])
+    s = Samples(phi=[[1.0, 0.0]], y=[2.0])
     agg = local_aggregate(s, 0, [1.0, -1.0])
     assert np.allclose(agg.vec, [[2.0, 0.0], [-2.0, 0.0]])
     assert np.allclose(agg.mat[0], [[1.0, 0.0], [0.0, 0.0]])
     assert np.allclose(agg.mat[1], -agg.mat[0])
-    zero_y = local_aggregate(Samples(positions=[[0, 0]], phi=[[1.0, 0.5]], y=[0.0]), 0, [1.0, -1.0])
+    zero_y = local_aggregate(Samples(phi=[[1.0, 0.5]], y=[0.0]), 0, [1.0, -1.0])
     assert np.all(zero_y.vec == 0.0)
 
 
@@ -92,8 +93,8 @@ def test_sum_of_locals_equals_batch():
     signs = draw_sign_matrix(6, 9, sign_seed=2)
     locals_ = [local_aggregate(samples, i, signs.column(i)) for i in range(9)]
     total = AggregateSums(sum(a.vec for a in locals_), sum(a.mat for a in locals_))
-    assert total.allclose(batch_aggregate(samples, signs))
-    assert total.allclose(tie_exact_aggregate(samples, signs, np.ones(9)))
+    assert sums_close(total, batch_aggregate(samples, signs))
+    assert sums_close(total, tie_exact_aggregate(samples, signs, np.ones(9)))
 
 
 def test_aggregate_algebra():
@@ -104,22 +105,20 @@ def test_aggregate_algebra():
     b = local_aggregate(samples, 1, signs.column(1))
     zero = AggregateSums.zeros(3, 2)
     for build in (truncated_aggregate, tie_exact_aggregate):
-        assert build(samples, signs, [1.0, 1.0, 0.0, 0.0]).allclose(AggregateSums(a.vec + b.vec, a.mat + b.mat))
-        assert build(samples, signs, [0.5, 0.0, 0.0, 0.0]).allclose(AggregateSums(0.5 * a.vec, 0.5 * a.mat))
-        assert build(samples, signs, np.zeros(4)).allclose(zero)
-        assert zero.allclose(build(samples, signs, np.zeros(4)))
+        assert sums_close(build(samples, signs, [1.0, 1.0, 0.0, 0.0]), AggregateSums(a.vec + b.vec, a.mat + b.mat))
+        assert sums_close(build(samples, signs, [0.5, 0.0, 0.0, 0.0]), AggregateSums(0.5 * a.vec, 0.5 * a.mat))
+        assert sums_close(build(samples, signs, np.zeros(4)), zero)
+        assert sums_close(zero, build(samples, signs, np.zeros(4)))
     assert (a.m, a.n_p) == (3, 2)
 
 
 def test_truncated_aggregate_weight_cases():
     samples, _ = make_samples(23, 7)
     signs = draw_sign_matrix(4, 7, sign_seed=9)
-    assert truncated_aggregate(samples, signs, np.ones(7)).allclose(batch_aggregate(samples, signs))
+    assert sums_close(truncated_aggregate(samples, signs, np.ones(7)), batch_aggregate(samples, signs))
     onehot = np.zeros(7)
     onehot[3] = 1.0
-    assert truncated_aggregate(samples, signs, onehot).allclose(
-        local_aggregate(samples, 3, signs.column(3))
-    )
+    assert sums_close(truncated_aggregate(samples, signs, onehot), local_aggregate(samples, 3, signs.column(3)))
     zero = truncated_aggregate(samples, signs, np.zeros(7))
     assert np.all(zero.vec == 0.0) and np.all(zero.mat == 0.0)
     with pytest.raises(ValueError):
@@ -129,7 +128,7 @@ def test_truncated_aggregate_weight_cases():
 def test_tie_exact_aggregate_weight_cases():
     samples, _ = make_samples(23, 7)
     signs = draw_sign_matrix(4, 7, sign_seed=9)
-    assert tie_exact_aggregate(samples, signs, np.ones(7)).allclose(batch_aggregate(samples, signs))
+    assert sums_close(tie_exact_aggregate(samples, signs, np.ones(7)), batch_aggregate(samples, signs))
     for k in range(7):  # a one-hot vector gives a node's local aggregate bit for bit
         one = tie_exact_aggregate(samples, signs, np.eye(7)[k])
         local = local_aggregate(samples, k, signs.column(k))
@@ -137,7 +136,7 @@ def test_tie_exact_aggregate_weight_cases():
     zero = tie_exact_aggregate(samples, signs, np.zeros(7))
     assert np.all(zero.vec == 0.0) and np.all(zero.mat == 0.0)
     c = np.linspace(0.0, 1.0, 7)
-    assert tie_exact_aggregate(samples, signs, c).allclose(truncated_aggregate(samples, signs, c))
+    assert sums_close(tie_exact_aggregate(samples, signs, c), truncated_aggregate(samples, signs, c))
     with pytest.raises(ValueError):
         tie_exact_aggregate(samples, signs, np.ones(6))
     with pytest.raises(ValueError):
@@ -173,30 +172,44 @@ def test_z_values_grid_matches_scalar_path():
         assert np.allclose(grid[:, i, j], z_values(agg, [axes[0][i], axes[1][j]]), rtol=1e-12)
 
 
+def never():
+    raise AssertionError("keys drawn without a tie")
+
+
 def test_membership_strict_orderings():
-    rng = substream(0, "ties")
-    assert membership([1.0, 5.0, 6.0], 1, rng) is True
-    assert membership([9.0, 1.0, 2.0], 1, rng) is False
+    assert membership([1.0, 5.0, 6.0], 1, never) is True
+    assert membership([9.0, 1.0, 2.0], 1, never) is False
     with pytest.raises(ValueError):
-        membership([1.0, 2.0, 3.0], 3, rng)
+        membership([1.0, 2.0, 3.0], 3, never)
     with pytest.raises(ValueError):
-        membership([1.0, 2.0, 3.0], 0, rng)
+        membership([1.0, 2.0, 3.0], 0, never)
 
 
-def test_membership_consumes_exactly_m_uniforms():
-    z = np.arange(6, dtype=float)
-    active = substream(8, "tie-consumption")
-    shadow = substream(8, "tie-consumption")
-    shadow.uniform(size=6)
-    membership(z, 2, active)
-    assert active.uniform() == shadow.uniform()
+def test_membership_reads_keys_only_on_a_tie():
+    # a strict ordering never calls ``keys``; a tie reads, once, the m keys
+    # that an eager draw of m uniforms from the same stream would have read
+    assert membership(np.arange(6, dtype=float), 2, never) is True
+    eager = substream(8, "tie-consumption").uniform(size=6)
+    calls = []
+
+    def keys():
+        calls.append(None)
+        return substream(8, "tie-consumption").uniform(size=6)
+
+    for z in ([2.0, 2.0, 2.0, 1.0, 3.0, 2.0], [4.0] * 6, [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]):
+        z = np.array(z)
+        above = (z[1:] > z[0]) | ((z[1:] == z[0]) & (eager[1:] > eager[0]))
+        calls.clear()
+        for q in range(1, 6):
+            assert membership(z, q, keys) == bool(above.sum() >= q)
+        assert len(calls) == 5
 
 
 def test_membership_all_ties_hits_nominal_level():
     # fully degenerate Z vector: inclusion decided by the tie-break alone
     z = np.full(10, 4.0)
     rng = substream(12, "degenerate")
-    hits = sum(membership(z, 1, rng) for _ in range(20000))
+    hits = sum(membership(z, 1, lambda: rng.uniform(size=10)) for _ in range(20000))
     assert abs(hits / 20000 - 0.9) < 0.012
 
 
@@ -208,7 +221,7 @@ def orderings(values, keys):
     """
     n = values.shape[1]
     rotate = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n  # [r, i] -> (i + r) % n
-    position = n - 1 - rank_above(values.T[rotate], keys.T[rotate])  # (n, rows)
+    position = n - 1 - rank_above(values.T[rotate], lambda: keys.T[rotate])  # (n, rows)
     return np.argsort(position, axis=0).T
 
 
@@ -225,15 +238,11 @@ def test_uniform_order_strict_values():
 
 
 def test_rank_above_draws_keys_only_on_ties():
-    def never():
-        raise AssertionError("keys drawn without a tie")
-
     strict = np.array([[2.0, 1.0], [3.0, 0.5], [1.0, 0.0]])
     assert np.array_equal(rank_above(strict, never), [1, 0])
     tied = np.array([[2.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
     keys = np.array([[0.5, 0.5], [0.7, 0.2], [0.9, 0.9]])
     assert np.array_equal(rank_above(tied, lambda: keys), [1, 1])
-    assert np.array_equal(rank_above(tied, keys), [1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +384,7 @@ def test_ls_estimate_hand_and_noiseless():
 
 
 def test_ls_estimate_rejects_singular():
-    s = Samples(positions=[[0, 0]], phi=[[1.0, 2.0]], y=[1.0])
+    s = Samples(phi=[[1.0, 2.0]], y=[1.0])
     agg = local_aggregate(s, 0, [1.0, 1.0])  # rank-one normal matrix
     with pytest.raises(SingularMatrixError):
         ls_estimate(agg)

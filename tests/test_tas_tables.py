@@ -10,7 +10,8 @@ oracle, store the same rows (masks decoded to node sets), read the same
 covered nodes and disjointness off every prefix of the rows, produce a
 byte-equal tag matrix (the LP input), and wrap up to an equal c after every
 step and from every prefix, with the same number of LP solves as the oracle
-wrapping up a fresh table; where the oracle's LP raises ``SimplexError``,
+wrapping up a fresh table, except that it solves none where the disjoint rows
+cover every node the table names; where the oracle's LP raises ``SimplexError``,
 the package returns the 0/1 weights of the disjoint rows instead. The
 oracle's kept residuals must be close to the local sums of their tags, and
 its wrapped-up aggregate close to the one ``tie_exact_aggregate`` builds
@@ -30,11 +31,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import tas_oracle  # noqa: E402
+from result_checks import sums_close  # noqa: E402
 from spsnet import diffusion  # noqa: E402
 from spsnet.diffusion import TagTable, tas_distill, tas_wrapup  # noqa: E402
 from diffusion_oracle import _cover  # noqa: E402
 from tas_oracle import SetTable, mask, nodes  # noqa: E402
-from spsnet.lp import SimplexError  # noqa: E402
+from spsnet.lp import LpProblem, SimplexError, solve_lp  # noqa: E402
 from spsnet.model import Samples  # noqa: E402
 from spsnet.sps import AggregateSums, draw_sign_matrix, tie_exact_aggregate, truncated_aggregate  # noqa: E402
 
@@ -44,7 +46,7 @@ ATOL = 1e-10  # payload sums of unit-scale terms over at most 500 nodes
 
 def local_terms(rng, n_nodes, m, n_p):
     """(samples, signs) of a network: standard normal regressors and measurements."""
-    samples = Samples(np.zeros((n_nodes, 0)), rng.standard_normal((n_nodes, n_p)), rng.standard_normal(n_nodes))
+    samples = Samples(rng.standard_normal((n_nodes, n_p)), rng.standard_normal(n_nodes))
     return samples, draw_sign_matrix(m, n_nodes, int(rng.integers(2**32)))
 
 
@@ -127,11 +129,14 @@ def assert_same_tables(table, oracle):
 
 def assert_same_wrapup(table, oracle, data):
     """The package's wrap-up solves afresh on every call, so the oracle wraps
-    up a fresh copy of its table, whose remembered solution is empty."""
+    up a fresh copy of its table, whose remembered solution is empty. The
+    package solves no LP where the disjoint rows cover every node the table
+    names, and the oracle's LP must then give those rows' 0/1 weights."""
     got, solves = wrapup_outcome(tas_wrapup, table)
     prefix = oracle_prefix(oracle, len(oracle.rows))
     ref, solves_ref = wrapup_outcome(tas_oracle.tas_wrapup, prefix)
-    assert solves == solves_ref
+    greedy_covers = tas_oracle.disjoint_rows_weights(prefix).sum() == len(tas_oracle.coverage(prefix))
+    assert solves == (0 if greedy_covers else solves_ref)
     assert_same_outcome(got, ref, data, prefix)
     return solves
 
@@ -142,7 +147,7 @@ def assert_same_outcome(got, ref, data, prefix):
         return
     weights, agg = ref
     assert np.array_equal(got, weights.c)
-    assert tie_exact_aggregate(*data, got).allclose(agg, atol=ATOL)
+    assert sums_close(tie_exact_aggregate(*data, got), agg, atol=ATOL)
 
 
 def distill_both(table, oracle, tag, data):
@@ -155,7 +160,7 @@ def distill_both(table, oracle, tag, data):
     assert (row is None) == (row_ref is None)
     if row is not None:
         assert nodes(row.tag) == row_ref.tag and row_ref.tag not in stored
-        assert row_ref.payload.allclose(payload_of(data, row_ref.tag), atol=ATOL)
+        assert sums_close(row_ref.payload, payload_of(data, row_ref.tag), atol=ATOL)
     assert_same_tables(table, oracle)
 
 
@@ -243,14 +248,61 @@ def test_table_that_becomes_overlapping_matches_oracle():
         assert _cover(table.rows)[1] is flag
         assert_same_tables(table, oracle)
         solves.append(assert_same_wrapup(table, oracle, data))
-    assert solves == [0, 0, 1, 1, 1]  # every overlapping tag matrix is solved
+    # only the overlapping table whose disjoint rows {2}, {0,1}, {3} miss node 4 is solved
+    assert solves == [0, 0, 1, 0, 0]
     weights, again = wrapup_outcome(tas_wrapup, table)
-    assert again == 1 and np.all(weights == 1.0)  # {2}, {0,1}, {3}, {4,5,6} cover every node once
+    assert again == 0 and np.all(weights == 1.0)  # {2}, {0,1}, {3}, {4,5,6} cover every node once
     with pytest.MonkeyPatch.context() as mp:  # a solve that gives up: the oracle raises, the package falls back
         mp.setattr(diffusion, "solve_lp", functools.partial(diffusion.solve_lp, max_iterations=1))
-        assert wrapup_outcome(tas_oracle.tas_wrapup, oracle_prefix(oracle, 4))[0] == (
-            "simplex did not converge within 1 iterations")
-        assert assert_same_wrapup(table, oracle, data) == 1
+        prefix = oracle_prefix(oracle, 4)
+        ref, _ = wrapup_outcome(tas_oracle.tas_wrapup, prefix)
+        assert ref == "simplex did not converge within 1 iterations"
+        got, solves = wrapup_outcome(lambda t: tas_wrapup(t, 4), table)
+        assert solves == 1
+        assert_same_outcome(got, ref, data, prefix)
+
+
+@st.composite
+def wrapup_tables(draw):
+    """An owner, a node count and 0-10 further tags of 1-4 nodes. About half
+    the tags name only nodes named before, so overlapping tables whose
+    disjoint rows still cover every named node are common."""
+    n_nodes = draw(st.integers(1, 12))
+    owner = draw(st.integers(0, n_nodes - 1))
+    named, tags = {owner}, []
+    for _ in range(draw(st.integers(0, 10))):
+        pool = sorted(named) if draw(st.booleans()) else range(n_nodes)
+        tag = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=4))
+        named |= tag
+        tags.append(mask(*tag))
+    return owner, n_nodes, tags
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wrapup_tables())
+def test_wrapup_skips_the_lp_only_where_the_disjoint_rows_are_its_optimum(case):
+    owner, n_nodes, tags = case
+    table = TagTable(owner, n_nodes)
+    for tag in tags:
+        if all(row.tag != tag for row in table.rows):
+            table.append(tag)
+    taken, covered = set(), set()
+    for row in table.rows:
+        if not nodes(row.tag) & taken:
+            taken |= nodes(row.tag)
+        covered |= nodes(row.tag)
+    got, solves = wrapup_outcome(tas_wrapup, table)
+    assert solves == (0 if taken == covered else 1)
+    tagmat = np.zeros((len(table.rows), n_nodes))
+    for r, row in enumerate(table.rows):
+        tagmat[r, sorted(nodes(row.tag))] = 1.0
+    b, _ = solve_lp(LpProblem(tagmat))
+    c = b @ tagmat
+    c[np.abs(c) <= 1e-9] = 0.0
+    c[np.abs(c - 1.0) <= 1e-9] = 1.0
+    assert got.tobytes() == c.tobytes()  # where no LP ran, the LP gives the disjoint rows' mask
+    if taken == covered:
+        assert np.array_equal(np.flatnonzero(got), sorted(covered))
 
 
 def test_tag_table_rejects_unknown_node_ids():

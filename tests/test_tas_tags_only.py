@@ -40,8 +40,7 @@ def test_sign_flipped_rows_come_out_exact(n_nodes, n_p, seed, data):
     c = np.array(data.draw(st.lists(weight, min_size=n_nodes, max_size=n_nodes)))
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 3, size=2)
-    samples = Samples(np.zeros((n_nodes, 0)), rng.standard_normal((n_nodes, n_p)) * scale[0],
-                      rng.standard_normal(n_nodes) * scale[1])
+    samples = Samples(rng.standard_normal((n_nodes, n_p)) * scale[0], rng.standard_normal(n_nodes) * scale[1])
     entries = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, n_nodes))
     entries[0] = 1
     tied = rng.choice(np.arange(1, m), size=int(rng.integers(1, m)), replace=False)
@@ -72,7 +71,7 @@ def test_tas_runs_do_not_read_the_data(kind, n_nodes, seed):
     first = tas_run(bundle, generate_measurements(bundle.positions, fc, substream(seed, "noise")),
                     draw_sign_matrix(m, n, seed))
     rng = np.random.default_rng(seed)
-    other = Samples(np.zeros((n, 0)), rng.standard_normal((n, n_p)) * 1e3, rng.standard_normal(n) * 1e-3)
+    other = Samples(rng.standard_normal((n, n_p)) * 1e3, rng.standard_normal(n) * 1e-3)
     second = tas_run(bundle, other, draw_sign_matrix(m, n, seed + 1000))
     assert first.traffic.events == second.traffic.events
     assert (first.rounds_run, first.row_counts) == (second.rounds_run, second.row_counts)

@@ -272,7 +272,7 @@ def test_save_topology_files(tmp_path):
     assert dpath.read_text().startswith("graph G {")
 
     tree = spanning_tree(g)
-    save_topology(tree, jpath)
+    save_topology(tree, jpath, dot_path=dpath)
     loaded = json.loads(jpath.read_text())
     assert loaded["kind"] == "tree"
     assert loaded["parent"][loaded["root"]] == -1
