@@ -22,6 +22,7 @@ them in [0, 1]; consensus weights N * W^t can exceed 1.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,10 +187,26 @@ def z_values(agg: AggregateSums, p) -> np.ndarray:
     return np.einsum("jk,jk->j", s, s)
 
 
-def _lane_sum(terms: list) -> np.ndarray:
-    """Even-indexed terms added in order, odd-indexed ones likewise, then the two sums."""
-    lanes = [functools.reduce(np.add, terms[r::2]) for r in range(min(2, len(terms)))]
-    return functools.reduce(np.add, lanes)
+def _lane_sum(terms: list, out: np.ndarray, in_place: bool = False) -> None:
+    """Even-indexed terms added in order, odd-indexed ones likewise, then the
+    two sums, written to ``out``. With ``in_place`` each lane accumulates into
+    its first term, which must have the shape of ``out``."""
+    def add(a, b):
+        return np.add(a, b, out=a if in_place else None)
+
+    lanes = [functools.reduce(add, terms[r::2]) for r in range(min(2, len(terms)))]
+    if len(lanes) == 1:
+        np.copyto(out, lanes[0])
+    else:
+        np.add(*lanes, out=out)
+
+
+@functools.lru_cache(maxsize=1)
+def _workspace(n_p: int, m: int, stored_grid: tuple) -> tuple:
+    """The (n_p, m, *grid) s buffer and the (m, *grid) Z buffer of the most
+    recent grid shape, in stored axis order; one grid is kept, so a large one
+    is not held beside the next."""
+    return np.empty((n_p, m) + stored_grid), np.empty((m,) + stored_grid)
 
 
 def _z_values_grid(agg: AggregateSums, axes) -> np.ndarray:
@@ -201,18 +218,33 @@ def _z_values_grid(agg: AggregateSums, axes) -> np.ndarray:
     the exact bits of a per-point einsum: sign-flipped rows tie with row 0
     exactly, the ties are broken at random for exact coverage, and another
     rounding order would turn some of them into strict orderings and flip cells.
+
+    Every full-grid step writes in place into one cached workspace, because a
+    fresh full-grid array costs page faults on each call. The workspace stores
+    the grid axes odd ones first, then even ones ((1, 0, 2) for n_p = 3), so
+    the one full-grid add, odd lane plus even lane, runs over contiguous
+    blocks of the even axes instead of over rows of the last axis. The
+    returned Z is indexed (j, *grid) as ``axes`` give it, a transposed view of
+    that workspace: it is valid only until the next call.
     """
     m, n_p = agg.vec.shape
+    order = tuple(range(1, n_p, 2)) + tuple(range(0, n_p, 2))
+    stored = tuple(len(axes[d]) for d in order)
+    s, z = _workspace(n_p, m, stored)
     lead = (n_p, m) + (1,) * n_p
     mat = agg.mat.transpose(1, 0, 2)  # (k, j, l), so each s[k] below is contiguous
-    terms = [mat[:, :, l].reshape(lead) * axis.reshape((-1,) + (1,) * (n_p - 1 - l))
+    terms = [mat[:, :, l].reshape(lead) * axis.reshape([-1 if d == l else 1 for d in order])
              for l, axis in enumerate(axes)]
-    # s is subtracted and squared in place: every fresh full-grid array costs
-    # page faults, and the same elementwise operations keep the same bits
-    s = _lane_sum(terms)
-    np.subtract(agg.vec.T.reshape(lead), s, out=s)
-    np.multiply(s, s, out=s)
-    return _lane_sum(list(s))
+    with np.errstate():  # restores the buffer size on exit
+        # numpy copies broadcast operands through a buffer that holds two or
+        # more contiguous blocks; a buffer of at most one block of the even axes
+        # lets each step run on the workspace itself, block by block
+        np.setbufsize(16 * max(1, math.prod(stored[n_p // 2:]) // 16))
+        _lane_sum(terms, out=s)
+        np.subtract(agg.vec.T.reshape(lead), s, out=s)
+        np.multiply(s, s, out=s)
+        _lane_sum(list(s), out=z, in_place=True)
+    return z.transpose((0,) + tuple(1 + order.index(d) for d in range(n_p)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -325,6 +357,13 @@ def _encode_rle(flat: np.ndarray) -> list[int]:
 MAX_GRID_DIM = 3  # the most parameter dimensions ``evaluate_region`` grids
 
 
+def _is_cell_count(g) -> bool:
+    """A positive Python or numpy integer, or a 0-d integer array; not a bool."""
+    if isinstance(g, np.ndarray) and g.shape == ():
+        g = g[()]
+    return isinstance(g, (int, np.integer)) and not isinstance(g, bool) and g >= 1
+
+
 def evaluate_region(
     agg: AggregateSums,
     box,
@@ -335,12 +374,19 @@ def evaluate_region(
     """Evaluate region membership on a dense grid of cell centers.
 
     The box is a list of (lo, hi) per parameter dimension; ``grid_per_dim`` is
-    an int or per-dimension list of cell counts. Ties are broken with one
-    (n_cells, m) block of uniforms from ``SeedSequence(tie_seed)``: row i is
-    the tie stream of cell i in C order. The block is drawn only when some
-    cell has Z_j == Z_0; cells without a tie never read it, so the result is
-    bit-reproducible either way. Dimensions above ``MAX_GRID_DIM`` are
-    rejected, because the grid size explodes.
+    a positive integer (Python, numpy or a 0-d integer array) or a
+    per-dimension sequence of them; anything else, bools included, raises
+    ValueError. Ties are broken with one (n_cells, m) block of uniforms from
+    ``SeedSequence(tie_seed)``: row i is the tie stream of cell i in C order.
+    The block is drawn only when some cell has Z_j == Z_0; cells without a tie
+    never read it, so the result is bit-reproducible either way. Dimensions
+    above ``MAX_GRID_DIM`` are rejected, because the grid size explodes.
+
+    Z is computed in ``_z_values_grid``'s cached workspace, which stores the
+    grid axes odd ones first so that its full-grid add runs over contiguous
+    blocks, and the ranking runs in that storage order. ``member_mask`` is a
+    fresh C-order array that later calls leave alone. The shared workspace
+    makes this function non-reentrant: do not call it from two threads at once.
     """
     n_p = agg.n_p
     box = [(float(lo), float(hi)) for lo, hi in box]
@@ -353,12 +399,11 @@ def evaluate_region(
             f"grid evaluation over {n_p} dimensions is not supported: n_p must be at most "
             f"{MAX_GRID_DIM} (the cell count grows exponentially)"
         )
-    if np.isscalar(grid_per_dim):
-        shape = (int(grid_per_dim),) * n_p
-    else:
-        shape = tuple(int(g) for g in grid_per_dim)
-    if len(shape) != n_p or any(g < 1 for g in shape):
-        raise ValueError("grid_per_dim must give a positive cell count per dimension")
+    per_dim = isinstance(grid_per_dim, (list, tuple)) or getattr(grid_per_dim, "ndim", 0) > 0
+    counts = tuple(grid_per_dim) if per_dim else (grid_per_dim,) * n_p
+    if len(counts) != n_p or not all(map(_is_cell_count, counts)):
+        raise ValueError("grid_per_dim must give a positive integer cell count per dimension")
+    shape = tuple(int(g) for g in counts)
     if not 1 <= q <= agg.m - 1:
         raise ValueError("q must satisfy 1 <= q <= m-1")
 
@@ -368,11 +413,13 @@ def evaluate_region(
         rng = np.random.default_rng(np.random.SeedSequence(int(tie_seed)))
         return rng.uniform(size=(z[0].size, agg.m)).T.reshape(z.shape)
 
-    member = rank_above(z, tie_keys) >= q
+    # the ranking's arrays follow z's stored axis order; the mask is copied out in C order
+    member = np.ascontiguousarray(rank_above(z, tie_keys) >= q)
 
     widths = [(hi - lo) / g for (lo, hi), g in zip(box, shape)]
-    volume = float(member.sum()) * float(np.prod(widths))
-    if member.any():
+    count = np.count_nonzero(member)
+    volume = float(count) * float(np.prod(widths))
+    if count:
         bounding = []
         for dim in range(n_p):
             idx = np.nonzero(member.any(axis=tuple(d for d in range(n_p) if d != dim)))[0]

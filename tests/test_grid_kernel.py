@@ -6,7 +6,15 @@ bit, and with it the oracle's masks, volumes and bounding boxes, including on
 aggregates of one to three nodes, whose sign-flipped rows tie exactly. At
 n_p = 4 only the kernel is checked: ``evaluate_region`` grids at most three
 dimensions.
+
+The kernel computes in one cached workspace, kept for the most recent grid
+shape. Sequences of calls that change n_p, m and the grid between calls, and
+come back to earlier shapes, must give the oracle's bits on every call, and a
+returned mask must not change under later calls. A repeat call on a grid with
+no tie must not allocate a full-grid float array.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +30,7 @@ from spsnet.sps import (  # noqa: E402
     _z_values_grid,
     draw_sign_matrix,
     evaluate_region,
+    tie_exact_aggregate,
     truncated_aggregate,
 )
 
@@ -60,18 +69,57 @@ def region_cases(draw):
     return agg, box, shape, q, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(region_cases())
-def test_kernel_matches_einsum_oracle(case):
+def check_against_oracle(case):
+    """The kernel's Z and, up to three dimensions, ``evaluate_region``'s result,
+    each equal to the oracle's; returns the result (None at n_p = 4)."""
     agg, box, shape, q, tie_seed = case
     z = _z_values_grid(agg, _cell_centres(tuple(box), shape))
+    # Z is a view into the workspace: compare it before the next call reuses it
     z_oracle = grid_oracle.z_values_points(agg, grid_oracle.cell_points(box, shape))
     assert np.array_equal(z.reshape(agg.m, -1), z_oracle)
     if agg.n_p > 3:  # beyond the dimensions evaluate_region grids
-        return
-
+        return None
     res = evaluate_region(agg, box, shape, q, tie_seed=tie_seed)
     member, volume, bounding = grid_oracle.region(agg, box, shape, q, tie_seed)
     assert np.array_equal(res.member_mask, member)
+    assert res.member_mask.flags.c_contiguous
     assert res.volume == volume
     assert res.bounding_box == bounding
+    return res
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(region_cases())
+def test_kernel_matches_einsum_oracle(case):
+    check_against_oracle(case)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(region_cases(), min_size=2, max_size=5))
+def test_interleaved_grids_match_the_oracle(cases):
+    # forwards, then backwards: the turn repeats the last shape (the workspace
+    # is reused), every other step may change n_p, m or the grid (it is replaced)
+    results = [(res, res.member_mask.copy())
+               for res in map(check_against_oracle, cases + cases[::-1]) if res is not None]
+    for res, mask in results:
+        assert np.array_equal(res.member_mask, mask)
+
+
+def test_a_repeat_call_allocates_no_full_grid_array():
+    n_nodes, m = 20, 10
+    rng = substream(5, "workspace")
+    cfg = FieldConfig(n_p=3, p_true=np.array([1.0, -0.5, 0.25]), noise=NoiseSpec(scale=0.1))
+    samples = generate_measurements(rng.uniform(0, 1, size=(n_nodes, 2)), cfg, rng)
+    agg = tie_exact_aggregate(samples, draw_sign_matrix(m, n_nodes, 5), np.ones(n_nodes))
+    box, shape = [(p - 1, p + 1) for p in cfg.p_true], (12, 12, 12)
+    z = grid_oracle.z_values_points(agg, grid_oracle.cell_points(box, shape))
+    assert not (z[1:] == z[0]).any()  # no tie, so no tie block is drawn
+    first = evaluate_region(agg, box, 12, 1, tie_seed=3)
+    tracemalloc.start()
+    try:
+        again = evaluate_region(agg, box, 12, 1, tie_seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again.member_mask, first.member_mask) and again.member_count > 0
+    assert peak < m * 12**3 * 8  # one (m, 12^3) float64 array, 138,240 bytes

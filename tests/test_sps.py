@@ -322,6 +322,14 @@ def test_region_argument_validation():
         evaluate_region(agg, [(-1, 1)], 0, q=1, tie_seed=0)
     with pytest.raises(ValueError):
         evaluate_region(agg, [(-1, 1)], 4, q=2, tie_seed=0)
+    # a cell count is a positive integer: no rounding, no bools, no strings
+    for grid in (12.7, 4.0, True, np.True_, "8", np.array(8.0), [4.0], [True], ["4"], [[4]],
+                 (4, 4), np.array([[4]]), None, -3, np.int64(0), np.array([0])):
+        with pytest.raises(ValueError, match="grid_per_dim"):
+            evaluate_region(agg, [(-1, 1)], grid, q=1, tie_seed=0)
+    expected = evaluate_region(agg, [(-1, 1)], 4, q=1, tie_seed=0).member_mask
+    for grid in (np.int64(4), np.uint8(4), np.array(4), [4], (np.int32(4),), np.array([4])):
+        assert np.array_equal(evaluate_region(agg, [(-1, 1)], grid, q=1, tie_seed=0).member_mask, expected)
     big = AggregateSums.zeros(4, 4)
     box4 = [(-1, 1)] * 4
     with pytest.raises(ValueError, match="at most 3"):
