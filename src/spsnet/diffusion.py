@@ -62,8 +62,8 @@ delivered (a round past the last one gives the final knowledge).
 delivered: tag tables only grow, so that table is a prefix of the final one,
 and the run records each table's row count per round. Nothing is wrapped up
 until it is read, and each read wraps up its prefix afresh. ``ConsensusResult``
-gives row k of N * W^t after iteration t, stepped from the identity only when
-it is read.
+gives row k of N * W^t after iteration t; only the rows that are read are
+stepped, each from its identity row with the right product.
 
 No run reads the data, only their shapes. A TAS message's payload is the sum
 of the local aggregates its tag names, so distillation, aggregation and
@@ -604,19 +604,23 @@ class ConsensusResult:
     N * W^t, node k's weight vector after iteration t (the last one when t is
     None).
 
-    W^t is stepped only when read, from one cursor ``(t, W^t)``: a read at
-    the cursor's t scales row k of W^t by N, a later read steps the cursor
-    forward with one ``einsum`` per iteration, and an earlier one restarts it
-    from the identity. Reads in iteration order therefore step each iteration
-    once. No BLAS call is made, so the bits do not depend on the kernel
-    OpenBLAS picks for the CPU. An iteration that was not run raises
-    ValueError.
+    Row k of W^t is e_k W^t, so it is stepped on its own with the right
+    product, one ``einsum`` per iteration, and only the rows that are read
+    are stepped. One cursor ``(t, nodes read so far, their rows of W^t)``
+    holds them: a read at a later t steps every row of the cursor forward, a
+    node new to the cursor steps alone from its identity row up to the
+    cursor's t and joins it, and an earlier t restarts the cursor from the
+    identity rows of its nodes. A row's bits do not depend on which rows are
+    stepped with it, so the read order changes no weight. Reads in iteration
+    order step each iteration once. No BLAS call is made, so the bits do not
+    depend on the kernel OpenBLAS picks for the CPU. An iteration that was
+    not run raises ValueError.
     """
 
     mixing: np.ndarray
     traffic: TrafficLog
     rounds_run: int
-    _cursor: tuple[int, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _cursor: tuple[int, dict[int, int], np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def weights(self, k: int, iteration: int | None = None) -> np.ndarray:
         """c[i] = N * (W^t)[k, i], the weight of node i's data at node k."""
@@ -625,12 +629,27 @@ class ConsensusResult:
             raise ValueError(f"iteration {t} was not run")
         n = self.mixing.shape[0]
         _check_node(k, n)
-        if self._cursor is None or self._cursor[0] != t:
-            i, power = (0, np.eye(n)) if self._cursor is None or self._cursor[0] > t else self._cursor
-            for _ in range(t - i):
-                power = np.einsum("kj,ji->ki", self.mixing, power)
-            self._cursor = (t, power)
-        return n * self._cursor[1][k]
+        at, nodes, rows = self._cursor or (0, {}, np.empty((0, n)))
+        if at > t:
+            at, rows = 0, _unit_rows(list(nodes), n)
+        if k not in nodes:
+            nodes[k] = len(rows)
+            rows = np.concatenate([rows, self._step(_unit_rows([k], n), at)])
+        rows = self._step(rows, t - at)
+        self._cursor = (t, nodes, rows)
+        return n * rows[nodes[k]]
+
+    def _step(self, rows: np.ndarray, iterations: int) -> np.ndarray:
+        for _ in range(iterations):
+            rows = np.einsum("kj,ji->ki", rows, self.mixing)
+        return rows
+
+
+def _unit_rows(nodes: list[int], n: int) -> np.ndarray:
+    """The identity rows of ``nodes``, in that order."""
+    rows = np.zeros((len(nodes), n))
+    rows[np.arange(len(nodes)), nodes] = 1.0
+    return rows
 
 
 def run_consensus(graph: Graph, samples, signs: SignMatrix, iterations: int,

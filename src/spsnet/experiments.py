@@ -533,11 +533,16 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
     the region volume of every sampled node's aggregate, built from
     ``weights(k, r)``, is measured at each round read (every round for MF and
     TAS, the checkpoints for consensus); traffic per node is the log's total
-    through round r over N. Rows are (protocol, round, avg scalars per node,
-    avg volume) averaged over seeds and sampled nodes, a shorter curve held at
-    its last point; the summary locates the consensus iteration bracket whose
-    mean volume first matches full diffusion and the per-node scalars this
-    costs. A ``topology.kind`` other than ``rgg`` raises ValueError.
+    through round r over N. A seed's reads share one memo of volumes keyed by
+    (builder, c): the same builder gives the same Z from the same c, so a
+    region whose grid had no tie does not depend on its tie seed and is
+    reused; one that drew tie keys is not stored, and a later read of that c
+    is evaluated with its own seed. Rows are (protocol, round, avg scalars
+    per node, avg volume) averaged over seeds and sampled nodes, a shorter
+    curve held at its last point; the summary locates the consensus iteration
+    bracket whose mean volume first matches full diffusion and the per-node
+    scalars this costs. A ``topology.kind`` other than ``rgg`` raises
+    ValueError.
     """
     seed = config.seed
     fc = config.field_config()
@@ -574,13 +579,23 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
         reads += [(f"consensus-{scheme}", scheme,
                    {"protocol": "consensus", "iterations": checkpoints[-1], "scheme": scheme}, checkpoints)
                   for scheme in CONSENSUS_SCHEMES]
+        volumes = {}  # (builder, c bytes) -> volume of a region that drew no tie keys
         for name, label, diff, rounds in reads:
             run = run_protocol(bundle, samples, signs, diff)
             curve = []
             for r in range(run.rounds + 1) if rounds is None else rounds:
-                vols = [_region_volume(run.builder(samples, signs, run.weights(k, r)), region, q,
-                                       derive_seed(seed, "rt", s, label, r, k))
-                        for k in sample_nodes]
+                vols = []
+                for k in sample_nodes:
+                    c = run.weights(k, r)
+                    key = (run.builder, c.tobytes())
+                    vol = volumes.get(key)
+                    if vol is None:
+                        res = evaluate_region(run.builder(samples, signs, c), region["box"], region["grid_per_dim"],
+                                              q, derive_seed(seed, "rt", s, label, r, k))
+                        vol = res.volume
+                        if not res.tied:
+                            volumes[key] = vol
+                    vols.append(vol)
                 curve.append((r, run.traffic.total_through_round(r) / n, float(np.mean(vols))))
             curves.setdefault(name, []).append(curve)
 

@@ -264,14 +264,16 @@ def rank_above(z: np.ndarray, keys) -> np.ndarray:
     uniform keys make every ordering of a tied group equally likely, which
     keeps the region's coverage exact even where exact ties occur. ``z`` has
     shape (m, ...); ``keys`` is a function returning an array of the same
-    shape, called only when some row ties with row 0.
+    shape, called only when some row ties with row 0. The counts have the
+    narrowest unsigned type that holds m - 1 (uint8 up to m = 256), which
+    numpy sums faster than int64.
     """
     above = z[1:] > z[0]
     tied = z[1:] == z[0]
     if tied.any():
         u = keys()
         above |= tied & (u[1:] > u[0])
-    return above.sum(axis=0)
+    return above.sum(axis=0, dtype=np.min_scalar_type(z.shape[0] - 1))
 
 
 def membership(z, q: int, keys) -> bool:
@@ -294,17 +296,31 @@ class RegionResult:
 
     ``member_mask`` marks cells whose center passed the membership test;
     ``volume`` is member count times cell volume; ``bounding_box`` is the hull
-    of member cells per dimension (None when the region is empty).
+    of member cells per dimension (None when the region is empty), computed
+    on first read; ``tied`` says whether some cell had Z_j == Z_0, so that
+    the mask read the tie keys of ``tie_seed``.
     """
 
     box: list[tuple[float, float]]
     grid_shape: tuple[int, ...]
     member_mask: np.ndarray
     volume: float
-    bounding_box: list[tuple[float, float]] | None
     q: int
     m: int
     tie_seed: int
+    tied: bool
+
+    @functools.cached_property
+    def bounding_box(self) -> list[tuple[float, float]] | None:
+        if not self.member_mask.any():
+            return None
+        n_p = len(self.box)
+        bounding = []
+        for dim, ((lo, hi), g) in enumerate(zip(self.box, self.grid_shape)):
+            idx = np.nonzero(self.member_mask.any(axis=tuple(d for d in range(n_p) if d != dim)))[0]
+            width = (hi - lo) / g
+            bounding.append((lo + idx[0] * width, lo + (idx[-1] + 1) * width))
+        return bounding
 
     @property
     def member_count(self) -> int:
@@ -379,7 +395,8 @@ def evaluate_region(
     ValueError. Ties are broken with one (n_cells, m) block of uniforms from
     ``SeedSequence(tie_seed)``: row i is the tie stream of cell i in C order.
     The block is drawn only when some cell has Z_j == Z_0; cells without a tie
-    never read it, so the result is bit-reproducible either way. Dimensions
+    never read it, so the result is bit-reproducible either way, and a result
+    whose ``tied`` is False does not depend on ``tie_seed``. Dimensions
     above ``MAX_GRID_DIM`` are rejected, because the grid size explodes.
 
     Z is computed in ``_z_values_grid``'s cached workspace, which stores the
@@ -408,8 +425,11 @@ def evaluate_region(
         raise ValueError("q must satisfy 1 <= q <= m-1")
 
     z = _z_values_grid(agg, _cell_centres(tuple(box), shape))
+    tied = False
 
     def tie_keys():
+        nonlocal tied
+        tied = True
         rng = np.random.default_rng(np.random.SeedSequence(int(tie_seed)))
         return rng.uniform(size=(z[0].size, agg.m)).T.reshape(z.shape)
 
@@ -417,25 +437,16 @@ def evaluate_region(
     member = np.ascontiguousarray(rank_above(z, tie_keys) >= q)
 
     widths = [(hi - lo) / g for (lo, hi), g in zip(box, shape)]
-    count = np.count_nonzero(member)
-    volume = float(count) * float(np.prod(widths))
-    if count:
-        bounding = []
-        for dim in range(n_p):
-            idx = np.nonzero(member.any(axis=tuple(d for d in range(n_p) if d != dim)))[0]
-            lo, _ = box[dim]
-            bounding.append((lo + idx[0] * widths[dim], lo + (idx[-1] + 1) * widths[dim]))
-    else:
-        bounding = None
+    volume = float(np.count_nonzero(member)) * float(np.prod(widths))
     return RegionResult(
         box=box,
         grid_shape=shape,
         member_mask=member,
         volume=volume,
-        bounding_box=bounding,
         q=q,
         m=agg.m,
         tie_seed=int(tie_seed),
+        tied=tied,
     )
 
 

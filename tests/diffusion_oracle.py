@@ -109,7 +109,7 @@ class PayloadTable:
         self.owner = owner
         self.n_nodes = n_nodes
         self.rows = [PayloadRow(1 << owner, local_payload)]
-        self._wrapup = (b"", None)  # last (tag matrix bytes, b)
+        self._wrapup = (0, None)  # last (row count, wrap-up): rows are only appended
 
     def append(self, tag: int, payload: AggregateSums) -> PayloadRow:
         row = PayloadRow(tag, payload)
@@ -182,20 +182,19 @@ def _complete_message(table: PayloadTable):
 
 def tas_wrapup(table: PayloadTable, n_rows: int | None = None) -> tuple[WrapUpWeights, AggregateSums]:
     """Weights and the b-weighted sum of the payloads of the first ``n_rows``
-    rows: b is all ones when their tags are disjoint, else the wrap-up LP's,
-    reused while the tag matrix is unchanged."""
+    rows: b is all ones when their tags are disjoint, else the wrap-up LP's.
+    Rows are only appended, so the table's last wrap-up is reused while the
+    prefix has as many rows."""
     rows = table.rows[:n_rows]
+    if table._wrapup[0] == len(rows):
+        return table._wrapup[1]
     covered, disjoint = _cover(rows)
     if disjoint:
         coeffs = [1.0] * len(rows)
         c = _unpack([covered], table.n_nodes)[0].astype(float)
     else:
-        tags = _unpack([row.tag for row in rows], table.n_nodes)
-        key = tags.tobytes()
-        tagmat = tags.astype(float)
-        if table._wrapup[0] != key:
-            table._wrapup = (key, solve_lp(LpProblem(tagmat))[0])
-        b = table._wrapup[1]
+        tagmat = _unpack([row.tag for row in rows], table.n_nodes).astype(float)
+        b = solve_lp(LpProblem(tagmat))[0]
         coeffs = b.tolist()
         c = b @ tagmat
         c[np.abs(c) <= 1e-9] = 0.0
@@ -209,7 +208,8 @@ def tas_wrapup(table: PayloadTable, n_rows: int | None = None) -> tuple[WrapUpWe
     if agg is None:
         first = rows[0].payload
         agg = AggregateSums.zeros(first.m, first.n_p)
-    return WrapUpWeights(c), agg
+    table._wrapup = (len(rows), (WrapUpWeights(c), agg))
+    return table._wrapup[1]
 
 
 def _wrapup_all(tables, nodes=None):

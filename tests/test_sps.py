@@ -245,6 +245,24 @@ def test_rank_above_draws_keys_only_on_ties():
     assert np.array_equal(rank_above(tied, lambda: keys), [1, 1])
 
 
+def test_rank_counts_past_256_rows_equal_an_int64_sum():
+    """Counts up to m - 1 = 299 outgrow uint8; they and the membership
+    verdicts equal the int64 count of the same ranking."""
+    rng = substream(5, "wide-ranks")
+    z = rng.integers(0, 4, size=(300, 40)).astype(float)  # few values, so many ties
+    z[0, :6] = -1.0  # every row ranks above row 0 in these columns
+    keys = rng.uniform(size=z.shape)
+    for m in (256, 300):
+        above = (z[1:m] > z[0]) | ((z[1:m] == z[0]) & (keys[1:m] > keys[0]))
+        expected = above.sum(axis=0, dtype=np.int64)
+        counts = rank_above(z[:m], lambda: keys[:m])
+        assert np.array_equal(counts, expected) and expected.max() == m - 1
+        assert counts.dtype == (np.uint8 if m == 256 else np.uint16)
+        for q in (1, 128, 255, m - 1):
+            verdicts = [membership(z[:m, i], q, lambda: keys[:m, i]) for i in range(z.shape[1])]
+            assert verdicts == list(expected >= q)
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -264,6 +282,17 @@ def test_region_hand_example_volume_two():
     # no ties at these cell centers, so the tie seed is irrelevant
     other = evaluate_region(agg, [(-2.0, 2.0)], 8, q=1, tie_seed=99999)
     assert np.array_equal(res.member_mask, other.member_mask)
+
+
+def test_region_says_whether_it_drew_tie_keys():
+    samples, _ = make_samples(8, 50)
+    signs = draw_sign_matrix(10, 50, 8)
+    box = [(-1.5, 1.5), (-1.5, 1.5)]
+    one_hot = np.zeros(50)
+    one_hot[7] = 1.0  # every sign row is +-row 0 on one node
+    res = evaluate_region(tie_exact_aggregate(samples, signs, one_hot), box, 6, q=1, tie_seed=1)
+    assert res.tied and "tied" not in res.to_json_dict()
+    assert not evaluate_region(tie_exact_aggregate(samples, signs, np.ones(50)), box, 6, q=1, tie_seed=1).tied
 
 
 def test_region_refinement_stays_within_boundary_layer():

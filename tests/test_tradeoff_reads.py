@@ -6,6 +6,10 @@ consensus loop with its snapshots; the package's record and consensus weights
 must equal them bit for bit. Its TAS reads come from the eager
 payload-carrying runner, and its consensus states are stepped through the
 data; both must be close to the aggregates built from the weights.
+The study keeps one memo of volumes per seed, so it evaluates fewer regions
+than the oracle, which evaluates every read; a read whose region drew tie
+keys is evaluated again. Consensus steps only the rows it reads, and a row's
+bits do not depend on the rows stepped with it.
 The traffic log keeps per-round totals, which must equal a scan of its events.
 """
 
@@ -13,6 +17,7 @@ import csv
 import io
 import os
 import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import tradeoff_oracle  # noqa: E402
 from result_checks import sums_close  # noqa: E402
+from spsnet import experiments  # noqa: E402
 from spsnet.diffusion import CONSENSUS_SCHEMES, TrafficLog, run_consensus  # noqa: E402
 from spsnet.experiments import ExperimentConfig, run_tradeoff  # noqa: E402
 from spsnet.model import FieldConfig, NoiseSpec, generate_measurements  # noqa: E402
@@ -42,19 +48,63 @@ def tradeoff_config(seed, n_nodes, n_p, m, grid, n_seeds, node_sample, rounds, m
     })
 
 
+def record_regions(monkeypatch) -> list:
+    """Patch the study's ``evaluate_region`` and builders to list (memo key,
+    tied) for every region evaluated; the key is None for an aggregate the
+    study's builders did not build (the oracle's and the full one)."""
+    built = {}  # id of a built aggregate -> (memo key, the aggregate, kept alive so ids stay unique)
+    regions = []
+    evaluate = experiments.evaluate_region
+
+    def recording(builder):
+        def build(samples, signs, c):
+            agg = builder(samples, signs, c)
+            # the memo is per seed: the aggregate's bits tell the seeds' data apart
+            built[id(agg)] = ((builder.__name__, c.tobytes(), agg.vec.tobytes()), agg)
+            return agg
+        return build
+
+    def counted(agg, *args, **kwargs):
+        res = evaluate(agg, *args, **kwargs)
+        regions.append((built.get(id(agg), (None,))[0], res.tied))
+        return res
+
+    monkeypatch.setattr(experiments, "evaluate_region", counted)
+    for name in ("truncated_aggregate", "tie_exact_aggregate"):
+        monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
+    return regions
+
+
 @pytest.mark.parametrize("seed,n_nodes,n_p,m,grid,n_seeds,node_sample,rounds,max_iterations,mf_lengths_differ", [
     (4, 10, 2, 4, 5, 2, None, None, 17, True),  # seed 0's MF and TAS curves are the shorter ones
     (5, 15, 1, 5, 6, 2, 4, 0, 1, True),
     (7, 10, 3, 4, 4, 2, 3, 2, 40, False),
 ])
 def test_tradeoff_equals_the_three_loop_oracle(seed, n_nodes, n_p, m, grid, n_seeds, node_sample, rounds,
-                                               max_iterations, mf_lengths_differ):
+                                               max_iterations, mf_lengths_differ, monkeypatch):
     config = tradeoff_config(seed, n_nodes, n_p, m, grid, n_seeds, node_sample, rounds, max_iterations)
+    regions = record_regions(monkeypatch)
     expected, curves, reads = tradeoff_oracle.run_tradeoff(config)
+    oracle_regions = len(regions)
+    regions.clear()
     # the step extension of shorter curves runs when MF curves differ in length
     assert (len({len(c) for c in curves["mf"]}) > 1) == mf_lengths_differ
     assert run_tradeoff(config).to_json_dict() == expected.to_json_dict()
     assert reads and all(sums_close(agg, eager) for agg, eager in reads)
+    assert len(regions) < oracle_regions  # the memo answered some reads
+
+
+def test_a_weight_vector_whose_region_drew_tie_keys_is_evaluated_again(monkeypatch):
+    """On 5 nodes a complete node's all-ones weights can tie. The memo keeps
+    no such volume, so a later read of the same c in the seed is evaluated
+    with its own tie seed, as the oracle evaluates every read."""
+    config = tradeoff_config(1, 5, 2, 6, 4, 2, None, None, 6)
+    regions = record_regions(monkeypatch)
+    expected, _, _ = tradeoff_oracle.run_tradeoff(config)
+    regions.clear()
+    assert run_tradeoff(config).to_json_dict() == expected.to_json_dict()
+    tied = Counter(key for key, drew in regions if drew and key is not None)
+    assert max(tied.values()) > 1
 
 
 def consensus_case(seed, n_nodes, n_p=2, m=3):
@@ -97,6 +147,35 @@ def test_reads_in_iteration_order_step_each_iteration_once(monkeypatch):
     assert len(steps) == 14
     with pytest.raises(ValueError, match="not run"):
         res.weights(0, 13)
+
+
+def test_a_node_new_to_the_cursor_steps_alone_up_to_it(monkeypatch):
+    graph, samples, signs = consensus_case(11, 9)
+    res = run_consensus(graph, samples, signs, 12)
+    rows = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **kw: rows.append(len(a[1])) or einsum(*a, **kw))
+    for k in range(9):  # every node at the last iteration, as coverage --all-nodes reads
+        res.weights(k)
+    assert rows == [1] * (9 * 12)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.sampled_from(CONSENSUS_SCHEMES), st.data())
+def test_a_rows_bits_do_not_depend_on_the_rows_stepped_with_it(seed, n_nodes, scheme, data):
+    """Node k's weights read alone, among a subset of nodes, or among every
+    node are the same bits at each of 200 iterations."""
+    graph, samples, signs = consensus_case(seed, n_nodes)
+    k = data.draw(st.integers(0, n_nodes - 1))
+    subset = sorted(data.draw(st.sets(st.integers(0, n_nodes - 1), max_size=n_nodes)) | {k})
+    alone, among, every = (run_consensus(graph, samples, signs, 200, scheme) for _ in range(3))
+    for t in range(201):
+        got = alone.weights(k, t)
+        for j in subset:
+            among.weights(j, t)
+        for j in range(n_nodes):
+            every.weights(j, t)
+        assert np.array_equal(among.weights(k, t), got) and np.array_equal(every.weights(k, t), got)
 
 
 def scanned_csv(protocol, n_nodes, events) -> bytes:

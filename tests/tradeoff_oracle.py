@@ -6,7 +6,8 @@ aggregate from the weights N * W^t, stepped only when they are read. These
 oracles keep the old shape: ``run_tradeoff`` reads MF knowledge, TAS wrap-ups
 and consensus snapshots in three loops of their own, and ``eager_consensus``
 steps every node's state, and W^t, through every iteration up front and
-copies the ones it was told to keep. TAS comes from the eager runner in
+copies the ones it was told to keep; W^t is stepped with the right product
+W^t W, as the package steps the rows it reads. TAS comes from the eager runner in
 ``diffusion_oracle``, which carries payloads. A TAS or consensus read's region
 is evaluated on ``tie_exact_aggregate`` of the oracle's weights, as the
 package does, and the oracle's payload sum or stepped state is returned next
@@ -65,7 +66,7 @@ def eager_consensus(graph, samples, signs, iterations, scheme="metropolis", snap
     for t in range(1, iterations + 1):
         vec = np.einsum("kj,jab->kab", w, vec)
         mat = np.einsum("kj,jabc->kabc", w, mat)
-        power = np.einsum("kj,ji->ki", w, power)
+        power = np.einsum("kj,ji->ki", power, w)  # W^t W: each row stepped on its own
         if t in wanted:
             snapshots[t] = (vec.copy(), mat.copy(), power.copy())
     return EagerConsensus(vec, mat, power, iterations, snapshots)
