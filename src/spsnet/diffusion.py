@@ -107,10 +107,7 @@ def payload_sizes(n_p: int, m: int) -> tuple[int, int]:
 
 
 class TrafficEvent(NamedTuple):
-    """One broadcast: round, sender, scalar cost, informational tag bits.
-
-    A named tuple, so logging one costs one tuple.
-    """
+    """One broadcast: round, sender, scalar cost, informational tag bits."""
 
     round: int
     node: int
@@ -119,45 +116,57 @@ class TrafficEvent(NamedTuple):
 
 
 class TrafficLog:
-    """Append-only transmission log for one protocol run: one event per
-    ``record`` call, per-node and per-round totals kept as Python ints."""
+    """Append-only transmission log for one protocol run: one plain tuple per
+    ``record`` call. The per-node and per-round totals are summed, as Python
+    ints, on the first read after a ``record``."""
 
     def __init__(self, protocol: str, n_nodes: int):
         self.protocol = protocol
         self.n_nodes = n_nodes
-        self.events: list[TrafficEvent] = []
-        self._per_node = [0] * n_nodes
-        self._per_round: dict[int, int] = {}
+        self._events: list[tuple[int, int, int, int]] = []
+        self._sums: tuple[int, list[int], dict[int, int]] = (0, [0] * n_nodes, {})
 
     def record(self, round_: int, node: int, scalars: int, tag_bits: int = 0):
         if scalars < 0 or tag_bits < 0:
             raise ValueError("traffic amounts must be non-negative")
-        round_, node, scalars = int(round_), int(node), int(scalars)
-        self.events.append(TrafficEvent(round_, node, scalars, int(tag_bits)))
-        self._per_node[node] += scalars
-        self._per_round[round_] = self._per_round.get(round_, 0) + scalars
+        self._events.append((int(round_), int(node), int(scalars), int(tag_bits)))
+
+    @property
+    def events(self) -> list[TrafficEvent]:
+        return list(map(TrafficEvent._make, self._events))
+
+    def _totals(self) -> tuple[list[int], dict[int, int]]:
+        """(per-node, per-round) scalar totals of the events logged so far."""
+        summed, per_node, per_round = self._sums
+        if summed != len(self._events):
+            per_node, per_round = [0] * self.n_nodes, {}
+            for rnd, node, scalars, _ in self._events:
+                per_node[node] += scalars
+                per_round[rnd] = per_round.get(rnd, 0) + scalars
+            self._sums = (len(self._events), per_node, per_round)
+        return per_node, per_round
 
     @property
     def total_scalars(self) -> int:
-        return sum(self._per_node)
+        return sum(self._totals()[0])
 
     @property
     def per_node_totals(self) -> np.ndarray:
-        return np.array(self._per_node, dtype=np.int64)
+        return np.array(self._totals()[0], dtype=np.int64)
 
     def total_through_round(self, round_: int) -> int:
-        return sum(total for rnd, total in self._per_round.items() if rnd <= round_)
+        return sum(total for rnd, total in self._totals()[1].items() if rnd <= round_)
 
     def to_csv(self, path) -> None:
         """CSV rows sorted by (round, node); cumulative_scalars is the
         sender's running total after the event."""
-        running = np.zeros(self.n_nodes, dtype=np.int64)
+        running = [0] * self.n_nodes
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["protocol", "round", "node_id", "scalars_sent", "cumulative_scalars", "tag_bits"])
-            for e in sorted(self.events, key=lambda e: (e.round, e.node)):
-                running[e.node] += e.scalars
-                w.writerow([self.protocol, e.round, e.node, e.scalars, int(running[e.node]), e.tag_bits])
+            for rnd, node, scalars, bits in sorted(self._events, key=lambda e: (e[0], e[1])):
+                running[node] += scalars
+                w.writerow([self.protocol, rnd, node, scalars, running[node], bits])
 
 
 # ---------------------------------------------------------------------------

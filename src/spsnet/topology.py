@@ -49,29 +49,32 @@ class Graph:
         adj = np.asarray(self.adjacency, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be square")
-        rows, cols = np.nonzero(adj)  # row-major: each row's ids ascending, rows in order
-        if not adj[cols, rows].all():  # every edge's reverse, without an (N, N) transpose copy
+        n = adj.shape[0]
+        rows, cols = divmod(np.flatnonzero(adj), n)  # row-major: each row's ids ascending, rows in order
+        if not adj.ravel()[cols * n + rows].all():  # every edge's reverse, without an (N, N) transpose copy
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(adj)):
             raise ValueError("self-loops are not allowed")
         self.adjacency = adj
         if self.positions is not None:
             self.positions = np.asarray(self.positions, dtype=float)
-            if self.positions.shape[0] != adj.shape[0]:
+            if self.positions.shape[0] != n:
                 raise ValueError("positions must match the node count")
-        ends = np.cumsum(adj.sum(axis=1)).tolist()
-        self._neighbors = [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        # CSR: node i's neighbours are indices[indptr[i]:indptr[i + 1]]
+        self.indptr = np.searchsorted(rows, np.arange(n + 1))
+        self.indices = cols
+        self._bounds = self.indptr.tolist()  # Python ints slice faster than numpy scalars
 
     @property
     def n_nodes(self) -> int:
         return self.adjacency.shape[0]
 
     def neighbors(self, i: int) -> np.ndarray:
-        return self._neighbors[i]
+        return self.indices[self._bounds[i]:self._bounds[i + 1]]
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        return np.diff(self.indptr)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -139,7 +142,7 @@ def random_geometric(n_nodes: int, rng: np.random.Generator, radius: float | Non
         raise ValueError("need at least two nodes")
     if radius is None:
         radius = comm_radius(n_nodes)
-    elif radius <= 0:
+    elif not radius > 0:  # NaN too
         raise ValueError("radius must be positive")
     adj = np.empty((n_nodes, n_nodes), dtype=bool)
     for attempt in range(1, MAX_RETRIES + 1):
@@ -272,27 +275,33 @@ def spanning_tree(graph: Graph, root: int | None = None) -> TreeTopology:
     """Breadth-first spanning tree of a connected graph.
 
     Each node's parent is its smallest-id neighbor one level closer to the
-    root, so the tree is deterministic: one ``argmax`` per row of the
-    adjacency masked to the level above picks the first such column. When
-    ``root`` is omitted it is chosen by a double-BFS midpoint heuristic (BFS
-    from node 0 to a farthest node a, BFS from a to a farthest node b, root =
-    midpoint of the a-b path), which keeps the tree depth near half the graph
-    diameter. A given ``root`` outside 0..N-1 raises ValueError.
+    root, so the tree is deterministic: the neighbour lists are ascending, so
+    the first neighbour entry one level up in each node's list is its parent.
+    When ``root`` is omitted it is chosen by a double-BFS midpoint heuristic
+    (BFS from node 0 to a farthest node a, BFS from a to a farthest node b,
+    root = midpoint of the a-b path), which keeps the tree depth near half
+    the graph diameter. A given ``root`` outside 0..N-1 raises ValueError.
     """
     if root is not None and not 0 <= operator.index(root) < graph.n_nodes:
         raise ValueError(f"root {root} is not a node id in 0..{graph.n_nodes - 1}")
-    if not graph.is_connected():
-        raise DisconnectedGraphError("spanning tree requires a connected graph")
     if root is None:
         root = _center_node(graph)
+    elif not graph.is_connected():
+        raise DisconnectedGraphError("spanning tree requires a connected graph")
     level = bfs_levels(graph.adjacency, root)
-    parent = (graph.adjacency & (level[None, :] == level[:, None] - 1)).argmax(axis=1)
-    parent[root] = -1
+    node = np.repeat(np.arange(graph.n_nodes), graph.degrees)
+    up = np.flatnonzero(level[graph.indices] == level[node] - 1)
+    child, first = np.unique(node[up], return_index=True)
+    parent = np.full(graph.n_nodes, -1)
+    parent[child] = graph.indices[up[first]]
     return TreeTopology(parent=parent)
 
 
 def _center_node(graph: Graph) -> int:
+    """Double-BFS midpoint; its BFS from node 0 also checks connectivity."""
     lev0 = bfs_levels(graph.adjacency, 0)
+    if (lev0 < 0).any():
+        raise DisconnectedGraphError("spanning tree requires a connected graph")
     a = int(np.argmax(lev0))
     leva = bfs_levels(graph.adjacency, a)
     b = int(np.argmax(leva))
@@ -335,6 +344,8 @@ class ClusteredTopology:
         sizes = np.bincount(self.assignment, minlength=n_c)
         if sizes.shape[0] != n_c or (sizes == 0).any():
             raise ValueError("every cluster must be non-empty")
+        if ((self.heads < 0) | (self.heads >= self.n_nodes)).any():
+            raise ValueError(f"head ids must lie in 0..{self.n_nodes - 1}")
         for c, h in enumerate(self.heads):
             if self.assignment[h] != c:
                 raise ValueError("each head must belong to its own cluster")

@@ -33,6 +33,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 # the error lines a schema-valid config may end with (README, "Command line")
 DOCUMENTED_ERRORS = (
     r"no connected deployment of \d+ nodes in 100 attempts",
+    r"radius must be positive",
     r"topology\.n_clusters \(\d+\) must not exceed topology\.n_nodes \(\d+\)",
     r"trade-off study draws random geometric deployments; topology\.kind must be 'rgg', not '\w+'",
     r"success-rate study draws random geometric deployments; topology\.kind must be 'rgg', not '\w+'",
@@ -167,6 +168,17 @@ def test_a_deployment_that_cannot_connect_is_a_user_error(tmp_path, command):
     assert rc == 1
     assert err == "error: no connected deployment of 30 nodes in 100 attempts\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["coverage", "region", "topology", *RGG_STUDIES])
+def test_a_nan_radius_is_a_user_error(tmp_path, command):
+    # Python's json reads NaN, and NaN passes the schema's exclusiveMinimum
+    config = {"seed": 1, "topology": {"kind": "rgg", "n_nodes": 10, "radius": float("nan")},
+              "success_rate": {"n_nodes": [10], "n_p": [2], "realizations": 1},
+              "tradeoff": {"n_seeds": 1, "max_iterations": 1}}
+    assert schema_valid(config)
+    rc, err = run_cli(command, config, tmp_path)
+    assert (rc, err) == (1, "error: radius must be positive\n")
 
 
 @pytest.mark.parametrize("kind", ["complete", "tree", "binary", "clustered"])

@@ -74,12 +74,18 @@ def test_neighbor_arrays_equal_per_row_flatnonzero():
     isolated[2, :] = isolated[:, 2] = False  # node 2 has no neighbour
     graphs += [Graph(adjacency=isolated), Graph(adjacency=np.zeros((1, 1), dtype=bool)),
                random_geometric(60, substream(4, "topology"))]
+    for n in (2, 10, 60, 200, 500):
+        graphs.append(spanning_tree(random_geometric(n, substream(5, "topology", n))).graph())
+    graphs += [complete_binary_tree(depth).graph() for depth in range(6)]
+    graphs += [clustered(40, c, substream(6, "topology", c)).graph() for c in (1, 10, 40)]
     for g in graphs:
         for i in range(g.n_nodes):
             want = np.flatnonzero(g.adjacency[i])
             got = g.neighbors(i)
             assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert graphs[-3].neighbors(2).size == 0 and graphs[-2].neighbors(0).size == 0
+        want = g.adjacency.sum(axis=1)
+        assert g.degrees.dtype == want.dtype and np.array_equal(g.degrees, want)
+    assert graphs[5].neighbors(2).size == 0 and graphs[6].neighbors(0).size == 0
 
 
 def test_bfs_levels_on_path():
@@ -108,8 +114,9 @@ def test_random_geometric_radius_override():
     g = random_geometric(10, substream(8, "topology"), radius=1.5)
     assert g.radius == 1.5
     assert g.degrees.min() == 9  # radius covers the whole square
-    with pytest.raises(ValueError):
-        random_geometric(10, substream(8, "topology"), radius=0.0)
+    for bad in (0.0, -0.5, float("nan")):  # NaN is not <= 0, yet no radius either
+        with pytest.raises(ValueError, match="radius must be positive"):
+            random_geometric(10, substream(8, "topology"), radius=bad)
     with pytest.raises(ConnectivityError):
         random_geometric(50, substream(8, "topology"), radius=1e-4)
 
@@ -251,6 +258,9 @@ def test_clustered_tight_case_and_validation():
         clustered(5, 0, substream(12, "topology"))
     one = clustered(6, 1, substream(13, "topology"))
     assert one.heads.shape == (1,) and np.all(one.assignment == 0) and one.assignment.shape == (6,)
+    for heads in ([0, -1], [0, 4], [0, 40]):  # a negative id would wrap to node 3
+        with pytest.raises(ValueError, match="head ids"):
+            ClusteredTopology(assignment=[0, 0, 1, 1], heads=heads)
 
 
 def test_diameter():
