@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,6 +121,16 @@ def bfs_levels(adjacency: np.ndarray, root: int) -> np.ndarray:
     return level
 
 
+def _edge_graph(n: int, a: np.ndarray, b: np.ndarray) -> Graph:
+    """Graph on n nodes with the edge a[k] -- b[k] for every k; pairs with
+    a[k] == b[k] are left out."""
+    keep = a != b
+    adj = np.zeros((n, n), dtype=bool)
+    adj[a[keep], b[keep]] = True
+    adj[b[keep], a[keep]] = True
+    return Graph(adjacency=adj)
+
+
 MAX_RETRIES = 100  # deployments ``random_geometric`` draws before giving up
 RGG_BLOCK_ROWS = 64  # adjacency rows per block: 256 KB per float temporary at N=500
 
@@ -169,8 +178,10 @@ def random_geometric(n_nodes: int, rng: np.random.Generator, radius: float | Non
 class TreeTopology:
     """Rooted tree given by a parent array (parent[root] = -1).
 
-    Every entry must be an integer id in -1..N-1; anything else raises
-    ValueError.
+    Every entry must be an integer id in -1..N-1, exactly one of them -1,
+    and a BFS from the root over the child-parent edges, which gives
+    ``level``, must reach every node; anything else raises ValueError. (A
+    parent cycle, a self-loop too, is a component without the root.)
     """
 
     parent: np.ndarray
@@ -187,23 +198,12 @@ class TreeTopology:
         roots = np.flatnonzero(self.parent < 0)
         if roots.shape[0] != 1:
             raise ValueError("tree must have exactly one root (parent -1)")
-        level = np.full(n, -1, dtype=int)
-        level[roots[0]] = 0
-        # parents must resolve without cycles
-        for _ in range(n):
-            progress = (level < 0) & (self.parent >= 0)
-            progress &= np.where(self.parent >= 0, level[self.parent] >= 0, False)
-            if not progress.any():
-                break
-            level[progress] = level[self.parent[progress]] + 1
-        if (level < 0).any():
-            raise ValueError("parent array contains a cycle or unreachable node")
-        self.level = level
-        self._n_children = np.bincount(self.parent + 1, minlength=n + 1)[1:]
-        adj = np.zeros((n, n), dtype=bool)
         child = np.flatnonzero(self.parent >= 0)
-        adj[child, self.parent[child]] = True
-        self._graph = Graph(adjacency=adj | adj.T)
+        self._graph = _edge_graph(n, child, self.parent[child])
+        self.level = bfs_levels(self._graph.adjacency, roots[0])
+        if (self.level < 0).any():
+            raise ValueError("parent array contains a cycle or unreachable node")
+        self._n_children = np.bincount(self.parent + 1, minlength=n + 1)[1:]
 
     @property
     def n_nodes(self) -> int:
@@ -271,23 +271,17 @@ class TreeTopology:
         return "\n".join(lines) + "\n"
 
 
-def spanning_tree(graph: Graph, root: int | None = None) -> TreeTopology:
-    """Breadth-first spanning tree of a connected graph.
+def spanning_tree(graph: Graph) -> TreeTopology:
+    """Breadth-first spanning tree of a connected graph, rooted at its centre.
 
-    Each node's parent is its smallest-id neighbor one level closer to the
-    root, so the tree is deterministic: the neighbour lists are ascending, so
-    the first neighbour entry one level up in each node's list is its parent.
-    When ``root`` is omitted it is chosen by a double-BFS midpoint heuristic
-    (BFS from node 0 to a farthest node a, BFS from a to a farthest node b,
-    root = midpoint of the a-b path), which keeps the tree depth near half
-    the graph diameter. A given ``root`` outside 0..N-1 raises ValueError.
+    The root is always the double-BFS midpoint (BFS from node 0 to a
+    farthest node a, BFS from a to a farthest node b, root = midpoint of the
+    a-b path), which keeps the tree depth near half the graph diameter. Each
+    node's parent is its smallest-id neighbor one level closer to the root,
+    the first such entry of its ascending neighbour list, so the tree is
+    deterministic. A disconnected graph raises DisconnectedGraphError.
     """
-    if root is not None and not 0 <= operator.index(root) < graph.n_nodes:
-        raise ValueError(f"root {root} is not a node id in 0..{graph.n_nodes - 1}")
-    if root is None:
-        root = _center_node(graph)
-    elif not graph.is_connected():
-        raise DisconnectedGraphError("spanning tree requires a connected graph")
+    root = _center_node(graph)
     level = bfs_levels(graph.adjacency, root)
     node = np.repeat(np.arange(graph.n_nodes), graph.degrees)
     up = np.flatnonzero(level[graph.indices] == level[node] - 1)
@@ -305,12 +299,12 @@ def _center_node(graph: Graph) -> int:
     a = int(np.argmax(lev0))
     leva = bfs_levels(graph.adjacency, a)
     b = int(np.argmax(leva))
-    # walk the a-b shortest path by descending levels from b
+    # walk the a-b shortest path down from b, to the smallest id a level down
     path = [b]
     while path[-1] != a:
         v = path[-1]
-        nxt = min(u for u in graph.neighbors(v) if leva[u] == leva[v] - 1)
-        path.append(int(nxt))
+        nbrs = graph.neighbors(v)
+        path.append(int(nbrs[leva[nbrs] == leva[v] - 1][0]))
     return path[len(path) // 2]
 
 
@@ -349,13 +343,9 @@ class ClusteredTopology:
         for c, h in enumerate(self.heads):
             if self.assignment[h] != c:
                 raise ValueError("each head must belong to its own cluster")
-        n = self.n_nodes
-        adj = np.zeros((n, n), dtype=bool)
-        adj[np.arange(n), self.heads[self.assignment]] = True
-        adj[np.ix_(self.heads, self.heads)] = True
-        adj |= adj.T
-        np.fill_diagonal(adj, False)
-        self._graph = Graph(adjacency=adj)
+        hi, hj = np.triu_indices(n_c, 1)  # head pairs; a head's own membership adds no edge
+        self._graph = _edge_graph(self.n_nodes, np.concatenate([np.arange(self.n_nodes), self.heads[hi]]),
+                                  np.concatenate([self.heads[self.assignment], self.heads[hj]]))
 
     @property
     def n_nodes(self) -> int:

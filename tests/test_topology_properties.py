@@ -3,17 +3,20 @@
 Every tree the schedules run on, and so every census-formula traffic total,
 comes from ``random_geometric`` and ``spanning_tree``. The adjacency must
 equal the (N, N, 2) difference-vector formula, spanning-tree parents the
-smallest-id-neighbour-one-level-up rule, BFS levels networkx's shortest path
-lengths, and a tree's children, childless census and schedule the per-node
-loops in ``topology_oracle``, all with equal arrays, for networks of up to
-500 nodes.
+smallest-id-neighbour-one-level-up rule, BFS levels and diameters networkx's
+shortest path lengths, a tree's levels the level-by-level parent chase (and
+a broken parent array its error), and a tree's children, childless census
+and schedule the per-node loops in ``topology_oracle``, all with equal
+arrays, for networks of up to 500 nodes.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 import topology_oracle as oracle  # noqa: E402
 from spsnet.rng import substream  # noqa: E402
@@ -22,7 +25,9 @@ from spsnet.topology import (  # noqa: E402
     Graph,
     TreeTopology,
     bfs_levels,
+    clustered,
     comm_radius,
+    diameter,
     random_geometric,
     spanning_tree,
 )
@@ -44,15 +49,13 @@ def test_rgg_adjacency_equals_the_difference_vector_formula(n_nodes, scale, seed
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(SIZES, st.integers(0, 2**32 - 1), st.booleans(), st.data())
-def test_spanning_tree_parents_follow_the_per_node_rule(n_nodes, seed, centred, data):
+@given(SIZES, st.integers(0, 2**32 - 1))
+def test_spanning_tree_parents_follow_the_per_node_rule(n_nodes, seed):
     g = random_geometric(n_nodes, substream(seed, "topology"))
-    root = None if centred else data.draw(st.integers(0, n_nodes - 1))
-    tree = spanning_tree(g, root=root)
+    tree = spanning_tree(g)
     level = bfs_levels(g.adjacency, tree.root)
     assert np.array_equal(tree.level, level)
     assert np.array_equal(tree.parent, oracle.bfs_parents(g, level, tree.root))
-    assert root is None or tree.root == root
 
 
 def test_spanning_tree_parents_at_500_nodes():
@@ -69,16 +72,36 @@ def test_bfs_levels_equal_networkx_path_lengths(n_nodes, density, seed):
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n_nodes, n_nodes)) < density, 1)  # often disconnected
     g = Graph(adjacency=upper | upper.T)
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(n_nodes))
-    nxg.add_edges_from(g.edges)
+    nxg = to_networkx(nx, g)
+
+    def hops_from(root):
+        want = np.full(n_nodes, -1)
+        for v, hops in nx.single_source_shortest_path_length(nxg, root).items():
+            want[v] = hops
+        return want
+
     root = int(rng.integers(n_nodes))
-    want = np.full(n_nodes, -1)
-    for v, hops in nx.single_source_shortest_path_length(nxg, root).items():
-        want[v] = hops
-    assert np.array_equal(bfs_levels(g.adjacency, root), want)
+    assert np.array_equal(bfs_levels(g.adjacency, root), hops_from(root))
     if g.is_connected():
-        assert np.array_equal(spanning_tree(g, root=root).level, want)
+        tree = spanning_tree(g)
+        assert np.array_equal(tree.level, hops_from(tree.root))
+
+
+def to_networkx(nx, graph):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(graph.n_nodes))
+    nxg.add_edges_from(graph.edges)
+    return nxg
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 60) | st.just(130), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_diameter_equals_networkx(n_nodes, n_clusters, seed):
+    nx = pytest.importorskip("networkx")
+    g = random_geometric(n_nodes, substream(seed, "topology"))
+    topo = clustered(n_nodes, min(n_clusters, n_nodes), substream(seed, "clusters"))
+    for graph in (g, spanning_tree(g).graph(), topo.graph()):
+        assert diameter(graph) == nx.diameter(to_networkx(nx, graph))
 
 
 def random_parents(rng, n):
@@ -104,6 +127,49 @@ def test_children_and_census_equal_per_node_loops(n_nodes, seed):
     assert np.array_equal(tree.childless_counts, oracle.childless_counts(parent, tree.level))
     got, want = tree.stages(), oracle.stages(parent, tree.level)
     assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+CORRUPTIONS = ("self-loop", "2-cycle", "cycle", "no root", "two roots")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 60) | st.sampled_from([130, 500]), st.integers(0, 2**32 - 1),
+       st.sampled_from((None,) + CORRUPTIONS))
+def test_tree_validation_equals_the_parent_chase(n_nodes, seed, corruption):
+    rng = np.random.default_rng(seed)
+    parent = random_parents(rng, n_nodes)
+    root = int(np.flatnonzero(parent < 0)[0])
+    others = np.flatnonzero(parent >= 0)
+    if corruption == "self-loop":
+        assume(others.size >= 1)
+        v = rng.choice(others)
+        parent[v] = v
+    elif corruption == "2-cycle":
+        assume(others.size >= 2)
+        u, v = rng.choice(others, size=2, replace=False)
+        parent[u], parent[v] = v, u
+    elif corruption == "cycle":  # beside the branch that still hangs from the root
+        assume(others.size >= 4)
+        ring = rng.choice(others, size=int(rng.integers(3, min(others.size, 8) + 1)), replace=False)
+        parent[ring] = np.roll(ring, 1)
+    elif corruption == "no root":
+        assume(n_nodes >= 2)
+        parent[root] = rng.choice(others)
+    elif corruption == "two roots":
+        assume(others.size >= 1)
+        parent[rng.choice(others)] = -1
+    try:
+        want = oracle.tree_levels(parent)
+    except ValueError as err:
+        assert corruption is not None
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            TreeTopology(parent=parent)
+        return
+    assert corruption is None
+    tree = TreeTopology(parent=parent)
+    assert np.array_equal(tree.level, want)
+    assert np.array_equal(tree.level_counts, np.bincount(want))
+    assert np.array_equal(tree.childless_counts, oracle.childless_counts(parent, want))
 
 
 def test_tree_graph_is_built_once():

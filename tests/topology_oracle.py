@@ -1,11 +1,12 @@
 """Random geometric graphs and tree censuses the direct, per-node way.
 
 The package builds a random geometric graph's adjacency from two planar
-(N, N) coordinate differences, picks every spanning-tree parent with one
-``argmax`` over the adjacency masked to the level above, and reads a tree's
-children and childless census off a stable sort and a ``bincount``. These
-oracles keep the forms those replaced: the (N, N, 2) difference-vector
-formula, and loops over the nodes. Tests require equal arrays, so the
+(N, N) coordinate differences, picks every spanning-tree parent off the
+neighbour lists in one pass, reads a tree's children and childless census
+off a ``bincount``, and validates a parent array and finds its levels with
+one BFS over the child-parent edges. These oracles keep the forms those
+replaced: the (N, N, 2) difference-vector formula, loops over the nodes,
+and level-by-level parent chasing. Tests require equal arrays, so the
 vectorised forms are checked to the bit.
 """
 
@@ -18,6 +19,27 @@ def rgg_adjacency(positions: np.ndarray, radius: float) -> np.ndarray:
     adj = (diff ** 2).sum(axis=2) <= radius ** 2
     np.fill_diagonal(adj, False)
     return adj
+
+
+def tree_levels(parent: np.ndarray) -> np.ndarray:
+    """Hop depth per node, resolved level by level from the root by chasing
+    parents; raises ValueError unless exactly one entry is -1 and every
+    parent chain reaches it."""
+    n = parent.shape[0]
+    roots = np.flatnonzero(parent < 0)
+    if roots.shape[0] != 1:
+        raise ValueError("tree must have exactly one root (parent -1)")
+    level = np.full(n, -1, dtype=int)
+    level[roots[0]] = 0
+    for _ in range(n):
+        progress = (level < 0) & (parent >= 0)
+        progress &= np.where(parent >= 0, level[parent] >= 0, False)
+        if not progress.any():
+            break
+        level[progress] = level[parent[progress]] + 1
+    if (level < 0).any():
+        raise ValueError("parent array contains a cycle or unreachable node")
+    return level
 
 
 def bfs_parents(graph, level: np.ndarray, root: int) -> np.ndarray:
