@@ -12,8 +12,8 @@ Subcommands:
 
 All randomness derives from the seed (``--seed`` or the config file), so
 every invocation is reproducible byte for byte. Config files are JSON
-validated against the schema shipped in ``spsnet/data``; command-line flags
-override the corresponding config entries.
+validated against the schema shipped in ``spsnet/data``. A flag that
+overrides a config entry names it as its ``dest``, ``config.<path>``.
 """
 
 from __future__ import annotations
@@ -42,16 +42,17 @@ from .topology import ConnectivityError, diameter, save_topology
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (see the shipped schema)")
-    common.add_argument("--seed", type=int, help="seed override")
+    common.add_argument("--seed", type=int, dest="config.seed", metavar="SEED", help="seed override")
     common.add_argument("--out", help="output directory (default: config output_dir or '.')")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="tabular output format")
 
     topo_flags = argparse.ArgumentParser(add_help=False)
-    topo_flags.add_argument("--kind", choices=("rgg", "tree", "binary", "clustered", "complete"))
-    topo_flags.add_argument("--n-nodes", type=int, dest="n_nodes")
-    topo_flags.add_argument("--depth", type=int)
-    topo_flags.add_argument("--n-clusters", type=int, dest="n_clusters")
+    topo_flags.add_argument("--kind", choices=("rgg", "tree", "binary", "clustered", "complete"),
+                            dest="config.topology.kind")
+    topo_flags.add_argument("--n-nodes", type=int, dest="config.topology.n_nodes", metavar="N_NODES")
+    topo_flags.add_argument("--depth", type=int, dest="config.topology.depth", metavar="DEPTH")
+    topo_flags.add_argument("--n-clusters", type=int, dest="config.topology.n_clusters", metavar="N_CLUSTERS")
 
     parser = argparse.ArgumentParser(
         prog="spsnet",
@@ -67,10 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diffuse", parents=[common, topo_flags],
                        help="run one protocol and write the traffic log")
-    p.add_argument("--protocol", choices=tuple(PROTOCOLS))
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--scheme", choices=CONSENSUS_SCHEMES)
+    p.add_argument("--protocol", choices=tuple(PROTOCOLS), dest="config.diffusion.protocol")
+    p.add_argument("--rounds", type=int, dest="config.diffusion.rounds", metavar="ROUNDS")
+    p.add_argument("--iterations", type=int, dest="config.diffusion.iterations", metavar="ITERATIONS")
+    p.add_argument("--scheme", choices=CONSENSUS_SCHEMES, dest="config.diffusion.scheme")
     p.set_defaults(func=_cmd_diffuse)
 
     p = sub.add_parser("region", parents=[common],
@@ -79,9 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage", parents=[common],
                        help="Monte Carlo coverage of the true parameter")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--protocol", choices=tuple(PROTOCOLS))
-    p.add_argument("--all-nodes", action="store_true", dest="all_nodes",
+    p.add_argument("--trials", type=int, dest="config.trials", metavar="TRIALS")
+    p.add_argument("--protocol", choices=tuple(PROTOCOLS), dest="config.diffusion.protocol")
+    p.add_argument("--all-nodes", action="store_const", const=True, dest="config.all_nodes",
                    help="evaluate membership at every node, not just the designated one")
     p.set_defaults(func=_cmd_study, runner=run_coverage)
 
@@ -106,38 +107,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args, overrides=None) -> ExperimentConfig:
+def _load_config(args) -> ExperimentConfig:
+    """The ``--config`` file with ``--out`` and every given ``config.<path>``
+    flag written over it."""
     raw = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = args.seed
-    if getattr(args, "out", None):
+    if args.out:
         raw["output_dir"] = args.out
-    for path, value in (overrides or []):
-        if value is None:
-            continue
-        cursor = raw
-        for key in path[:-1]:
-            cursor = cursor.setdefault(key, {})
-        cursor[path[-1]] = value
+    for dest, value in vars(args).items():
+        if dest.startswith("config.") and value is not None:
+            *path, key = dest.split(".")[1:]
+            cursor = raw
+            for part in path:
+                cursor = cursor.setdefault(part, {})
+            cursor[key] = value
     if "seed" not in raw:
         raise ValueError("a seed is required (config file or --seed)")
     return ExperimentConfig(raw)
 
 
-def _topology_overrides(args):
-    return [
-        (("topology", "kind"), getattr(args, "kind", None)),
-        (("topology", "n_nodes"), getattr(args, "n_nodes", None)),
-        (("topology", "depth"), getattr(args, "depth", None)),
-        (("topology", "n_clusters"), getattr(args, "n_clusters", None)),
-    ]
-
-
 def _out_dir(config: ExperimentConfig) -> str:
-    out = config.output_dir
+    out = config.cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -164,8 +156,8 @@ def _print_summary(summary: dict) -> None:
 
 
 def _cmd_topology(args) -> int:
-    config = _load_config(args, _topology_overrides(args))
-    bundle = build_topology(config.seed, config.topology())
+    config = _load_config(args)
+    bundle = build_topology(config.seed, config.cfg["topology"])
     out = _out_dir(config)
     obj = bundle.tree or bundle.clusters or bundle.graph
     save_topology(obj, os.path.join(out, "topology.json"),
@@ -177,13 +169,7 @@ def _cmd_topology(args) -> int:
 
 
 def _cmd_diffuse(args) -> int:
-    overrides = _topology_overrides(args) + [
-        (("diffusion", "protocol"), args.protocol),
-        (("diffusion", "rounds"), args.rounds),
-        (("diffusion", "iterations"), args.iterations),
-        (("diffusion", "scheme"), args.scheme),
-    ]
-    config = _load_config(args, overrides)
+    config = _load_config(args)
     run, _, _ = simulate(config)
     out = _out_dir(config)
     traffic = run.traffic
@@ -239,12 +225,7 @@ def _cmd_region(args) -> int:
 def _cmd_study(args) -> int:
     """coverage, tradeoff or success-rate: run the study, write its record
     under the record's name, print the summary and any per-size rates."""
-    overrides = [
-        (("trials",), getattr(args, "trials", None)),
-        (("diffusion", "protocol"), getattr(args, "protocol", None)),
-        (("all_nodes",), True if getattr(args, "all_nodes", False) else None),
-    ]
-    config = _load_config(args, overrides)
+    config = _load_config(args)
     record = args.runner(config)
     path = _write_record(record, config, args, record.name)
     _print_summary(record.summary)
@@ -273,7 +254,7 @@ def _cmd_traffic_predict(args) -> int:
         report = compare("clustered", n_p, m, n_nodes=args.N, n_clusters=args.n_clusters)
     else:
         config = _load_config(args)
-        bundle = build_topology(config.seed, config.topology())
+        bundle = build_topology(config.seed, config.cfg["topology"])
         if bundle.tree is None:
             raise ValueError("tree prediction needs a config with topology.kind = tree or binary")
         report = compare(

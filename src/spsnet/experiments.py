@@ -135,17 +135,43 @@ def _merge(defaults, given):
     return out
 
 
+def _integral(value, schema: dict):
+    """A copy of ``value`` in which every float the schema types as an integer
+    is an int: JSON Schema counts 2.0 as an integer, the runners count with
+    ints. The alternatives of an ``anyOf`` are read as one schema."""
+    parts = [schema, *schema.get("anyOf", ())]
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return {key: _integral(v, props.get(key, {})) for key, v in value.items()}
+    if isinstance(value, list):
+        items = next((part["items"] for part in parts if "items" in part), {})
+        return [_integral(v, items) for v in value]
+    # a part's "type" is one name or a list of names; "integer" is in either
+    if isinstance(value, float) and any("integer" in part.get("type", ()) for part in parts):
+        return int(value)
+    return value
+
+
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class ExperimentConfig:
-    """Validated experiment configuration with defaults applied on access."""
+    """Validated experiment configuration.
+
+    ``raw`` is the config as given, which ``config_hash`` hashes; ``cfg`` is
+    the config the runners read: every default filled in, ``model.p_true``
+    defaulted to (-0.5)^k, and every integer-typed value an int.
+    """
 
     def __init__(self, raw: dict):
         validate_config(raw)
         self.raw = copy.deepcopy(raw)
-        topo = self.topology()
+        self.cfg = cfg = _merge(copy.deepcopy(_DEFAULTS), _integral(raw, _validator().schema))
+        model = cfg["model"]
+        if model["p_true"] is None:
+            model["p_true"] = [(-0.5) ** k for k in range(model["n_p"])]
+        topo = cfg["topology"]
         if topo["kind"] == "clustered" and topo["n_clusters"] > topo["n_nodes"]:
             raise ValueError(f"topology.n_clusters ({topo['n_clusters']}) must not exceed "
                              f"topology.n_nodes ({topo['n_nodes']})")
@@ -158,35 +184,10 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.raw["seed"])
-
-    @property
-    def trials(self) -> int:
-        return int(self.raw.get("trials", _DEFAULTS["trials"]))
-
-    @property
-    def node(self) -> int:
-        return int(self.raw.get("node", _DEFAULTS["node"]))
-
-    @property
-    def all_nodes(self) -> bool:
-        return bool(self.raw.get("all_nodes", _DEFAULTS["all_nodes"]))
-
-    @property
-    def output_dir(self) -> str:
-        return self.raw.get("output_dir", _DEFAULTS["output_dir"])
-
-    def topology(self) -> dict:
-        return _merge(_DEFAULTS["topology"], self.raw.get("topology"))
-
-    def model(self) -> dict:
-        cfg = _merge(_DEFAULTS["model"], self.raw.get("model"))
-        if cfg["p_true"] is None:
-            cfg["p_true"] = [(-0.5) ** k for k in range(cfg["n_p"])]
-        return cfg
+        return self.cfg["seed"]
 
     def field_config(self) -> FieldConfig:
-        cfg = self.model()
+        cfg = self.cfg["model"]
         return FieldConfig(
             n_p=cfg["n_p"],
             p_true=np.asarray(cfg["p_true"], dtype=float),
@@ -196,24 +197,13 @@ class ExperimentConfig:
             regressor_seed=cfg["regressor_seed"],
         )
 
-    def sps_params(self) -> tuple[int, int]:
-        cfg = _merge(_DEFAULTS["sps"], self.raw.get("sps"))
-        return int(cfg["m"]), int(cfg["q"])
-
-    def diffusion(self) -> dict:
-        return _merge(_DEFAULTS["diffusion"], self.raw.get("diffusion"))
-
     def region_params(self, center=None) -> dict:
-        cfg = _merge(_DEFAULTS["region"], self.raw.get("region"))
-        if cfg["box"] is None and center is not None:
-            cfg["box"] = [[float(c) - 1.0, float(c) + 1.0] for c in np.atleast_1d(center)]
-        return cfg
-
-    def tradeoff_params(self) -> dict:
-        return _merge(_DEFAULTS["tradeoff"], self.raw.get("tradeoff"))
-
-    def success_rate_params(self) -> dict:
-        return _merge(_DEFAULTS["success_rate"], self.raw.get("success_rate"))
+        """A copy of the ``region`` section; without a box, a unit-halfwidth
+        box around ``center`` when one is given."""
+        region = copy.deepcopy(self.cfg["region"])
+        if region["box"] is None and center is not None:
+            region["box"] = [[float(c) - 1.0, float(c) + 1.0] for c in np.atleast_1d(center)]
+        return region
 
 
 @dataclass(eq=False)
@@ -275,33 +265,33 @@ class TopologyBundle:
     radius: float | None = None  # the broadcast radius of a random deployment
 
 
-def build_topology(seed: int, tcfg: dict) -> TopologyBundle:
-    """Instantiate the configured topology from named substreams of ``seed``.
+def build_topology(seed: int, tcfg: dict, *path) -> TopologyBundle:
+    """Instantiate the configured topology from the ``(seed, label, *path)``
+    substreams.
 
     Geometric kinds carry their own node positions; the synthetic kinds
     (complete, binary, clustered) get uniform positions so the measurement
     model is always well defined.
     """
     kind = tcfg["kind"]
-    n = int(tcfg["n_nodes"])
+    n = tcfg["n_nodes"]
     if kind == "binary":
-        tree = complete_binary_tree(int(tcfg["depth"]))
+        tree = complete_binary_tree(tcfg["depth"])
         n = tree.n_nodes
-    if kind == "rgg":
-        g = random_geometric(n, substream(seed, "topology"), radius=tcfg.get("radius"))
-        return TopologyBundle(kind, g, None, None, g.positions, g.radius)
-    if kind == "tree":
-        g = random_geometric(n, substream(seed, "topology"), radius=tcfg.get("radius"))
+    if kind in ("rgg", "tree"):
+        g = random_geometric(n, substream(seed, "topology", *path), radius=tcfg.get("radius"))
+        if kind == "rgg":
+            return TopologyBundle(kind, g, None, None, g.positions, g.radius)
         tree = spanning_tree(g)
         return TopologyBundle(kind, tree.graph(), tree, None, g.positions, g.radius)
-    positions = substream(seed, "positions").uniform(0.0, 1.0, size=(n, 2))
+    positions = substream(seed, "positions", *path).uniform(0.0, 1.0, size=(n, 2))
     if kind == "complete":
         adj = ~np.eye(n, dtype=bool)
         return TopologyBundle(kind, Graph(adjacency=adj, positions=positions), None, None, positions)
     if kind == "binary":
         return TopologyBundle(kind, tree.graph(), tree, None, positions)
     if kind == "clustered":
-        topo = clustered(n, int(tcfg["n_clusters"]), substream(seed, "topology"))
+        topo = clustered(n, tcfg["n_clusters"], substream(seed, "topology", *path))
         return TopologyBundle(kind, topo.graph(), None, topo, positions)
     raise ValueError(f"unknown topology kind {kind!r}")
 
@@ -403,21 +393,28 @@ def run_protocol(bundle: TopologyBundle, samples: Samples, signs: SignMatrix, di
     return ProtocolRun(res.weights, builder, res.rounds_run, res.traffic)
 
 
+def _draw_data(seed: int, positions: np.ndarray, fc: FieldConfig, m: int, *path) -> tuple[Samples, SignMatrix]:
+    """One data draw on a deployment: measurements from the ``("noise",
+    *path)`` substream of ``seed``, the m x N signs from ``("signs", *path)``."""
+    samples = generate_measurements(positions, fc, substream(seed, "noise", *path))
+    return samples, draw_sign_matrix(m, len(positions), derive_seed(seed, "signs", *path))
+
+
 def simulate(config: ExperimentConfig) -> tuple[ProtocolRun, Samples, SignMatrix]:
     """The configured protocol and the data of coverage trial 0, as the
     ``region`` and ``diffuse`` subcommands run them."""
-    seed = config.seed
-    bundle = build_topology(seed, config.topology())
-    samples = generate_measurements(bundle.positions, config.field_config(), substream(seed, "noise", 0))
-    signs = draw_sign_matrix(config.sps_params()[0], bundle.graph.n_nodes, derive_seed(seed, "signs", 0))
-    return run_protocol(bundle, samples, signs, config.diffusion()), samples, signs
+    cfg = config.cfg
+    bundle = build_topology(config.seed, cfg["topology"])
+    samples, signs = _draw_data(config.seed, bundle.positions, config.field_config(), cfg["sps"]["m"], 0)
+    return run_protocol(bundle, samples, signs, cfg["diffusion"]), samples, signs
 
 
 def _designated_node(config: ExperimentConfig, n_nodes: int) -> int:
     """The config's ``node``, checked against the network size."""
-    if not 0 <= config.node < n_nodes:
+    node = config.cfg["node"]
+    if not 0 <= node < n_nodes:
         raise ValueError("designated node is out of range")
-    return config.node
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -440,21 +437,21 @@ def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
     share one aggregate. Region volumes are evaluated per row only when the
     region section asks for it.
     """
-    seed = config.seed
-    bundle = build_topology(seed, config.topology())
+    seed, cfg = config.seed, config.cfg
+    bundle = build_topology(seed, cfg["topology"])
     n = bundle.graph.n_nodes
     fc = config.field_config()
-    m, q = config.sps_params()
-    diff = config.diffusion()
+    m, q = cfg["sps"]["m"], cfg["sps"]["q"]
+    diff = cfg["diffusion"]
     designated = _designated_node(config, n)
-    nodes = list(range(n)) if config.all_nodes else [designated]
+    nodes = list(range(n)) if cfg["all_nodes"] else [designated]
     region = config.region_params(fc.p_true)
+    trials = cfg["trials"]
 
     rows = []
     covers_by_node = {k: 0 for k in nodes}
-    for trial in range(config.trials):
-        samples = generate_measurements(bundle.positions, fc, substream(seed, "noise", trial))
-        signs = draw_sign_matrix(m, n, derive_seed(seed, "signs", trial))
+    for trial in range(trials):
+        samples, signs = _draw_data(seed, bundle.positions, fc, m, trial)
         run = run_protocol(bundle, samples, signs, diff)
         per_node = run.traffic.per_node_totals
         built = {}  # one aggregate per distinct weight vector: ``full`` builds once
@@ -474,7 +471,6 @@ def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
                 float(np.min(c)), float(np.mean(c)), float(np.max(c)),
             ))
 
-    trials = config.trials
     rates = {k: covers_by_node[k] / trials for k in nodes}
     lo, hi = wilson_interval(covers_by_node[designated], trials)
     summary = {
@@ -486,7 +482,7 @@ def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
         "wilson_low": lo,
         "wilson_high": hi,
     }
-    if config.all_nodes:
+    if cfg["all_nodes"]:
         summary["coverage_min"] = float(min(rates.values()))
         summary["coverage_max"] = float(max(rates.values()))
     return ExperimentRecord(
@@ -518,7 +514,7 @@ def _consensus_checkpoints(limit: int) -> list[int]:
 def _rgg_topology(config: ExperimentConfig, study: str) -> dict:
     """The ``topology`` section of a study that draws its own random geometric
     deployments; any other ``kind`` raises ValueError."""
-    tcfg = config.topology()
+    tcfg = config.cfg["topology"]
     if tcfg["kind"] != "rgg":
         raise ValueError(f"{study} study draws random geometric deployments; "
                          f"topology.kind must be 'rgg', not {tcfg['kind']!r}")
@@ -544,30 +540,29 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
     scalars this costs. A ``topology.kind`` other than ``rgg`` raises
     ValueError.
     """
-    seed = config.seed
+    seed, cfg = config.seed, config.cfg
     fc = config.field_config()
     if fc.n_p > MAX_GRID_DIM:
         raise ValueError(f"trade-off study evaluates regions; n_p must be at most {MAX_GRID_DIM}")
     tcfg = _rgg_topology(config, "trade-off")
-    n = int(tcfg["n_nodes"])
-    m, q = config.sps_params()
+    n = tcfg["n_nodes"]
+    m, q = cfg["sps"]["m"], cfg["sps"]["q"]
     region = config.region_params(fc.p_true)
-    pars = config.tradeoff_params()
-    n_seeds = int(pars["n_seeds"])
+    pars = cfg["tradeoff"]
+    n_seeds = pars["n_seeds"]
     d_rec, d_agg = payload_sizes(fc.n_p, m)
-    checkpoints = _consensus_checkpoints(int(pars["max_iterations"]))
+    checkpoints = _consensus_checkpoints(pars["max_iterations"])
 
     curves: dict[str, list[list[tuple[int, float, float]]]] = {}
     full_volumes = []
     for s in range(n_seeds):
-        graph = random_geometric(n, substream(seed, "topology", s), radius=tcfg.get("radius"))
-        bundle = TopologyBundle("rgg", graph, None, None, graph.positions, graph.radius)
-        samples = generate_measurements(graph.positions, fc, substream(seed, "noise", s))
-        signs = draw_sign_matrix(m, n, derive_seed(seed, "signs", s))
+        bundle = build_topology(seed, tcfg, s)
+        graph = bundle.graph
+        samples, signs = _draw_data(seed, bundle.positions, fc, m, s)
         if pars["node_sample"] is None:
             sample_nodes = list(range(n))
         else:
-            pick = substream(seed, "node-sample", s).choice(n, size=min(int(pars["node_sample"]), n), replace=False)
+            pick = substream(seed, "node-sample", s).choice(n, size=min(pars["node_sample"], n), replace=False)
             sample_nodes = sorted(int(v) for v in pick)
         full_volumes.append(_region_volume(batch_aggregate(samples, signs), region, q,
                                            derive_seed(seed, "rt", s, "full")))
@@ -674,11 +669,9 @@ def run_success_rate(config: ExperimentConfig) -> ExperimentRecord:
     """
     seed = config.seed
     tcfg = _rgg_topology(config, "success-rate")
-    pars = config.success_rate_params()
-    m, _ = config.sps_params()
-    n_list = [int(v) for v in pars["n_nodes"]]
-    np_list = [int(v) for v in pars["n_p"]]
-    realizations = int(pars["realizations"])
+    pars = config.cfg["success_rate"]
+    m = config.cfg["sps"]["m"]
+    n_list, np_list, realizations = pars["n_nodes"], pars["n_p"], pars["realizations"]
     np_check = np_list[0]
     fc = FieldConfig(
         n_p=np_check,
@@ -692,12 +685,11 @@ def run_success_rate(config: ExperimentConfig) -> ExperimentRecord:
     for n_nodes in n_list:
         wins = {n_p: 0 for n_p in np_list}
         for r in range(realizations):
-            g = random_geometric(n_nodes, substream(seed, "topology", n_nodes, r), radius=tcfg["radius"])
-            tree = spanning_tree(g)
+            bundle = build_topology(seed, {**tcfg, "kind": "tree", "n_nodes": n_nodes}, n_nodes, r)
+            tree = bundle.tree
             lam = tree.level_counts
             bar = tree.childless_counts
-            samples = generate_measurements(g.positions, fc, substream(seed, "noise", n_nodes, r))
-            signs = draw_sign_matrix(m, n_nodes, derive_seed(seed, "signs", n_nodes, r))
+            samples, signs = _draw_data(seed, bundle.positions, fc, m, n_nodes, r)
             tas_sim = run_tas_tree(tree, samples, signs).traffic.total_scalars
             mf_sim = run_mf_tree(tree, samples).traffic.total_scalars
             if tas_sim != traffic_tas_tree(lam, bar, np_check, m):
@@ -753,10 +745,10 @@ def run_region(config: ExperimentConfig) -> tuple[RegionResult, dict]:
     Non-finite data, or a sign matrix whose width is not the number of rows,
     raise ValueError.
     """
-    seed = config.seed
-    m, q = config.sps_params()
-    if "data" in config.raw:
-        data = config.raw["data"]
+    seed, cfg = config.seed, config.cfg
+    m, q = cfg["sps"]["m"], cfg["sps"]["q"]
+    if "data" in cfg:
+        data = cfg["data"]
         samples = Samples(data["phi"], data["y"])
         if "signs" in data:
             signs = SignMatrix(np.asarray(data["signs"], dtype=int))
@@ -769,7 +761,7 @@ def run_region(config: ExperimentConfig) -> tuple[RegionResult, dict]:
         run, samples, signs = simulate(config)
         agg = run.builder(samples, signs, run.weights(_designated_node(config, run.traffic.n_nodes)))
         meta = {"source": "simulation", "n_nodes": run.traffic.n_nodes,
-                "protocol": config.diffusion()["protocol"]}
+                "protocol": cfg["diffusion"]["protocol"]}
     region = config.region_params()
     box = region["box"]
     if box is None:

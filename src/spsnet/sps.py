@@ -389,7 +389,8 @@ def evaluate_region(
 ) -> RegionResult:
     """Evaluate region membership on a dense grid of cell centers.
 
-    The box is a list of (lo, hi) per parameter dimension; ``grid_per_dim`` is
+    The box is a list of finite (lo, hi) with lo < hi per parameter
+    dimension; anything else raises ValueError. ``grid_per_dim`` is
     a positive integer (Python, numpy or a 0-d integer array) or a
     per-dimension sequence of them; anything else, bools included, raises
     ValueError. Ties are broken with one (n_cells, m) block of uniforms from
@@ -409,8 +410,8 @@ def evaluate_region(
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != n_p:
         raise ValueError(f"box must have {n_p} dimensions")
-    if any(hi <= lo for lo, hi in box):
-        raise ValueError("box must have positive extent in every dimension")
+    if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in box):
+        raise ValueError("box must have finite bounds and positive extent in every dimension")
     if n_p > MAX_GRID_DIM:
         raise ValueError(
             f"grid evaluation over {n_p} dimensions is not supported: n_p must be at most "

@@ -3,7 +3,8 @@
 ``validate_config`` validates against a ``Draft202012Validator`` built once per
 process and never re-checks the packaged schema against its metaschema, so
 that check lives here. ``jsonschema.validate`` on a freshly read schema is the
-reference for which error a bad config raises.
+reference for which error a bad config raises. The defaults, the schema and
+the CLI flags that name config keys must agree.
 """
 
 import json
@@ -12,7 +13,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from spsnet.cli import main
+from spsnet import experiments
+from spsnet.cli import _build_parser, main
 from spsnet.experiments import ExperimentConfig, validate_config
 
 pytest.importorskip("hypothesis")
@@ -141,3 +143,53 @@ def test_cli_prints_the_validation_error(tmp_path, capsys):
         "On instance['trials']:\n"
         "    0\n"
     )
+
+
+def _leaf_paths(tree: dict, prefix=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, (*prefix, key))
+        else:
+            yield (*prefix, key)
+
+
+def _schema_paths(schema: dict, prefix=()):
+    """(path, is a leaf) of every property of the schema, objects included."""
+    for key, sub in schema.get("properties", {}).items():
+        yield (*prefix, key), "properties" not in sub
+        yield from _schema_paths(sub, (*prefix, key))
+
+
+def _subcommands() -> dict:
+    (action,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    return action.choices
+
+
+# every subcommand's option strings, which scripts calling the CLI rely on
+OPTIONS = {
+    "topology": ["--config", "--depth", "--format", "--help", "--kind", "--n-clusters", "--n-nodes", "--out",
+                 "--seed", "-h"],
+    "diffuse": ["--config", "--depth", "--format", "--help", "--iterations", "--kind", "--n-clusters",
+                "--n-nodes", "--out", "--protocol", "--rounds", "--scheme", "--seed", "-h"],
+    "region": ["--config", "--format", "--help", "--out", "--seed", "-h"],
+    "coverage": ["--all-nodes", "--config", "--format", "--help", "--out", "--protocol", "--seed", "--trials",
+                 "-h"],
+    "tradeoff": ["--config", "--format", "--help", "--out", "--seed", "-h"],
+    "success-rate": ["--config", "--format", "--help", "--out", "--seed", "-h"],
+    "traffic-predict": ["--N", "--config", "--depth", "--format", "--help", "--m", "--n-clusters", "--np",
+                        "--out", "--seed", "--topology", "-h"],
+}
+
+
+def test_defaults_schema_and_flags_agree():
+    """Every default is a schema property, every schema property but ``seed``
+    and ``data`` has a default, and every flag that names a config key
+    (``dest="config.<path>"``) names a schema property."""
+    paths = dict(_schema_paths(_schema()))
+    defaults = set(_leaf_paths(experiments._DEFAULTS))
+    assert defaults <= paths.keys()
+    assert {p for p, leaf in paths.items() if leaf and p[0] not in ("seed", "data")} == defaults
+    dests = {a.dest for sub in _subcommands().values() for a in sub._actions if a.dest.startswith("config.")}
+    assert dests and all(tuple(d.split(".")[1:]) in paths for d in dests), dests
+    assert {name: sorted(o for a in sub._actions for o in a.option_strings)
+            for name, sub in _subcommands().items()} == OPTIONS

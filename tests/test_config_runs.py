@@ -12,11 +12,13 @@ any kind but ``rgg``. The ``rgg`` and ``tree`` draws have 2 or more nodes,
 run; the fixed tests below cover a deployment that cannot connect and the
 one-node and off-the-plane configs the schema refuses. The other kinds' draws
 still reach ``model.n_x`` other than 2, which must exit 1 with the validation
-error. No command may raise. The regression tests below pin each failure the
-property test found.
+error. Every integer field is drawn now and then as its float twin, such as
+2.0, which JSON Schema counts as an integer too. No command may raise. The
+regression tests below pin each failure the property test found.
 """
 
 import contextlib
+import copy
 import io
 import json
 import re
@@ -52,62 +54,67 @@ def schema_valid(config) -> bool:
 KINDS = ("rgg", "complete", "tree", "binary", "clustered")
 
 
+def integers(low, high):
+    """An integer in [low, high], as an int or as its float twin."""
+    return st.integers(low, high) | st.integers(low, high).map(float)
+
+
 @st.composite
 def small_configs(draw, kind=None):
     """A small config of the given topology kind, or of a drawn one."""
     if kind is None:
         kind = draw(st.sampled_from(KINDS))
     drawn = kind in ("rgg", "tree")  # random geometric deployments, which must connect
-    n_nodes = draw(st.integers(2 if drawn else 1, 30))
+    n_nodes = draw(integers(2 if drawn else 1, 30))
     topology = {"kind": kind, "n_nodes": n_nodes}
     if kind == "binary":
-        topology["depth"] = draw(st.integers(0, 3))
+        topology["depth"] = draw(integers(0, 3))
     elif kind == "clustered":
-        topology["n_clusters"] = draw(st.integers(1, 8))
+        topology["n_clusters"] = draw(integers(1, 8))
     elif drawn:
         topology["radius"] = draw(st.sampled_from([1.5, 0.3]))
-    size = 2 ** (topology["depth"] + 1) - 1 if kind == "binary" else n_nodes
-    m = draw(st.integers(2, 12))
+    size = 2 ** (int(topology["depth"]) + 1) - 1 if kind == "binary" else int(n_nodes)
+    m = draw(integers(2, 12))
     diffusion = {
         "protocol": draw(st.sampled_from(["full", "local", "pf", "mf", "tas", "consensus"])),
-        "rounds": draw(st.none() | st.integers(0, 3)),
+        "rounds": draw(st.none() | integers(0, 3)),
         "scheme": draw(st.sampled_from(["metropolis", "perron"])),
     }
-    iterations = draw(st.none() | st.integers(0, 3))
+    iterations = draw(st.none() | integers(0, 3))
     if iterations is not None:
         diffusion["iterations"] = iterations
     return {
-        "seed": draw(st.integers(0, 2**16)),
-        "trials": draw(st.integers(1, 3)),
-        "node": draw(st.integers(0, size - 1)),
+        "seed": draw(integers(0, 2**16)),
+        "trials": draw(integers(1, 3)),
+        "node": draw(integers(0, size - 1)),
         "all_nodes": draw(st.booleans()),
         "topology": topology,
         "model": {
-            "n_p": draw(st.integers(1, 3)),
+            "n_p": draw(integers(1, 3)),
             "n_x": 2 if drawn else draw(st.sampled_from([2] * 8 + [1, 3])),
             "regressor_family": draw(st.sampled_from(["polynomial-basis", "seeded-random"])),
             "noise": {"kind": draw(st.sampled_from(["gaussian", "uniform", "laplace", "two-point"])),
                       "scale": draw(st.sampled_from([0.0, 0.1, 1.0]))},
         },
-        "sps": {"m": m, "q": draw(st.integers(1, m - 1))},
+        "sps": {"m": m, "q": draw(integers(1, int(m) - 1))},
         "diffusion": diffusion,
-        "region": {"grid_per_dim": draw(st.integers(1, 6))},
-        "success_rate": {"n_nodes": draw(st.lists(st.integers(2, 30), min_size=1, max_size=2)),
-                         "n_p": draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)),
-                         "realizations": draw(st.integers(1, 3))},
+        "region": {"grid_per_dim": draw(integers(1, 6))},
+        "success_rate": {"n_nodes": draw(st.lists(integers(2, 30), min_size=1, max_size=2)),
+                         "n_p": draw(st.lists(integers(1, 3), min_size=1, max_size=2)),
+                         "realizations": draw(integers(1, 3))},
     }
 
 
 # a one-seed trade-off study, small enough to run on every drawn config
 tradeoff_sections = st.fixed_dictionaries({
-    "n_seeds": st.just(1),
-    "max_iterations": st.integers(1, 4),
-    "node_sample": st.none() | st.integers(1, 3),
-    "rounds": st.none() | st.integers(0, 2),
+    "n_seeds": integers(1, 1),
+    "max_iterations": integers(1, 4),
+    "node_sample": st.none() | integers(1, 3),
+    "rounds": st.none() | integers(0, 2),
 })
 
 
-def run_cli(command, config, tmp_path):
+def run_cli(command, config, tmp_path, *flags):
     """(exit code, stderr) of one subcommand on ``config``; an exception fails
     the test. The streams are redirected by hand, as a Hypothesis test cannot
     reset ``capsys`` per example."""
@@ -115,7 +122,7 @@ def run_cli(command, config, tmp_path):
     path.write_text(json.dumps(config))
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "out"), *flags])
     return rc, err.getvalue()
 
 
@@ -179,6 +186,53 @@ def test_a_nan_radius_is_a_user_error(tmp_path, command):
     assert schema_valid(config)
     rc, err = run_cli(command, config, tmp_path)
     assert (rc, err) == (1, "error: radius must be positive\n")
+
+
+@pytest.mark.parametrize("command", ["region", "coverage"])
+@pytest.mark.parametrize("box", [[[float("nan"), 1.0], [0.0, 1.0]], [[0.0, float("inf")], [0.0, 1.0]],
+                                 [[0.0, 1.0], [float("-inf"), 1.0]]], ids=["nan", "inf", "-inf"])
+def test_a_region_box_bound_that_is_not_finite_is_a_user_error(tmp_path, command, box):
+    # Python's json reads NaN and Infinity, and the schema's "number" takes both
+    config = {"seed": 1, "trials": 1, "region": {"box": box, "evaluate": True}}
+    assert schema_valid(config)
+    assert run_cli(command, config, tmp_path) == (
+        1, "error: box must have finite bounds and positive extent in every dimension\n")
+
+
+# (command, config, path of an integer key, its value): the integer and its float twin run alike
+INTEGRAL_FLOATS = [
+    ("coverage", {}, ("model", "n_p"), 2),
+    ("coverage", {"diffusion": {"protocol": "consensus"}}, ("diffusion", "iterations"), 4),
+    ("coverage", {"diffusion": {"protocol": "mf"}}, ("diffusion", "rounds"), 1),
+    ("coverage", {"region": {"evaluate": True}}, ("region", "grid_per_dim"), 6),
+    ("region", {"data": {"phi": [[1.0], [2.0], [0.5]], "y": [1.0, -1.0, 0.3]}}, ("data", "sign_seed"), 1),
+]
+
+
+@pytest.mark.parametrize("command,config,path,value", INTEGRAL_FLOATS,
+                         ids=[".".join(path) for _, _, path, _ in INTEGRAL_FLOATS])
+def test_an_integral_float_runs_as_its_integer(tmp_path, command, config, path, value):
+    """A float the schema counts as an integer writes the rows and summary of
+    its integer twin; only the config hash, which hashes the config as given,
+    differs."""
+    outputs, hashes = [], []
+    for twin in (value, float(value)):
+        raw = copy.deepcopy({"seed": 3, "trials": 3, "topology": {"kind": "rgg", "n_nodes": 8}, **config})
+        section = raw
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = twin
+        out = tmp_path / repr(twin)
+        out.mkdir()
+        assert run_cli(command, raw, out, "--format", "json") == (0, "")
+        outputs.append(json.loads((out / "out" / f"{command}.json").read_text()))
+        hashes.append(ExperimentConfig(raw).config_hash)
+    if command == "coverage":
+        assert outputs[0]["rows"] == outputs[1]["rows"] and outputs[0]["summary"] == outputs[1]["summary"]
+        assert [o["config_hash"] for o in outputs] == hashes
+    else:
+        assert outputs[0] == outputs[1]
+    assert hashes[0] != hashes[1]
 
 
 @pytest.mark.parametrize("kind", ["complete", "tree", "binary", "clustered"])

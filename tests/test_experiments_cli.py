@@ -57,9 +57,9 @@ def test_config_hash_canonical_and_sensitive():
 
 def test_config_defaults():
     cfg = ExperimentConfig({"seed": 7})
-    assert cfg.sps_params() == (10, 1)
-    assert cfg.trials == 100
-    model = cfg.model()
+    assert (cfg.cfg["sps"]["m"], cfg.cfg["sps"]["q"]) == (10, 1)
+    assert cfg.cfg["trials"] == 100
+    model = cfg.cfg["model"]
     assert model["p_true"] == [1.0, -0.5]
     fc = cfg.field_config()
     assert fc.n_p == 2 and fc.noise.kind == "gaussian"
@@ -69,6 +69,16 @@ def test_config_defaults():
     # explicit box wins over the center fallback
     cfg2 = ExperimentConfig({"seed": 7, "region": {"box": [[0.0, 1.0]]}})
     assert cfg2.region_params(center=[9.0])["box"] == [[0.0, 1.0]]
+
+
+def test_a_config_owns_its_defaults():
+    cfg = ExperimentConfig({"seed": 7})
+    cfg.cfg["success_rate"]["n_nodes"].append(1000)
+    boxed = ExperimentConfig({"seed": 7, "region": {"box": [[0.0, 1.0]]}})
+    boxed.region_params()["box"][0][0] = 0.5
+    assert boxed.region_params()["box"] == [[0.0, 1.0]]
+    fresh = ExperimentConfig({"seed": 7})
+    assert fresh.cfg["success_rate"]["n_nodes"] == [10, 25, 50, 100, 200, 350, 500]
 
 
 def test_wilson_interval_sanity():

@@ -253,13 +253,13 @@ def test_coverage_breaks_ties_with_the_trials_tie_stream(protocol, rounds, tied)
         "diffusion": {"protocol": protocol, "rounds": rounds},
     })
     record = experiments.run_coverage(config)
-    bundle = build_topology(seed, config.topology())
+    bundle = build_topology(seed, config.cfg["topology"])
     fc = config.field_config()
     n_tied = 0
     for trial, k, *_, covers, _, _, _ in record.rows:
         samples = generate_measurements(bundle.positions, fc, substream(seed, "noise", trial))
         signs = draw_sign_matrix(m, 20, derive_seed(seed, "signs", trial))
-        run = run_protocol(bundle, samples, signs, config.diffusion())
+        run = run_protocol(bundle, samples, signs, config.cfg["diffusion"])
         z = z_values(run.builder(samples, signs, run.weights(k)), fc.p_true)
         keys = substream(seed, "ties", trial, k).uniform(size=m)
         tie = z[1:] == z[0]

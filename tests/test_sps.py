@@ -347,6 +347,11 @@ def test_region_argument_validation():
         evaluate_region(agg, [(-1, 1), (-1, 1)], 4, q=1, tie_seed=0)
     with pytest.raises(ValueError):
         evaluate_region(agg, [(1, -1)], 4, q=1, tie_seed=0)
+    # a NaN bound fails every comparison, an infinite one gives NaN cell centres
+    nan, inf = float("nan"), float("inf")
+    for box in ([(nan, 1.0)], [(-1.0, nan)], [(nan, nan)], [(-inf, 1.0)], [(-1.0, inf)], [(-inf, inf)]):
+        with pytest.raises(ValueError, match="finite bounds"):
+            evaluate_region(agg, box, 4, q=1, tie_seed=0)
     with pytest.raises(ValueError):
         evaluate_region(agg, [(-1, 1)], 0, q=1, tie_seed=0)
     with pytest.raises(ValueError):

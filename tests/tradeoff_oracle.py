@@ -77,12 +77,12 @@ def run_tradeoff(config):
     TAS and consensus read as (aggregate built from the weights, eager payload
     sum or stepped state)."""
     seed = config.seed
-    tcfg = config.topology()
+    tcfg = config.cfg["topology"]
     n = int(tcfg["n_nodes"])
     fc = config.field_config()
-    m, q = config.sps_params()
+    m, q = config.cfg["sps"]["m"], config.cfg["sps"]["q"]
     region = config.region_params(fc.p_true)
-    pars = config.tradeoff_params()
+    pars = config.cfg["tradeoff"]
     n_seeds = int(pars["n_seeds"])
     d_rec, d_agg = payload_sizes(fc.n_p, m)
     checkpoints = _consensus_checkpoints(int(pars["max_iterations"]))
