@@ -29,6 +29,8 @@ from .diffusion import CONSENSUS_SCHEMES
 from .experiments import (
     PROTOCOLS,
     ExperimentConfig,
+    _resolve,
+    _schema,
     build_topology,
     run_coverage,
     run_region,
@@ -98,13 +100,26 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="closed-form traffic totals for a topology, no simulation")
     p.add_argument("--topology", choices=("binary", "tree", "clustered"), default="binary")
     p.add_argument("--N", type=int, dest="N", help="total node count")
-    p.add_argument("--np", type=int, dest="n_p", help="parameter dimension")
-    p.add_argument("--m", type=int, dest="m", help="number of sign-perturbed sums")
+    p.add_argument("--np", type=int, dest="config.model.n_p", metavar="N_P", help="parameter dimension")
+    p.add_argument("--m", type=int, dest="config.sps.m", metavar="M", help="number of sign-perturbed sums")
     p.add_argument("--depth", type=int, help="binary tree depth (alternative to --N)")
     p.add_argument("--n-clusters", type=int, dest="n_clusters")
     p.set_defaults(func=_cmd_traffic_predict)
 
     return parser
+
+
+def _with_flags(raw: dict, args) -> dict:
+    """``raw`` with every given ``config.<path>`` flag written into it. A
+    section that is not an object is left alone, for the schema to report."""
+    for dest, value in vars(args).items():
+        *path, key = dest.split(".")
+        cursor = raw if path[:1] == ["config"] and value is not None else None
+        for part in path[1:]:
+            cursor = cursor.setdefault(part, {}) if isinstance(cursor, dict) else None
+        if isinstance(cursor, dict):
+            cursor[key] = value
+    return raw
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -116,13 +131,7 @@ def _load_config(args) -> ExperimentConfig:
             raw = json.load(fh)
     if args.out:
         raw["output_dir"] = args.out
-    for dest, value in vars(args).items():
-        if dest.startswith("config.") and value is not None:
-            *path, key = dest.split(".")[1:]
-            cursor = raw
-            for part in path:
-                cursor = cursor.setdefault(part, {})
-            cursor[key] = value
+    _with_flags(raw, args)
     if "seed" not in raw:
         raise ValueError("a seed is required (config file or --seed)")
     return ExperimentConfig(raw)
@@ -132,17 +141,6 @@ def _out_dir(config: ExperimentConfig) -> str:
     out = config.cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _write_record(record, config, args, basename: str) -> str:
-    out = _out_dir(config)
-    if args.format == "json":
-        path = os.path.join(out, f"{basename}.json")
-        record.to_json(path)
-    else:
-        path = os.path.join(out, f"{basename}.csv")
-        record.to_csv(path)
-    return path
 
 
 def _print_summary(summary: dict) -> None:
@@ -227,7 +225,8 @@ def _cmd_study(args) -> int:
     under the record's name, print the summary and any per-size rates."""
     config = _load_config(args)
     record = args.runner(config)
-    path = _write_record(record, config, args, record.name)
+    path = os.path.join(_out_dir(config), f"{record.name}.{args.format}")
+    (record.to_json if args.format == "json" else record.to_csv)(path)
     _print_summary(record.summary)
     for key, rate in sorted(record.summary.get("rates", {}).items()):
         print(f"rate[{key}]={rate:.3f}")
@@ -236,8 +235,12 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_traffic_predict(args) -> int:
-    n_p = args.n_p if args.n_p is not None else 2
-    m = args.m if args.m is not None else 10
+    # a tree comes from the loaded config; binary and clustered read the flags over the schema's defaults
+    if args.topology == "tree":
+        cfg = _load_config(args).cfg
+    else:
+        cfg = _resolve(_with_flags({}, args), _schema())
+    n_p, m = cfg["model"]["n_p"], cfg["sps"]["m"]
     if args.topology == "binary":
         if args.depth is not None:
             depth = args.depth
@@ -253,8 +256,7 @@ def _cmd_traffic_predict(args) -> int:
             raise ValueError("clustered prediction needs --N and --n-clusters")
         report = compare("clustered", n_p, m, n_nodes=args.N, n_clusters=args.n_clusters)
     else:
-        config = _load_config(args)
-        bundle = build_topology(config.seed, config.cfg["topology"])
+        bundle = build_topology(cfg["seed"], cfg["topology"])
         if bundle.tree is None:
             raise ValueError("tree prediction needs a config with topology.kind = tree or binary")
         report = compare(

@@ -65,36 +65,13 @@ from .topology import (
 
 TOOL_VERSION = "0.1.0"
 
-_DEFAULTS = {
-    "trials": 100,
-    "node": 0,
-    "all_nodes": False,
-    "output_dir": ".",
-    "topology": {"kind": "rgg", "n_nodes": 20, "depth": 3, "n_clusters": 4, "radius": None},
-    "model": {
-        "n_p": 2,
-        "p_true": None,
-        "n_x": 2,
-        "regressor_family": "polynomial-basis",
-        "regressor_seed": 0,
-        "noise": {"kind": "gaussian", "scale": 0.1},
-    },
-    "sps": {"m": 10, "q": 1},
-    "diffusion": {"protocol": "full", "rounds": None, "iterations": 4, "scheme": "metropolis"},
-    "region": {"box": None, "grid_per_dim": 12, "tie_seed": None, "evaluate": False},
-    "tradeoff": {
-        "n_seeds": 50,
-        "node_sample": None,
-        "rounds": None,
-        "max_iterations": 512,
-        "volume_tolerance": 0.02,
-    },
-    "success_rate": {
-        "n_nodes": [10, 25, 50, 100, 200, 350, 500],
-        "n_p": [2, 3, 4, 5],
-        "realizations": 100,
-    },
-}
+
+@functools.cache
+def _schema() -> dict:
+    """The packaged config schema, read once: every key, its type and its
+    default. Reading it imports no ``jsonschema``."""
+    text = resources.files("spsnet").joinpath("data/experiment_config.schema.json").read_text()
+    return json.loads(text)
 
 
 @functools.cache
@@ -104,8 +81,7 @@ def _validator():
     no config never pay for it."""
     import jsonschema
 
-    text = resources.files("spsnet").joinpath("data/experiment_config.schema.json").read_text()
-    return jsonschema.Draft202012Validator(json.loads(text))
+    return jsonschema.Draft202012Validator(_schema())
 
 
 def validate_config(raw: dict) -> None:
@@ -122,38 +98,27 @@ def validate_config(raw: dict) -> None:
         raise error
 
 
-def _merge(defaults, given):
-    if not isinstance(defaults, dict):
-        return defaults if given is None else given
-    out = {}
-    given = given or {}
-    for key, dval in defaults.items():
-        out[key] = _merge(dval, given.get(key))
-    for key, gval in given.items():
-        if key not in out:
-            out[key] = gval
-    return out
-
-
-def _integral(value, schema: dict):
-    """A copy of ``value`` in which every float the schema types as an integer
-    is an int: JSON Schema counts 2.0 as an integer, the runners count with
-    ints. The alternatives of an ``anyOf`` are read as one schema."""
-    parts = [schema, *schema.get("anyOf", ())]
+def _resolve(value, schema: dict):
+    """A fresh copy of ``value`` read through ``schema``: every absent property
+    that declares a default gets it, and every float the schema types as an
+    integer is an int (JSON Schema counts 2.0 as an integer, the runners count
+    with ints). Keys the schema does not list are copied as they are. The
+    alternatives of an ``anyOf`` are read as one schema."""
     if isinstance(value, dict):
         props = schema.get("properties", {})
-        return {key: _integral(v, props.get(key, {})) for key, v in value.items()}
+        out = {key: _resolve(v, props.get(key, {})) for key, v in value.items()}
+        for key, sub in props.items():
+            if key not in out and "default" in sub:
+                out[key] = _resolve(sub["default"], sub)
+        return out
+    parts = [schema, *schema.get("anyOf", ())]
     if isinstance(value, list):
         items = next((part["items"] for part in parts if "items" in part), {})
-        return [_integral(v, items) for v in value]
+        return [_resolve(v, items) for v in value]
     # a part's "type" is one name or a list of names; "integer" is in either
     if isinstance(value, float) and any("integer" in part.get("type", ()) for part in parts):
         return int(value)
     return value
-
-
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class ExperimentConfig:
@@ -167,7 +132,7 @@ class ExperimentConfig:
     def __init__(self, raw: dict):
         validate_config(raw)
         self.raw = copy.deepcopy(raw)
-        self.cfg = cfg = _merge(copy.deepcopy(_DEFAULTS), _integral(raw, _validator().schema))
+        self.cfg = cfg = _resolve(raw, _schema())
         model = cfg["model"]
         if model["p_true"] is None:
             model["p_true"] = [(-0.5) ** k for k in range(model["n_p"])]
@@ -179,8 +144,9 @@ class ExperimentConfig:
     @property
     def config_hash(self) -> str:
         # where the outputs land does not affect what the experiment computes
-        material = {k: v for k, v in self.raw.items() if k != "output_dir"}
-        return hashlib.sha256(_canonical_json(material).encode()).hexdigest()[:12]
+        material = json.dumps({k: v for k, v in self.raw.items() if k != "output_dir"},
+                              sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(material.encode()).hexdigest()[:12]
 
     @property
     def seed(self) -> int:

@@ -390,10 +390,11 @@ def evaluate_region(
     """Evaluate region membership on a dense grid of cell centers.
 
     The box is a list of finite (lo, hi) with lo < hi per parameter
-    dimension; anything else raises ValueError. ``grid_per_dim`` is
-    a positive integer (Python, numpy or a 0-d integer array) or a
-    per-dimension sequence of them; anything else, bools included, raises
-    ValueError. Ties are broken with one (n_cells, m) block of uniforms from
+    dimension, whose extents hi - lo and grid volume (cell volume times cell
+    count) are finite floats too; anything else raises ValueError.
+    ``grid_per_dim`` is a positive integer (Python, numpy or a 0-d integer
+    array) or a per-dimension sequence of them; anything else, bools
+    included, raises ValueError. Ties are broken with one (n_cells, m) block of uniforms from
     ``SeedSequence(tie_seed)``: row i is the tie stream of cell i in C order.
     The block is drawn only when some cell has Z_j == Z_0; cells without a tie
     never read it, so the result is bit-reproducible either way, and a result
@@ -410,8 +411,10 @@ def evaluate_region(
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != n_p:
         raise ValueError(f"box must have {n_p} dimensions")
-    if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in box):
-        raise ValueError("box must have finite bounds and positive extent in every dimension")
+    box_error = "box must have finite bounds and positive extent in every dimension"
+    if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi and math.isfinite(hi - lo)
+               for lo, hi in box):
+        raise ValueError(box_error)
     if n_p > MAX_GRID_DIM:
         raise ValueError(
             f"grid evaluation over {n_p} dimensions is not supported: n_p must be at most "
@@ -422,6 +425,9 @@ def evaluate_region(
     if len(counts) != n_p or not all(map(_is_cell_count, counts)):
         raise ValueError("grid_per_dim must give a positive integer cell count per dimension")
     shape = tuple(int(g) for g in counts)
+    cell_volume = math.prod([(hi - lo) / g for (lo, hi), g in zip(box, shape)])
+    if not math.isfinite(cell_volume * math.prod(shape)):  # bounds every member volume
+        raise ValueError(box_error)
     if not 1 <= q <= agg.m - 1:
         raise ValueError("q must satisfy 1 <= q <= m-1")
 
@@ -437,8 +443,7 @@ def evaluate_region(
     # the ranking's arrays follow z's stored axis order; the mask is copied out in C order
     member = np.ascontiguousarray(rank_above(z, tie_keys) >= q)
 
-    widths = [(hi - lo) / g for (lo, hi), g in zip(box, shape)]
-    volume = float(np.count_nonzero(member)) * float(np.prod(widths))
+    volume = float(np.count_nonzero(member)) * cell_volume
     return RegionResult(
         box=box,
         grid_shape=shape,

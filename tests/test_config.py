@@ -3,8 +3,9 @@
 ``validate_config`` validates against a ``Draft202012Validator`` built once per
 process and never re-checks the packaged schema against its metaschema, so
 that check lives here. ``jsonschema.validate`` on a freshly read schema is the
-reference for which error a bad config raises. The defaults, the schema and
-the CLI flags that name config keys must agree.
+reference for which error a bad config raises. The schema's defaults must
+fit the schema, and the CLI flags that name config keys must name schema
+properties.
 """
 
 import json
@@ -13,7 +14,6 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from spsnet import experiments
 from spsnet.cli import _build_parser, main
 from spsnet.experiments import ExperimentConfig, validate_config
 
@@ -138,26 +138,18 @@ def test_cli_prints_the_validation_error(tmp_path, capsys):
         "error: 0 is less than the minimum of 1\n"
         "\n"
         "Failed validating 'minimum' in schema['properties']['trials']:\n"
-        "    {'type': 'integer', 'minimum': 1}\n"
+        "    {'type': 'integer', 'minimum': 1, 'default': 100}\n"
         "\n"
         "On instance['trials']:\n"
         "    0\n"
     )
 
 
-def _leaf_paths(tree: dict, prefix=()):
-    for key, value in tree.items():
-        if isinstance(value, dict):
-            yield from _leaf_paths(value, (*prefix, key))
-        else:
-            yield (*prefix, key)
-
-
-def _schema_paths(schema: dict, prefix=()):
-    """(path, is a leaf) of every property of the schema, objects included."""
+def _schema_properties(schema: dict, prefix=()):
+    """(path, property schema) of every property of the schema, objects included."""
     for key, sub in schema.get("properties", {}).items():
-        yield (*prefix, key), "properties" not in sub
-        yield from _schema_paths(sub, (*prefix, key))
+        yield (*prefix, key), sub
+        yield from _schema_properties(sub, (*prefix, key))
 
 
 def _subcommands() -> dict:
@@ -181,15 +173,24 @@ OPTIONS = {
 }
 
 
+# the keys a runner reads as unset when they are null
+NULL_DEFAULTS = {("topology", "radius"), ("model", "p_true"), ("diffusion", "rounds"), ("region", "box"),
+                 ("region", "tie_seed"), ("tradeoff", "node_sample"), ("tradeoff", "rounds")}
+
+
 def test_defaults_schema_and_flags_agree():
-    """Every default is a schema property, every schema property but ``seed``
-    and ``data`` has a default, and every flag that names a config key
+    """Every schema leaf but ``seed`` and ``data`` declares a default, every
+    non-null default fits its own property schema, only the keys a runner
+    reads as unset default to null, and every flag that names a config key
     (``dest="config.<path>"``) names a schema property."""
-    paths = dict(_schema_paths(_schema()))
-    defaults = set(_leaf_paths(experiments._DEFAULTS))
-    assert defaults <= paths.keys()
-    assert {p for p, leaf in paths.items() if leaf and p[0] not in ("seed", "data")} == defaults
+    props = dict(_schema_properties(_schema()))
+    leaves = {p for p, sub in props.items() if "properties" not in sub and p[0] not in ("seed", "data")}
+    assert {p for p in leaves if "default" not in props[p]} == set()
+    for sub in props.values():
+        if sub.get("default") is not None:
+            jsonschema.Draft202012Validator(sub).validate(sub["default"])
+    assert {p for p, sub in props.items() if "default" in sub and sub["default"] is None} == NULL_DEFAULTS
     dests = {a.dest for sub in _subcommands().values() for a in sub._actions if a.dest.startswith("config.")}
-    assert dests and all(tuple(d.split(".")[1:]) in paths for d in dests), dests
+    assert dests and all(tuple(d.split(".")[1:]) in props for d in dests), dests
     assert {name: sorted(o for a in sub._actions for o in a.option_strings)
             for name, sub in _subcommands().items()} == OPTIONS

@@ -199,6 +199,30 @@ def test_a_region_box_bound_that_is_not_finite_is_a_user_error(tmp_path, command
         1, "error: box must have finite bounds and positive extent in every dimension\n")
 
 
+@pytest.mark.parametrize("command", ["region", "coverage"])
+@pytest.mark.parametrize("n_p,box", [(2, [[-1e308, 1e308], [0.0, 1.0]]), (3, [[-1e200, 1e200]] * 3)],
+                         ids=["extent", "cell"])
+def test_a_region_box_whose_size_overflows_a_float_is_a_user_error(tmp_path, command, n_p, box):
+    # finite bounds, but an extent or a cell volume that overflows would write "volume": Infinity
+    config = {"seed": 1, "trials": 1, "model": {"n_p": n_p},
+              "region": {"box": box, "grid_per_dim": 2, "evaluate": True}}
+    assert schema_valid(config)
+    assert run_cli(command, config, tmp_path) == (
+        1, "error: box must have finite bounds and positive extent in every dimension\n")
+
+
+@pytest.mark.parametrize("command,config,flag", [
+    ("diffuse", {"seed": 1, "diffusion": []}, ["--protocol", "mf"]),
+    ("topology", {"seed": 1, "topology": 5}, ["--kind", "rgg"]),
+], ids=["diffusion", "topology"])
+def test_a_flag_into_a_section_that_is_not_an_object_is_a_validation_error(tmp_path, command, config, flag):
+    rc, err = run_cli(command, config, tmp_path, *flag)
+    section = next(iter(config.keys() - {"seed"}))
+    assert rc == 1
+    assert err.startswith(f"error: {config[section]!r} is not of type 'object'\n"), err
+    assert f"Failed validating 'type' in schema['properties']['{section}']" in err
+
+
 # (command, config, path of an integer key, its value): the integer and its float twin run alike
 INTEGRAL_FLOATS = [
     ("coverage", {}, ("model", "n_p"), 2),

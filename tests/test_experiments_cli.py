@@ -57,10 +57,28 @@ def test_config_hash_canonical_and_sensitive():
 
 def test_config_defaults():
     cfg = ExperimentConfig({"seed": 7})
-    assert (cfg.cfg["sps"]["m"], cfg.cfg["sps"]["q"]) == (10, 1)
-    assert cfg.cfg["trials"] == 100
-    model = cfg.cfg["model"]
-    assert model["p_true"] == [1.0, -0.5]
+    assert cfg.cfg == {
+        "seed": 7,
+        "trials": 100,
+        "node": 0,
+        "all_nodes": False,
+        "output_dir": ".",
+        "topology": {"kind": "rgg", "n_nodes": 20, "depth": 3, "n_clusters": 4, "radius": None},
+        "model": {
+            "n_p": 2,
+            "p_true": [1.0, -0.5],
+            "n_x": 2,
+            "regressor_family": "polynomial-basis",
+            "regressor_seed": 0,
+            "noise": {"kind": "gaussian", "scale": 0.1},
+        },
+        "sps": {"m": 10, "q": 1},
+        "diffusion": {"protocol": "full", "rounds": None, "iterations": 4, "scheme": "metropolis"},
+        "region": {"box": None, "grid_per_dim": 12, "tie_seed": None, "evaluate": False},
+        "tradeoff": {"n_seeds": 50, "node_sample": None, "rounds": None, "max_iterations": 512,
+                     "volume_tolerance": 0.02},
+        "success_rate": {"n_nodes": [10, 25, 50, 100, 200, 350, 500], "n_p": [2, 3, 4, 5], "realizations": 100},
+    }
     fc = cfg.field_config()
     assert fc.n_p == 2 and fc.noise.kind == "gaussian"
     region = cfg.region_params(center=[0.5, -0.5])
@@ -463,6 +481,27 @@ def test_cli_traffic_predict(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"seed": 1, "topology": {"kind": "binary", "depth": 0}}))
     assert main(["traffic-predict", "--topology", "tree", "--config", str(cfg_path)]) == 0
     assert capsys.readouterr().out == "topology tree n_nodes 1 n_p 2 m 10\nTAS 50\nMF 3\nwinner MF\n"
+
+
+def test_tree_traffic_predict_reads_n_p_and_m_from_the_config(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "topology": {"kind": "tree", "n_nodes": 30},
+                                    "model": {"n_p": 3}, "sps": {"m": 20}}))
+    tree = ["traffic-predict", "--topology", "tree", "--config", str(cfg_path)]
+    assert main(tree) == 0
+    assert capsys.readouterr().out == "topology tree n_nodes 30 n_p 3 m 20\nTAS 7380\nMF 1512\nwinner MF\n"
+    # the flags override the config
+    assert main([*tree, "--np", "2", "--m", "10"]) == 0
+    assert capsys.readouterr().out == "topology tree n_nodes 30 n_p 2 m 10\nTAS 2050\nMF 1134\nwinner MF\n"
+    # the binary and clustered predictions read no config
+    assert main(["traffic-predict", "--N", "63", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.startswith("topology binary n_nodes 63 n_p 2 m 10\nTAS 4650\n")
+    # a zero dimension is refused by the formulas, not hidden by a default
+    assert main(["traffic-predict", "--N", "63", "--np", "0"]) == 1
+    assert capsys.readouterr().err == "error: require n_p >= 1 and m >= 2\n"
+    assert main(["traffic-predict", "--topology", "clustered", "--N", "140", "--n-clusters", "20",
+                 "--m", "0"]) == 1
+    assert capsys.readouterr().err == "error: require n_p >= 1 and m >= 2\n"
 
 
 def test_traffic_predict_never_imports_jsonschema():

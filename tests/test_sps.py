@@ -370,6 +370,18 @@ def test_region_argument_validation():
         evaluate_region(big, box4, 2, q=1, tie_seed=0)
 
 
+@pytest.mark.parametrize("box,grid", [([(-1e308, 1e308), (0.0, 1.0)], 4), ([(-1e200, 1e200)] * 3, 2),
+                                      ([(-1.5e154, 1.5e154)] * 2, 2)], ids=["extent", "cell", "grid"])
+def test_a_box_whose_size_overflows_a_float_is_refused(box, grid):
+    # finite bounds whose extent, cell volume or grid volume is not a finite float
+    agg = AggregateSums.zeros(4, len(box))
+    with pytest.raises(ValueError, match="finite bounds and positive extent"):
+        evaluate_region(agg, box, grid, q=1, tie_seed=0)
+    # a box just inside the float range still evaluates, to a finite volume
+    res = evaluate_region(agg, [(-1e100, 1e100)] * len(box), grid, q=1, tie_seed=0)
+    assert np.isfinite(res.volume) and res.volume > 0
+
+
 def decode_rle(runs, shape) -> np.ndarray:
     """The mask a ``mask_rle`` encodes: alternating run lengths of the C-order
     flattened mask, the first run False."""
