@@ -129,6 +129,8 @@ def _load_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
     if args.out:
         raw["output_dir"] = args.out
     _with_flags(raw, args)

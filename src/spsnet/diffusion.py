@@ -44,7 +44,9 @@ node i: a TAS tag names the nodes whose data its message carries, and a
 flooding node keeps one mask of the records it knows and one of those it has
 sent. So a subset test is ``t & rem == t``, disjointness is ``not a & b``, a
 union is ``a | b``, and a 0/1 matrix (the tag matrix the wrap-up LP reads, or
-flooding knowledge) is unpacked from the masks' little-endian bytes.
+flooding knowledge) is unpacked from the masks' little-endian bytes. A tag
+table is two parallel lists, ``tags`` (one mask per row) and ``merged`` (one
+flag per row). Receivers come from the graph's ``neighbor_lists``.
 
 Traffic is counted in scalars: a raw record costs n_p + 1 of them, an
 aggregate payload m * (n_p + n_p (n_p + 1) / 2). Tag bits are reported
@@ -85,7 +87,7 @@ import numpy as np
 from .lp import LpProblem, SimplexError, solve_lp
 from .model import Samples
 from .sps import SignMatrix
-from .topology import ClusteredTopology, DisconnectedGraphError, Graph, TreeTopology, diameter
+from .topology import ClusteredTopology, DisconnectedGraphError, Graph, TreeTopology, _check_node, diameter
 
 logger = logging.getLogger(__name__)
 
@@ -173,20 +175,6 @@ class TrafficLog:
 # tag tables
 
 
-@dataclass(eq=False, slots=True)
-class TagRow:
-    """Stored row: a tag, the bitmask of the node ids whose data it accounts
-    for, and whether an outgoing aggregate has merged it."""
-
-    tag: int
-    merged: bool = False
-
-
-def _check_node(k: int, n_nodes: int) -> None:
-    if not 0 <= k < n_nodes:
-        raise ValueError(f"node {k} is not in the network")
-
-
 def _unpack(masks, n_nodes: int) -> np.ndarray:
     """0/1 uint8 matrix with one row per bitmask: column i is bit i."""
     nbytes = (n_nodes + 7) // 8
@@ -204,20 +192,16 @@ def _mask_of(ids) -> int:
 
 
 class TagTable:
-    """A node's insertion-ordered store of tagged rows.
-
-    Every tag is an ``int`` bitmask over the table's ``n_nodes`` node ids
-    (bit i is node i). Row 0 is always the owner's local row, tag
-    ``1 << owner``. Tags never repeat within a table. The table records which
-    rows have already been merged into an outgoing aggregate so later
-    aggregation phases can start from fresh content. Rows are added through
-    ``append``, which checks the tag against the network and, by a scan of
-    the rows, against every stored tag (and also takes a collection of node
-    ids and stores its mask), or, for the residuals ``tas_distill`` keeps,
-    through ``_store`` without the checks. Both keep ``covered``, the OR of
-    every row's tag, and ``disjoint``, whether those tags are pairwise disjoint. A
-    table holds no payload: ``local_payload`` and ``append``'s ``payload``
-    are accepted and ignored.
+    """A node's tag table: row i is ``tags[i]``, an ``int`` bitmask over the
+    table's ``n_nodes`` node ids (bit i is node i), and ``merged[i]``, whether
+    an outgoing aggregate has merged it, so later aggregation phases can
+    start from fresh content. Rows keep insertion order, row 0 is the owner's
+    local row ``1 << owner``, and tags never repeat. ``covered`` is the OR of
+    every tag and ``disjoint`` whether the tags are pairwise disjoint.
+    ``append`` checks a tag against the network and every stored tag (it
+    takes a collection of node ids too) and returns it; ``tas_distill``
+    stores the residuals it keeps inline, unchecked. A table holds no
+    payload: ``local_payload`` and ``append``'s ``payload`` are ignored.
     """
 
     def __init__(self, owner: int, n_nodes: int, local_payload=None):
@@ -225,59 +209,59 @@ class TagTable:
             raise ValueError("owner must be a valid node id")
         self.owner = owner
         self.n_nodes = n_nodes
-        self.rows: list[TagRow] = [TagRow(1 << owner)]
+        self.tags: list[int] = [1 << owner]
+        self.merged: list[bool] = [False]
         self.covered = 1 << owner
         self.disjoint = True
 
-    def append(self, tag, payload=None) -> TagRow:
+    def append(self, tag, payload=None) -> int:
         if not isinstance(tag, int):
             tag = _mask_of(tag)
         if tag <= 0:
             raise ValueError("a tag must name at least one node")
         if tag >> self.n_nodes:
             raise ValueError("tag contains an unknown node id")
-        if any(row.tag == tag for row in self.rows):
+        if tag in self.tags:
             raise ValueError("duplicate tag")
-        return self._store(tag)
-
-    def _store(self, tag: int) -> TagRow:
-        """Add a row whose tag passes ``append``'s checks, as every residual
-        ``tas_distill`` keeps does by construction."""
-        row = TagRow(tag)
-        self.rows.append(row)
+        self.tags.append(tag)
+        self.merged.append(False)
         self.disjoint = self.disjoint and not tag & self.covered
         self.covered |= tag
-        return row
+        return tag
 
 
-def tas_distill(table: TagTable, tag: int) -> TagRow | None:
+def tas_distill(table: TagTable, tag: int) -> int | None:
     """Reduce an incoming tag against the stored rows and keep the rest.
 
     Scanning stored rows in insertion order, every row whose tag is still a
     subset of the remaining incoming tag is subtracted. What is left is new
-    information; it is appended as a row. A message whose residual is empty
-    carries nothing new and is discarded. (A residual never repeats a stored
-    tag: the scan would have subtracted that row.) The incoming tag must be a
-    message tag of the same network, a mask over the table's node ids; the
-    residual, a nonzero subset of it, is stored without ``append``'s checks.
+    information; it is stored as a row and returned. A message whose residual
+    is empty carries nothing new and is discarded (None). (A residual never
+    repeats a stored tag: the scan would have subtracted that row.) The
+    incoming tag must be a message tag of the same network, a mask over the
+    table's node ids; the residual is stored without ``append``'s checks.
 
     Two cases need no scan, read off the table's ``covered`` and ``disjoint``:
     a tag sharing no node with ``covered`` is kept whole, and when the table
     is disjoint, a tag that contains ``covered`` keeps ``tag ^ covered`` (and
-    is discarded when it equals ``covered``). The scan would reach the same
-    result.
+    is discarded when it equals ``covered``), as the scan would; both
+    residuals miss ``covered``, so ``disjoint`` holds.
     """
     covered = table.covered
-    if not tag & covered:
-        return table._store(tag) if tag else None
-    if table.disjoint and tag & covered == covered:
-        return table._store(tag ^ covered) if tag != covered else None
-    remaining = tag
-    for row in table.rows:
-        t = row.tag
-        if t & remaining == t:
-            remaining ^= t
-    return table._store(remaining) if remaining else None
+    if tag & covered:
+        if table.disjoint and tag & covered == covered:
+            tag ^= covered
+        else:
+            for t in table.tags:
+                if t & tag == t:
+                    tag ^= t
+            table.disjoint = table.disjoint and not tag & covered
+    if not tag:
+        return None
+    table.tags.append(tag)
+    table.merged.append(False)
+    table.covered = covered | tag
+    return tag
 
 
 def tas_aggregate(table: TagTable) -> int | None:
@@ -290,15 +274,16 @@ def tas_aggregate(table: TagTable) -> int | None:
     itself, so it is not merged twice. Rows overlapping the running tag are
     skipped; resolving partial overlaps is the wrap-up's job.
     """
-    start = next((r for r in table.rows if not r.merged), None)
-    if start is None:
+    merged, tags = table.merged, table.tags
+    if all(merged):
         return None
-    tag = start.tag
-    start.merged = True
-    for row in table.rows:
-        if not tag & row.tag:
-            tag |= row.tag
-            row.merged = True
+    start = merged.index(False)
+    tag = tags[start]
+    merged[start] = True
+    for i, t in enumerate(tags):
+        if not tag & t:
+            tag |= t
+            merged[i] = True
     return tag
 
 
@@ -306,13 +291,13 @@ def _complete_message(table: TagTable) -> int:
     """The union of all stored rows; valid when tags are pairwise disjoint."""
     if not table.disjoint:
         raise ValueError("complete message requires pairwise disjoint tags")
-    for row in table.rows:
-        row.merged = True
+    table.merged = [True] * len(table.tags)
     return table.covered
 
 
 def tas_wrapup(table: TagTable, n_rows: int | None = None) -> np.ndarray:
-    """The per-node weights c of a table, or of its first ``n_rows`` rows.
+    """The per-node weights c of a table, or of its first ``n_rows`` rows
+    (1..the table's row count; anything else raises ValueError).
 
     One pass over those rows, in insertion order, takes each row whose tag
     misses every row taken before, and ORs every tag into ``covered``. When
@@ -328,14 +313,16 @@ def tas_wrapup(table: TagTable, n_rows: int | None = None) -> np.ndarray:
     logs one WARNING naming the owner, the row count and the reason. Those
     weights read the tags only, so coverage stays exact; only the region grows.
     """
-    rows = table.rows[:n_rows]
+    if n_rows is not None and not 1 <= n_rows <= len(table.tags):
+        raise ValueError(f"n_rows must lie in 1..{len(table.tags)}, got {n_rows}")
+    tags = table.tags[:n_rows]
     taken = covered = 0
-    for row in rows:
-        if not row.tag & taken:
-            taken |= row.tag
-        covered |= row.tag
+    for t in tags:
+        if not t & taken:
+            taken |= t
+        covered |= t
     if taken != covered:
-        tagmat = _unpack([row.tag for row in rows], table.n_nodes).astype(float)
+        tagmat = _unpack(tags, table.n_nodes).astype(float)
         try:
             b, _ = solve_lp(LpProblem(tagmat))
         except SimplexError as err:
@@ -348,7 +335,7 @@ def tas_wrapup(table: TagTable, n_rows: int | None = None) -> np.ndarray:
                 return c
             reason = "a weight lies more than 1e-9 outside [0, 1]"
         logger.warning("tas_wrapup: node %d, %d rows: %s; using the disjoint rows' 0/1 weights",
-                       table.owner, len(rows), reason)
+                       table.owner, len(tags), reason)
     return _unpack([taken], table.n_nodes)[0].astype(float)
 
 
@@ -391,6 +378,7 @@ def _flood(protocol: str, graph: Graph, stages, samples, plain=False, until_quie
     d_rec, _ = payload_sizes(samples.n_p, 2)
     known, sent = [1 << k for k in range(n)], [0] * n
     masks, traffic = [known], TrafficLog(protocol, n)
+    neighbors = graph.neighbor_lists
     for rnd, senders in enumerate(stages, start=1):
         msgs = [(s, known[s] if plain else known[s] & ~sent[s]) for s in senders.tolist()]
         known = known.copy()
@@ -398,7 +386,7 @@ def _flood(protocol: str, graph: Graph, stages, samples, plain=False, until_quie
             if msg:
                 sent[s] |= msg
                 traffic.record(rnd, s, msg.bit_count() * d_rec, tag_bits=msg.bit_count() * n)
-                for k in graph.neighbors(s).tolist():
+                for k in neighbors[s]:
                     known[k] |= msg
         masks.append(known)
         if until_quiet and known == masks[-2]:
@@ -486,7 +474,7 @@ class TasResult:
 
 def _local_row(table: TagTable) -> int:
     """The start-up message: row 0's tag; the row stays unmerged."""
-    return table.rows[0].tag
+    return table.tags[0]
 
 
 def _aggregate_or_complete(table: TagTable) -> int:
@@ -514,6 +502,7 @@ def _tas(protocol: str, graph: Graph, stages, steps, samples, signs: SignMatrix,
     traffic = TrafficLog(protocol, n)
     counts = [1] * n
     row_counts: dict[int, list[int]] = {}
+    neighbors = graph.neighbor_lists
     for i, (senders, step) in enumerate(zip(stages, steps, strict=True)):
         rnd = first_round + i
         msgs = []
@@ -525,7 +514,7 @@ def _tas(protocol: str, graph: Graph, stages, steps, samples, signs: SignMatrix,
         row_counts[rnd] = counts.copy()
         if deliver_last or i < len(stages) - 1:
             for s, tag in msgs:
-                for k in graph.neighbors(s).tolist():
+                for k in neighbors[s]:
                     if tas_distill(tables[k], tag) is not None:
                         counts[k] += 1
     return TasResult(tables, traffic, rnd, row_counts)

@@ -36,6 +36,11 @@ def comm_radius(n_nodes: int) -> float:
     return math.sqrt(math.log2(n_nodes) / (2.0 * n_nodes))
 
 
+def _check_node(k: int, n_nodes: int) -> None:
+    if not 0 <= k < n_nodes:
+        raise ValueError(f"node {k} is not in the network")
+
+
 @dataclass(eq=False)
 class Graph:
     """Undirected graph as a boolean adjacency matrix, optionally embedded."""
@@ -62,14 +67,24 @@ class Graph:
         # CSR: node i's neighbours are indices[indptr[i]:indptr[i + 1]]
         self.indptr = np.searchsorted(rows, np.arange(n + 1))
         self.indices = cols
-        self._bounds = self.indptr.tolist()  # Python ints slice faster than numpy scalars
+        self._neighbor_lists = None
 
     @property
     def n_nodes(self) -> int:
         return self.adjacency.shape[0]
 
     def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self._bounds[i]:self._bounds[i + 1]]
+        _check_node(i, self.n_nodes)
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
+
+    @property
+    def neighbor_lists(self) -> dict[int, list[int]]:
+        """Node i's neighbour ids, ascending, as Python ints under key i (keys
+        0..N-1: no negative index), read off the CSR arrays on first use."""
+        if self._neighbor_lists is None:
+            flat, b = self.indices.tolist(), self.indptr.tolist()
+            self._neighbor_lists = {i: flat[b[i]:b[i + 1]] for i in range(self.n_nodes)}
+        return self._neighbor_lists
 
     @property
     def degrees(self) -> np.ndarray:

@@ -117,14 +117,14 @@ class PayloadTable:
         return row
 
 
-def _cover(rows) -> tuple[int, bool]:
-    """(mask of the nodes the rows' tags name, whether those tags are pairwise
+def _cover(tags) -> tuple[int, bool]:
+    """(mask of the nodes the tags name, whether those tags are pairwise
     disjoint): disjoint exactly when the tags' bit counts add up to the mask's.
     The package's own copy, as it first read both off a table's rows."""
     covered = bits = 0
-    for row in rows:
-        covered |= row.tag
-        bits += row.tag.bit_count()
+    for tag in tags:
+        covered |= tag
+        bits += tag.bit_count()
     return covered, bits == covered.bit_count()
 
 
@@ -170,7 +170,7 @@ def tas_aggregate(table: PayloadTable):
 
 def _complete_message(table: PayloadTable):
     """Row 0 plus every further row; the tags must be disjoint."""
-    covered, disjoint = _cover(table.rows)
+    covered, disjoint = _cover(r.tag for r in table.rows)
     if not disjoint:
         raise ValueError("complete message requires pairwise disjoint tags")
     data = None
@@ -188,7 +188,7 @@ def tas_wrapup(table: PayloadTable, n_rows: int | None = None) -> tuple[WrapUpWe
     rows = table.rows[:n_rows]
     if table._wrapup[0] == len(rows):
         return table._wrapup[1]
-    covered, disjoint = _cover(rows)
+    covered, disjoint = _cover(r.tag for r in rows)
     if disjoint:
         coeffs = [1.0] * len(rows)
         c = _unpack([covered], table.n_nodes)[0].astype(float)

@@ -202,10 +202,10 @@ def test_traffic_log_csv_text(tmp_path):
 
 def test_tag_table_basics():
     table = TagTable(owner=2, n_nodes=5)
-    assert table.rows[0].tag == mask(2)
+    assert table.tags[0] == mask(2)
     table.append(mask(0, 1))
-    assert diffusion_oracle._cover(table.rows) == (table.covered, table.disjoint) == (mask(0, 1, 2), True)
-    mat = diffusion._unpack([r.tag for r in table.rows], table.n_nodes)
+    assert diffusion_oracle._cover(table.tags) == (table.covered, table.disjoint) == (mask(0, 1, 2), True)
+    mat = diffusion._unpack(table.tags, table.n_nodes)
     assert mat.shape == (2, 5)
     assert np.array_equal(mat[0], [0, 0, 1, 0, 0])
     assert np.array_equal(mat[1], [1, 1, 0, 0, 0])
@@ -222,10 +222,10 @@ def test_tag_table_basics():
 def test_distill_subtracts_known_rows():
     table = TagTable(owner=0, n_nodes=11)
     table.append(mask(1, 6))
-    row = tas_distill(table, mask(0, 1, 6, 7, 10))
-    assert row is not None
-    assert row.tag == mask(7, 10)
-    assert len(table.rows) == 3
+    tag = tas_distill(table, mask(0, 1, 6, 7, 10))
+    assert tag is not None
+    assert tag == mask(7, 10)
+    assert len(table.tags) == len(table.merged) == 3
 
 
 def test_distill_discards_redundant_messages():
@@ -235,15 +235,15 @@ def test_distill_discards_redundant_messages():
     assert tas_distill(table, mask(0, 1)) is None
     # residual duplicates an existing tag
     assert tas_distill(table, mask(0, 1)) is None
-    assert len(table.rows) == 2
+    assert len(table.tags) == len(table.merged) == 2
 
 
 def test_distill_keeps_partial_overlaps_intact():
     table = TagTable(owner=0, n_nodes=6)
     table.append(mask(3, 5))
-    row = tas_distill(table, mask(3, 4))
+    tag = tas_distill(table, mask(3, 4))
     # no stored tag is a subset, so the message is stored unmodified
-    assert row.tag == mask(3, 4)
+    assert tag == mask(3, 4) == table.tags[-1]
 
 
 def test_aggregate_walkthrough_and_restart():
@@ -254,12 +254,12 @@ def test_aggregate_walkthrough_and_restart():
 
     # rows 0..4 merge; {4,6} and {1,4} overlap the running tag and are skipped
     assert tas_aggregate(table) == mask(0, 1, 2, 3, 5, 6)
-    assert [r.merged for r in table.rows] == [True, True, True, True, True, False, False]
+    assert table.merged == [True, True, True, True, True, False, False]
 
     # second message restarts from the first never-merged row ({4,6}) and
     # re-merges every disjoint row from the top
     assert tas_aggregate(table) == mask(0, 2, 3, 4, 5, 6)
-    assert [r.merged for r in table.rows] == [True, True, True, True, True, True, False]
+    assert table.merged == [True, True, True, True, True, True, False]
 
     assert tas_aggregate(table) == mask(0, 1, 2, 3, 4, 5)
 
@@ -271,7 +271,7 @@ def test_complete_message_requires_disjoint_tags():
     table = TagTable(owner=0, n_nodes=4)
     table.append(mask(1, 2))
     assert _complete_message(table) == mask(0, 1, 2)
-    assert all(r.merged for r in table.rows)
+    assert table.merged == [True, True]
     overlapping = TagTable(owner=0, n_nodes=4)
     overlapping.append(mask(0, 1))
     with pytest.raises(ValueError):
@@ -317,6 +317,17 @@ def test_wrapup_overlapping_rows_uses_lp():
     ref_weights, ref_agg = diffusion_oracle.tas_wrapup(payload_reference(samples, signs, tags))
     assert np.array_equal(ref_weights.c, c)
     assert sums_close(ref_agg, tie_exact_aggregate(samples, signs, c))
+
+
+def test_wrapup_refuses_row_counts_outside_the_table():
+    table = overlapping_table(5)  # three rows
+    for bad in (-1, 0, 4, 10):
+        with pytest.raises(ValueError, match=rf"^n_rows must lie in 1\.\.3, got {bad}$"):
+            tas_wrapup(table, bad)
+    assert np.array_equal(tas_wrapup(table, 1), [1.0, 0.0, 0.0, 0.0, 0.0])  # the owner's own weight
+    assert tas_wrapup(table, 3).tobytes() == tas_wrapup(table).tobytes()
+    with pytest.raises(ValueError, match=r"^n_rows must lie in 1\.\.1, got 0$"):
+        tas_wrapup(TagTable(owner=1, n_nodes=3), 0)
 
 
 def test_wrapup_local_only_table():
@@ -401,7 +412,7 @@ def growing_result():
     so every read of more than one row solves the LP."""
     table = overlapping_table(5)
     res = TasResult([table], TrafficLog("tas", 1), 2, {0: [1], 1: [3], 2: [3]})
-    assert tas_distill(table, mask(0, 1, 4)).tag == mask(1, 4)
+    assert tas_distill(table, mask(0, 1, 4)) == mask(1, 4)
     return res
 
 
@@ -429,9 +440,9 @@ def test_tas_reads_equal_a_fresh_tables_wrapup():
     for rnd in (1, 2, None):
         c = res.weights(0, rnd)
         fresh = TagTable(owner=0, n_nodes=5)
-        n_rows = len(table.rows) if rnd is None else res.row_counts[rnd][0]
-        for row in table.rows[1:n_rows]:
-            fresh.append(row.tag)
+        n_rows = len(table.tags) if rnd is None else res.row_counts[rnd][0]
+        for tag in table.tags[1:n_rows]:
+            fresh.append(tag)
         assert c.tobytes() == tas_wrapup(fresh).tobytes()
 
 
@@ -614,7 +625,7 @@ def test_tas_complete_graph_single_round():
     for k in range(6):
         assert sums_close(aggs[k], full)
         # table holds the six one-hot rows
-        assert len(res.tables[k].rows) == 6
+        assert len(res.tables[k].tags) == 6
     _, d_agg = payload_sizes(2, 5)
     # round 0 initialization plus one transmission per node
     assert res.traffic.total_scalars == 12 * d_agg
@@ -639,7 +650,7 @@ def test_tas_tag_sum_consistency():
     res = run_tas(graph, samples, signs, rounds=rounds)
     eager = diffusion_oracle.run_tas(graph, samples, signs, rounds=rounds)
     for table, eager_table in zip(res.tables, eager.tables, strict=True):
-        assert [row.tag for row in table.rows] == [row.tag for row in eager_table.rows]
+        assert table.tags == [row.tag for row in eager_table.rows]
         for row in eager_table.rows:
             expected = functools.reduce(plus, [locals_[i] for i in sorted(nodes(row.tag))])
             assert sums_close(row.payload, expected, rtol=1e-9, atol=1e-12)

@@ -134,13 +134,13 @@ def assert_same_tas(res, sent, ref, samples, signs):
     assert res.rounds_run == ref.rounds_run
     assert sent == [tag for tag, _ in ref.messages]
     for table, ref_table in zip(res.tables, ref.tables, strict=True):
-        assert [(r.tag, r.merged) for r in table.rows] == [(r.tag, r.merged) for r in ref_table.rows]
+        assert list(zip(table.tags, table.merged)) == [(r.tag, r.merged) for r in ref_table.rows]
     # a read wraps up a prefix of node k's table; reads of the same prefix (a
     # table that did not grow in a round, or the final read) reuse one wrap-up
     wrapups = {}
 
     def weights(k, r=None):
-        n_rows = len(res.tables[k].rows) if r is None else res.row_counts[r][k]
+        n_rows = len(res.tables[k].tags) if r is None else res.row_counts[r][k]
         if (k, n_rows) not in wrapups:
             wrapups[k, n_rows] = res.weights(k, r)
         return wrapups[k, n_rows]
@@ -160,8 +160,8 @@ def assert_prefix_wrapups(res):
     for r, counts in res.row_counts.items():
         for k, table in enumerate(res.tables):
             fresh = diffusion.TagTable(k, table.n_nodes)
-            for row in table.rows[1:counts[k]]:
-                fresh.append(row.tag)
+            for tag in table.tags[1:counts[k]]:
+                fresh.append(tag)
             assert np.array_equal(res.weights(k, r), diffusion.tas_wrapup(fresh))
 
 

@@ -530,3 +530,14 @@ def test_cli_error_paths(tmp_path, capsys):
     rc = main(["coverage", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["[]", "[1, 2]", "5", '"seed"', "null"])
+@pytest.mark.parametrize("out", [True, False])
+def test_cli_refuses_a_config_file_that_is_not_an_object(tmp_path, capsys, content, out):
+    path = tmp_path / "l.json"
+    path.write_text(content)
+    argv = ["coverage", "--config", str(path)] + (["--out", str(tmp_path / "o")] if out else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: config file {path} must hold a JSON object\n"
+    assert not (tmp_path / "o").exists()

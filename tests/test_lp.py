@@ -123,7 +123,7 @@ def test_simplex_matches_highs_on_tas_tables():
     res = run_tas(graph, samples, draw_sign_matrix(4, 60, sign_seed=1977))
     overlapping = 0
     for table in res.tables:
-        tags = _unpack([r.tag for r in table.rows], table.n_nodes).astype(float)
+        tags = _unpack(table.tags, table.n_nodes).astype(float)
         if tags.sum(axis=0).max() <= 1:
             continue
         overlapping += 1
@@ -140,22 +140,22 @@ def drifting_run():
     cfg = FieldConfig(n_p=3, p_true=np.array([1, -0.5, 0.25]))
     samples = generate_measurements(graph.positions, cfg, substream(1, "n"))
     run = run_tas(graph, samples, draw_sign_matrix(10, 300, 3))
-    assert len(run.tables[25].rows) == 153
+    assert len(run.tables[25].tags) == 153
     return run
 
 
 def greedy_mask(table) -> int:
     """The wrap-up's fallback: each row whose tag misses every row taken before."""
     taken = 0
-    for row in table.rows:
-        if not row.tag & taken:
-            taken |= row.tag
+    for tag in table.tags:
+        if not tag & taken:
+            taken |= tag
     return taken
 
 
 def test_a_drifting_tableau_falls_back_where_it_breaks(drifting_run, caplog):
     table = drifting_run.tables[25]
-    tags = _unpack([r.tag for r in table.rows], table.n_nodes).astype(float)
+    tags = _unpack(table.tags, table.n_nodes).astype(float)
     # the guard fires near pivot 2,900, long before the cap of 151,600
     with pytest.raises(SimplexError, match=r"^lost primal feasibility at pivot \d+ \(step -"):
         solve_lp(LpProblem(tags), max_iterations=3_000)
@@ -175,7 +175,7 @@ def test_highs_solves_the_drifting_table(drifting_run):
     # the optima the fallback's disjoint rows fall short of
     for node, (optimum, mask_sum) in FALLING_BACK.items():
         table = drifting_run.tables[node]
-        tags = _unpack([r.tag for r in table.rows], table.n_nodes).astype(float)
+        tags = _unpack(table.tags, table.n_nodes).astype(float)
         got = highs_optimum(tags)
         assert got == pytest.approx(optimum, abs=1e-9), f"node {node}"
         assert greedy_mask(table).bit_count() == mask_sum, f"node {node}"

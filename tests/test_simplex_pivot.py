@@ -99,7 +99,7 @@ def test_pivot_matches_row_loop_on_every_table_of_a_tas_run():
     overlapping = [t for t in run_tas(graph, samples, draw_sign_matrix(10, 100, 1116)).tables if not t.disjoint]
     assert len(overlapping) == 100  # no table of this run is disjoint
     for table in overlapping:
-        tags = _unpack([r.tag for r in table.rows], table.n_nodes).astype(float)
+        tags = _unpack(table.tags, table.n_nodes).astype(float)
         (b, obj), (b_oracle, obj_oracle) = solve_both(tags)
         assert np.array_equal(b, b_oracle) and obj == obj_oracle, f"node {table.owner}"
 

@@ -115,15 +115,15 @@ def oracle_prefix(oracle, n_rows):
 
 
 def assert_same_tables(table, oracle):
-    assert [nodes(r.tag) for r in table.rows] == [r.tag for r in oracle.rows]
-    assert (table.covered, table.disjoint) == _cover(table.rows)
-    for n_rows in range(1, len(table.rows) + 1):
-        covered, disjoint = _cover(table.rows[:n_rows])
+    assert [nodes(t) for t in table.tags] == [r.tag for r in oracle.rows]
+    assert (table.covered, table.disjoint) == _cover(table.tags)
+    for n_rows in range(1, len(table.tags) + 1):
+        covered, disjoint = _cover(table.tags[:n_rows])
         prefix = oracle_prefix(oracle, n_rows)
         assert nodes(covered) == tas_oracle.coverage(prefix)
         assert disjoint == bool(tas_oracle.tag_matrix(prefix).sum(axis=0).max() <= 1)
     tags = tas_oracle.tag_matrix(oracle)
-    got = diffusion._unpack([r.tag for r in table.rows], table.n_nodes)
+    got = diffusion._unpack(table.tags, table.n_nodes)
     assert got.dtype == tags.dtype and got.shape == tags.shape and got.tobytes() == tags.tobytes()
 
 
@@ -155,11 +155,12 @@ def distill_both(table, oracle, tag, data):
     same decision and the same stored rows; a kept residual carries the local
     sum of its tag."""
     stored = {r.tag for r in oracle.rows}
-    row = tas_distill(table, mask(*tag))
+    kept = tas_distill(table, mask(*tag))
     row_ref = tas_oracle.tas_distill(oracle, tag, payload_of(data, tag))
-    assert (row is None) == (row_ref is None)
-    if row is not None:
-        assert nodes(row.tag) == row_ref.tag and row_ref.tag not in stored
+    assert (kept is None) == (row_ref is None)
+    if kept is not None:
+        assert nodes(kept) == row_ref.tag and row_ref.tag not in stored
+        assert kept == table.tags[-1] and table.merged[-1] is False
         assert sums_close(row_ref.payload, payload_of(data, row_ref.tag), atol=ATOL)
     assert_same_tables(table, oracle)
 
@@ -189,7 +190,7 @@ def test_tag_table_steps_match_eager_oracle(stream):
         tag = next_tag(rng, kind, n_nodes, [r.tag for r in oracle.rows])
         distill_both(table, oracle, tag, data)
         assert_same_wrapup(table, oracle, data)
-    for n_rows in range(1, len(table.rows) + 1):  # every prefix, as a round view reads it
+    for n_rows in range(1, len(table.tags) + 1):  # every prefix, as a round view reads it
         got, _ = wrapup_outcome(lambda t: tas_wrapup(t, n_rows), table)
         prefix = oracle_prefix(oracle, n_rows)
         ref, _ = wrapup_outcome(tas_oracle.tas_wrapup, prefix)
@@ -245,7 +246,7 @@ def test_table_that_becomes_overlapping_matches_oracle():
     for tag, flag in zip(steps, disjoint):
         table.append(mask(*tag))
         oracle.append(tag, payload_of(data, tag))
-        assert _cover(table.rows)[1] is flag
+        assert _cover(table.tags)[1] is flag
         assert_same_tables(table, oracle)
         solves.append(assert_same_wrapup(table, oracle, data))
     # only the overlapping table whose disjoint rows {2}, {0,1}, {3} miss node 4 is solved
@@ -284,18 +285,18 @@ def test_wrapup_skips_the_lp_only_where_the_disjoint_rows_are_its_optimum(case):
     owner, n_nodes, tags = case
     table = TagTable(owner, n_nodes)
     for tag in tags:
-        if all(row.tag != tag for row in table.rows):
+        if tag not in table.tags:
             table.append(tag)
     taken, covered = set(), set()
-    for row in table.rows:
-        if not nodes(row.tag) & taken:
-            taken |= nodes(row.tag)
-        covered |= nodes(row.tag)
+    for tag in table.tags:
+        if not nodes(tag) & taken:
+            taken |= nodes(tag)
+        covered |= nodes(tag)
     got, solves = wrapup_outcome(tas_wrapup, table)
     assert solves == (0 if taken == covered else 1)
-    tagmat = np.zeros((len(table.rows), n_nodes))
-    for r, row in enumerate(table.rows):
-        tagmat[r, sorted(nodes(row.tag))] = 1.0
+    tagmat = np.zeros((len(table.tags), n_nodes))
+    for r, tag in enumerate(table.tags):
+        tagmat[r, sorted(nodes(tag))] = 1.0
     b, _ = solve_lp(LpProblem(tagmat))
     c = b @ tagmat
     c[np.abs(c) <= 1e-9] = 0.0
@@ -312,9 +313,9 @@ def test_tag_table_rejects_unknown_node_ids():
         for bad in (0, -1, -(1 << 2), 1 << n_nodes, mask(1, n_nodes + 5), (1 << (n_nodes + 1)) - 1):
             with pytest.raises(ValueError):
                 table.append(bad)
-        assert _cover(table.rows) == (mask(0), True) and len(table.rows) == 1
+        assert _cover(table.tags) == (mask(0), True) and table.tags == [mask(0)]
         table.append((1 << n_nodes) - 2)  # every other node: accepted
-        assert _cover(table.rows) == ((1 << n_nodes) - 1, True)
+        assert _cover(table.tags) == ((1 << n_nodes) - 1, True)
 
 
 def test_tag_table_stores_a_collection_of_node_ids_as_its_mask():
@@ -322,13 +323,14 @@ def test_tag_table_stores_a_collection_of_node_ids_as_its_mask():
         # a payload may be passed, as the benchmark's self-test does, and is ignored
         table = TagTable(0, n_nodes, AggregateSums.zeros(2, 1))
         ids = [1, n_nodes - 1]
-        row = table.append(frozenset(ids), AggregateSums.zeros(2, 1))
-        assert type(row.tag) is int and row.tag == mask(*ids)
-        assert not hasattr(row, "payload") and not hasattr(table.rows[0], "payload")
-        assert table.append(np.array([2])).tag == mask(2)
+        tag = table.append(frozenset(ids), AggregateSums.zeros(2, 1))
+        assert type(tag) is int and tag == mask(*ids) == table.tags[-1]
+        assert vars(table).keys() == {"owner", "n_nodes", "tags", "merged", "covered", "disjoint"}  # no payload
+        assert table.merged == [False, False]
+        assert table.append(np.array([2])) == mask(2)
         with pytest.raises(ValueError):
             table.append(ids)  # the same tag again
         for bad in ([], [-1], [n_nodes], {1, n_nodes + 3}):
             with pytest.raises(ValueError):
                 table.append(bad)
-        assert _cover(table.rows)[0] == mask(0, 1, 2, n_nodes - 1)
+        assert _cover(table.tags)[0] == mask(0, 1, 2, n_nodes - 1)

@@ -86,6 +86,27 @@ def test_neighbor_arrays_equal_per_row_flatnonzero():
         want = g.adjacency.sum(axis=1)
         assert g.degrees.dtype == want.dtype and np.array_equal(g.degrees, want)
     assert graphs[5].neighbors(2).size == 0 and graphs[6].neighbors(0).size == 0
+    for g in graphs:  # the runners' neighbour lists hold the same ids, as Python ints
+        lists = g.neighbor_lists
+        assert list(lists) == list(range(g.n_nodes)) and g.neighbor_lists is lists
+        assert all(lists[i] == g.neighbors(i).tolist() for i in range(g.n_nodes))
+
+
+def test_neighbors_refuse_ids_outside_the_graph():
+    g = path_graph(6)
+    for bad in (-1, -6, 6, 7):
+        with pytest.raises(ValueError, match=f"^node {bad} is not in the network$"):
+            g.neighbors(bad)
+        with pytest.raises(KeyError):
+            g.neighbor_lists[bad]
+    assert g.neighbors(0).tolist() == g.neighbor_lists[0] == [1]
+    assert g.neighbors(5).tolist() == g.neighbor_lists[5] == [4]
+
+
+def test_spanning_tree_builds_no_neighbour_lists():
+    g = random_geometric(60, substream(7, "topology"))
+    tree = spanning_tree(g)
+    assert g._neighbor_lists is None and tree.graph()._neighbor_lists is None
 
 
 def test_bfs_levels_on_path():
