@@ -170,7 +170,7 @@ def _cmd_topology(args) -> int:
 
 def _cmd_diffuse(args) -> int:
     config = _load_config(args)
-    run, _, _ = simulate(config)
+    run, _, _, _ = simulate(config)
     out = _out_dir(config)
     traffic = run.traffic
     n = traffic.n_nodes
@@ -191,7 +191,7 @@ def _cmd_diffuse(args) -> int:
     per_node_mean = traffic.total_scalars / n
     complete_nodes = sum(bool((run.weights(k) == 1.0).all()) for k in range(n))
     print(f"protocol={traffic.protocol} n_nodes={n} total_scalars={traffic.total_scalars} "
-          f"per_node_mean={per_node_mean:.6g} rounds={run.rounds} complete_nodes={complete_nodes}")
+          f"per_node_mean={per_node_mean:.6g} rounds={run.rounds_run} complete_nodes={complete_nodes}")
     print(f"wrote {path}")
     return 0
 

@@ -51,7 +51,9 @@ flag per row). Receivers come from the graph's ``neighbor_lists``.
 Traffic is counted in scalars: a raw record costs n_p + 1 of them, an
 aggregate payload m * (n_p + n_p (n_p + 1) / 2). Tag bits are reported
 informationally (one bit per node per tagged message) and never enter the
-scalar totals. All runners are deterministic: nodes transmit in id order,
+scalar totals. A run's ``TrafficLog`` keeps one event per broadcast and adds
+its scalars to that round's running sum, which the network and through-round
+totals read. All runners are deterministic: nodes transmit in id order,
 each receiver hears a stage's senders in id order, and a stage's messages
 are delivered before the next stage starts.
 
@@ -119,45 +121,42 @@ class TrafficEvent(NamedTuple):
 
 class TrafficLog:
     """Append-only transmission log for one protocol run: one plain tuple per
-    ``record`` call. The per-node and per-round totals are summed, as Python
-    ints, on the first read after a ``record``."""
+    ``record`` call, and beside it each round's running scalar sum, a Python
+    int. The round sums answer ``total_scalars`` and ``total_through_round``;
+    ``per_node_totals`` sums the events on each read."""
 
     def __init__(self, protocol: str, n_nodes: int):
         self.protocol = protocol
         self.n_nodes = n_nodes
         self._events: list[tuple[int, int, int, int]] = []
-        self._sums: tuple[int, list[int], dict[int, int]] = (0, [0] * n_nodes, {})
+        self._per_round: dict[int, int] = {}
 
     def record(self, round_: int, node: int, scalars: int, tag_bits: int = 0):
         if scalars < 0 or tag_bits < 0:
             raise ValueError("traffic amounts must be non-negative")
-        self._events.append((int(round_), int(node), int(scalars), int(tag_bits)))
+        if not 0 <= node < self.n_nodes:  # tested inline: record runs once per event
+            _check_node(node, self.n_nodes)
+        round_, scalars = int(round_), int(scalars)
+        self._events.append((round_, int(node), scalars, int(tag_bits)))
+        self._per_round[round_] = self._per_round.get(round_, 0) + scalars
 
     @property
     def events(self) -> list[TrafficEvent]:
         return list(map(TrafficEvent._make, self._events))
 
-    def _totals(self) -> tuple[list[int], dict[int, int]]:
-        """(per-node, per-round) scalar totals of the events logged so far."""
-        summed, per_node, per_round = self._sums
-        if summed != len(self._events):
-            per_node, per_round = [0] * self.n_nodes, {}
-            for rnd, node, scalars, _ in self._events:
-                per_node[node] += scalars
-                per_round[rnd] = per_round.get(rnd, 0) + scalars
-            self._sums = (len(self._events), per_node, per_round)
-        return per_node, per_round
-
     @property
     def total_scalars(self) -> int:
-        return sum(self._totals()[0])
+        return sum(self._per_round.values())
 
     @property
     def per_node_totals(self) -> np.ndarray:
-        return np.array(self._totals()[0], dtype=np.int64)
+        per_node = [0] * self.n_nodes
+        for _, node, scalars, _ in self._events:
+            per_node[node] += scalars
+        return np.array(per_node, dtype=np.int64)
 
     def total_through_round(self, round_: int) -> int:
-        return sum(total for rnd, total in self._totals()[1].items() if rnd <= round_)
+        return sum(total for rnd, total in self._per_round.items() if rnd <= round_)
 
     def to_csv(self, path) -> None:
         """CSV rows sorted by (round, node); cumulative_scalars is the
@@ -394,8 +393,12 @@ def _flood(protocol: str, graph: Graph, stages, samples, plain=False, until_quie
     return MfResult(masks, traffic, len(masks) - 1)
 
 
-def _every_node(graph: Graph, rounds: int) -> list[np.ndarray]:
-    """The schedule of a general graph: every node sends in every round."""
+def _every_node(graph: Graph, rounds: int | None) -> list[np.ndarray]:
+    """The schedule of a general graph: every node sends in each of ``rounds``
+    rounds (None: N + 2, flooding's cap); a negative count raises ValueError."""
+    rounds = graph.n_nodes + 2 if rounds is None else rounds
+    if rounds < 0:
+        raise ValueError("rounds must be non-negative")
     return [np.arange(graph.n_nodes)] * rounds
 
 
@@ -407,8 +410,7 @@ def run_pf(graph: Graph, samples, max_rounds: int | None = None) -> MfResult:
     became complete everywhere. Traffic dominates modified flooding round by
     round because the transmitted set always contains the rows MF would send.
     """
-    cap = max_rounds if max_rounds is not None else graph.n_nodes + 2
-    return _flood("pf", graph, _every_node(graph, cap), samples, plain=True, until_quiet=True)
+    return _flood("pf", graph, _every_node(graph, max_rounds), samples, plain=True, until_quiet=True)
 
 
 def run_mf(graph: Graph, samples, max_rounds: int | None = None) -> MfResult:
@@ -419,8 +421,7 @@ def run_mf(graph: Graph, samples, max_rounds: int | None = None) -> MfResult:
     untransmitted row) within diameter + 2 rounds; knowledge is complete
     everywhere within diameter + 1.
     """
-    cap = max_rounds if max_rounds is not None else graph.n_nodes + 2
-    return _flood("mf", graph, _every_node(graph, cap), samples, until_quiet=True)
+    return _flood("mf", graph, _every_node(graph, max_rounds), samples, until_quiet=True)
 
 
 def run_mf_tree(tree: TreeTopology, samples) -> MfResult:

@@ -266,30 +266,6 @@ def build_topology(seed: int, tcfg: dict, *path) -> TopologyBundle:
 # the protocol table: what each protocol hands the SPS test
 
 
-@dataclass(eq=False)
-class ProtocolRun:
-    """One protocol run as the SPS test sees it: ``weights(k, r)`` is node k's
-    weight vector c at round r, the run result's own read; ``builder(samples,
-    signs, c)`` turns a data draw and c into the c-weighted aggregate sums, the
-    one way an aggregate is built; and ``traffic`` is empty for ``full`` and
-    ``local``, which have no rounds.
-
-    ``r=None`` reads the end of the run. PF and MF read the knowledge after
-    round r is delivered (a round past the last one gives the final
-    knowledge), TAS the wrap-up as round r sends, and consensus the weights
-    N * W^r after iteration r. TAS and consensus raise ValueError for a round
-    that was not run. The weights never read the data, so one run serves
-    every draw on its topology. TAS and consensus build with
-    ``tie_exact_aggregate``, ``local`` with its node's ``local_aggregate``
-    (the same bits), and ``full``, PF and MF with ``truncated_aggregate``.
-    """
-
-    weights: Callable[..., np.ndarray]
-    builder: Callable[..., AggregateSums]
-    rounds: int
-    traffic: TrafficLog
-
-
 def _own_aggregate(samples, signs, c):
     """``local_aggregate`` of the one node whose weight is nonzero."""
     (k,) = np.flatnonzero(c)
@@ -342,10 +318,23 @@ def _consensus(bundle, samples, signs, diff):
 PROTOCOLS = {"full": _full, "local": _local, "pf": _pf, "mf": _mf, "tas": _tas, "consensus": _consensus}
 
 
-def run_protocol(bundle: TopologyBundle, samples: Samples, signs: SignMatrix, diff: dict) -> ProtocolRun:
+def run_protocol(bundle: TopologyBundle, samples: Samples, signs: SignMatrix,
+                 diff: dict) -> tuple[object, Callable[..., AggregateSums]]:
     """Run the protocol ``diff["protocol"]`` names on one data draw, which
-    only sizes the payloads, and hand the SPS test its result's
-    ``weights``, ``rounds_run`` and ``traffic`` with the protocol's builder.
+    only sizes the payloads, and return the run result with the one way its
+    aggregates are built, ``(run, builder)``.
+
+    ``run.weights(k, r)`` is node k's weight vector c at round r, the end of
+    the run when r is None: PF and MF read the knowledge after round r is
+    delivered (a round past the last one gives the final knowledge), TAS the
+    wrap-up as round r sends, consensus N * W^r after iteration r; TAS and
+    consensus raise ValueError for a round that was not run. ``run.traffic``
+    is empty for ``full`` and ``local``, which have no rounds. The weights
+    never read the data, so one run serves every draw on its topology.
+    ``builder(samples, signs, c)`` gives the c-weighted aggregate sums: TAS
+    and consensus build with ``tie_exact_aggregate``, ``local`` with its
+    node's ``local_aggregate`` (the same values and Z), and ``full``, PF and
+    MF with ``truncated_aggregate``.
 
     On tree and binary bundles MF and TAS run the tree's schedule, on
     clustered bundles the clusters' one, and ``diffusion.rounds`` is ignored.
@@ -355,8 +344,7 @@ def run_protocol(bundle: TopologyBundle, samples: Samples, signs: SignMatrix, di
     protocol = diff["protocol"]
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    res, builder = PROTOCOLS[protocol](bundle, samples, signs, diff)
-    return ProtocolRun(res.weights, builder, res.rounds_run, res.traffic)
+    return PROTOCOLS[protocol](bundle, samples, signs, diff)
 
 
 def _draw_data(seed: int, positions: np.ndarray, fc: FieldConfig, m: int, *path) -> tuple[Samples, SignMatrix]:
@@ -366,13 +354,14 @@ def _draw_data(seed: int, positions: np.ndarray, fc: FieldConfig, m: int, *path)
     return samples, draw_sign_matrix(m, len(positions), derive_seed(seed, "signs", *path))
 
 
-def simulate(config: ExperimentConfig) -> tuple[ProtocolRun, Samples, SignMatrix]:
-    """The configured protocol and the data of coverage trial 0, as the
-    ``region`` and ``diffuse`` subcommands run them."""
+def simulate(config: ExperimentConfig) -> tuple[object, Callable[..., AggregateSums], Samples, SignMatrix]:
+    """``(run, builder, samples, signs)``: the configured protocol's
+    ``run_protocol`` pair and the data of coverage trial 0, as the ``region``
+    and ``diffuse`` subcommands run them."""
     cfg = config.cfg
     bundle = build_topology(config.seed, cfg["topology"])
     samples, signs = _draw_data(config.seed, bundle.positions, config.field_config(), cfg["sps"]["m"], 0)
-    return run_protocol(bundle, samples, signs, cfg["diffusion"]), samples, signs
+    return *run_protocol(bundle, samples, signs, cfg["diffusion"]), samples, signs
 
 
 def _designated_node(config: ExperimentConfig, n_nodes: int) -> int:
@@ -418,14 +407,14 @@ def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
     covers_by_node = {k: 0 for k in nodes}
     for trial in range(trials):
         samples, signs = _draw_data(seed, bundle.positions, fc, m, trial)
-        run = run_protocol(bundle, samples, signs, diff)
+        run, builder = run_protocol(bundle, samples, signs, diff)
         per_node = run.traffic.per_node_totals
         built = {}  # one aggregate per distinct weight vector: ``full`` builds once
         for k in nodes:
             c = run.weights(k)
             key = c.tobytes()
             if key not in built:
-                built[key] = run.builder(samples, signs, c)
+                built[key] = builder(samples, signs, c)
             agg = built[key]
             covers = membership(z_values(agg, fc.p_true), q,
                                 lambda: substream(seed, "ties", trial, k).uniform(size=m))
@@ -433,7 +422,7 @@ def run_coverage(config: ExperimentConfig) -> ExperimentRecord:
             volume = (_region_volume(agg, region, q, derive_seed(seed, "region-ties", trial, k))
                       if region["evaluate"] else "")
             rows.append((
-                trial, k, int(run.rounds), int(per_node[k]), volume, int(covers),
+                trial, k, int(run.rounds_run), int(per_node[k]), volume, int(covers),
                 float(np.min(c)), float(np.mean(c)), float(np.max(c)),
             ))
 
@@ -542,16 +531,16 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
                   for scheme in CONSENSUS_SCHEMES]
         volumes = {}  # (builder, c bytes) -> volume of a region that drew no tie keys
         for name, label, diff, rounds in reads:
-            run = run_protocol(bundle, samples, signs, diff)
+            run, builder = run_protocol(bundle, samples, signs, diff)
             curve = []
-            for r in range(run.rounds + 1) if rounds is None else rounds:
+            for r in range(run.rounds_run + 1) if rounds is None else rounds:
                 vols = []
                 for k in sample_nodes:
                     c = run.weights(k, r)
-                    key = (run.builder, c.tobytes())
+                    key = (builder, c.tobytes())
                     vol = volumes.get(key)
                     if vol is None:
-                        res = evaluate_region(run.builder(samples, signs, c), region["box"], region["grid_per_dim"],
+                        res = evaluate_region(builder(samples, signs, c), region["box"], region["grid_per_dim"],
                                               q, derive_seed(seed, "rt", s, label, r, k))
                         vol = res.volume
                         if not res.tied:
@@ -724,20 +713,19 @@ def run_region(config: ExperimentConfig) -> tuple[RegionResult, dict]:
         m = signs.m
         meta = {"source": "data", "n_nodes": len(samples)}
     else:
-        run, samples, signs = simulate(config)
-        agg = run.builder(samples, signs, run.weights(_designated_node(config, run.traffic.n_nodes)))
+        run, builder, samples, signs = simulate(config)
+        agg = builder(samples, signs, run.weights(_designated_node(config, run.traffic.n_nodes)))
         meta = {"source": "simulation", "n_nodes": run.traffic.n_nodes,
                 "protocol": cfg["diffusion"]["protocol"]}
-    region = config.region_params()
-    box = region["box"]
-    if box is None:
+    center = None
+    if cfg["region"]["box"] is None:
         try:
             center = ls_estimate(agg)
         except SingularMatrixError:
             center, _, rank, _ = np.linalg.lstsq(agg.mat[0], agg.vec[0], rcond=None)
             meta.update({"rank": int(rank), "bounded": bool(rank == agg.n_p)})
-        box = [[float(c) - 1.0, float(c) + 1.0] for c in center]
+    region = config.region_params(center)
     tie_seed = region["tie_seed"] if region["tie_seed"] is not None else derive_seed(seed, "region-ties")
-    result = evaluate_region(agg, box, region["grid_per_dim"], q, tie_seed=tie_seed)
+    result = evaluate_region(agg, region["box"], region["grid_per_dim"], q, tie_seed=tie_seed)
     meta.update({"m": int(m), "q": int(q), "volume": float(result.volume)})
     return result, meta

@@ -180,17 +180,30 @@ NULL_DEFAULTS = {("topology", "radius"), ("model", "p_true"), ("diffusion", "rou
 
 def test_defaults_schema_and_flags_agree():
     """Every schema leaf but ``seed`` and ``data`` declares a default, every
-    non-null default fits its own property schema, only the keys a runner
-    reads as unset default to null, and every flag that names a config key
-    (``dest="config.<path>"``) names a schema property."""
+    default, null included, fits its own property schema, only the keys a
+    runner reads as unset default to null, and every flag that names a config
+    key (``dest="config.<path>"``) names a schema property."""
     props = dict(_schema_properties(_schema()))
     leaves = {p for p, sub in props.items() if "properties" not in sub and p[0] not in ("seed", "data")}
     assert {p for p in leaves if "default" not in props[p]} == set()
     for sub in props.values():
-        if sub.get("default") is not None:
+        if "default" in sub:
             jsonschema.Draft202012Validator(sub).validate(sub["default"])
     assert {p for p, sub in props.items() if "default" in sub and sub["default"] is None} == NULL_DEFAULTS
     dests = {a.dest for sub in _subcommands().values() for a in sub._actions if a.dest.startswith("config.")}
     assert dests and all(tuple(d.split(".")[1:]) in props for d in dests), dests
     assert {name: sorted(o for a in sub._actions for o in a.option_strings)
             for name, sub in _subcommands().items()} == OPTIONS
+
+
+@pytest.mark.parametrize("path", sorted(NULL_DEFAULTS), ids=".".join)
+def test_a_null_default_given_as_null_is_unset(path, tmp_path, capsys):
+    """A key whose default is null may be given as null: the config loads and
+    resolves to the same ``cfg`` as the config without it."""
+    section, key = path
+    raw = {"seed": 1, section: {key: None}}
+    assert ExperimentConfig(raw).cfg == ExperimentConfig({"seed": 1}).cfg
+    cfg_path = tmp_path / "null.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["topology", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert "error" not in capsys.readouterr().err

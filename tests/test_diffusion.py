@@ -177,6 +177,16 @@ def test_traffic_per_node_totals_is_a_copy():
     assert len(log.events) == 1 and log.total_scalars == 4
 
 
+
+def test_traffic_log_refuses_unknown_nodes():
+    log = TrafficLog("demo", 3)
+    for node in (-1, 3, np.int64(7)):
+        with pytest.raises(ValueError, match=f"node {node} is not in the network"):
+            log.record(1, node, 5)
+    log.record(1, np.int64(2), 5)
+    assert log.events == [(1, 2, 5, 0)]
+    assert np.array_equal(log.per_node_totals, [0, 0, 5]) and log.total_scalars == 5
+
 def test_traffic_log_csv_text(tmp_path):
     log = TrafficLog("tas", 3)
     log.record(1, 2, 18, tag_bits=3)
@@ -486,6 +496,20 @@ def test_pf_path_trace():
     assert res.traffic.total_scalars == 19 * d_rec
     assert round_totals(res.traffic) == {1: 3 * d_rec, 2: 7 * d_rec, 3: 9 * d_rec}
 
+
+
+def test_flooding_refuses_a_negative_round_cap():
+    graph, samples, signs = make_network(73, 4, graph=path_graph(4))
+    for runner in (run_pf, run_mf):
+        for cap in (-1, -3):
+            with pytest.raises(ValueError, match="rounds must be non-negative"):
+                runner(graph, samples, max_rounds=cap)
+        assert runner(graph, samples, max_rounds=0).rounds_run == 0
+        # the default cap is N + 2
+        default, capped = runner(graph, samples), runner(graph, samples, max_rounds=graph.n_nodes + 2)
+        assert default.masks == capped.masks and default.traffic.events == capped.traffic.events
+    with pytest.raises(ValueError, match="rounds must be non-negative"):
+        run_tas(graph, samples, signs, rounds=-1)
 
 def test_mf_complete_graph_trace():
     graph, samples, signs = make_network(72, 5, graph=complete_graph(5))

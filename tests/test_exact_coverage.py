@@ -5,7 +5,8 @@ Campi & Weyer 2015, IEEE TSP 63(1)). With N nodes it can be checked exactly,
 without sampling. Let the m sign rows form a subgroup of {±1}^N with row 0 the
 identity, and let the noise be ε = s ∘ |ε| with a uniform sign pattern s. For
 each of the 2^N patterns the protocol runs on the data that pattern gives, and
-node k's weights c at round r are read through ``ProtocolRun.weights(k, r)``.
+node k's weights c at round r are read through ``weights(k, r)`` of the run
+that ``run_protocol`` returns.
 At the true parameter node k's j-th sum is Σ_i c_i A_ji φ_i ε_i, so
 
     Z_j(s) = f(A_j ∘ s),   f(t) = ||Σ_i c_i t_i |ε_i| φ_i||^2,
@@ -93,7 +94,7 @@ def setup(m, seed=11):
 
 def protocol_weights(bundle, signs, diff, rounds):
     def weights_of(samples):
-        run = run_protocol(bundle, samples, signs, diff)
+        run, _ = run_protocol(bundle, samples, signs, diff)
         return [run.weights(k, r) for k in NODES for r in rounds]
 
     return weights_of

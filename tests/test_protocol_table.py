@@ -1,10 +1,11 @@
-"""The protocol table: one dispatch hands the SPS test weights, an aggregate
-builder, rounds and traffic for every protocol on every topology kind.
+"""The protocol table: one dispatch hands the SPS test a run, which answers
+weights, rounds and traffic, and an aggregate builder for every protocol on
+every topology kind.
 
 The contract the test relies on is that node k's aggregate is the sum of the
 local terms weighted by ``weights(k)``, whatever the protocol: it is exactly
 the run's builder applied to the weights, ``tie_exact_aggregate`` for TAS
-and consensus (and, bit for bit, for ``local``, which builds its node's
+and consensus (and, in value, for ``local``, which builds its node's
 ``local_aggregate``) and ``truncated_aggregate`` for the rest. On
 general graphs the table must reproduce the old coverage dispatch
 (``trial_oracle``) bit for bit, except that a TAS or consensus aggregate need
@@ -56,14 +57,14 @@ def same_agg(a, b):
     return np.array_equal(a.vec, b.vec) and np.array_equal(a.mat, b.mat)
 
 
-TIE_EXACT = ("local", "tas", "consensus")  # the protocols with ``tie_exact_aggregate``'s bits
+TIE_EXACT = ("local", "tas", "consensus")  # the protocols with ``tie_exact_aggregate``'s values
 BUILDERS = {"local": "local_aggregate", "tas": "tie_exact_aggregate", "consensus": "tie_exact_aggregate"}
 
 
-def assert_weighted_sum(run, protocol, samples, signs, k, r=None):
+def assert_weighted_sum(run, builder, protocol, samples, signs, k, r=None):
     """Node k's aggregate at round r is the weighted sum of the local terms,
     and exactly its builder's."""
-    weights, agg = run.weights(k, r), aggregate(run, samples, signs, k, r)
+    weights, agg = run.weights(k, r), aggregate(run, builder, samples, signs, k, r)
     assert sums_close(truncated_aggregate(samples, signs, weights), agg)
     build = tie_exact_aggregate if protocol in TIE_EXACT else truncated_aggregate
     assert same_agg(agg, build(samples, signs, weights))
@@ -78,16 +79,16 @@ def test_aggregate_is_the_weighted_sum_of_local_terms(protocol, kind, n_nodes, r
         bundle = bundle_for(kind, n_nodes, seed)
         samples, signs = data_for(bundle, seed)
         n = bundle.graph.n_nodes
-        run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds))
+        run, builder = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds))
         for k in range(n):
             assert run.weights(k).shape == (n,)
-            assert_weighted_sum(run, protocol, samples, signs, k)
+            assert_weighted_sum(run, builder, protocol, samples, signs, k)
 
 
 def test_consensus_weights_are_unclipped():
     bundle = bundle_for("rgg", 30, 4)
     samples, signs = data_for(bundle, 4)
-    run = run_protocol(bundle, samples, signs, diffusion_cfg("consensus", iterations=4))
+    run, _ = run_protocol(bundle, samples, signs, diffusion_cfg("consensus", iterations=4))
     weights = np.array([run.weights(k) for k in range(30)])
     assert weights.max() > 1.0  # N * W^t exceeds one on this graph
     assert np.array_equal(weights, weight_matrix(run_consensus(bundle.graph, samples, signs, 4)))
@@ -104,10 +105,10 @@ def test_table_matches_the_old_dispatch_on_general_graphs(kind, n_nodes, seed, r
     nodes = list(range(n)) if all_nodes else [data.draw(st.integers(0, n - 1))]
     for protocol in PROTOCOLS:
         diff = diffusion_cfg(protocol, rounds, iterations=4 if rounds is None else rounds, scheme=scheme)
-        run = run_protocol(bundle, samples, signs, diff)
+        run, builder = run_protocol(bundle, samples, signs, diff)
         state, rounds_run, traffic = trial_oracle.trial_state(protocol, bundle.graph, samples, signs, diff,
                                                               nodes)
-        assert run.rounds == rounds_run
+        assert run.rounds_run == rounds_run
         if traffic is None:
             assert run.traffic.events == []
             assert not run.traffic.per_node_totals.any()
@@ -118,7 +119,7 @@ def test_table_matches_the_old_dispatch_on_general_graphs(kind, n_nodes, seed, r
             eff = weight_matrix(run_consensus(bundle.graph, samples, signs, diff["iterations"], scheme))
         for k in nodes:
             c, agg = state[k]
-            got = aggregate(run, samples, signs, k)
+            got = aggregate(run, builder, samples, signs, k)
             if protocol in ("tas", "consensus"):  # the oracle sums payloads or steps states
                 assert sums_close(got, agg)
                 assert same_agg(got, tie_exact_aggregate(samples, signs, run.weights(k)))
@@ -150,7 +151,7 @@ def test_structured_kinds_run_their_schedule(seed):
             suffix = "clustered"
         for protocol, total in expected.items():
             for rounds in (None, 1):  # diffusion.rounds is ignored on a schedule
-                run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds))
+                run, _ = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds))
                 assert run.traffic.protocol == f"{protocol}-{suffix}"
                 assert run.traffic.total_scalars == total
                 assert (run.weights(0) == 1.0).all()
@@ -181,9 +182,9 @@ def test_aggregates_are_built_only_when_read(monkeypatch):
         run_protocol(bundle, samples, signs, diffusion_cfg(protocol, 1))
     assert built == []
     for protocol in PROTOCOLS:
-        run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, 1))
+        run, builder = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, 1))
         for k in (3, 3, 0):
-            aggregate(run, samples, signs, k)
+            aggregate(run, builder, samples, signs, k)
         assert built == [BUILDERS.get(protocol, "truncated_aggregate")] * 3, protocol  # once per read
         built.clear()
 
@@ -223,10 +224,10 @@ def test_coverage_reads_each_nodes_weights_once_per_trial(monkeypatch):
     original = experiments.run_protocol
 
     def counting(*args, **kwargs):
-        run = original(*args, **kwargs)
+        run, builder = original(*args, **kwargs)
         weights = run.weights
         run.weights = lambda k, r=None: reads.append(k) or weights(k, r)
-        return run
+        return run, builder
 
     monkeypatch.setattr(experiments, "run_protocol", counting)
     for protocol in PROTOCOLS:
@@ -259,8 +260,8 @@ def test_coverage_breaks_ties_with_the_trials_tie_stream(protocol, rounds, tied)
     for trial, k, *_, covers, _, _, _ in record.rows:
         samples = generate_measurements(bundle.positions, fc, substream(seed, "noise", trial))
         signs = draw_sign_matrix(m, 20, derive_seed(seed, "signs", trial))
-        run = run_protocol(bundle, samples, signs, config.cfg["diffusion"])
-        z = z_values(run.builder(samples, signs, run.weights(k)), fc.p_true)
+        run, builder = run_protocol(bundle, samples, signs, config.cfg["diffusion"])
+        z = z_values(builder(samples, signs, run.weights(k)), fc.p_true)
         keys = substream(seed, "ties", trial, k).uniform(size=m)
         tie = z[1:] == z[0]
         n_tied += bool(tie.any())
@@ -286,21 +287,21 @@ def test_tas_wraps_up_only_the_requested_nodes(monkeypatch):
         bundle = bundle_for(kind, n_nodes, 1, depth=3)
         samples, signs = data_for(bundle, 1)
         calls.clear()
-        run = run_protocol(bundle, samples, signs, diffusion_cfg("tas"))
+        run, builder = run_protocol(bundle, samples, signs, diffusion_cfg("tas"))
         assert calls == []  # nothing is wrapped up until it is read
-        first = [aggregate(run, samples, signs, k) for k in (5, 2)]
-        again = [aggregate(run, samples, signs, k) for k in (2, 5)]
+        first = [aggregate(run, builder, samples, signs, k) for k in (5, 2)]
+        again = [aggregate(run, builder, samples, signs, k) for k in (2, 5)]
         assert calls == [(5, True), (2, True), (2, True), (5, True)]  # each read, the node's whole table
         assert same_agg(first[0], again[1]) and same_agg(first[1], again[0])
         with pytest.raises(ValueError, match="not in the network"):
-            aggregate(run, samples, signs, bundle.graph.n_nodes)
+            aggregate(run, builder, samples, signs, bundle.graph.n_nodes)
 
 
 @pytest.mark.parametrize("protocol", list(PROTOCOLS))
 def test_every_protocol_rejects_unknown_nodes(protocol):
     bundle = bundle_for("rgg", 8, 2)
     samples, signs = data_for(bundle, 2)
-    run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds=1))
+    run, _ = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds=1))
     for k in (-1, 8, 12):
         with pytest.raises(ValueError, match="not in the network"):
             run.weights(k)
@@ -312,24 +313,26 @@ def test_every_round_reads_the_weighted_sum_of_local_terms(protocol, kind, n_nod
     bundle = bundle_for(kind, n_nodes, 5)
     samples, signs = data_for(bundle, 5)
     n = bundle.graph.n_nodes
-    run = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds=2, iterations=5))
+    run, builder = run_protocol(bundle, samples, signs, diffusion_cfg(protocol, rounds=2, iterations=5))
     scheduled_tas = protocol == "tas" and kind != "rgg"  # a schedule's first round is 1
-    for r in range(int(scheduled_tas), run.rounds + 1):
+    for r in range(int(scheduled_tas), run.rounds_run + 1):
         for k in range(n):
             assert run.weights(k, r).shape == (n,)
-            assert_weighted_sum(run, protocol, samples, signs, k, r)
-    later = run.rounds + 3
+            assert_weighted_sum(run, builder, protocol, samples, signs, k, r)
+    later = run.rounds_run + 3
     if protocol in ("tas", "consensus"):
-        for rnd in (-1, run.rounds + 1) + ((0,) if scheduled_tas else ()):
+        for rnd in (-1, run.rounds_run + 1) + ((0,) if scheduled_tas else ()):
             with pytest.raises(ValueError, match="not run"):
                 run.weights(0, rnd)
             with pytest.raises(ValueError, match="not run"):
-                aggregate(run, samples, signs, 0, rnd)
+                aggregate(run, builder, samples, signs, 0, rnd)
     else:  # full and local ignore the round; flooding past its last round is final knowledge
         for k in range(n):
             assert np.array_equal(run.weights(k, later), run.weights(k))
-            assert same_agg(aggregate(run, samples, signs, k, later), aggregate(run, samples, signs, k))
+            assert same_agg(aggregate(run, builder, samples, signs, k, later),
+                            aggregate(run, builder, samples, signs, k))
     if protocol != "tas":  # TAS on a schedule delivers its last round after it sends
         for k in range(n):
-            assert np.array_equal(run.weights(k, run.rounds), run.weights(k))
-            assert same_agg(aggregate(run, samples, signs, k, run.rounds), aggregate(run, samples, signs, k))
+            assert np.array_equal(run.weights(k, run.rounds_run), run.weights(k))
+            assert same_agg(aggregate(run, builder, samples, signs, k, run.rounds_run),
+                            aggregate(run, builder, samples, signs, k))

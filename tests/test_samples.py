@@ -110,8 +110,8 @@ def test_local_payloads_share_no_memory():
         "tas-clustered": (TopologyBundle("clustered", topo.graph(), None, topo, graph.positions), 1),
     }
     for name, (bundle, first) in runs.items():
-        run = run_protocol(bundle, samples, signs, {"protocol": "tas", "rounds": 0})
-        payloads = [aggregate(run, samples, signs, k, first) for k in range(12)]
+        run, builder = run_protocol(bundle, samples, signs, {"protocol": "tas", "rounds": 0})
+        payloads = [aggregate(run, builder, samples, signs, k, first) for k in range(12)]
         for k, target in enumerate(payloads):
             one = local_aggregate(samples, k, signs.column(k))
             assert np.array_equal(target.vec, one.vec) and np.array_equal(target.mat, one.mat), name
@@ -121,7 +121,7 @@ def test_local_payloads_share_no_memory():
         before = [(p.vec.copy(), p.mat.copy()) for p in payloads]
         # adding into one node's payload leaves every other node's, and a new read, unchanged
         payloads[4].vec += payloads[4].vec
-        assert np.array_equal(aggregate(run, samples, signs, 4, first).vec, before[4][0]), name
+        assert np.array_equal(aggregate(run, builder, samples, signs, 4, first).vec, before[4][0]), name
         for k, p in enumerate(payloads):
             if k == 4:
                 assert np.array_equal(p.vec, 2 * before[k][0]), name

@@ -1,4 +1,5 @@
-"""The traffic log keeps one plain tuple per ``record`` call and sums on read.
+"""The traffic log keeps one plain tuple per ``record`` call beside running
+per-round sums, and sums the events per node on read.
 
 ``traffic_oracle.TrafficLog`` updates running totals on every ``record``;
 every view of the package's log (events, totals, per-round totals and the CSV

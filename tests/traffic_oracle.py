@@ -1,8 +1,9 @@
 """Reference traffic log: every ``record`` updates running per-node and
 per-round totals, which the views read back.
 
-The package's ``TrafficLog`` keeps only the events and sums them on read;
-``test_traffic_log.py`` checks that every view equals this log's.
+The package's ``TrafficLog`` keeps running per-round sums only and sums the
+events per node on read; ``test_traffic_log.py`` checks that every view
+equals this log's.
 """
 
 import csv

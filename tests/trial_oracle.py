@@ -1,19 +1,19 @@
 """The coverage trial's protocol dispatch as the package first wrote it.
 
 The package now runs every protocol through one table,
-``experiments.run_protocol``, which hands the SPS test each node's weights,
-an aggregate on demand, the rounds run and the traffic log. This oracle keeps
-the old shape: one if/elif chain that runs the general-graph runner for every
-protocol on every topology and returns, per requested node, a (weights,
-aggregate) pair, with PF and MF from the dense runners in ``diffusion_oracle``
-and TAS from its eager runner, which wraps up every table before it returns.
-Tests require the table to reproduce it bit for bit on general graphs. Two
-differences are on purpose: the oracle reports consensus weights clipped into
-[0, 1], while the consensus state is the sum weighted by the unclipped
-N * W^t, and the table reports the unclipped weights; and a TAS aggregate
-here is the eager payload sum, and a consensus aggregate the state stepped
-through the data, while the table builds both from the weights with
-``tie_exact_aggregate``, so they agree only within rounding.
+``experiments.run_protocol``, which hands the SPS test the run (each node's
+weights, the rounds run and the traffic log) and the builder of an aggregate
+on demand. This oracle keeps the old shape: one if/elif chain that runs the
+general-graph runner for every protocol on every topology and returns, per
+requested node, a (weights, aggregate) pair, with PF and MF from the dense
+runners in ``diffusion_oracle`` and TAS from its eager runner, which wraps up
+every table before it returns. Tests require the table to reproduce it bit for
+bit on general graphs. Two differences are on purpose: the oracle reports
+consensus weights clipped into [0, 1], while the consensus state is the sum
+weighted by the unclipped N * W^t, and the table reports the unclipped
+weights; and a TAS aggregate here is the eager payload sum, and a consensus
+aggregate the state stepped through the data, while the table builds both from
+the weights with ``tie_exact_aggregate``, so they agree only within rounding.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ def knowledge(res, r=None) -> np.ndarray:
     return weight_matrix(res, r).astype(bool)
 
 
-def aggregate(run, samples, signs, k, r=None):
-    """Node k's aggregate sums at round r of a ``ProtocolRun``: its builder
-    applied to ``weights(k, r)``."""
-    return run.builder(samples, signs, run.weights(k, r))
+def aggregate(run, builder, samples, signs, k, r=None):
+    """Node k's aggregate sums at round r of a ``run_protocol`` pair: the
+    builder applied to ``run.weights(k, r)``."""
+    return builder(samples, signs, run.weights(k, r))
