@@ -124,14 +124,12 @@ def critical_size(n_p: int, m: int) -> float:
         N* = (3 + sqrt(9 - 4 k (3 + k))) / (2 k).
 
     Modified flooding is cheaper between the two roots, tagged aggregates
-    beyond N*. Since k <= 1/2 for every valid (n_p, m), the discriminant is
-    always positive.
+    beyond N*. Since ``payload_sizes`` gives k <= 1/2 for every valid
+    (n_p, m), the discriminant is at least 2.
     """
     d_rec, d_agg = payload_sizes(n_p, m)
     k = d_rec / d_agg
     disc = 9.0 - 4.0 * k * (3.0 + k)
-    if disc < 0:
-        raise ValueError("payload ratio too large for a crossover")
     return (3.0 + math.sqrt(disc)) / (2.0 * k)
 
 

@@ -69,12 +69,13 @@ until it is read, and each read wraps up its prefix afresh. ``ConsensusResult``
 gives row k of N * W^t after iteration t; only the rows that are read are
 stepped, each from its identity row with the right product.
 
-No run reads the data, only their shapes. A TAS message's payload is the sum
-of the local aggregates its tag names, so distillation, aggregation and
-traffic depend on the tags alone, and the wrap-up turns a table into the
-weights c; flooding knowledge is 0/1 weights, and consensus is linear, so its
-states are the N * W^t-weighted sums. The aggregate a node would have
-assembled is c-weighted, so the SPS side builds it from c.
+No run reads the data: it reads only ``samples.n_p`` and ``signs.m``, to size
+its payloads. A TAS message's payload is the sum of the local aggregates its
+tag names, so distillation, aggregation and traffic depend on the tags alone,
+and the wrap-up turns a table into the weights c; flooding knowledge is 0/1
+weights, and consensus is linear, so its states are the N * W^t-weighted sums.
+The aggregate a node would have assembled is c-weighted, so the SPS side
+builds it from c.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .lp import LpProblem, SimplexError, solve_lp
-from .model import Samples
 from .sps import SignMatrix
 from .topology import ClusteredTopology, DisconnectedGraphError, Graph, TreeTopology, _check_node, diameter
 
@@ -373,7 +373,6 @@ def _flood(protocol: str, graph: Graph, stages, samples, plain=False, until_quie
     receivers OR it in. ``until_quiet`` stops after a stage that taught nobody.
     """
     n = graph.n_nodes
-    _check_samples(samples, n)
     d_rec, _ = payload_sizes(samples.n_p, 2)
     known, sent = [1 << k for k in range(n)], [0] * n
     masks, traffic = [known], TrafficLog(protocol, n)
@@ -496,8 +495,6 @@ def _tas(protocol: str, graph: Graph, stages, steps, samples, signs: SignMatrix,
     are left to the result.
     """
     n = graph.n_nodes
-    _check_samples(samples, n)
-    _check_signs(signs, n)
     tables = [TagTable(k, n) for k in range(n)]
     _, d_agg = payload_sizes(samples.n_p, signs.m)
     traffic = TrafficLog(protocol, n)
@@ -532,6 +529,13 @@ def run_tas(graph: Graph, samples, signs: SignMatrix, rounds: int | None = None)
     round's messages are sent but never received, so a wrap-up as the last
     round sends reads the final tables. The final wrap-up may be partial on
     general graphs, so completion is reported per node, not assumed.
+
+    On a general graph the traffic, which nodes complete and the weights
+    depend on the node ids: nodes send in id order, receivers hear senders in
+    id order, and distillation and aggregation scan rows in insertion order.
+    Relabelling the nodes of one graph can change all three. The tree and
+    cluster schedules do not depend on ids: under any labelling their totals
+    equal the closed forms and every node ends with weights all one.
     """
     if rounds is None:
         rounds = diameter(graph)
@@ -663,8 +667,6 @@ def run_consensus(graph: Graph, samples, signs: SignMatrix, iterations: int,
     the aggregate with weights N * (W^t)[k, :], which ``weights(k, t)`` gives.
     """
     n = graph.n_nodes
-    _check_samples(samples, n)
-    _check_signs(signs, n)
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
     _, d_agg = payload_sizes(samples.n_p, signs.m)
@@ -674,13 +676,3 @@ def run_consensus(graph: Graph, samples, signs: SignMatrix, iterations: int,
         for k in range(n):
             traffic.record(t, k, d_agg, tag_bits=0)
     return ConsensusResult(w, traffic, iterations)
-
-
-def _check_samples(samples: Samples, n: int) -> None:
-    if len(samples) != n:
-        raise ValueError(f"expected {n} samples, got {len(samples)}")
-
-
-def _check_signs(signs: SignMatrix, n: int) -> None:
-    if signs.n_nodes != n:
-        raise ValueError("sign matrix width must match the node count")

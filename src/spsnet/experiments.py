@@ -39,7 +39,6 @@ from .diffusion import (
 from .model import FieldConfig, NoiseSpec, Samples, generate_measurements
 from .rng import derive_seed, substream
 from .sps import (
-    MAX_GRID_DIM,
     AggregateSums,
     RegionResult,
     SignMatrix,
@@ -497,8 +496,6 @@ def run_tradeoff(config: ExperimentConfig) -> ExperimentRecord:
     """
     seed, cfg = config.seed, config.cfg
     fc = config.field_config()
-    if fc.n_p > MAX_GRID_DIM:
-        raise ValueError(f"trade-off study evaluates regions; n_p must be at most {MAX_GRID_DIM}")
     tcfg = _rgg_topology(config, "trade-off")
     n = tcfg["n_nodes"]
     m, q = cfg["sps"]["m"], cfg["sps"]["q"]
@@ -706,7 +703,7 @@ def run_region(config: ExperimentConfig) -> tuple[RegionResult, dict]:
         data = cfg["data"]
         samples = Samples(data["phi"], data["y"])
         if "signs" in data:
-            signs = SignMatrix(np.asarray(data["signs"], dtype=int))
+            signs = SignMatrix(data["signs"])
         else:
             signs = draw_sign_matrix(m, len(samples), data.get("sign_seed", seed))
         agg = batch_aggregate(samples, signs)

@@ -99,13 +99,17 @@ class Samples:
     y: np.ndarray
 
     def __post_init__(self):
+        shape_error = "phi must be (N, n_p) with one measurement y per row, N >= 1"
         for name in ("phi", "y"):
-            arr = np.array(getattr(self, name), dtype=float)
+            try:
+                arr = np.array(getattr(self, name), dtype=float)
+            except ValueError:  # ragged rows, which numpy cannot stack
+                raise ValueError(shape_error) from None
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         n = self.y.shape[0] if self.y.ndim == 1 else -1
         if n < 1 or self.phi.ndim != 2 or self.phi.shape[0] != n:
-            raise ValueError("phi must be (N, n_p) with one measurement y per row, N >= 1")
+            raise ValueError(shape_error)
         if not np.isfinite(self.y).all():
             raise ValueError("measurements must be finite")
         if not np.isfinite(self.phi).all():

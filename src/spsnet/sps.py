@@ -41,7 +41,10 @@ class SignMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries)
+        try:
+            self.entries = np.asarray(self.entries)
+        except ValueError:  # ragged rows, which numpy cannot stack
+            raise ValueError("sign matrix must be two-dimensional") from None
         if self.entries.ndim != 2:
             raise ValueError("sign matrix must be two-dimensional")
         if not np.all(np.abs(self.entries) == 1):

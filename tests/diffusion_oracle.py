@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spsnet.diffusion import TrafficLog, _check_samples, _unpack, payload_sizes
+from spsnet.diffusion import TrafficLog, _unpack, payload_sizes
 from spsnet.lp import LpProblem, solve_lp
 from spsnet.sps import AggregateSums, SignMatrix
 from spsnet.topology import ClusteredTopology, Graph, TreeTopology, diameter
@@ -129,7 +129,6 @@ def _cover(tags) -> tuple[int, bool]:
 
 
 def _local_tables(samples, signs: SignMatrix, n: int) -> list[PayloadTable]:
-    _check_samples(samples, n)
     vec, mat = local_aggregate_arrays(samples, signs)
     return [PayloadTable(k, n, AggregateSums(vec[k], mat[k])) for k in range(n)]
 
@@ -242,7 +241,6 @@ def run_pf(graph: Graph, samples, max_rounds: int | None = None) -> PfResult:
     would send.
     """
     n = graph.n_nodes
-    _check_samples(samples, n)
     d_rec, _ = payload_sizes(samples.n_p, 2)
     known = np.eye(n, dtype=bool)
     traffic = TrafficLog("pf", n)
@@ -288,7 +286,6 @@ def run_mf(
     knowledge matrix after given rounds (0 = initial state).
     """
     n = graph.n_nodes
-    _check_samples(samples, n)
     d_rec, _ = payload_sizes(samples.n_p, 2)
     known = np.eye(n, dtype=bool)
     transmitted = np.zeros((n, n), dtype=bool)
@@ -340,7 +337,6 @@ def run_mf_tree(tree: TreeTopology, samples) -> MfResult:
     per-level census formula exactly.
     """
     n = tree.n_nodes
-    _check_samples(samples, n)
     d_rec, _ = payload_sizes(samples.n_p, 2)
     known = np.eye(n, dtype=bool)
     transmitted = np.zeros((n, n), dtype=bool)
@@ -396,7 +392,6 @@ def run_mf_clustered(topo: ClusteredTopology, samples) -> MfResult:
     the other clusters' records to their members.
     """
     n = topo.n_nodes
-    _check_samples(samples, n)
     d_rec, _ = payload_sizes(samples.n_p, 2)
     known = np.eye(n, dtype=bool)
     transmitted = np.zeros((n, n), dtype=bool)

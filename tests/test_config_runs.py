@@ -14,7 +14,8 @@ one-node and off-the-plane configs the schema refuses. The other kinds' draws
 still reach ``model.n_x`` other than 2, which must exit 1 with the validation
 error. Every integer field is drawn now and then as its float twin, such as
 2.0, which JSON Schema counts as an integer too. No command may raise. The
-regression tests below pin each failure the property test found.
+regression tests below pin each failure the property test found, and one
+table pins the exact stderr line of the README's other refusals.
 """
 
 import contextlib
@@ -221,6 +222,42 @@ def test_a_flag_into_a_section_that_is_not_an_object_is_a_validation_error(tmp_p
     assert rc == 1
     assert err.startswith(f"error: {config[section]!r} is not of type 'object'\n"), err
     assert f"Failed validating 'type' in schema['properties']['{section}']" in err
+
+
+# (command, config, the one stderr line): schema-valid configs that cannot run, as the README lists them
+DATA_REGION = {"sps": {"m": 2, "q": 1}, "region": {"box": [[-2.0, 2.0]], "grid_per_dim": 4}}
+REFUSED_CONFIGS = [
+    ("coverage", {"model": {"p_true": [1.0, 2.0, 3.0]}}, "p_true must have shape (2,), got (3,)"),
+    ("region", {"region": {"box": [[0.0, 1.0]]}}, "box must have 2 dimensions"),
+    ("region", {"region": {"grid_per_dim": [2, 2, 2]}},
+     "grid_per_dim must give a positive integer cell count per dimension"),
+    ("tradeoff", {"model": {"n_p": 4}, "topology": {"n_nodes": 8}, "tradeoff": {"n_seeds": 1, "max_iterations": 1}},
+     "grid evaluation over 4 dimensions is not supported: n_p must be at most 3 "
+     "(the cell count grows exponentially)"),
+    ("region", {"data": {"phi": [[1.0], [1.0]], "y": [1.0]}, **DATA_REGION},
+     "phi must be (N, n_p) with one measurement y per row, N >= 1"),
+    ("region", {"data": {"phi": [[1.0], [1.0, 2.0]], "y": [1.0, -1.0]}, **DATA_REGION},
+     "phi must be (N, n_p) with one measurement y per row, N >= 1"),
+    ("region", {"data": {"phi": [[1.0], [1.0]], "y": [1.0, -1.0], "signs": [[1, 1, 1], [1, -1, 1]]}, **DATA_REGION},
+     "sign matrix width must match the number of samples"),
+    ("region", {"data": {"phi": [[1.0], [1.0]], "y": [1.0, -1.0], "signs": [[1, 1], [1]]}, **DATA_REGION},
+     "sign matrix must be two-dimensional"),
+    ("region", {"data": {"phi": [[1.0], [1.0]], "y": [1.0, -1.0], "signs": [[1, -1], [1, -1]]}, **DATA_REGION},
+     "sign matrix row 0 must be all +1"),
+    ("region", {"data": {"phi": [[float("nan")], [1.0]], "y": [1.0, -1.0]}, **DATA_REGION},
+     "regressor entries must be finite"),
+    ("region", {"data": {"phi": [[1.0], [1.0]], "y": [float("inf"), -1.0]}, **DATA_REGION},
+     "measurements must be finite"),
+]
+
+
+@pytest.mark.parametrize("command,config,message", REFUSED_CONFIGS,
+                         ids=["p_true", "box", "grid_per_dim", "tradeoff-n_p", "data-rows", "data-ragged-phi",
+                              "data-sign-width", "data-ragged-signs", "data-sign-row0", "data-phi", "data-y"])
+def test_a_schema_valid_config_that_cannot_run_ends_with_its_readme_line(tmp_path, command, config, message):
+    config = {"seed": 1, "trials": 1, **config}
+    assert schema_valid(config)
+    assert run_cli(command, config, tmp_path) == (1, f"error: {message}\n")
 
 
 # (command, config, path of an integer key, its value): the integer and its float twin run alike

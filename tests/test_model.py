@@ -1,5 +1,7 @@
 """Measurement model: regressor families, symmetric noise, sample generation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,8 @@ def test_field_config_validation():
         FieldConfig(n_p=2, p_true=np.zeros(3))
     with pytest.raises(ValueError):
         FieldConfig(n_p=0, p_true=np.zeros(0))
+    with pytest.raises(ValueError, match="n_x must be at least 1"):
+        FieldConfig(n_p=2, p_true=np.zeros(2), n_x=0)  # no variable: the monomial search never ends
     with pytest.raises(ValueError):
         FieldConfig(n_p=2, p_true=np.zeros(2), regressor_family="fourier")
 
@@ -93,6 +97,10 @@ def test_samples_validation():
         Samples(phi=np.zeros((0, 1)), y=np.zeros(0))
     with pytest.raises(ValueError):
         Samples(phi=[1.0, 2.0], y=y)  # phi must be two-dimensional
+    shape_error = re.escape("phi must be (N, n_p) with one measurement y per row, N >= 1")
+    for phi, y in (([[1.0], [1.0, 2.0]], [1.0, -1.0]), ([[1.0], [2.0]], [[1.0], [1.0, 2.0]])):
+        with pytest.raises(ValueError, match=shape_error):  # ragged rows numpy cannot stack
+            Samples(phi=phi, y=y)
 
 
 def test_samples_arrays_are_read_only_copies():

@@ -1,6 +1,7 @@
 """Sign-perturbed sums: aggregates, membership, tie handling, region grids."""
 
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -66,6 +67,21 @@ def test_sign_matrix_validation():
         SignMatrix(np.array([[1, 2], [1, 1]]))
     with pytest.raises(ValueError):
         SignMatrix(np.array([[1, -1], [1, 1]]))  # row 0 not all ones
+    for entries in ([1, 1], [[1, 1], [1]]):  # one row, and ragged rows numpy cannot stack
+        with pytest.raises(ValueError, match="sign matrix must be two-dimensional"):
+            SignMatrix(entries)
+    with pytest.raises(ValueError, match="need at least one node"):
+        draw_sign_matrix(3, 0, 0)
+
+
+def test_aggregate_shape_validation():
+    with pytest.raises(ValueError, match=re.escape("vec must have shape (m, n_p)")):
+        AggregateSums(np.zeros(3), np.zeros((3, 1, 1)))
+    with pytest.raises(ValueError, match=re.escape("mat must have shape (m, n_p, n_p)")):
+        AggregateSums(np.zeros((3, 2)), np.zeros((3, 2, 1)))
+    for column in (1.0, [[1.0], [-1.0]]):
+        with pytest.raises(ValueError, match="sign column must be one-dimensional"):
+            local_aggregate(Samples(phi=[[1.0]], y=[2.0]), 0, column)
 
 
 def test_perturbed_rows_average_out():

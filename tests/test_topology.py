@@ -62,6 +62,12 @@ def test_graph_validation():
     assert g.is_connected()
     two_parts = Graph(adjacency=np.kron(np.eye(2, dtype=bool), path_graph(2).adjacency))
     assert not two_parts.is_connected()
+    with pytest.raises(ValueError, match="positions must match the node count"):
+        Graph(adjacency=path_graph(3).adjacency, positions=np.zeros((2, 2)))
+
+
+def test_dot_of_a_graph_without_positions_lists_bare_nodes():
+    assert path_graph(3).to_dot() == "graph G {\n  0;\n  1;\n  2;\n  0 -- 1;\n  1 -- 2;\n}\n"
 
 
 def test_neighbor_arrays_equal_per_row_flatnonzero():
@@ -129,6 +135,12 @@ def test_random_geometric_connected_and_deterministic():
     expect = dist2 <= g1.radius ** 2
     np.fill_diagonal(expect, False)
     assert np.array_equal(g1.adjacency, expect)
+
+
+def test_random_geometric_needs_two_nodes():
+    for n, radius in ((0, None), (1, None), (1, 1.5)):  # a given radius skips comm_radius's own check
+        with pytest.raises(ValueError, match="need at least two nodes"):
+            random_geometric(n, substream(0, "topology"), radius=radius)
 
 
 def test_random_geometric_radius_override():
@@ -279,6 +291,11 @@ def test_clustered_tight_case_and_validation():
     for heads in ([0, -1], [0, 4], [0, 40]):  # a negative id would wrap to node 3
         with pytest.raises(ValueError, match="head ids"):
             ClusteredTopology(assignment=[0, 0, 1, 1], heads=heads)
+    for assignment in ([0, 0, 2, 2], [0, 0, 0, 0]):  # a cluster id with no head, or cluster 1 empty
+        with pytest.raises(ValueError, match="every cluster must be non-empty"):
+            ClusteredTopology(assignment=assignment, heads=[0, 2])
+    with pytest.raises(ValueError, match="each head must belong to its own cluster"):
+        ClusteredTopology(assignment=[0, 0, 1, 1], heads=[2, 0])
 
 
 def test_diameter():
