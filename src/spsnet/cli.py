@@ -38,7 +38,7 @@ from .experiments import (
     run_tradeoff,
     simulate,
 )
-from .topology import ConnectivityError, diameter, save_topology
+from .topology import ConnectivityError, TreeTopology, diameter, save_topology
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -157,14 +157,14 @@ def _print_summary(summary: dict) -> None:
 
 def _cmd_topology(args) -> int:
     config = _load_config(args)
-    bundle = build_topology(config.seed, config.cfg["topology"])
+    tcfg = config.cfg["topology"]
+    bundle = build_topology(config.seed, tcfg)
     out = _out_dir(config)
-    obj = bundle.tree or bundle.clusters or bundle.graph
-    save_topology(obj, os.path.join(out, "topology.json"),
+    save_topology(bundle.schedule or bundle.graph, os.path.join(out, "topology.json"),
                   dot_path=os.path.join(out, "topology.dot"))
     g = bundle.graph
     radius = "" if bundle.radius is None else f" radius={bundle.radius}"
-    print(f"kind={bundle.kind} n_nodes={g.n_nodes} edges={len(g.edges)} diameter={diameter(g)}{radius}")
+    print(f"kind={tcfg['kind']} n_nodes={g.n_nodes} edges={len(g.edges)} diameter={diameter(g)}{radius}")
     return 0
 
 
@@ -180,7 +180,7 @@ def _cmd_diffuse(args) -> int:
             "protocol": traffic.protocol,
             "total_scalars": traffic.total_scalars,
             "per_node": [int(v) for v in traffic.per_node_totals],
-            "rounds": sorted({e.round for e in traffic.events}),
+            "rounds": sorted({rnd for rnd, _, _, _ in traffic.events}),
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -258,14 +258,10 @@ def _cmd_traffic_predict(args) -> int:
             raise ValueError("clustered prediction needs --N and --n-clusters")
         report = compare("clustered", n_p, m, n_nodes=args.N, n_clusters=args.n_clusters)
     else:
-        bundle = build_topology(cfg["seed"], cfg["topology"])
-        if bundle.tree is None:
+        tree = build_topology(cfg["seed"], cfg["topology"]).schedule
+        if not isinstance(tree, TreeTopology):
             raise ValueError("tree prediction needs a config with topology.kind = tree or binary")
-        report = compare(
-            "tree", n_p, m,
-            level_counts=bundle.tree.level_counts,
-            childless_counts=bundle.tree.childless_counts,
-        )
+        report = compare("tree", n_p, m, level_counts=tree.level_counts, childless_counts=tree.childless_counts)
 
     if args.format == "json":
         payload = {

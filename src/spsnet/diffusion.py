@@ -83,7 +83,6 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -110,15 +109,6 @@ def payload_sizes(n_p: int, m: int) -> tuple[int, int]:
 # traffic accounting
 
 
-class TrafficEvent(NamedTuple):
-    """One broadcast: round, sender, scalar cost, informational tag bits."""
-
-    round: int
-    node: int
-    scalars: int
-    tag_bits: int = 0
-
-
 class TrafficLog:
     """Append-only transmission log for one protocol run: one plain tuple per
     ``record`` call, and beside it each round's running scalar sum, a Python
@@ -141,8 +131,10 @@ class TrafficLog:
         self._per_round[round_] = self._per_round.get(round_, 0) + scalars
 
     @property
-    def events(self) -> list[TrafficEvent]:
-        return list(map(TrafficEvent._make, self._events))
+    def events(self) -> list[tuple[int, int, int, int]]:
+        """A copy of the log: one ``(round, node, scalars, tag_bits)`` int
+        tuple per broadcast, in ``record`` order."""
+        return list(self._events)
 
     @property
     def total_scalars(self) -> int:

@@ -54,7 +54,9 @@ from .sps import (
     z_values,
 )
 from .topology import (
+    ClusteredTopology,
     Graph,
+    TreeTopology,
     clustered,
     complete_binary_tree,
     diameter,
@@ -222,11 +224,13 @@ def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float,
 
 @dataclass(eq=False)
 class TopologyBundle:
-    kind: str
+    """One deployment. ``schedule`` is the ``TreeTopology`` (kinds tree and
+    binary) or ``ClusteredTopology`` (kind clustered) whose ``stages()`` MF
+    and TAS follow, and None for the unstructured kinds (rgg, complete)."""
+
     graph: Graph
-    tree: object | None
-    clusters: object | None
     positions: np.ndarray
+    schedule: TreeTopology | ClusteredTopology | None = None
     radius: float | None = None  # the broadcast radius of a random deployment
 
 
@@ -246,18 +250,17 @@ def build_topology(seed: int, tcfg: dict, *path) -> TopologyBundle:
     if kind in ("rgg", "tree"):
         g = random_geometric(n, substream(seed, "topology", *path), radius=tcfg.get("radius"))
         if kind == "rgg":
-            return TopologyBundle(kind, g, None, None, g.positions, g.radius)
+            return TopologyBundle(g, g.positions, None, g.radius)
         tree = spanning_tree(g)
-        return TopologyBundle(kind, tree.graph(), tree, None, g.positions, g.radius)
+        return TopologyBundle(tree.graph(), g.positions, tree, g.radius)
     positions = substream(seed, "positions", *path).uniform(0.0, 1.0, size=(n, 2))
     if kind == "complete":
-        adj = ~np.eye(n, dtype=bool)
-        return TopologyBundle(kind, Graph(adjacency=adj, positions=positions), None, None, positions)
+        return TopologyBundle(Graph(adjacency=~np.eye(n, dtype=bool), positions=positions), positions)
     if kind == "binary":
-        return TopologyBundle(kind, tree.graph(), tree, None, positions)
+        return TopologyBundle(tree.graph(), positions, tree)
     if kind == "clustered":
         topo = clustered(n, tcfg["n_clusters"], substream(seed, "topology", *path))
-        return TopologyBundle(kind, topo.graph(), None, topo, positions)
+        return TopologyBundle(topo.graph(), positions, topo)
     raise ValueError(f"unknown topology kind {kind!r}")
 
 
@@ -286,23 +289,19 @@ def _pf(bundle, samples, signs, diff):
 
 
 def _mf(bundle, samples, signs, diff):
-    if bundle.tree is not None:
-        res = run_mf_tree(bundle.tree, samples)
-    elif bundle.clusters is not None:
-        res = run_mf_clustered(bundle.clusters, samples)
-    else:
-        res = run_mf(bundle.graph, samples, max_rounds=diff["rounds"])
-    return res, truncated_aggregate
+    schedule = bundle.schedule
+    if schedule is None:
+        return run_mf(bundle.graph, samples, max_rounds=diff["rounds"]), truncated_aggregate
+    runner = run_mf_tree if isinstance(schedule, TreeTopology) else run_mf_clustered
+    return runner(schedule, samples), truncated_aggregate
 
 
 def _tas(bundle, samples, signs, diff):
-    if bundle.tree is not None:
-        res = run_tas_tree(bundle.tree, samples, signs)
-    elif bundle.clusters is not None:
-        res = run_tas_clustered(bundle.clusters, samples, signs)
-    else:
-        res = run_tas(bundle.graph, samples, signs, rounds=diff["rounds"])
-    return res, tie_exact_aggregate
+    schedule = bundle.schedule
+    if schedule is None:
+        return run_tas(bundle.graph, samples, signs, rounds=diff["rounds"]), tie_exact_aggregate
+    runner = run_tas_tree if isinstance(schedule, TreeTopology) else run_tas_clustered
+    return runner(schedule, samples, signs), tie_exact_aggregate
 
 
 def _consensus(bundle, samples, signs, diff):
@@ -335,10 +334,11 @@ def run_protocol(bundle: TopologyBundle, samples: Samples, signs: SignMatrix,
     node's ``local_aggregate`` (the same values and Z), and ``full``, PF and
     MF with ``truncated_aggregate``.
 
-    On tree and binary bundles MF and TAS run the tree's schedule, on
-    clustered bundles the clusters' one, and ``diffusion.rounds`` is ignored.
-    Every other case runs the general-graph runner. TAS wraps up a node's
-    table on each read of its weights, and builds nothing before.
+    When ``bundle.schedule`` holds a tree (kinds tree and binary) or a
+    clustering (kind clustered), MF and TAS follow its ``stages()`` and
+    ``diffusion.rounds`` is ignored; with no schedule (rgg, complete) they run
+    the general-graph runners. TAS wraps up a node's table on each read of
+    its weights, and builds nothing before.
     """
     protocol = diff["protocol"]
     if protocol not in PROTOCOLS:
@@ -638,7 +638,7 @@ def run_success_rate(config: ExperimentConfig) -> ExperimentRecord:
         wins = {n_p: 0 for n_p in np_list}
         for r in range(realizations):
             bundle = build_topology(seed, {**tcfg, "kind": "tree", "n_nodes": n_nodes}, n_nodes, r)
-            tree = bundle.tree
+            tree = bundle.schedule
             lam = tree.level_counts
             bar = tree.childless_counts
             samples, signs = _draw_data(seed, bundle.positions, fc, m, n_nodes, r)
@@ -694,26 +694,29 @@ def run_region(config: ExperimentConfig) -> tuple[RegionResult, dict]:
     when the normal-equations matrix is too ill-conditioned for the estimate
     (fewer weighted samples than parameters); ``meta`` then records that
     matrix's ``rank`` and whether the region is ``bounded`` (full rank).
-    Non-finite data, or a sign matrix whose width is not the number of rows,
-    raise ValueError.
+    Non-finite data, a sign matrix whose width is not the number of rows, or
+    data whose aggregate sums overflow a float raise ValueError.
     """
     seed, cfg = config.seed, config.cfg
     m, q = cfg["sps"]["m"], cfg["sps"]["q"]
-    if "data" in cfg:
-        data = cfg["data"]
-        samples = Samples(data["phi"], data["y"])
-        if "signs" in data:
-            signs = SignMatrix(data["signs"])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused below, once
+        if "data" in cfg:
+            data = cfg["data"]
+            samples = Samples(data["phi"], data["y"])
+            if "signs" in data:
+                signs = SignMatrix(data["signs"])
+            else:
+                signs = draw_sign_matrix(m, len(samples), data.get("sign_seed", seed))
+            agg = batch_aggregate(samples, signs)
+            m = signs.m
+            meta = {"source": "data", "n_nodes": len(samples)}
         else:
-            signs = draw_sign_matrix(m, len(samples), data.get("sign_seed", seed))
-        agg = batch_aggregate(samples, signs)
-        m = signs.m
-        meta = {"source": "data", "n_nodes": len(samples)}
-    else:
-        run, builder, samples, signs = simulate(config)
-        agg = builder(samples, signs, run.weights(_designated_node(config, run.traffic.n_nodes)))
-        meta = {"source": "simulation", "n_nodes": run.traffic.n_nodes,
-                "protocol": cfg["diffusion"]["protocol"]}
+            run, builder, samples, signs = simulate(config)
+            agg = builder(samples, signs, run.weights(_designated_node(config, run.traffic.n_nodes)))
+            meta = {"source": "simulation", "n_nodes": run.traffic.n_nodes,
+                    "protocol": cfg["diffusion"]["protocol"]}
+    if not (np.isfinite(agg.vec).all() and np.isfinite(agg.mat).all()):
+        raise ValueError("aggregate sums must be finite: the data overflow a float")
     center = None
     if cfg["region"]["box"] is None:
         try:

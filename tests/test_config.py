@@ -4,8 +4,8 @@
 process and never re-checks the packaged schema against its metaschema, so
 that check lives here. ``jsonschema.validate`` on a freshly read schema is the
 reference for which error a bad config raises. The schema's defaults must
-fit the schema, and the CLI flags that name config keys must name schema
-properties.
+fit the schema, the CLI flags that name config keys must name schema
+properties, and every schema enum must name the values the code accepts.
 """
 
 import json
@@ -15,7 +15,9 @@ import jsonschema
 import pytest
 
 from spsnet.cli import _build_parser, main
-from spsnet.experiments import ExperimentConfig, validate_config
+from spsnet.diffusion import CONSENSUS_SCHEMES
+from spsnet.experiments import PROTOCOLS, ExperimentConfig, build_topology, validate_config
+from spsnet.model import NOISE_KINDS, REGRESSOR_FAMILIES
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -194,6 +196,34 @@ def test_defaults_schema_and_flags_agree():
     assert dests and all(tuple(d.split(".")[1:]) in props for d in dests), dests
     assert {name: sorted(o for a in sub._actions for o in a.option_strings)
             for name, sub in _subcommands().items()} == OPTIONS
+
+
+def _choices(subcommand: str, dest: str) -> set:
+    (action,) = [a for a in _subcommands()[subcommand]._actions if a.dest == dest]
+    return set(action.choices)
+
+
+def test_each_enumerated_choice_names_the_same_values_everywhere():
+    """Every schema enum names the values the code and the CLI accept: the
+    protocol table and ``--protocol``, the consensus schemes and ``--scheme``,
+    the noise kinds, the regressor families, and the topology kinds, which
+    ``--kind`` lists in another order and ``build_topology`` builds."""
+    props = dict(_schema_properties(_schema()))
+
+    def enum(*path):
+        return set(props[path]["enum"])
+
+    protocols = enum("diffusion", "protocol")
+    assert protocols == set(PROTOCOLS) == _choices("diffuse", "config.diffusion.protocol")
+    assert protocols == _choices("coverage", "config.diffusion.protocol")
+    assert enum("diffusion", "scheme") == set(CONSENSUS_SCHEMES) == _choices("diffuse", "config.diffusion.scheme")
+    assert enum("model", "noise", "kind") == set(NOISE_KINDS)
+    assert enum("model", "regressor_family") == set(REGRESSOR_FAMILIES)
+    kinds = enum("topology", "kind")
+    assert kinds == _choices("topology", "config.topology.kind") == _choices("diffuse", "config.topology.kind")
+    for kind in sorted(kinds):
+        tcfg = ExperimentConfig({"seed": 1, "topology": {"kind": kind, "n_nodes": 6}}).cfg["topology"]
+        assert build_topology(1, tcfg).graph.n_nodes > 1, kind
 
 
 @pytest.mark.parametrize("path", sorted(NULL_DEFAULTS), ids=".".join)

@@ -22,7 +22,11 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -258,6 +262,29 @@ def test_a_schema_valid_config_that_cannot_run_ends_with_its_readme_line(tmp_pat
     config = {"seed": 1, "trials": 1, **config}
     assert schema_valid(config)
     assert run_cli(command, config, tmp_path) == (1, f"error: {message}\n")
+
+
+OVERFLOWING_DATA = {"sps": {"m": 4}, "data": {"phi": [[1e200, 1.0], [1.0, 1e200], [2.0, 3.0]], "y": [1, 2, 3]}}
+HUGE_P_TRUE = {"model": {"p_true": [1e307, 1e307]}}  # a simulated draw whose sums overflow
+UNIT_BOX = {"region": {"box": [[0, 1], [0, 1]]}}
+
+
+@pytest.mark.parametrize("config", [OVERFLOWING_DATA, {**OVERFLOWING_DATA, **UNIT_BOX},
+                                    HUGE_P_TRUE, {**HUGE_P_TRUE, **UNIT_BOX}],
+                         ids=["data", "data-box", "simulation", "simulation-box"])
+def test_a_region_whose_aggregate_overflows_ends_with_its_readme_line(tmp_path, config):
+    # Unchecked, the sums are infinite: without a box LAPACK wrote six DLASCL lines to stdout before an
+    # SVD error, and with one the region's volume came from infinite sums. A fresh process also shows
+    # what LAPACK and numpy's warnings write outside Python's streams.
+    config = {"seed": 1, **config}
+    assert schema_valid(config)
+    error = "error: aggregate sums must be finite: the data overflow a float\n"
+    assert run_cli("region", config, tmp_path) == (1, error)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "spsnet.cli", "region", "--config", str(tmp_path / "config.json"),
+                           "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", error)
 
 
 # (command, config, path of an integer key, its value): the integer and its float twin run alike

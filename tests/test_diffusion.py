@@ -16,7 +16,6 @@ from spsnet.analysis import (
 from spsnet.diffusion import (
     TagTable,
     TasResult,
-    TrafficEvent,
     TrafficLog,
     consensus_weights,
     payload_sizes,
@@ -91,8 +90,8 @@ def complete_graph(n):
 def round_totals(log):
     """Scalars sent per round, from the log's events."""
     out = {}
-    for e in log.events:
-        out[e.round] = out.get(e.round, 0) + e.scalars
+    for rnd, _, scalars, _ in log.events:
+        out[rnd] = out.get(rnd, 0) + scalars
     return out
 
 
@@ -149,16 +148,15 @@ def test_traffic_log_csv_format(tmp_path):
     assert rows[3] == ["demo", "2", "1", "4", "8", "0"]
 
 
-def test_traffic_events_are_tuples_with_named_fields():
+def test_traffic_events_are_int_tuples():
     log = TrafficLog("demo", 3)
     log.record(1, 0, 10, tag_bits=3)
     log.record(np.int64(2), np.int64(2), np.int64(5))
-    first, second = log.events
-    assert TrafficEvent._fields == ("round", "node", "scalars", "tag_bits")
-    assert (first.round, first.node, first.scalars, first.tag_bits) == (1, 0, 10, 3)
-    assert first == TrafficEvent(1, 0, 10, 3) == (1, 0, 10, 3)
-    assert second == TrafficEvent(round=2, node=2, scalars=5, tag_bits=0)
-    assert all(type(v) is int for v in second)
+    events = log.events
+    assert events == [(1, 0, 10, 3), (2, 2, 5, 0)]
+    assert all(type(v) is int for e in events for v in e)
+    events.clear()  # a read is a copy: changing it changes no later read
+    assert log.events == [(1, 0, 10, 3), (2, 2, 5, 0)]
 
 
 def test_traffic_per_node_totals_is_a_copy():
@@ -549,8 +547,8 @@ def test_mf_never_retransmits():
         # each node pays for every distinct record it sent exactly once: a
         # run to quiescence sends every record it knows, so all 15
         sent = np.zeros(15, dtype=int)
-        for e in res.traffic.events:
-            sent[e.node] += e.tag_bits // 15
+        for _, node, _, bits in res.traffic.events:
+            sent[node] += bits // 15
         assert np.array_equal(sent, [15] * 15)
         assert np.array_equal(res.traffic.per_node_totals, sent * d_rec)
 
@@ -701,9 +699,9 @@ def test_tas_every_transmission_costs_one_aggregate():
     graph, samples, signs = make_network(109, 10, m=6)
     _, d_agg = payload_sizes(2, 6)
     res = run_tas(graph, samples, signs, rounds=3)
-    for e in res.traffic.events:
-        assert e.scalars == d_agg
-        assert e.tag_bits == 10
+    for _, _, scalars, bits in res.traffic.events:
+        assert scalars == d_agg
+        assert bits == 10
 
 
 def test_tas_snapshots_wrap_up_requested_nodes():

@@ -90,8 +90,8 @@ def assert_same_flooding(res, ref):
         return
     n = res.traffic.n_nodes
     records_sent = np.zeros(n, dtype=int)
-    for e in res.traffic.events:
-        records_sent[e.node] += e.tag_bits // n
+    for _, node, _, bits in res.traffic.events:
+        records_sent[node] += bits // n
     assert np.array_equal(records_sent, ref.transmitted.sum(axis=1))
     arrival = arrival_rounds(res)
     assert np.array_equal(arrival, ref.arrival_round)

@@ -36,6 +36,7 @@ from spsnet.experiments import PROTOCOLS, build_topology, run_protocol  # noqa: 
 from spsnet.model import FieldConfig, NoiseSpec, generate_measurements  # noqa: E402
 from spsnet.rng import derive_seed, substream  # noqa: E402
 from spsnet.sps import draw_sign_matrix, tie_exact_aggregate, truncated_aggregate, z_values  # noqa: E402
+from spsnet.topology import TreeTopology  # noqa: E402
 
 
 def bundle_for(kind, n_nodes, seed, depth=2, n_clusters=3):
@@ -140,12 +141,13 @@ def test_structured_kinds_run_their_schedule(seed):
     for bundle in cases:
         samples, signs = data_for(bundle, seed, n_p, m)
         n = bundle.graph.n_nodes
-        if bundle.tree is not None:
-            census = (bundle.tree.level_counts, bundle.tree.childless_counts)
+        schedule = bundle.schedule
+        if isinstance(schedule, TreeTopology):
+            census = (schedule.level_counts, schedule.childless_counts)
             expected = {"mf": traffic_mf_tree(*census, n_p, m), "tas": traffic_tas_tree(*census, n_p, m)}
             suffix = "tree"
         else:
-            n_c = bundle.clusters.n_clusters
+            n_c = schedule.n_clusters
             expected = {"mf": traffic_mf_clustered(n, n_c, n_p, m),
                         "tas": traffic_tas_clustered(n, n_c, n_p, m)}
             suffix = "clustered"
@@ -158,16 +160,20 @@ def test_structured_kinds_run_their_schedule(seed):
 
 
 def test_runners_are_looked_up_by_name_at_call_time(monkeypatch):
-    bundle = bundle_for("rgg", 10, 2)
-    samples, signs = data_for(bundle, 2)
     calls = []
-    for name in ("run_pf", "run_mf", "run_tas", "run_consensus"):
+    for name in ("run_pf", "run_mf", "run_tas", "run_consensus",
+                 "run_mf_tree", "run_tas_tree", "run_mf_clustered", "run_tas_clustered"):
         original = getattr(experiments, name)
         monkeypatch.setattr(experiments, name,
                             lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw))
-    for protocol in ("pf", "mf", "tas", "consensus"):
-        run_protocol(bundle, samples, signs, diffusion_cfg(protocol, 1))
-    assert calls == ["run_pf", "run_mf", "run_tas", "run_consensus"]
+    for bundle, protocols in [(bundle_for("rgg", 10, 2), ("pf", "mf", "tas", "consensus")),
+                              (bundle_for("binary", 7, 2), ("mf", "tas")),
+                              (bundle_for("clustered", 10, 2), ("mf", "tas"))]:
+        samples, signs = data_for(bundle, 2)
+        for protocol in protocols:
+            run_protocol(bundle, samples, signs, diffusion_cfg(protocol, 1))
+    assert calls == ["run_pf", "run_mf", "run_tas", "run_consensus",
+                     "run_mf_tree", "run_tas_tree", "run_mf_clustered", "run_tas_clustered"]
 
 
 def test_aggregates_are_built_only_when_read(monkeypatch):

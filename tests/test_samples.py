@@ -105,9 +105,9 @@ def test_local_payloads_share_no_memory():
     tree = spanning_tree(graph)
     topo = clustered(12, 3, substream(6, "clusters"))
     runs = {
-        "tas": (TopologyBundle("rgg", graph, None, None, graph.positions), 0),
-        "tas-tree": (TopologyBundle("tree", tree.graph(), tree, None, graph.positions), 1),
-        "tas-clustered": (TopologyBundle("clustered", topo.graph(), None, topo, graph.positions), 1),
+        "tas": (TopologyBundle(graph, graph.positions), 0),
+        "tas-tree": (TopologyBundle(tree.graph(), graph.positions, tree), 1),
+        "tas-clustered": (TopologyBundle(topo.graph(), graph.positions, topo), 1),
     }
     for name, (bundle, first) in runs.items():
         run, builder = run_protocol(bundle, samples, signs, {"protocol": "tas", "rounds": 0})

@@ -36,7 +36,7 @@ def run_digest(res) -> str:
         h.update(repr(sorted(res.row_counts.items())).encode())
     else:
         h.update(repr(res.masks).encode())
-    h.update(repr((res.rounds_run, [tuple(e) for e in res.traffic.events])).encode())
+    h.update(repr((res.rounds_run, res.traffic.events)).encode())
     return h.hexdigest()
 
 

@@ -21,8 +21,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from spsnet.diffusion import run_tas, run_tas_clustered, run_tas_tree  # noqa: E402
-from spsnet.experiments import build_topology, run_tradeoff  # noqa: E402
+from spsnet.experiments import build_topology, run_protocol, run_tradeoff  # noqa: E402
 from spsnet.model import FieldConfig, NoiseSpec, Samples, generate_measurements  # noqa: E402
 from spsnet.rng import substream  # noqa: E402
 from spsnet.sps import SignMatrix, draw_sign_matrix, tie_exact_aggregate  # noqa: E402
@@ -54,11 +53,9 @@ def test_sign_flipped_rows_come_out_exact(n_nodes, n_p, seed, data):
 
 
 def tas_run(bundle, samples, signs):
-    if bundle.tree is not None:
-        return run_tas_tree(bundle.tree, samples, signs)
-    if bundle.clusters is not None:
-        return run_tas_clustered(bundle.clusters, samples, signs)
-    return run_tas(bundle.graph, samples, signs, rounds=4)
+    """TAS as the protocol table runs it: the bundle's schedule, else 4 rounds."""
+    run, _ = run_protocol(bundle, samples, signs, {"protocol": "tas", "rounds": 4})
+    return run
 
 
 @pytest.mark.parametrize("kind,n_nodes", [("rgg", 30), ("tree", 30), ("binary", 31), ("clustered", 30)])

@@ -10,8 +10,6 @@ import csv
 
 import numpy as np
 
-from spsnet.diffusion import TrafficEvent
-
 
 class TrafficLog:
     """Append-only transmission log for one protocol run: one event per
@@ -20,7 +18,7 @@ class TrafficLog:
     def __init__(self, protocol: str, n_nodes: int):
         self.protocol = protocol
         self.n_nodes = n_nodes
-        self.events: list[TrafficEvent] = []
+        self.events: list[tuple[int, int, int, int]] = []
         self._per_node = [0] * n_nodes
         self._per_round: dict[int, int] = {}
 
@@ -28,7 +26,7 @@ class TrafficLog:
         if scalars < 0 or tag_bits < 0:
             raise ValueError("traffic amounts must be non-negative")
         round_, node, scalars = int(round_), int(node), int(scalars)
-        self.events.append(TrafficEvent(round_, node, scalars, int(tag_bits)))
+        self.events.append((round_, node, scalars, int(tag_bits)))
         self._per_node[node] += scalars
         self._per_round[round_] = self._per_round.get(round_, 0) + scalars
 
@@ -50,6 +48,6 @@ class TrafficLog:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["protocol", "round", "node_id", "scalars_sent", "cumulative_scalars", "tag_bits"])
-            for e in sorted(self.events, key=lambda e: (e.round, e.node)):
-                running[e.node] += e.scalars
-                w.writerow([self.protocol, e.round, e.node, e.scalars, int(running[e.node]), e.tag_bits])
+            for rnd, node, scalars, bits in sorted(self.events, key=lambda e: (e[0], e[1])):
+                running[node] += scalars
+                w.writerow([self.protocol, rnd, node, scalars, int(running[node]), bits])
